@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harness.rng import rng_for
+from .harness.mc import McRun, mc_run
 
-_CHUNK = 1 << 18
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -71,8 +70,9 @@ class CorrelatedSampler:
         """Draw n tuples; returns (g, copies) with shapes (n, R), (r, n, R)."""
         r, R, rho = self.copies, self.dimension, self.rho
         g = rng.standard_normal((n, R))
-        zeta = rng.standard_normal((r, n, R))
-        h = rho * g[None, :, :] + math.sqrt(1.0 - rho * rho) * zeta
+        h = rng.standard_normal((r, n, R))
+        h *= math.sqrt(1.0 - rho * rho)
+        h += rho * g
         return g, h
 
 
@@ -82,53 +82,33 @@ def sample_correlated(sampler: CorrelatedSampler, rng: np.random.Generator):
     return h[:, 0, :]
 
 
-@dataclass
-class StabilityEstimate:
-    value: float
-    stderr: float
-    samples: int
-    seed: int
+def _orthant_run(rho: float, deltas, samples: int, seed: int, tag: str) -> McRun:
+    """Pr[forall i: h_i <= quantile(delta_i)] over shared-source copies."""
+    thresholds = np.array([normal_quantile(d) for d in deltas])[:, None]
+    sampler = CorrelatedSampler(1, rho, len(deltas))
 
-    def ci95(self) -> tuple[float, float]:
-        return self.value - 1.96 * self.stderr, self.value + 1.96 * self.stderr
+    def below(rng, n):
+        _, h = sampler.sample(rng, n)  # (r, n, 1)
+        return (h[:, :, 0] <= thresholds).all(axis=0)
 
-
-def _binomial_stderr(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    return mc_run(below, samples, seed, tag=tag)
 
 
-def lambda_estimate(rho: float, deltas, samples: int, seed: int) -> StabilityEstimate:
+def lambda_estimate(rho: float, deltas, samples: int, seed: int) -> McRun:
     """Monte Carlo estimate of the joint lower-orthant probability of the
     shared-source correlated copies: Pr[forall i: g_i <= quantile(delta_i)]."""
     deltas = [float(d) for d in deltas]
-    if samples < 1:
-        raise ValueError("need at least one sample")
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise ValueError("deltas must lie in (0,1)")
-    thresholds = np.array([normal_quantile(d) for d in deltas])
-    r = len(deltas)
-    sampler = CorrelatedSampler(1, rho, r)
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        rng = rng_for(seed, "lambda", chunk_index)
-        _, h = sampler.sample(rng, n)  # (r, n, 1)
-        below = h[:, :, 0] <= thresholds[:, None]
-        hits += int(below.all(axis=0).sum())
-        done += n
-        chunk_index += 1
-    value = hits / samples
-    return StabilityEstimate(value, _binomial_stderr(value, samples), samples, seed)
+    return _orthant_run(rho, deltas, samples, seed, "lambda")
 
 
 @dataclass
 class BoundCheckReport:
     applicable: bool
     holds: bool | None
-    estimate: StabilityEstimate
+    estimate: McRun
     bound: float
     preconditions: dict
     notes: list[str] = field(default_factory=list)
@@ -200,10 +180,10 @@ def constant(c: float):
 
 @dataclass
 class BorellReport:
-    joint: StabilityEstimate
+    joint: McRun
     means: list[float]
     mean_stderrs: list[float]
-    stability_bound: StabilityEstimate
+    stability_bound: McRun
     sigma_total: float
     holds: bool
 
@@ -211,40 +191,29 @@ class BorellReport:
 def borell_check(functions, dimension: int, rho: float, samples: int, seed: int) -> BorellReport:
     """Empirical check that the joint product expectation of [0,1]-valued
     functions of correlated copies is at most the stability of parallel
-    halfspaces with the same masses."""
-    r = len(functions)
-    sampler = CorrelatedSampler(dimension, rho, r)
-    prod_sum = 0.0
-    prod_sq = 0.0
-    mean_sum = np.zeros(r)
-    mean_sq = np.zeros(r)
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        rng = rng_for(seed, "borell", chunk_index)
+    halfspaces with the same masses.
+
+    The joint expectation, each function's mean and the halfspace stability
+    are independent runs with tags "borell-joint", "borell-mean-<i>" and
+    "borell-lambda".
+    """
+    sampler = CorrelatedSampler(dimension, rho, len(functions))
+
+    def joint_product(rng, n):
         _, h = sampler.sample(rng, n)
-        vals = np.stack([np.asarray(f(h[i])) for i, f in enumerate(functions)])
-        prod = vals.prod(axis=0)
-        prod_sum += float(prod.sum())
-        prod_sq += float((prod ** 2).sum())
-        fresh = rng.standard_normal((n, dimension))
-        means = np.stack([np.asarray(f(fresh)) for f in functions])
-        mean_sum += means.sum(axis=1)
-        mean_sq += (means ** 2).sum(axis=1)
-        done += n
-        chunk_index += 1
-    joint_val = prod_sum / samples
-    joint_var = max(prod_sq / samples - joint_val ** 2, 0.0)
-    joint = StabilityEstimate(joint_val, math.sqrt(joint_var / samples), samples, seed)
-    means = mean_sum / samples
-    mean_var = np.clip(mean_sq / samples - means ** 2, 0.0, None)
-    mean_se = np.sqrt(mean_var / samples)
-    clipped = [min(max(float(m), 1e-9), 1.0 - 1e-9) for m in means]
-    lam = lambda_estimate(rho, clipped, samples, seed + 1)
-    sigma_total = math.sqrt(joint.stderr ** 2 + lam.stderr ** 2 + float((mean_se ** 2).sum()))
+        return np.prod([np.asarray(f(h[i])) for i, f in enumerate(functions)], axis=0)
+
+    joint = mc_run(joint_product, samples, seed, tag="borell-joint")
+    means = [
+        mc_run(lambda rng, n, f=f: f(rng.standard_normal((n, dimension))), samples, seed,
+               tag=f"borell-mean-{i}")
+        for i, f in enumerate(functions)
+    ]
+    clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
+    lam = _orthant_run(rho, clipped, samples, seed, "borell-lambda")
+    sigma_total = math.sqrt(joint.stderr ** 2 + lam.stderr ** 2 + sum(m.stderr ** 2 for m in means))
     holds = joint.value <= lam.value + 3.0 * sigma_total
-    return BorellReport(joint, [float(m) for m in means], [float(s) for s in mean_se],
+    return BorellReport(joint, [m.value for m in means], [m.stderr for m in means],
                         lam, sigma_total, holds)
 
 

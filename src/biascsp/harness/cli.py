@@ -172,7 +172,8 @@ def _cmd_gauss(args) -> int:
 
 def _cmd_round(args) -> int:
     from ..pseudodist import vector_solution
-    from ..rounding import RoundingInput, round_once
+    from ..rounding import RoundingInput, round_with
+    from .rng import rng_for
 
     host = load_instance(args.infile)
     family = load_family(args.pd, host)
@@ -181,7 +182,7 @@ def _cmd_round(args) -> int:
     inp = RoundingInput(host, tables, sol, eta=args.eta, family=family)
     outcomes = []
     for t in range(args.trials):
-        out = round_once(inp, args.seed + t)
+        out = round_with(inp, rng_for(args.seed, "round-once", t), args.seed)
         outcomes.append(
             {
                 "p": out.p,
@@ -189,6 +190,7 @@ def _cmd_round(args) -> int:
                 "bias": out.bias,
                 "value": out.value,
                 "seed": out.seed,
+                "trial": t,
             }
         )
     values = [o["value"] for o in outcomes]

@@ -40,15 +40,6 @@ class MultilinearPolynomial:
     def zero(cls, nvars: int) -> "MultilinearPolynomial":
         return cls(np.zeros((2,) * nvars))
 
-    @classmethod
-    def from_subset_coeffs(cls, nvars: int, coeffs: dict[int, float]) -> "MultilinearPolynomial":
-        """Build from {little-endian subset mask: coefficient}."""
-        t = np.zeros((2,) * nvars)
-        for mask, c in coeffs.items():
-            idx = tuple((mask >> j) & 1 for j in range(nvars))
-            t[idx] += c
-        return cls(t)
-
     def coefficient(self, mask: int) -> float:
         idx = tuple((mask >> j) & 1 for j in range(self.nvars))
         return float(self._tensor[idx])

@@ -366,14 +366,3 @@ def multilinear_extend(fh: FourierTable) -> MultilinearPolynomial:
         mat = np.array([[1.0, -p / sigma], [0.0, 1.0 / sigma]])
         t = _apply_axis(t, mat, axis)
     return MultilinearPolynomial(t)
-
-
-def tabulate(space: Space, fn) -> FunctionTable:
-    """Build a table by evaluating ``fn`` on every domain point."""
-    r = space.r
-    if isinstance(space, PairedSpace):
-        pts = domain_points(2 * r)
-        vals = [fn(tuple(row[:r]), tuple(row[r:])) for row in pts]
-    else:
-        vals = [fn(tuple(row)) for row in domain_points(r)]
-    return FunctionTable(space, vals)

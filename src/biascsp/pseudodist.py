@@ -306,7 +306,6 @@ class Statistics:
     degenerate: np.ndarray  # vertices with zero stdev: correlation reported 0
     avg_abs_corr: float  # off-diagonal average over iid w-weighted pairs
     avg_abs_corr_with_diag: float
-    avg_abs_cov: float
 
 
 def compute_statistics(theta: LocalDistributionFamily) -> Statistics:
@@ -333,7 +332,6 @@ def compute_statistics(theta: LocalDistributionFamily) -> Statistics:
     off_mass = pair_w[off].sum()
     avg_off = float((pair_w * np.abs(corr))[off].sum() / off_mass) if off_mass > 0 else 0.0
     avg_diag = float((pair_w * np.abs(corr)).sum())
-    avg_cov = float((pair_w * np.abs(cov))[off].sum() / off_mass) if off_mass > 0 else 0.0
     return Statistics(
         vertices=list(verts),
         means=means,
@@ -344,7 +342,6 @@ def compute_statistics(theta: LocalDistributionFamily) -> Statistics:
         degenerate=degenerate,
         avg_abs_corr=avg_off,
         avg_abs_corr_with_diag=avg_diag,
-        avg_abs_cov=avg_cov,
     )
 
 
@@ -361,27 +358,8 @@ class FeasibilityReport:
     feasible: bool
 
 
-@dataclass
-class MomentMatrix:
-    """Symmetric moment matrix indexed by subsets of size <= order/2;
-    entry (A, B) is the probability that all variables in A union B equal 1."""
-
-    order: int
-    index: list[tuple[str, ...]]
-    matrix: np.ndarray
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix).min())
-
-    def is_psd(self, tol: float = PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= tol
-
-
 def moment_matrix(theta: LocalDistributionFamily, order: int | None = None):
-    """Build the moment matrix of a family; returns (index list, matrix).
-
-    Use :func:`build_moment_matrix` for the wrapped object.
-    """
+    """Build the moment matrix of a family; returns (index list, matrix)."""
     order = theta.level if order is None else order
     verts = theta.host.vertices
     half = max(order // 2, 1)
@@ -395,12 +373,6 @@ def moment_matrix(theta: LocalDistributionFamily, order: int | None = None):
             union = tuple(dict.fromkeys(sa + sb))
             m[a, b] = m[b, a] = theta.prob_all_ones(union)
     return index, m
-
-
-def build_moment_matrix(theta: LocalDistributionFamily, order: int | None = None) -> MomentMatrix:
-    order = theta.level if order is None else order
-    index, m = moment_matrix(theta, order)
-    return MomentMatrix(order=order, index=index, matrix=m)
 
 
 def verify_feasible(

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..csp import ConstraintHypergraph
+from ..harness.mc import CHUNK, mc_run
 from ..harness.rng import rng_for
 from ..probspace import (
     BiasedSpace,
@@ -22,12 +23,11 @@ from ..probspace import (
 )
 from ..pseudodist import LocalDistributionFamily
 from .dictator import LongCodeAssignment
-from .graphs import SseGraph, walk_matrix
+from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
-from .sampler import BatchTestSampler, edge_block_probs
+from .sampler import BatchTestSampler, edge_block_probs, leakage_apply, permute_rows
 
 _EXACT_WORK_CAP = 1 << 24
-_MC_CHUNK = 1 << 16
 
 
 # ---- averaged restriction tables --------------------------------------------
@@ -54,7 +54,7 @@ def averaged_function(
     space = PairedSpace(
         BiasedSpace((mu_i,) * R, "bit"), BiasedSpace((beta,) * R, "leak")
     )
-    walk = walk_matrix(graph, eta)
+    walk = walk_matrix(graph, eta) if mode == "exact" else None
     n = graph.n
     perms = [np.array(p) for p in itertools.permutations(range(R))]
     pts = ((np.arange(4 ** R)[:, None] >> np.arange(2 * R - 1, -1, -1)) & 1).astype(np.int8)
@@ -70,7 +70,7 @@ def averaged_function(
         elif mode == "mc":
             if rng is None:
                 raise ValueError("mc mode needs an rng")
-            values[k] = _avg_point_mc(f, A, x, z, mu_i, walk, n, rng, samples_per_point)
+            values[k] = _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples_per_point)
         else:
             raise ValueError(f"unknown mode {mode!r}")
     return FunctionTable(space, np.clip(values, 0.0, 1.0), bounded=True)
@@ -102,26 +102,13 @@ def _avg_point_exact(f, A, x, z, bots, mu_i, walk, n, perms):
     return total
 
 
-def _avg_point_mc(f, A, x, z, mu_i, walk, n, rng, samples):
-    R = A.size
-    b = np.empty((samples, R), dtype=np.int64)
-    for j in range(R):
-        if z[j] == 1:
-            b[:, j] = rng.choice(n, size=samples, p=walk[A[j]])
-        else:
-            b[:, j] = rng.integers(0, n, size=samples)
-    xs = np.tile(np.asarray(x, dtype=np.int8), (samples, 1))
-    bots = np.flatnonzero(z == 0)
-    if len(bots):
-        xs[:, bots] = (rng.random((samples, len(bots))) < mu_i).astype(np.int8)
-    zs = np.tile(np.asarray(z, dtype=np.int8), (samples, 1))
-    perm = np.argsort(rng.random((samples, R)), axis=1)
-    vals = f.evaluate_batch(
-        np.take_along_axis(b, perm, axis=1),
-        np.take_along_axis(xs, perm, axis=1),
-        np.take_along_axis(zs, perm, axis=1),
-    )
-    return float(np.mean(vals))
+def _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples):
+    shape = (samples, A.size)
+    b = noisy_walk(graph, eta, np.broadcast_to(A, shape), rng)
+    zs = np.broadcast_to(np.asarray(z, dtype=np.int8), shape)
+    b, xs = leakage_apply(zs, mu_i, (b, np.broadcast_to(x, shape)), graph, rng)
+    _, parts = permute_rows(rng, b, xs, zs)
+    return float(np.mean(f.evaluate_batch(*parts)))
 
 
 # ---- exact acceptance via per-coordinate blocks ------------------------------
@@ -276,21 +263,11 @@ def acceptance_estimate(
     requested (dictator assignments on planted instances).
     """
     sampler = BatchTestSampler(gap, theta, graph, params)
-    hits = 0
-    done = 0
-    chunk = 0
-    while done < trials:
-        m = min(_MC_CHUNK, trials - done)
-        rng = rng_for(seed, "acceptance", chunk)
-        hits += int(sampler.accept_indicators(f, m, rng).sum())
-        done += m
-        chunk += 1
-    est = hits / trials
-    se = math.sqrt(max(est * (1.0 - est), 0.0) / trials)
+    run = mc_run(lambda rng, m: sampler.accept_indicators(f, m, rng), trials, seed, tag="acceptance")
     c = theta.objective()
     bound = math.exp(-6.0) * params.rho_sq / params.r * c - slack * params.r * params.eta
-    holds = est >= bound - 3.0 * se if assert_bound else None
-    return AcceptanceReport(est, se, trials, seed, c, bound, slack, holds)
+    holds = run.value >= bound - 3.0 * run.stderr if assert_bound else None
+    return AcceptanceReport(run.value, run.stderr, trials, seed, c, bound, slack, holds)
 
 
 # ---- leak-variable decoupling --------------------------------------------------
@@ -486,7 +463,7 @@ def mixing_check(
     rng = rng_for(seed, "mixing")
     a_pts = rng.integers(0, n, size=(a_samples, R))
     mu_hat = np.empty(a_samples)
-    batch = max(1, _MC_CHUNK // max(inner_samples, 1))
+    batch = max(1, CHUNK // max(inner_samples, 1))
     for start in range(0, a_samples, batch):
         a_blk = a_pts[start : start + batch]
         m = len(a_blk) * inner_samples
@@ -495,18 +472,10 @@ def mixing_check(
         mu_draw = mus[vert_idx][:, None]
         x = (rng.random((m, R)) < mu_draw).astype(np.int8)
         z = (rng.random((m, R)) < params.beta).astype(np.int8)
-        nb = graph.adj[a_rep, rng.integers(0, graph.deg, size=(m, R))]
-        fresh = rng.integers(0, n, size=(m, R))
-        b = np.where(rng.random((m, R)) < params.eta, fresh, nb)
-        keep = z == 1
-        b = np.where(keep, b, rng.integers(0, n, size=(m, R)))
-        x = np.where(keep, x, (rng.random((m, R)) < mu_draw).astype(np.int8))
-        perm = np.argsort(rng.random((m, R)), axis=1)
-        vals = f.evaluate_batch(
-            np.take_along_axis(b, perm, axis=1),
-            np.take_along_axis(x, perm, axis=1),
-            np.take_along_axis(z, perm, axis=1),
-        )
+        b = noisy_walk(graph, params.eta, a_rep, rng)
+        b, x = leakage_apply(z, mu_draw, (b, x), graph, rng)
+        _, parts = permute_rows(rng, b, x, z)
+        vals = f.evaluate_batch(*parts)
         mu_hat[start : start + len(a_blk)] = vals.reshape(len(a_blk), inner_samples).mean(axis=1)
     center = float(mu_hat.mean()) if mu is None else float(mu)
     threshold = alpha * math.sqrt(max(center, 1e-300))

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..csp import ConstraintHypergraph
 from ..pseudodist import LocalDistributionFamily
-from .graphs import SseGraph
+from .graphs import SseGraph, noisy_walk
 from .params import ReductionParams
 
 
@@ -43,8 +43,12 @@ def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
     return probs, pos_bits
 
 
-def leakage_apply(z, mu: float, point, graph: SseGraph, rng: np.random.Generator):
-    """Fold (A, x): copy where the leak symbol is top, refresh both where bot."""
+def leakage_apply(z, mu, point, graph: SseGraph, rng: np.random.Generator):
+    """Fold (A, x): copy where the leak symbol is top, refresh both where bot.
+
+    ``mu`` is the bit bias of the refresh: a float, or an array that
+    broadcasts against x (one bias per row).
+    """
     a, x = point
     a = np.asarray(a, dtype=np.int64)
     x = np.asarray(x, dtype=np.int8)
@@ -53,6 +57,15 @@ def leakage_apply(z, mu: float, point, graph: SseGraph, rng: np.random.Generator
     a_new = np.where(keep, a, rng.integers(0, graph.n, size=a.shape))
     x_new = np.where(keep, x, (rng.random(x.shape) < mu).astype(np.int8))
     return a_new, x_new
+
+
+def permute_rows(rng: np.random.Generator, *arrays):
+    """One uniform coordinate permutation per row, applied to every array.
+
+    Returns (perm, permuted arrays); ``perm`` has the arrays' common shape.
+    """
+    perm = np.argsort(rng.random(np.shape(arrays[0])), axis=-1)
+    return perm, [np.take_along_axis(a, perm, axis=-1) for a in arrays]
 
 
 @dataclass
@@ -71,64 +84,22 @@ def sample_test_tuple(
     graph: SseGraph,
     params: ReductionParams,
     rng: np.random.Generator,
-    mus: dict[str, float] | None = None,
 ) -> TestSample:
-    """Draw one ordered constraint tuple from the lifted test distribution."""
-    R = params.R
-    if R > 1 << 16:
+    """Draw one ordered constraint tuple from the lifted test distribution.
+
+    The single-draw view of :meth:`BatchTestSampler.sample_parts`: pick the
+    edge by weight, draw one row with its trace, and drop the row axis.
+    """
+    if params.R > 1 << 16:
         raise ValueError("lift dimension too large to sample explicitly")
-    mus = mus or {v: theta.vertex_mean(v) for v in gap.vertices}
-    weights = np.array([w for _, w in gap.edges])
-    edge_idx = int(rng.choice(len(gap.edges), p=weights / weights.sum()))
-    edge, _ = gap.edges[edge_idx]
-    r = len(edge)
-    probs, pos_bits = edge_block_probs(theta, edge)
-
-    a_vec = rng.integers(0, graph.n, size=R)
-    b_vecs = []
-    for _ in range(r):
-        nb = graph.adj[a_vec, rng.integers(0, graph.deg, size=R)]
-        fresh = rng.integers(0, graph.n, size=R)
-        b_vecs.append(np.where(rng.random(R) < params.eta, fresh, nb))
-
-    z_common = (rng.random(R) < params.beta).astype(np.int8)
-    xi = (rng.random(R) < params.rho_sq).astype(np.int8)
-
-    outcomes = rng.choice(2 ** r, size=R, p=probs)
-    x_vecs = [pos_bits[outcomes, pos].astype(np.int8) for pos in range(r)]
-    z_vecs = []
-    for _ in range(r):
-        fresh = (rng.random(R) < params.beta).astype(np.int8)
-        z_vecs.append(np.where(xi == 1, z_common, fresh))
-
-    x_tilde, z_prime = [], []
-    for pos, v in enumerate(edge):
-        resample = rng.random(R) < params.eta
-        fresh_x = (rng.random(R) < mus[v]).astype(np.int8)
-        x_tilde.append(np.where(resample, fresh_x, x_vecs[pos]))
-        resample_z = rng.random(R) < params.eta
-        fresh_z = (rng.random(R) < params.beta).astype(np.int8)
-        z_prime.append(np.where(resample_z, fresh_z, z_vecs[pos]))
-
-    parts = []
-    perms = []
-    for pos, v in enumerate(edge):
-        b_new, x_new = leakage_apply(z_prime[pos], mus[v], (b_vecs[pos], x_tilde[pos]), graph, rng)
-        perm = rng.permutation(R)
-        parts.append((b_new[perm], x_new[perm], z_prime[pos][perm]))
-        perms.append(perm)
-
-    trace = {
-        "A": a_vec,
-        "B": b_vecs,
-        "z_common": z_common,
-        "xi": xi,
-        "x": x_vecs,
-        "z": z_vecs,
-        "x_tilde": x_tilde,
-        "z_prime": z_prime,
-    }
-    return TestSample(edge=edge, parts=parts, perms=perms, trace=trace)
+    sampler = BatchTestSampler(gap, theta, graph, params)
+    edge_idx = int(rng.choice(len(gap.edges), p=sampler.edge_weights))
+    trace: dict = {}
+    parts = sampler.sample_parts(edge_idx, 1, rng, trace)
+    trace = {k: [a[0] for a in v] if isinstance(v, list) else v[0] for k, v in trace.items()}
+    perms = trace.pop("perm")
+    parts = [tuple(a[0] for a in part) for part in parts]
+    return TestSample(edge=gap.edges[edge_idx][0], parts=parts, perms=perms, trace=trace)
 
 
 class BatchTestSampler:
@@ -149,46 +120,44 @@ class BatchTestSampler:
         self.edge_weights = self.edge_weights / self.edge_weights.sum()
         self.blocks = [edge_block_probs(theta, e) for e, _ in gap.edges]
 
-    def sample_parts(self, edge_index: int, m: int, rng: np.random.Generator):
-        """m tuples for one fixed edge; returns list of (B', x', z') of shape (m, R)."""
+    def sample_parts(
+        self, edge_index: int, m: int, rng: np.random.Generator, trace: dict | None = None
+    ):
+        """m tuples for one fixed edge; returns list of (B', x', z') of shape (m, R).
+
+        When ``trace`` is given it receives the (m, R) latent draws: "A",
+        "z_common", "xi", and per position the lists "B" (walk), "x", "z",
+        "x_tilde", "z_prime" (before the fold) and "perm".
+        """
         g, p = self.graph, self.params
-        R = p.R
+        shape = (m, p.R)
         edge, _ = self.gap.edges[edge_index]
-        r = len(edge)
         probs, pos_bits = self.blocks[edge_index]
-        a = rng.integers(0, g.n, size=(m, R))
-        outcomes = rng.choice(2 ** r, size=(m, R), p=probs)
-        z_common = (rng.random((m, R)) < p.beta).astype(np.int8)
-        xi = rng.random((m, R)) < p.rho_sq
+        a = rng.integers(0, g.n, size=shape)
+        outcomes = rng.choice(len(probs), size=shape, p=probs)
+        z_common = (rng.random(shape) < p.beta).astype(np.int8)
+        xi = rng.random(shape) < p.rho_sq
+        if trace is not None:
+            trace.update(A=a, z_common=z_common, xi=xi.astype(np.int8))
         parts = []
         for pos, v in enumerate(edge):
-            nb = g.adj[a, rng.integers(0, g.deg, size=(m, R))]
-            fresh_v = rng.integers(0, g.n, size=(m, R))
-            b = np.where(rng.random((m, R)) < p.eta, fresh_v, nb)
+            mu = self.mus[v]
+            b = noisy_walk(g, p.eta, a, rng)
             x = pos_bits[outcomes, pos]
-            fresh_z = (rng.random((m, R)) < p.beta).astype(np.int8)
-            z = np.where(xi, z_common, fresh_z)
-            x = np.where(
-                rng.random((m, R)) < p.eta,
-                (rng.random((m, R)) < self.mus[v]).astype(np.int8),
-                x,
+            z = np.where(xi, z_common, (rng.random(shape) < p.beta).astype(np.int8))
+            x_tilde = np.where(
+                rng.random(shape) < p.eta, (rng.random(shape) < mu).astype(np.int8), x
             )
-            z = np.where(
-                rng.random((m, R)) < p.eta,
-                (rng.random((m, R)) < p.beta).astype(np.int8),
-                z,
+            z_prime = np.where(
+                rng.random(shape) < p.eta, (rng.random(shape) < p.beta).astype(np.int8), z
             )
-            keep = z == 1
-            b = np.where(keep, b, rng.integers(0, g.n, size=(m, R)))
-            x = np.where(keep, x, (rng.random((m, R)) < self.mus[v]).astype(np.int8))
-            perm = np.argsort(rng.random((m, R)), axis=1)
-            parts.append(
-                (
-                    np.take_along_axis(b, perm, axis=1),
-                    np.take_along_axis(x, perm, axis=1),
-                    np.take_along_axis(z, perm, axis=1),
-                )
-            )
+            b_new, x_new = leakage_apply(z_prime, mu, (b, x_tilde), g, rng)
+            perm, part = permute_rows(rng, b_new, x_new, z_prime)
+            parts.append(tuple(part))
+            if trace is not None:
+                steps = {"B": b, "x": x, "z": z, "x_tilde": x_tilde, "z_prime": z_prime, "perm": perm}
+                for key, val in steps.items():
+                    trace.setdefault(key, []).append(val)
         return parts
 
     def accept_indicators(self, f, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -86,7 +86,11 @@ class RoundingOutcome:
 
 def round_once(inp: RoundingInput, seed: int) -> RoundingOutcome:
     """One full round; a pure function of (input, seed)."""
-    rng = rng_for(seed, "round-once")
+    return round_with(inp, rng_for(seed, "round-once"), seed)
+
+
+def round_with(inp: RoundingInput, rng: np.random.Generator, seed: int) -> RoundingOutcome:
+    """One full round drawn from ``rng``; ``seed`` is recorded in the outcome."""
     R = inp.r_dim
     d = inp.solution.dimension
     gmat = rng.standard_normal((R, d))

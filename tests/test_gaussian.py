@@ -174,6 +174,17 @@ class TestBorell:
         assert rep.joint.value == pytest.approx(0.21, abs=3 * rep.joint.stderr + 1e-9)
         assert rep.holds
 
+    def test_stability_has_its_own_stream(self):
+        # the stability term must not be the seed+1 lambda estimate
+        fns = [halfspace([1.0, -0.5], 0.2), box([-1.0, -1.0], [1.0, 0.5])]
+        samples, seed = 50000, 17
+        rep = borell_check(fns, 2, 0.5, samples, seed)
+        clipped = [min(max(m, 1e-9), 1.0 - 1e-9) for m in rep.means]
+        reused = lambda_estimate(0.5, clipped, samples, seed + 1)
+        assert rep.stability_bound.value != reused.value
+        assert rep.stability_bound.tag == "borell-lambda"
+        assert rep.joint.tag == "borell-joint"
+
 
 class TestHermite:
     def test_low_degrees(self):

@@ -224,6 +224,26 @@ class TestCli:
         report = json.loads(proc.stdout)
         assert len(report["outcomes"]) == 4
 
+    def test_round_run_trials_have_own_streams(self, instance_file, tmp_path):
+        # trial 1 at --seed 3 must not replay trial 0 at --seed 4
+        pd = tmp_path / "mixture.json"
+        ones = {f"v{i}": 1 for i in range(4)}
+        alternating = {f"v{i}": i % 2 for i in range(4)}
+        pd.write_text(json.dumps({
+            "kind": "mixture", "level": 6,
+            "support": [{"labels": ones, "prob": 0.5}, {"labels": alternating, "prob": 0.5}],
+        }))
+
+        def trial_p(seed, trial):
+            proc = run_cli(
+                "round", "run", "--in", str(instance_file), "--pd", str(pd),
+                "--R", "3", "--trials", "2", "--seed", str(seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)["outcomes"][trial]["p"]
+
+        assert trial_p(3, 1) != trial_p(4, 0)
+
     def test_reduce_gen_and_accept(self, instance_file, pd_file, tmp_path):
         graph_file = tmp_path / "graph.json"
         proc = run_cli(

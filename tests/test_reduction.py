@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
 from biascsp.harness.rng import rng_for
@@ -305,6 +307,31 @@ class TestSampleTuple:
 
         with pytest.raises(StructuralError):
             sample_test_tuple(gap, fam, graph, params, rng_for(0, "missing"))
+
+
+class TestKernelTrace:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        R=st.integers(1, 12),
+        eta=st.floats(0.01, 0.99),
+        beta=st.floats(0.01, 0.99),
+        rho_sq=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_parts_are_permuted_folded_trace(self, R, eta, beta, rho_sq, seed):
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(10))
+        params = ReductionParams.manual(
+            mu=theta.bias(), r=2, beta=beta, rho_sq=rho_sq, R=R, eta=eta
+        )
+        s = sample_test_tuple(gap, theta, cycle_sse(6), params, rng_for(seed, "kernel-trace"))
+        for pos, (b, x, z) in enumerate(s.parts):
+            perm = s.perms[pos]
+            np.testing.assert_array_equal(np.sort(perm), np.arange(R))
+            np.testing.assert_array_equal(z, s.trace["z_prime"][pos][perm])
+            top = z == 1
+            np.testing.assert_array_equal(b[top], s.trace["B"][pos][perm][top])
+            np.testing.assert_array_equal(x[top], s.trace["x_tilde"][pos][perm][top])
 
 
 class TestDictator:
