@@ -3,6 +3,7 @@ optional rounding / lifted-test experiments, emitting one verdict per stage."""
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,7 +178,9 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
     mu_target = parse_number(cfg.get("mu", family.bias()))
 
     enter("verify-input")
+    t0 = time.perf_counter()
     report = verify_feasible(family, mu_target)
+    elapsed = time.perf_counter() - t0
     stages.append(
         stage_entry(
             "verify-input",
@@ -188,6 +191,10 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
             objective=report.objective,
             bias=report.bias,
             violations=len(report.consistency_violations),
+            moment_size=report.moment_size,
+            support_rows=report.support_rows,
+            path=report.path,
+            elapsed_s=elapsed,
         )
     )
 
@@ -361,6 +368,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 seed=seed,
                 samples=mix.a_samples,
                 threshold=mix.threshold,
+                vacuous=mix.vacuous,
             )
         )
 

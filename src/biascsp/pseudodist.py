@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import Assignment, ConstraintHypergraph
+from .harness.mc import ORACLE_CAP
 from .polynomial import _apply_axis
 
 CONSISTENCY_TOL = 1e-9
 PSD_TOL = -1e-8
 VECTOR_TOL = 1e-7
 _JOINT_CAP = 20
+_MOMENT_CHUNK = 1 << 16  # entries of one monomial-indicator chunk
 
 
 class StructuralError(KeyError):
@@ -356,22 +358,80 @@ class FeasibilityReport:
     bias_target: float | None
     objective: float
     feasible: bool
+    moment_size: int  # |index|: subsets of size <= level/2, the empty one included
+    support_rows: int | None  # nonzero joint entries; None when locals-backed
+    path: str  # "joint" (batched kernel, joint check) or "locals" (per-entry, pairwise scan)
 
 
-def moment_matrix(theta: LocalDistributionFamily, order: int | None = None):
-    """Build the moment matrix of a family; returns (index list, matrix)."""
-    order = theta.level if order is None else order
+def _joint_backed(theta: LocalDistributionFamily) -> bool:
+    return theta._joint is not None and not theta._locals
+
+
+def _joint_moments(theta: LocalDistributionFamily, index: list[tuple[str, ...]]) -> np.ndarray:
+    """P[all ones on sa ∪ sb] for every pair of index subsets, as M^T diag(p) M.
+
+    ``p`` holds the nonzero joint entries and ``M[x, a] = prod_{v in sa} x_v``;
+    rows go through in chunks, so no ``rows x |index|`` array is built.
+    """
     verts = theta.host.vertices
-    half = max(order // 2, 1)
-    half = min(half, len(verts))
+    n, size = len(verts), len(index)
+    p = theta._joint.reshape(-1)
+    rows = int(np.count_nonzero(p))
+    if rows * size > ORACLE_CAP:
+        raise ValueError(
+            f"moment matrix at n={n}, level={theta.level}: {rows} nonzero joint rows x "
+            f"{size} index subsets exceeds the work cap {ORACLE_CAP}"
+        )
+    # index subsets as vertex positions, padded with n (a column of ones)
+    width = max(len(s) for s in index)
+    pos = np.full((size, width), n)
+    for a, sa in enumerate(index):
+        pos[a, : len(sa)] = [theta._order[v] for v in sa]
+    shifts = n - 1 - np.arange(n)  # C order: vertex 0 is the top bit
+    nz = np.flatnonzero(p)
+    step = max(1, _MOMENT_CHUNK // size)
+    out = np.zeros((size, size))
+    for start in range(0, rows, step):
+        x = nz[start : start + step]
+        bits = np.ones((x.size, n + 1), dtype=bool)
+        bits[:, :n] = (x[:, None] >> shifts) & 1
+        m = bits[:, pos].all(axis=2).astype(float)
+        out += (m * p[x, None]).T @ m
+    return out
+
+
+def _moment_entries(theta: LocalDistributionFamily, order: int, violations: list | None = None):
+    """Index subsets (size <= order/2), moment matrix and usable-row mask.
+
+    Joint-backed families take the batched kernel.  Otherwise each entry is a
+    local query; when ``violations`` is given, an entry no stored local covers
+    is recorded as 'missing-local' and its rows are marked unusable.
+    """
+    verts = theta.host.vertices
+    half = min(max(order // 2, 1), len(verts))
     index: list[tuple[str, ...]] = [()]
     for k in range(1, half + 1):
         index.extend(tuple(c) for c in itertools.combinations(verts, k))
+    usable = np.ones(len(index), dtype=bool)
+    if _joint_backed(theta):
+        return index, _joint_moments(theta, index), usable
     m = np.zeros((len(index), len(index)))
     for a, sa in enumerate(index):
         for b, sb in enumerate(index[a:], start=a):
             union = tuple(dict.fromkeys(sa + sb))
-            m[a, b] = m[b, a] = theta.prob_all_ones(union)
+            try:
+                m[a, b] = m[b, a] = theta.prob_all_ones(union)
+            except (StructuralError, ValueError):
+                if violations is None:
+                    raise
+                violations.append(("missing-local", union, None))
+                usable[a] = usable[b] = False
+    return index, m, usable
+
+
+def moment_matrix(theta: LocalDistributionFamily, order: int | None = None):
+    """Build the moment matrix of a family; returns (index list, matrix)."""
+    index, m, _ = _moment_entries(theta, theta.level if order is None else order)
     return index, m
 
 
@@ -380,16 +440,57 @@ def verify_feasible(
     mu: float | None = None,
     tol: float = CONSISTENCY_TOL,
 ) -> FeasibilityReport:
-    """Check local consistency, moment-matrix PSDness, bias, and objective."""
+    """Check local consistency, moment-matrix PSDness, bias, and objective.
+
+    A joint-backed family is checked on the joint alone: its negative mass,
+    a lower bound on every marginal entry, must be >= -tol and its total
+    within tol of 1.  Marginals of one array agree with each other, so the
+    pairwise scan other families get is not needed.
+    """
     violations = []
+    joint_path = _joint_backed(theta)
+    if joint_path:
+        joint = theta._joint
+        key = tuple(theta.host.vertices)
+        negative = float(joint.sum(where=joint < 0.0))
+        if negative < -tol:
+            violations.append(("negative", key, negative))
+        if abs(joint.sum() - 1.0) > tol:
+            violations.append(("normalization", key, float(joint.sum())))
+    else:
+        _scan_locals(theta, tol, violations)
+    # missing edge locals are structural failures
+    for vs, _ in theta.host.edges:
+        try:
+            theta.local(theta._key(vs))
+        except StructuralError as exc:
+            raise StructuralError(f"edge {vs} has no stored local") from exc
+    index, m, usable = _moment_entries(theta, theta.level, violations)
+    sub = m[np.ix_(usable, usable)]
+    min_eig = float(np.linalg.eigvalsh(sub).min()) if usable.any() else 0.0
+    bias = theta.bias()
+    objective = theta.objective()
+    feasible = (
+        not violations
+        and min_eig >= PSD_TOL
+        and (mu is None or abs(bias - mu) <= 1e-7)
+    )
+    return FeasibilityReport(
+        violations,
+        min_eig,
+        bias,
+        mu,
+        objective,
+        feasible,
+        moment_size=len(index),
+        support_rows=int(np.count_nonzero(theta._joint)) if joint_path else None,
+        path="joint" if joint_path else "locals",
+    )
+
+
+def _scan_locals(theta: LocalDistributionFamily, tol: float, violations: list) -> None:
+    """Sign, normalization and pairwise-marginal checks of the stored locals."""
     subsets = theta.stored_subsets()
-    if not subsets and theta._joint is not None:
-        size = min(theta.level, len(theta.host.vertices))
-        subsets = [
-            theta._key(c)
-            for k in range(1, min(size, 3) + 1)
-            for c in itertools.combinations(theta.host.vertices, k)
-        ]
     for key in subsets:
         table = np.asarray(theta.local(key))
         if table.min() < -tol:
@@ -412,44 +513,6 @@ def verify_feasible(
         gap = float(np.abs(ma - mb).max())
         if gap > tol:
             violations.append(("marginal", (ka, kb), gap))
-    # missing edge locals are structural failures
-    for vs, _ in theta.host.edges:
-        try:
-            theta.local(theta._key(vs))
-        except StructuralError as exc:
-            raise StructuralError(f"edge {vs} has no stored local") from exc
-    min_eig = _moment_min_eigenvalue(theta, violations)
-    bias = theta.bias()
-    objective = theta.objective()
-    feasible = (
-        not violations
-        and min_eig >= PSD_TOL
-        and (mu is None or abs(bias - mu) <= 1e-7)
-    )
-    return FeasibilityReport(violations, min_eig, bias, mu, objective, feasible)
-
-
-def _moment_min_eigenvalue(theta, violations) -> float:
-    """Minimum moment-matrix eigenvalue; unavailable pair locals become
-    'missing-local' violations and the eigensolve runs on the resolvable
-    principal submatrix."""
-    verts = theta.host.vertices
-    half = min(max(theta.level // 2, 1), len(verts))
-    index: list[tuple[str, ...]] = [()]
-    for k in range(1, half + 1):
-        index.extend(tuple(c) for c in itertools.combinations(verts, k))
-    m = np.zeros((len(index), len(index)))
-    usable = np.ones(len(index), dtype=bool)
-    for a, sa in enumerate(index):
-        for b, sb in enumerate(index[a:], start=a):
-            union = tuple(dict.fromkeys(sa + sb))
-            try:
-                m[a, b] = m[b, a] = theta.prob_all_ones(union)
-            except (StructuralError, ValueError):
-                violations.append(("missing-local", union, None))
-                usable[a] = usable[b] = False
-    sub = m[np.ix_(usable, usable)]
-    return float(np.linalg.eigvalsh(sub).min()) if usable.any() else 0.0
 
 
 # ---- vector solution -------------------------------------------------------

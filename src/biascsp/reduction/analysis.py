@@ -436,6 +436,7 @@ class MixingReport:
     inner_samples: int
     holds: bool
     seed: int
+    vacuous: bool  # threshold > max(center, 1 - center): no mean in [0,1] reaches it
 
 
 def mixing_check(
@@ -493,6 +494,7 @@ def mixing_check(
         inner_samples=inner_samples,
         holds=frac <= bound + 3.0 * se,
         seed=seed,
+        vacuous=threshold > max(center, 1.0 - center),
     )
 
 

@@ -107,6 +107,44 @@ class TestPipeline:
             for s in report["stages"]:
                 assert key in s
 
+    def test_verify_input_reports_path_and_size(self, tmp_path):
+        report = run_pipeline(str(product_config(tmp_path)))
+        extra = report["stages"][0]["extra"]
+        assert report["stages"][0]["stage"] == "verify-input"
+        # product joint over 4 vertices: 16 nonzero rows; subsets of size <= 4: 16
+        assert (extra["path"], extra["support_rows"], extra["moment_size"]) == ("joint", 16, 16)
+        assert extra["elapsed_s"] >= 0.0
+
+    def test_mixing_stage_reports_vacuous(self, tmp_path):
+        mixture = {
+            "kind": "mixture",
+            "level": 6,
+            "support": [
+                {"labels": {f"v{i}": 1 for i in range(4)}, "prob": 0.3},
+                {"labels": {f"v{i}": 0 for i in range(4)}, "prob": 0.7},
+            ],
+        }
+        reduction = {
+            "graph": {"kind": "planted", "n": 16, "deg": 4, "delta": 0.25, "seed": 3},
+            "params": {"R": 4},
+            "accept_trials": 2000,
+            "alpha": 2.0,
+            "a_samples": 20,
+            "inner_samples": 16,
+        }
+        path = product_config(
+            tmp_path,
+            pseudodistribution=mixture,
+            smooth={"eta": 0.1, "mu": 0.3},
+            condition={"target": 1.0, "budget": 0},
+            rounding={"enabled": False},
+            reduction=reduction,
+        )
+        by_stage = {s["stage"]: s for s in run_pipeline(str(path))["stages"]}
+        # threshold 2*sqrt(centre ~ 0.3) ~ 1.1: no [0,1] mean can reach it
+        assert by_stage["mixing"]["extra"]["threshold"] > 1.0
+        assert by_stage["mixing"]["extra"]["vacuous"] is True
+
     def test_correlated_mixture_conditions(self, tmp_path):
         mixture = {
             "kind": "mixture",

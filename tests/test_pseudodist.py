@@ -1,9 +1,12 @@
 """Local-distribution families: feasibility, smoothing, conditioning, vectors."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
 from biascsp.pseudodist import (
@@ -410,3 +413,83 @@ class TestSerialization:
         fam = LocalDistributionFamily.from_json(obj, g)
         rep = verify_feasible(fam)
         assert not rep.feasible
+
+
+class TestJointFastPath:
+    """The batched joint kernel against the per-entry path of the same family
+    re-imported through JSON (which keeps only locals)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        level=st.sampled_from([2, 4, 6]),
+        k=st.integers(1, 6),
+        transform=st.sampled_from(["raw", "smooth", "condition"]),
+        pin=st.tuples(st.integers(0, 7), st.integers(0, 1)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_agrees_with_locals_path(self, n, level, k, transform, pin, seed):
+        assume(transform != "condition" or level > 2)
+        g = host(n)
+        fam = random_mixture(g, np.random.default_rng(seed), k=k, level=level)
+        if transform != "raw":
+            fam = fam.smooth(0.2, 0.4)
+        if transform == "condition":
+            fam = fam.condition((f"v{pin[0] % n}",), (pin[1],))
+        back = LocalDistributionFamily.from_json(fam.to_json(), g)
+        index_fast, m_fast = moment_matrix(fam)
+        index_slow, m_slow = moment_matrix(back)
+        assert index_fast == index_slow
+        np.testing.assert_allclose(m_fast, m_slow, rtol=0.0, atol=1e-12)
+        fast, slow = verify_feasible(fam), verify_feasible(back)
+        assert (fast.path, slow.path) == ("joint", "locals")
+        assert fast.support_rows == np.count_nonzero(fam._joint)
+        assert slow.support_rows is None
+        assert fast.moment_size == slow.moment_size == len(index_fast)
+        assert abs(fast.min_eigenvalue - slow.min_eigenvalue) <= 1e-12
+        assert fast.feasible == slow.feasible
+
+    def test_negative_joint_entry_is_infeasible(self):
+        g = host(3)
+        joint = np.full((2, 2, 2), 0.125)
+        joint[0, 0, 0] = 0.3
+        joint[1, 1, 1] = -0.05  # total stays 1
+        rep = verify_feasible(LocalDistributionFamily(g, 2, joint=joint))
+        assert not rep.feasible
+        assert rep.path == "joint"
+        assert {v[0] for v in rep.consistency_violations} == {"negative"}
+        assert rep.consistency_violations[0][2] == pytest.approx(-0.05)
+
+    def test_scattered_negative_mass_is_infeasible(self):
+        # every entry is above -tol, but a marginal entry sums them below it
+        g = host(3)
+        joint = np.full((2, 2, 2), 0.25)
+        joint[1] = -0.6e-9
+        joint /= joint.sum()
+        assert joint.min() > -1e-9
+        rep = verify_feasible(LocalDistributionFamily(g, 2, joint=joint))
+        assert not rep.feasible
+        assert {v[0] for v in rep.consistency_violations} == {"negative"}
+
+    def test_unnormalized_joint_is_infeasible(self):
+        g = host(3)
+        joint = np.full((2, 2, 2), 1.01 / 8)
+        rep = verify_feasible(LocalDistributionFamily(g, 2, joint=joint))
+        assert not rep.feasible
+        assert {v[0] for v in rep.consistency_violations} == {"normalization"}
+        assert rep.consistency_violations[0][2] == pytest.approx(1.01)
+
+    def test_work_cap_refuses_before_allocating(self):
+        # 2^16 nonzero rows x 697 index subsets (size <= 3 of 16) > ORACLE_CAP
+        fam = LocalDistributionFamily(host(16), 6, joint=np.full((2,) * 16, 2.0 ** -16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n=16, level=6: 65536 nonzero joint rows x 697 index"):
+                moment_matrix(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one full indicator matrix would be 365 MB, one chunk of it 512 KiB
+        assert peak < 256 * 1024
+        with pytest.raises(ValueError, match="work cap"):
+            verify_feasible(fam)

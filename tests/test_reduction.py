@@ -655,6 +655,18 @@ class TestMixing:
         rep = mixing_check(gap, theta, graph, params, f, alpha=50.0, a_samples=200, seed=36)
         assert rep.fraction == 0.0 and rep.holds
 
+    def test_vacuous_when_threshold_exceeds_every_deviation(self):
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(35))
+        graph = cycle_sse(6)
+        params = desk_params(theta, R=3)
+        f = dictator_assignment([0, 1], params, graph)
+        # centre 0.3: no mean in [0,1] is 2*sqrt(0.3) ~ 1.10 away, but 0.2*sqrt(0.3) is reachable
+        wide = mixing_check(gap, theta, graph, params, f, alpha=2.0, a_samples=50, seed=41, mu=0.3)
+        narrow = mixing_check(gap, theta, graph, params, f, alpha=0.2, a_samples=50, seed=41, mu=0.3)
+        assert wide.center == narrow.center == 0.3
+        assert wide.vacuous and not narrow.vacuous
+
     def test_dictator_at_desk_parameters(self):
         gap = small_gap(Predicate.and_(2))
         theta = mixture_theta(gap, np.random.default_rng(37), smooth=(0.2, 0.3))
