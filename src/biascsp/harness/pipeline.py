@@ -292,6 +292,8 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 samples=vtrials,
                 sigma_value=vc.mc_sigma_value,
                 max_influence=vc.max_influence,
+                applicable=vc.applicable,
+                exact_elapsed_s=vc.exact_elapsed_s,
             )
         )
 

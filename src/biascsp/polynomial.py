@@ -17,6 +17,18 @@ def _apply_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+_EVAL_CHUNK = 2048
+
+
+def _monomials(q: np.ndarray) -> np.ndarray:
+    """All monomials of the columns of ``q`` (m, n): shape (m, 2^n), column S
+    is prod_{j in S} q_j with variable 0 the most significant bit of S."""
+    out = np.ones((len(q), 1))
+    for j in range(q.shape[1]):
+        out = np.stack([out, out * q[:, j : j + 1]], axis=-1).reshape(len(q), -1)
+    return out
+
+
 class MultilinearPolynomial:
     """Multilinear polynomial given by its monomial coefficient tensor."""
 
@@ -45,21 +57,28 @@ class MultilinearPolynomial:
         return float(self._tensor[idx])
 
     def evaluate(self, points) -> np.ndarray:
-        """Evaluate at real points of shape (..., nvars)."""
+        """Evaluate at real points of shape (..., nvars).
+
+        With the variables split into a first half ``a`` and a second half
+        ``b``, P(q) = rowsum((M_a(q) @ C) * M_b(q)), where ``C`` is the
+        coefficient tensor as a 2^|a| x 2^|b| matrix and ``M`` the monomial
+        matrix of a half; rows go through in chunks of ``_EVAL_CHUNK``.
+        """
         q = np.asarray(points, dtype=float)
         if q.shape[-1:] != (self.nvars,) and self.nvars > 0:
             raise ValueError(f"expected trailing dimension {self.nvars}")
         if self.nvars == 0:
             return np.broadcast_to(self._tensor, q.shape[:-1]).copy()
         batch = q.shape[:-1]
-        t = np.broadcast_to(self._tensor, batch + self._tensor.shape)
-        for j in range(self.nvars):
-            axis = len(batch)  # current variable axis after j contractions
-            lo = np.take(t, 0, axis=axis)
-            hi = np.take(t, 1, axis=axis)
-            qj = q[..., j].reshape(batch + (1,) * (self.nvars - j - 1))
-            t = lo + qj * hi
-        return t
+        flat = q.reshape(-1, self.nvars)
+        half = self.nvars // 2
+        coeffs = self._tensor.reshape(2 ** half, -1)
+        out = np.empty(len(flat))
+        for start in range(0, len(flat), _EVAL_CHUNK):
+            rows = flat[start : start + _EVAL_CHUNK]
+            lo = _monomials(rows[:, :half]) @ coeffs
+            out[start : start + len(rows)] = np.einsum("ij,ij->i", lo, _monomials(rows[:, half:]))
+        return out.reshape(batch)
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)

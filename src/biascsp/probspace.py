@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .harness.mc import ORACLE_CAP
 from .polynomial import MultilinearPolynomial, _apply_axis
 
 MAX_BIT_R = 16
@@ -349,6 +350,45 @@ def high_degree_variance(fh: FourierTable, d: int) -> float:
     deg = _mask_degrees(_n_axes(fh.space))
     sq = fh.coeffs ** 2
     return float(sq[deg > d].sum())
+
+
+def iid_product_expectation(tables, block) -> float:
+    """Exact E[prod_i t_i(x^i)] when coordinate j of (x^1, ..., x^k) is drawn
+    i.i.d. from ``block``.
+
+    ``block`` has shape ``(s,)*k``: axis i is the letter of x^i at one
+    coordinate.  Each table holds ``s**R`` values in C order over ``(s,)*R``,
+    coordinate j on axis j.  The expectation factors per coordinate: the last
+    table absorbs the block one axis at a time, which leaves a tensor over the
+    other tables' letters, and the other tables contract against it.  The
+    largest intermediate holds ``s**((k-1)*R)`` entries; a larger request is
+    refused before anything is allocated.
+    """
+    block = np.asarray(block, dtype=float)
+    k, s = block.ndim, block.shape[0]
+    if k != len(tables) or block.shape != (s,) * k:
+        raise ValueError("block must have shape (s,)*k, one axis per table")
+    R = round(math.log(np.size(tables[0])) / math.log(s))
+    size = s ** ((k - 1) * R)
+    if size > ORACLE_CAP:
+        raise ValueError(
+            f"contraction over s={s}, k={k}, R={R} needs {size} entries, "
+            f"above the oracle cap {ORACLE_CAP}"
+        )
+    flat = [np.asarray(t, dtype=float).reshape(-1) for t in tables]
+    if any(t.size != s ** R for t in flat):
+        raise ValueError(f"every table must hold the same power s**R of s={s} values")
+    kernel = block.reshape(s ** (k - 1), s)
+    w = flat[-1].reshape((s,) * R)
+    for _ in range(R):  # axis 0 is the next coordinate; its joint axis goes last
+        w = np.tensordot(w, kernel, axes=(0, 1))
+    # axes are (coordinate, table); reorder to (table, coordinate)
+    w = w.reshape((s,) * ((k - 1) * R))
+    w = w.transpose([j * (k - 1) + i for i in range(k - 1) for j in range(R)])
+    w = w.reshape((s ** R,) * (k - 1))
+    for t in flat[:-1]:
+        w = np.tensordot(t, w, axes=(0, 0))
+    return float(w)
 
 
 def multilinear_extend(fh: FourierTable) -> MultilinearPolynomial:

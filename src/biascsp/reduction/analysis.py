@@ -10,13 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..csp import ConstraintHypergraph
-from ..harness.mc import CHUNK, mc_run
+from ..harness.mc import CHUNK, ORACLE_CAP, mc_run
 from ..harness.rng import rng_for
 from ..probspace import (
     BiasedSpace,
     FunctionTable,
     PairedSpace,
     fourier_expand,
+    iid_product_expectation,
     influence,
     max_influence,
     noise_apply,
@@ -26,8 +27,6 @@ from .dictator import LongCodeAssignment
 from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
 from .sampler import BatchTestSampler, edge_block_probs, leakage_apply, permute_rows
-
-_EXACT_WORK_CAP = 1 << 24
 
 
 # ---- averaged restriction tables --------------------------------------------
@@ -64,7 +63,7 @@ def averaged_function(
         bots = np.flatnonzero(z == 0)
         work = n ** R * 2 ** len(bots) * len(perms)
         if mode == "exact":
-            if work > _EXACT_WORK_CAP:
+            if work > ORACLE_CAP:
                 raise ValueError("enumeration too large; use mode='mc'")
             values[k] = _avg_point_exact(f, A, x, z, bots, mu_i, walk, n, perms)
         elif mode == "mc":
@@ -192,7 +191,7 @@ def acceptance_exact(
         r = len(edge)
         n_codes = (4 * n) ** r
         n_combos = n_codes ** R
-        if n_combos * math.factorial(R) ** r > _EXACT_WORK_CAP:
+        if n_combos * math.factorial(R) ** r > ORACLE_CAP:
             raise ValueError("exact acceptance enumeration too large")
         block = test_block_distribution(gap, theta, graph, params, e_idx).reshape(-1)
         combos = np.array(list(itertools.product(range(n_codes), repeat=R)), dtype=np.int64)
@@ -320,20 +319,21 @@ def _pair_indices(outcomes: np.ndarray, r: int, R: int) -> list[np.ndarray]:
     return out
 
 
+def _interleave(values: np.ndarray, n: int) -> np.ndarray:
+    """Regroup a (2,)*n + (2,)*n tensor (x bits, then z bits) as (4,)*n with
+    letter 2*x_j + z_j on axis j."""
+    t = np.asarray(values, dtype=float).reshape((2,) * (2 * n))
+    return t.transpose([a for j in range(n) for a in (j, n + j)]).reshape((4,) * n)
+
+
 def coupled_product_expectation(
     h_values: list[np.ndarray], d_block_flat: np.ndarray, r: int, R: int
 ) -> float:
     """Exact E[prod_i h_i] when coordinates are i.i.d. copies of one
     (x-block, z-block) joint; h_i are flat paired-space tables."""
-    n_blk = 4 ** r
-    if n_blk ** R > _EXACT_WORK_CAP:
-        raise ValueError("exact coupled enumeration too large")
-    combos = np.array(list(itertools.product(range(n_blk), repeat=R)), dtype=np.int64)
-    probs = d_block_flat[combos].prod(axis=1)
-    prod = np.ones(len(combos))
-    for pos, idx in enumerate(_pair_indices(combos, r, R)):
-        prod *= h_values[pos][idx]
-    return float(np.dot(probs, prod))
+    return iid_product_expectation(
+        [_interleave(h, R) for h in h_values], _interleave(d_block_flat, r)
+    )
 
 
 def product_expectation_over_blocks(
@@ -341,16 +341,7 @@ def product_expectation_over_blocks(
 ) -> float:
     """Exact E[prod_i h_i(x_i)] with coordinatewise x-blocks; h_i are flat
     bit-space tables."""
-    combos = np.array(list(itertools.product(range(2 ** r), repeat=R)), dtype=np.int64)
-    probs = np.asarray(block_probs, dtype=float)[combos].prod(axis=1)
-    prod = np.ones(len(combos))
-    for pos in range(r):
-        bits = (combos >> (r - 1 - pos)) & 1
-        idx = np.zeros(len(combos), dtype=np.int64)
-        for j in range(R):
-            idx = (idx << 1) | bits[:, j]
-        prod *= h_values[pos][idx]
-    return float(np.dot(probs, prod))
+    return iid_product_expectation(h_values, np.reshape(block_probs, (2,) * r))
 
 
 def decoupling_check(
@@ -366,7 +357,7 @@ def decoupling_check(
 
     LHS draws the full coupled tuple; RHS is 2^r times the product expectation
     of the leak-averaged tables under the edge distribution, plus bias^arity.
-    Exact mode enumerates both sides.
+    Exact mode computes both sides by per-coordinate contraction.
     """
     r = len(h_tables)
     space = h_tables[0].space

@@ -1,5 +1,6 @@
 """Oracle engine, Monte Carlo runs, pipeline, and the CLI surface."""
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -114,6 +115,17 @@ class TestPipeline:
         # product joint over 4 vertices: 16 nonzero rows; subsets of size <= 4: 16
         assert (extra["path"], extra["support_rows"], extra["moment_size"]) == ("joint", 16, 16)
         assert extra["elapsed_s"] >= 0.0
+
+    def test_rounding_value_reports_applicability(self, tmp_path):
+        # default dictator tables at mean 0.5 have influence 0.25 * 0.99^2 > tau
+        for functions, applicable in ((None, False), ({"kind": "constant"}, True)):
+            rounding = {"enabled": True, "R": 3, "trials": 400, "value_trials": 4000}
+            if functions:
+                rounding["functions"] = functions
+            report = run_pipeline(str(product_config(tmp_path, rounding=rounding)))
+            stage = next(s for s in report["stages"] if s["stage"] == "rounding-value")
+            assert stage["extra"]["applicable"] is applicable
+            assert stage["extra"]["exact_elapsed_s"] >= 0.0
 
     def test_mixing_stage_reports_vacuous(self, tmp_path):
         mixture = {
@@ -311,6 +323,28 @@ class TestCli:
         report = json.loads(proc.stdout)
         assert len(report["parts"]) == 2
         assert len(report["parts"][0]["B"]) == 5
+
+    def test_reduce_decouple_exact_beyond_r5(self, instance_file, pd_file, tmp_path):
+        graph_file = tmp_path / "graph.json"
+        run_cli(
+            "reduce", "gen", "--kind", "random-regular", "--n", "12", "--deg", "4",
+            "--seed", "6", "--out", str(graph_file),
+        )
+        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["graph"]))
+        args = (
+            "reduce", "decouple", "--instance", str(instance_file), "--pd", str(pd_file),
+            "--graph", str(graph_file), "--R", "7", "--seed", "8",
+        )
+        reports = {}
+        for mode in ("exact", "mc"):
+            proc = run_cli(*args, *(("--exact",) if mode == "exact" else ()))
+            assert proc.returncode == 0, proc.stderr
+            reports[mode] = json.loads(proc.stdout)
+        exact, mc = reports["exact"], reports["mc"]
+        assert exact["mode"] == "exact" and exact["value"] <= exact["bound"]
+        # each product lies in [0, 1], so the mc mean over decoupling_check's
+        # default 2^20 samples has stderr <= 0.5 / sqrt(samples)
+        assert abs(mc["value"] - exact["value"]) <= 4 * 0.5 / math.sqrt(1 << 20)
 
     def test_pipeline_command(self, tmp_path):
         cfg = product_config(tmp_path)

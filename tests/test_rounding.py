@@ -228,11 +228,12 @@ class TestValueCheck:
         )
         assert exact_test_value(inp) == pytest.approx(oracle_test_value(inp), abs=1e-10)
 
-    def test_constant_tables_closed_form(self):
+    @pytest.mark.parametrize("r_dim", [3, 12])
+    def test_constant_tables_closed_form(self, r_dim):
         g = host(predicate=Predicate.and_(2))
         fam = mixture_family(g, np.random.default_rng(10))
         c = 0.45
-        inp = RoundingInput(g, constant_tables(g, fam, 3, c=c), vector_solution(fam), family=fam)
+        inp = RoundingInput(g, constant_tables(g, fam, r_dim, c=c), vector_solution(fam), family=fam)
         assert exact_test_value(inp) == pytest.approx(c ** 2, abs=1e-10)
         rep = value_check(inp, 300, 41)
         assert rep.mc_value == pytest.approx(c ** 2, abs=1e-9)
@@ -252,6 +253,21 @@ class TestValueCheck:
         rep = value_check(inp, 40000, 42)
         assert abs(rep.mc_value - rep.exact_value) <= 3 * rep.mc_stderr + 0.02
         assert rep.holds
+
+    def test_applicable_only_below_tau(self):
+        # dictators have influence p(1-p)(1-eta)^2 >= 0.16 * 0.99^2 > tau = 0.1
+        # at vertex means in [0.2, 0.8]; constant tables have influence 0
+        g = host()
+        fam = mixture_family(g, np.random.default_rng(14)).smooth(0.8, 0.5)
+        assert all(0.2 <= fam.vertex_mean(v) <= 0.8 for v in g.vertices)
+        sol = vector_solution(fam)
+        dictators = RoundingInput(g, dictator_tables(g, fam, 3), sol, family=fam)
+        constants = RoundingInput(g, constant_tables(g, fam, 3), sol, family=fam)
+        rep = value_check(dictators, 300, 43)
+        assert rep.max_influence > dictators.tau and not rep.applicable
+        assert rep.exact_elapsed_s >= 0.0
+        rep = value_check(constants, 300, 43)
+        assert rep.max_influence <= constants.tau and rep.applicable
 
     def test_zero_variance_deterministic(self):
         g = host()
