@@ -147,6 +147,26 @@ def build_rounding_tables(source, host, family, r_dim: int) -> dict[str, Functio
     raise ConfigError("rounding functions: unknown kind")
 
 
+def _counted(f, run):
+    """Run ``run()`` and return its result with the wall time and the work
+    the dictator ``f`` did in it: queries, fallbacks, and rows that had to
+    be read at an explicit coordinate permutation."""
+    def counters():
+        return f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows
+
+    before = counters()
+    t0 = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - t0
+    queries, fallbacks, permuted = (b - a for a, b in zip(before, counters()))
+    return result, {
+        "elapsed_s": elapsed,
+        "dictator_queries": queries,
+        "dictator_fallbacks": fallbacks,
+        "permuted_rows": permuted,
+    }
+
+
 def run_pipeline(config) -> dict:
     """Smooth, condition, factor, then run the configured experiments.
 
@@ -334,8 +354,8 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
             raise ConfigError("reduction experiments need a planted graph")
         f = dictator_assignment(graph.planted, params, graph)
         trials = int(red_cfg.get("accept_trials", 100000))
-        rep = acceptance_estimate(
-            host, family, graph, params, f, trials, seed, assert_bound=True
+        rep, work = _counted(
+            f, lambda: acceptance_estimate(host, family, graph, params, f, trials, seed, assert_bound=True)
         )
         stages.append(
             stage_entry(
@@ -347,18 +367,23 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 seed=seed,
                 samples=trials,
                 objective=rep.objective,
+                trials_per_s=trials / work["elapsed_s"],
+                **work,
             )
         )
-        mix = mixing_check(
-            host,
-            family,
-            graph,
-            params,
+        mix, work = _counted(
             f,
-            alpha=parse_number(red_cfg.get("alpha", 2.0)),
-            a_samples=int(red_cfg.get("a_samples", 2000)),
-            seed=seed,
-            inner_samples=int(red_cfg.get("inner_samples", 512)),
+            lambda: mixing_check(
+                host,
+                family,
+                graph,
+                params,
+                f,
+                alpha=parse_number(red_cfg.get("alpha", 2.0)),
+                a_samples=int(red_cfg.get("a_samples", 2000)),
+                seed=seed,
+                inner_samples=int(red_cfg.get("inner_samples", 512)),
+            ),
         )
         stages.append(
             stage_entry(
@@ -371,6 +396,8 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 samples=mix.a_samples,
                 threshold=mix.threshold,
                 vacuous=mix.vacuous,
+                draws_per_s=mix.a_samples * mix.inner_samples / work["elapsed_s"],
+                **work,
             )
         )
 

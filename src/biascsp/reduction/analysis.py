@@ -26,7 +26,7 @@ from ..pseudodist import LocalDistributionFamily
 from .dictator import LongCodeAssignment
 from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
-from .sampler import BatchTestSampler, edge_block_probs, leakage_apply, permute_rows
+from .sampler import BatchTestSampler, edge_block_probs
 
 
 # ---- averaged restriction tables --------------------------------------------
@@ -103,11 +103,10 @@ def _avg_point_exact(f, A, x, z, bots, mu_i, walk, n, perms):
 
 def _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples):
     shape = (samples, A.size)
-    b = noisy_walk(graph, eta, np.broadcast_to(A, shape), rng)
     zs = np.broadcast_to(np.asarray(z, dtype=np.int8), shape)
-    b, xs = leakage_apply(zs, mu_i, (b, np.broadcast_to(x, shape)), graph, rng)
-    _, parts = permute_rows(rng, b, xs, zs)
-    return float(np.mean(f.evaluate_batch(*parts)))
+    b = noisy_walk(graph, eta, A, rng, where=zs)
+    xs = np.where(zs == 1, x, rng.random(shape) < mu_i).astype(np.int8)
+    return float(np.mean(f.evaluate_batch(b, xs, zs, rng)))
 
 
 # ---- exact acceptance via per-coordinate blocks ------------------------------
@@ -458,17 +457,16 @@ def mixing_check(
     batch = max(1, CHUNK // max(inner_samples, 1))
     for start in range(0, a_samples, batch):
         a_blk = a_pts[start : start + batch]
-        m = len(a_blk) * inner_samples
-        a_rep = np.repeat(a_blk, inner_samples, axis=0)
+        k = len(a_blk)
+        m = k * inner_samples
         vert_idx = rng.choice(len(verts), size=m, p=wvec)
-        mu_draw = mus[vert_idx][:, None]
-        x = (rng.random((m, R)) < mu_draw).astype(np.int8)
+        # x is already a Bernoulli(mu) draw, so the fold's refresh of x where
+        # z is bot would not change its law; only the vertex part is folded.
+        x = (rng.random((m, R)) < mus[vert_idx][:, None]).astype(np.int8)
         z = (rng.random((m, R)) < params.beta).astype(np.int8)
-        b = noisy_walk(graph, params.eta, a_rep, rng)
-        b, x = leakage_apply(z, mu_draw, (b, x), graph, rng)
-        _, parts = permute_rows(rng, b, x, z)
-        vals = f.evaluate_batch(*parts)
-        mu_hat[start : start + len(a_blk)] = vals.reshape(len(a_blk), inner_samples).mean(axis=1)
+        b = noisy_walk(graph, params.eta, a_blk[:, None, :], rng, where=z.reshape(k, inner_samples, R))
+        vals = f.evaluate_batch(b.reshape(m, R), x, z, rng)
+        mu_hat[start : start + k] = vals.reshape(k, inner_samples).mean(axis=1)
     center = float(mu_hat.mean()) if mu is None else float(mu)
     threshold = alpha * math.sqrt(max(center, 1e-300))
     frac = float((np.abs(mu_hat - center) >= threshold).mean())

@@ -9,7 +9,9 @@ to a bit.  The planted-set dictator reads x at a selected index i*(A, z):
   among codes appearing exactly once in the vector.  Uniqueness makes the
   choice permutation-covariant as well; the rare vectors with no unique code
   fall back to the first occurrence of the minimum and are counted, since
-  only there can permutation respect fail.
+  only there can permutation respect fail.  Evaluated at a uniform
+  coordinate permutation, as the lifted test reads it, only those vectors
+  need the permutation drawn.
 
 The selection never looks at x, so the assignment's analytic bias equals the
 vertex-weighted mean bias exactly.
@@ -32,6 +34,15 @@ def _as_batch(arr, dtype=np.int64) -> tuple[np.ndarray, bool]:
     return a, False
 
 
+def permute_rows(rng: np.random.Generator, *arrays):
+    """One uniform coordinate permutation per row, applied to every array.
+
+    Returns (perm, permuted arrays); ``perm`` has the arrays' common shape.
+    """
+    perm = np.argsort(rng.random(np.shape(arrays[0])), axis=-1)
+    return perm, [np.take_along_axis(a, perm, axis=-1) for a in arrays]
+
+
 class PlantedDictator:
     """f(A, x, z) = x(i*(A, z)) with the planted-set index rule."""
 
@@ -39,38 +50,45 @@ class PlantedDictator:
         self.mask = np.asarray(planted_mask, dtype=bool)
         if not self.mask.any():
             raise ValueError("planted set must be nonempty")
+        # code 2A + z is marked iff A is planted and z is top
+        self._marked = np.zeros(2 * self.mask.size, dtype=bool)
+        self._marked[1::2] = self.mask
         self.fallback_count = 0
         self.query_count = 0
+
+    def _select(self, A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Selected index per row and the fallback rows; counts both."""
+        code = 2 * A + z
+        marked = self._marked[code]
+        single = np.count_nonzero(marked, axis=1) == 1
+        out = np.argmax(marked, axis=1)
+        fallback = np.zeros(len(code), dtype=bool)
+        rest = np.flatnonzero(~single)
+        if rest.size:
+            out[rest], fallback[rest] = self._tie_break(code[rest])
+        self.query_count += len(code)
+        self.fallback_count += int(fallback.sum())
+        return out, fallback
 
     def istar_batch(self, A: np.ndarray, z: np.ndarray) -> np.ndarray:
         A, _ = _as_batch(A)
         z, _ = _as_batch(z)
-        m, R = A.shape
-        marked = self.mask[A] & (z == 1)
-        count = marked.sum(axis=1)
-        out = np.empty(m, dtype=np.int64)
-        single = count == 1
-        if single.any():
-            out[single] = np.argmax(marked[single], axis=1)
-        rest = ~single
-        if rest.any():
-            out[rest] = self._tie_break(A[rest], z[rest])
-        self.query_count += m
-        return out
+        return self._select(A, z)[0]
 
-    def _tie_break(self, A: np.ndarray, z: np.ndarray) -> np.ndarray:
-        code = A * 2 + z
-        s = np.sort(code, axis=1)
-        m, R = s.shape
-        left = np.concatenate([np.full((m, 1), -1, dtype=s.dtype), s[:, :-1]], axis=1)
-        right = np.concatenate([s[:, 1:], np.full((m, 1), -2, dtype=s.dtype)], axis=1)
-        uniq = (s != left) & (s != right)
-        has_uniq = uniq.any(axis=1)
-        big = np.iinfo(s.dtype).max
-        min_uniq = np.where(uniq, s, big).min(axis=1)
-        target = np.where(has_uniq, min_uniq, s[:, 0])
-        self.fallback_count += int((~has_uniq).sum())
-        return np.argmax(code == target[:, None], axis=1)
+    def _tie_break(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of codes 2A + z: the index of the smallest code that
+        appears once in the row, and the rows with no such code, which fall
+        back to the first occurrence of their smallest code.  One bincount
+        over row * 2n + code counts every row's codes at once."""
+        m = len(code)
+        width = self._marked.size
+        keys = (np.arange(m)[:, None] * width + code).ravel()
+        unique = np.bincount(keys, minlength=m * width).reshape(m, width) == 1
+        target = unique.argmax(axis=1)
+        fallback = ~unique[np.arange(m), target]
+        if fallback.any():
+            target[fallback] = code[fallback].min(axis=1)
+        return np.argmax(code == target[:, None], axis=1), fallback
 
     def evaluate_batch(self, A, x, z) -> np.ndarray:
         A, _ = _as_batch(A)
@@ -78,6 +96,24 @@ class PlantedDictator:
         z, _ = _as_batch(z)
         idx = self.istar_batch(A, z)
         return x[np.arange(len(idx)), idx]
+
+    def evaluate_permuted(self, A, x, z, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        """f at an independent uniform coordinate permutation of each row,
+        and the number of rows that needed one.
+
+        A row with a unique code selects it whatever the permutation, so
+        f(row o perm) = f(row) there and the row is read as it is.  Only the
+        fallback rows are permuted; having no unique code does not depend on
+        the order, so a permuted fallback row falls back again, to the first
+        occurrence of its smallest code.  Each row counts once as a query.
+        """
+        idx, fallback = self._select(A, z)
+        rows = np.flatnonzero(fallback)
+        if rows.size:
+            perm, (a_p, z_p) = permute_rows(rng, A[rows], z[rows])
+            j, _ = self._tie_break(2 * a_p + z_p)
+            idx[rows] = perm[np.arange(rows.size), j]
+        return x[np.arange(len(idx)), idx], int(rows.size)
 
 
 @dataclass
@@ -87,12 +123,29 @@ class LongCodeAssignment:
     kind: str  # "dictator" | "table" | "callback"
     _eval: object = field(repr=False)
     dictator: PlantedDictator | None = None
+    permuted_rows: int = field(default=0, init=False)  # rows evaluate_batch read at an explicit permutation
 
-    def evaluate_batch(self, A, x, z) -> np.ndarray:
+    def evaluate_batch(self, A, x, z, rng: np.random.Generator | None = None) -> np.ndarray:
+        """f on each row of (A, x, z), each of shape (m, R) or (R,).
+
+        Given ``rng``, f at an independent uniform coordinate permutation of
+        each row, as the lifted test reads its parts.  Every row is then
+        permuted and evaluated, except for the planted dictator, which
+        permutes only the rows it cannot decide covariantly
+        (:meth:`PlantedDictator.evaluate_permuted`).
+        """
         A, _ = _as_batch(A)
-        x, _ = _as_batch(x)
-        z, _ = _as_batch(z)
-        return np.asarray(self._eval(A, x, z), dtype=np.int8)
+        x, _ = _as_batch(x, np.int8)
+        z, _ = _as_batch(z, np.int8)
+        if rng is None:
+            return np.asarray(self._eval(A, x, z), dtype=np.int8)
+        if self.dictator is not None:
+            vals, permuted = self.dictator.evaluate_permuted(A, x, z, rng)
+        else:
+            _, (A, x, z) = permute_rows(rng, A, x, z)
+            vals, permuted = self._eval(A, x, z), len(A)
+        self.permuted_rows += permuted
+        return np.asarray(vals, dtype=np.int8)
 
     def evaluate(self, A, x, z) -> int:
         return int(self.evaluate_batch([list(A)], [list(x)], [list(z)])[0])

@@ -82,15 +82,24 @@ def walk_matrix(g: SseGraph, eta: float) -> np.ndarray:
     return p
 
 
-def noisy_walk(g: SseGraph, eta: float, point, rng: np.random.Generator) -> np.ndarray:
-    """One step of the noisy walk applied independently per coordinate."""
+def noisy_walk(g: SseGraph, eta: float, point, rng: np.random.Generator, where=None) -> np.ndarray:
+    """One step of the noisy walk applied independently per coordinate.
+
+    Given a boolean mask ``where``, which ``point`` broadcasts against, only
+    the coordinates where it holds take the step, and every other coordinate
+    gets a fresh uniform vertex.  That is the vertex part of the lifted
+    test's leakage fold, which walks only where the leak symbol is top.
+    """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0,1]")
     a = np.asarray(point, dtype=np.int64)
-    nb = g.adj[a, rng.integers(0, g.deg, size=a.shape)]
-    fresh = rng.integers(0, g.n, size=a.shape)
-    lazy = rng.random(a.shape) < eta
-    return np.where(lazy, fresh, nb)
+    shape = a.shape if where is None else np.shape(where)
+    out = rng.integers(0, g.n, size=shape)  # also the lazy step's uniform vertex
+    steps = np.arange(out.size) if where is None else np.flatnonzero(where)
+    steps = steps[rng.random(steps.size) >= eta]
+    src = np.broadcast_to(a, shape).flat[steps]
+    out.reshape(-1)[steps] = g.adj.reshape(-1)[src * g.deg + rng.integers(0, g.deg, size=steps.size)]
+    return out
 
 
 def _random_permutation_no_fixed_point(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,8 +5,11 @@ For a sampled gap edge, each output position carries a triple
 across positions follow the edge's local distribution; the leak values are
 either copied from a common draw (with the coupling probability) or fresh;
 both are then re-randomized at the noise rate; finally the leakage fold
-refreshes vertex and bit together wherever the leak symbol is bot, and each
-position is independently coordinate-permuted.
+refreshes vertex and bit together wherever the leak symbol is bot.  Each
+position is read at an independent uniform coordinate permutation; since the
+permutation is independent of everything else, it is applied where the
+assignment is evaluated (``LongCodeAssignment.evaluate_batch`` with an rng),
+not here.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import numpy as np
 
 from ..csp import ConstraintHypergraph
 from ..pseudodist import LocalDistributionFamily
+from .dictator import permute_rows
 from .graphs import SseGraph, noisy_walk
 from .params import ReductionParams
 
@@ -59,15 +63,6 @@ def leakage_apply(z, mu, point, graph: SseGraph, rng: np.random.Generator):
     return a_new, x_new
 
 
-def permute_rows(rng: np.random.Generator, *arrays):
-    """One uniform coordinate permutation per row, applied to every array.
-
-    Returns (perm, permuted arrays); ``perm`` has the arrays' common shape.
-    """
-    perm = np.argsort(rng.random(np.shape(arrays[0])), axis=-1)
-    return perm, [np.take_along_axis(a, perm, axis=-1) for a in arrays]
-
-
 @dataclass
 class TestSample:
     """One ordered constraint tuple of lifted vertices, with its trace."""
@@ -88,18 +83,32 @@ def sample_test_tuple(
     """Draw one ordered constraint tuple from the lifted test distribution.
 
     The single-draw view of :meth:`BatchTestSampler.sample_parts`: pick the
-    edge by weight, draw one row with its trace, and drop the row axis.
+    edge by weight, draw one row with its trace, drop the row axis, and
+    permute each position's coordinates by an independent uniform
+    permutation, recorded in ``perms``.
     """
     if params.R > 1 << 16:
         raise ValueError("lift dimension too large to sample explicitly")
     sampler = BatchTestSampler(gap, theta, graph, params)
     edge_idx = int(rng.choice(len(gap.edges), p=sampler.edge_weights))
     trace: dict = {}
-    parts = sampler.sample_parts(edge_idx, 1, rng, trace)
+    rows = sampler.sample_parts(edge_idx, 1, rng, trace)
     trace = {k: [a[0] for a in v] if isinstance(v, list) else v[0] for k, v in trace.items()}
-    perms = trace.pop("perm")
-    parts = [tuple(a[0] for a in part) for part in parts]
-    return TestSample(edge=gap.edges[edge_idx][0], parts=parts, perms=perms, trace=trace)
+    # one (positions, R) array per part: row i is position i's coordinates
+    perms, (b, x, z) = permute_rows(rng, *(np.concatenate(a) for a in zip(*rows)))
+    return TestSample(edge=gap.edges[edge_idx][0], parts=list(zip(b, x, z)), perms=list(perms), trace=trace)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)`` on first use."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class BatchTestSampler:
@@ -115,50 +124,72 @@ class BatchTestSampler:
         self.gap = gap
         self.graph = graph
         self.params = params
-        self.mus = {v: theta.vertex_mean(v) for v in gap.vertices}
+        # built per vertex and per edge on first use, so that a single draw
+        # (sample_test_tuple) pays only for the edge it draws
+        self.mus = _Memo(theta.vertex_mean)
         self.edge_weights = np.array([w for _, w in gap.edges])
         self.edge_weights = self.edge_weights / self.edge_weights.sum()
-        self.blocks = [edge_block_probs(theta, e) for e, _ in gap.edges]
+        self.blocks = _Memo(lambda e: edge_block_probs(theta, gap.edges[e][0]))
 
     def sample_parts(
         self, edge_index: int, m: int, rng: np.random.Generator, trace: dict | None = None
     ):
         """m tuples for one fixed edge; returns list of (B', x', z') of shape (m, R).
 
+        The parts are unpermuted: read them at a uniform coordinate
+        permutation (``LongCodeAssignment.evaluate_batch`` with an rng).
+        z' is drawn first for every position; then B' walks from A only where
+        z' is top and is a uniform vertex elsewhere, and x' is the edge's
+        outcome bit where z' is top and the bit's noise did not fire, a fresh
+        Bernoulli(mu) elsewhere.
+
         When ``trace`` is given it receives the (m, R) latent draws: "A",
         "z_common", "xi", and per position the lists "B" (walk), "x", "z",
-        "x_tilde", "z_prime" (before the fold) and "perm".
+        "x_tilde" (x after its noise) and "z_prime".  "B" and "x_tilde" are
+        -1 where z' is bot: the fold refreshes those entries, so they are
+        never drawn.
         """
         g, p = self.graph, self.params
-        shape = (m, p.R)
         edge, _ = self.gap.edges[edge_index]
+        r = len(edge)
+        shape = (m, p.R)
         probs, pos_bits = self.blocks[edge_index]
+        cdf = np.cumsum(probs)[:-1] / np.sum(probs)
+
+        def outcome(u):  # k where cdf[k-1] <= u < cdf[k]: the thresholds at or below u
+            return sum(u >= c for c in cdf)
+
         a = rng.integers(0, g.n, size=shape)
-        outcomes = rng.choice(len(probs), size=shape, p=probs)
-        z_common = (rng.random(shape) < p.beta).astype(np.int8)
+        u_outcome = rng.random(shape)
+        z_common = rng.random(shape) < p.beta
         xi = rng.random(shape) < p.rho_sq
+        z = (xi & z_common) | (~xi & (rng.random((r, *shape)) < p.beta))
+        # One uniform u per entry refreshes z at rate eta: u < eta fires the
+        # refresh, and given that, u / eta is uniform, so u < eta * beta is
+        # the refreshed Bernoulli(beta) symbol.
+        u = rng.random((r, *shape))
+        z_prime = ((u < p.eta * p.beta) | ((u >= p.eta) & z)).astype(np.int8)
+        b = noisy_walk(g, p.eta, a, rng, where=z_prime)
+        mu = np.array([self.mus[v] for v in edge])[:, None, None]
+        x_new = (rng.random((r, *shape)) < mu).astype(np.int8)
+        top = np.flatnonzero(z_prime)
+        keep = top[rng.random(top.size) >= p.eta]
+        position, coord = np.divmod(keep, a.size)
+        x_new.reshape(-1)[keep] = pos_bits[outcome(u_outcome.reshape(-1)[coord]), position]
         if trace is not None:
-            trace.update(A=a, z_common=z_common, xi=xi.astype(np.int8))
-        parts = []
-        for pos, v in enumerate(edge):
-            mu = self.mus[v]
-            b = noisy_walk(g, p.eta, a, rng)
-            x = pos_bits[outcomes, pos]
-            z = np.where(xi, z_common, (rng.random(shape) < p.beta).astype(np.int8))
-            x_tilde = np.where(
-                rng.random(shape) < p.eta, (rng.random(shape) < mu).astype(np.int8), x
+            bot = z_prime == 0
+            x = pos_bits[outcome(u_outcome)].transpose(2, 0, 1)
+            trace.update(
+                A=a,
+                z_common=z_common.astype(np.int8),
+                xi=xi.astype(np.int8),
+                B=list(np.where(bot, -1, b)),
+                x=list(x),
+                z=list(z.astype(np.int8)),
+                x_tilde=list(np.where(bot, -1, x_new).astype(np.int8)),
+                z_prime=list(z_prime),
             )
-            z_prime = np.where(
-                rng.random(shape) < p.eta, (rng.random(shape) < p.beta).astype(np.int8), z
-            )
-            b_new, x_new = leakage_apply(z_prime, mu, (b, x_tilde), g, rng)
-            perm, part = permute_rows(rng, b_new, x_new, z_prime)
-            parts.append(tuple(part))
-            if trace is not None:
-                steps = {"B": b, "x": x, "z": z, "x_tilde": x_tilde, "z_prime": z_prime, "perm": perm}
-                for key, val in steps.items():
-                    trace.setdefault(key, []).append(val)
-        return parts
+        return [(b[pos], x_new[pos], z_prime[pos]) for pos in range(r)]
 
     def accept_indicators(self, f, m: int, rng: np.random.Generator) -> np.ndarray:
         """m draws of the 0/1 acceptance indicator under assignment f."""
@@ -169,11 +200,9 @@ class BatchTestSampler:
         for e_idx, cnt in enumerate(counts):
             if cnt == 0:
                 continue
-            parts = self.sample_parts(e_idx, cnt, rng)
             idx = np.zeros(cnt, dtype=np.int64)
-            for b, x, z in parts:
-                bits = f.evaluate_batch(b, x, z)
-                idx = (idx << 1) | bits.astype(np.int64)
+            for b, x, z in self.sample_parts(e_idx, cnt, rng):
+                idx = (idx << 1) | f.evaluate_batch(b, x, z, rng)
             out[offset : offset + cnt] = table[idx]
             offset += cnt
         return out

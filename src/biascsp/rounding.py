@@ -113,9 +113,8 @@ def round_with(inp: RoundingInput, rng: np.random.Generator, seed: int) -> Round
     )
 
 
-def _batch_p(inp: RoundingInput, trials: int, seed: int) -> np.ndarray:
+def _batch_p(inp: RoundingInput, trials: int, rng: np.random.Generator) -> np.ndarray:
     """Acceptance probabilities for `trials` shared-matrix rounds, (trials, n)."""
-    rng = rng_for(seed, "round-batch")
     R = inp.r_dim
     d = inp.solution.dimension
     gmats = rng.standard_normal((trials, R, d))
@@ -153,7 +152,7 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Bias
     against its sqrt(gamma) reference but only meaningful in the small-gamma
     regime, which desk-scale instances rarely reach.
     """
-    p = _batch_p(inp, trials, seed)
+    p = _batch_p(inp, trials, rng_for(seed, "round-batch", "variance"))
     wvec = inp.host.vertex_weight_vector()
     m = p @ wvec
     mean = float(m.mean())
@@ -290,7 +289,7 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
     says whether the tables meet the guarantee's low-influence premise
     (max influence <= ``inp.tau``); the verdict does not depend on it.
     """
-    p = _batch_p(inp, trials, seed)
+    p = _batch_p(inp, trials, rng_for(seed, "round-batch", "value"))
     verts = inp.host.vertices
     vindex = {v: i for i, v in enumerate(verts)}
     cond = np.zeros(trials)

@@ -127,7 +127,8 @@ class TestPipeline:
             assert stage["extra"]["applicable"] is applicable
             assert stage["extra"]["exact_elapsed_s"] >= 0.0
 
-    def test_mixing_stage_reports_vacuous(self, tmp_path):
+    @staticmethod
+    def reduction_stages(tmp_path) -> dict:
         mixture = {
             "kind": "mixture",
             "level": 6,
@@ -152,10 +153,25 @@ class TestPipeline:
             rounding={"enabled": False},
             reduction=reduction,
         )
-        by_stage = {s["stage"]: s for s in run_pipeline(str(path))["stages"]}
+        return {s["stage"]: s for s in run_pipeline(str(path))["stages"]}
+
+    def test_mixing_stage_reports_vacuous(self, tmp_path):
+        by_stage = self.reduction_stages(tmp_path)
         # threshold 2*sqrt(centre ~ 0.3) ~ 1.1: no [0,1] mean can reach it
         assert by_stage["mixing"]["extra"]["threshold"] > 1.0
         assert by_stage["mixing"]["extra"]["vacuous"] is True
+
+    def test_reduction_stages_report_work(self, tmp_path):
+        by_stage = self.reduction_stages(tmp_path)
+        acc, mix = by_stage["reduction-acceptance"]["extra"], by_stage["mixing"]["extra"]
+        # one dictator query per position of each trial, one per mixing draw
+        assert acc["dictator_queries"] == 2 * 2000
+        assert mix["dictator_queries"] == 20 * 16
+        for extra, rate in ((acc, "trials_per_s"), (mix, "draws_per_s")):
+            assert extra["elapsed_s"] > 0.0 and extra[rate] > 0.0
+            # the dictator permutes exactly its fallback rows
+            assert extra["permuted_rows"] == extra["dictator_fallbacks"] <= extra["dictator_queries"]
+        assert acc["trials_per_s"] == pytest.approx(2000 / acc["elapsed_s"])
 
     def test_correlated_mixture_conditions(self, tmp_path):
         mixture = {

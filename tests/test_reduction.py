@@ -334,6 +334,60 @@ class TestKernelTrace:
             np.testing.assert_array_equal(x[top], s.trace["x_tilde"][pos][perm][top])
 
 
+class TestFoldedKernel:
+    """The one-pass kernel against the law of the walk-then-fold it replaces:
+    B' walks from A only where z' is top, with the lazy step, and is uniform
+    where z' is bot; x' keeps the outcome bit only where z' is top and its
+    noise did not fire.  The parts come back unpermuted, aligned with the trace."""
+
+    @staticmethod
+    def draws(eta, seed, m=20000, R=4):
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(10))
+        params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.5, rho_sq=0.4, R=R, eta=eta)
+        sampler = BatchTestSampler(gap, theta, cycle_sse(6), params)
+        trace: dict = {}
+        parts = sampler.sample_parts(0, m, rng_for(seed, "folded-kernel"), trace)
+        mus = [theta.vertex_mean(v) for v in gap.edges[0][0]]
+        return parts, trace, mus
+
+    @staticmethod
+    def assert_rate(hits, total, p):
+        assert abs(hits / total - p) <= 4 * math.sqrt(p * (1 - p) / total) + 1e-12, (hits / total, p)
+
+    def test_vertex_fold(self):
+        eta = 0.5
+        parts, trace, _ = self.draws(eta, 1)
+        a = trace["A"]
+        for pos, (b, _, z) in enumerate(parts):
+            np.testing.assert_array_equal(z, trace["z_prime"][pos])
+            step = (b - a) % 6
+            top, bot = z == 1, z == 0
+            np.testing.assert_array_equal(b[top], trace["B"][pos][top])
+            assert (trace["B"][pos][bot] == -1).all()
+            # cycle of 6: a walk step lands on a +- 1, the lazy step anywhere
+            self.assert_rate(int((step[top] == 0).sum()), int(top.sum()), eta / 6)
+            self.assert_rate(int(np.isin(step[top], (1, 5)).sum()), int(top.sum()), 1 - eta + eta / 3)
+            # bot: uniform, whatever A was
+            self.assert_rate(int(np.isin(step[bot], (1, 5)).sum()), int(bot.sum()), 1 / 3)
+            self.assert_rate(int((step[bot] == 0).sum()), int(bot.sum()), 1 / 6)
+
+    def test_bit_fold(self):
+        eta = 0.5
+        parts, trace, mus = self.draws(eta, 2)
+        for pos, (_, x_new, z) in enumerate(parts):
+            x, mu = trace["x"][pos], mus[pos]
+            top, bot = z == 1, z == 0
+            np.testing.assert_array_equal(x_new[top], trace["x_tilde"][pos][top])
+            assert (trace["x_tilde"][pos][bot] == -1).all()
+            # a fresh Bernoulli(mu) differs from the outcome bit x with
+            # probability mu where x = 0 and 1 - mu where x = 1
+            flip = np.where(x == 1, 1 - mu, mu)
+            for where, rate in ((top, eta), (bot, 1.0)):
+                p = rate * float(flip[where].mean())
+                self.assert_rate(int((x_new[where] != x[where]).sum()), int(where.sum()), p)
+
+
 class TestDictator:
     def test_unique_marked_coordinate(self):
         mask = np.zeros(8, dtype=bool)
@@ -411,6 +465,77 @@ class TestDictator:
             assert perm[moved] == base
 
 
+def tie_break_by_sort(code):
+    """The sort-based tie-break that the dictator's bincount replaced, kept
+    as the reference: (index of the smallest code appearing once in the row,
+    rows with no such code), falling back to the first smallest code."""
+    s = np.sort(code, axis=1)
+    m = len(s)
+    left = np.concatenate([np.full((m, 1), -1, dtype=s.dtype), s[:, :-1]], axis=1)
+    right = np.concatenate([s[:, 1:], np.full((m, 1), -2, dtype=s.dtype)], axis=1)
+    uniq = (s != left) & (s != right)
+    has_uniq = uniq.any(axis=1)
+    min_uniq = np.where(uniq, s, np.iinfo(s.dtype).max).min(axis=1)
+    target = np.where(has_uniq, min_uniq, s[:, 0])
+    return np.argmax(code == target[:, None], axis=1), ~has_uniq
+
+
+class TestPermutedEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 32]),
+        R=st.integers(1, 40),
+        m=st.integers(1, 20),
+        doubled=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_tie_break_matches_sort(self, n, R, m, doubled, seed):
+        rng = np.random.default_rng(seed)
+        code = 2 * rng.integers(0, n, size=(m, R)) + rng.integers(0, 2, size=(m, R))
+        if doubled:  # every code at least twice: no row has a unique code
+            code = np.concatenate([code, rng.permuted(code, axis=1)], axis=1)
+        idx, fallback = PlantedDictator(np.arange(n) == 0)._tie_break(code)
+        ref_idx, ref_fallback = tie_break_by_sort(code)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(fallback, ref_fallback)
+        if doubled:
+            assert fallback.all()
+
+    def test_covariant_rows_read_unpermuted(self):
+        graph = generate_sse("planted", 32, 6, 0.25, seed=11)
+        f = dictator_assignment(graph.planted, None, graph)
+        rng = rng_for(8, "covariant")
+        A = rng.integers(0, 32, size=(5000, 10))
+        x = (rng.random((5000, 10)) < 0.3).astype(np.int8)
+        z = (rng.random((5000, 10)) < 0.2).astype(np.int8)
+        base = f.evaluate_batch(A, x, z)
+        fallbacks = f.dictator.fallback_count
+        permuted = f.evaluate_batch(A, x, z, rng_for(9, "covariant-perm"))
+        np.testing.assert_array_equal(permuted, base)
+        assert fallbacks == 0 and f.permuted_rows == 0
+        assert f.dictator.query_count == 10000
+
+    def test_fallback_rows_read_at_a_permutation(self):
+        # codes 7, 7, 10, 10: no unique code, so the row falls back to the
+        # first 7 of the permuted row, coordinate 0 or 1 with probability 1/2
+        f = dictator_assignment([0, 1], None, cycle_sse(6))
+        m = 4000
+        A = np.tile([3, 3, 5, 5], (m, 1))
+        z = np.tile([1, 1, 0, 0], (m, 1))
+        x = np.tile([1, 0, 0, 0], (m, 1))
+        vals = f.evaluate_batch(A, x, z, rng_for(10, "fallback-perm"))
+        assert abs(vals.mean() - 0.5) <= 4 * math.sqrt(0.25 / m)
+        assert (f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows) == (m, m, m)
+
+    def test_other_assignments_permute_every_row(self):
+        f = LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0])
+        m = 4000
+        x = np.tile([1, 0, 0, 0, 0], (m, 1))
+        vals = f.evaluate_batch(np.zeros((m, 5), dtype=int), x, np.zeros((m, 5), dtype=int), rng_for(11, "perm-all"))
+        assert abs(vals.mean() - 0.2) <= 4 * math.sqrt(0.2 * 0.8 / m)
+        assert f.permuted_rows == m
+
+
 class TestAcceptance:
     def test_constant_assignments(self):
         gap = small_gap(Predicate.and_(2))
@@ -433,6 +558,45 @@ class TestAcceptance:
         exact = acceptance_exact(gap, theta, graph, params, f)
         mc = acceptance_estimate(gap, theta, graph, params, f, 200000, 14)
         assert mc.estimate == pytest.approx(exact, abs=4 * mc.stderr)
+
+    def test_dictator_estimate_matches_exact_with_fallbacks(self):
+        # n = 4, R = 2: equal codes are common, so the fallback rows, the only
+        # ones the dictator permutes, carry a visible share of the estimate.
+        # Coupled leaks and a family whose edges always disagree make the two
+        # positions' fallback reads strongly correlated at a shared coordinate.
+        gap = small_gap()
+        support = [(Assignment({"a": 0, "b": 1, "c": 0}), 0.5), (Assignment({"a": 1, "b": 0, "c": 1}), 0.5)]
+        theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.05, 0.5)
+        graph = generate_sse("planted", 4, 2, 0.5, seed=13)
+        params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.7, rho_sq=1.0, R=2, eta=0.02)
+        exact = acceptance_exact(gap, theta, graph, params, dictator_assignment(graph.planted, params, graph))
+        f = dictator_assignment(graph.planted, params, graph)
+        mc = acceptance_estimate(gap, theta, graph, params, f, 200000, 21)
+        assert f.dictator.fallback_count >= 0.05 * f.dictator.query_count
+        assert f.permuted_rows == f.dictator.fallback_count
+        assert mc.estimate == pytest.approx(exact, abs=4 * mc.stderr)
+
+    def test_coordinate_reader_closed_form(self):
+        # f reads x at coordinate 0 of the permuted row, i.e. at a uniform
+        # coordinate of each position, independently: the two reads share a
+        # coordinate with probability 1/R, and only then are they coupled,
+        # by the fraction k of coordinates where both positions keep their
+        # outcome bits.  P[z'_1 = z'_2 = top] = beta^2 + rho^2 (1-eta)^2 (beta - beta^2).
+        gap = small_gap(Predicate.and_(2))
+        theta = mixture_theta(gap, np.random.default_rng(22))
+        R, beta, rho_sq, eta = 3, 0.5, 0.9, 0.05
+        params = ReductionParams.manual(mu=theta.bias(), r=2, beta=beta, rho_sq=rho_sq, R=R, eta=eta)
+        k = (beta ** 2 + rho_sq * (1 - eta) ** 2 * (beta - beta ** 2)) * (1 - eta) ** 2
+        table = gap.predicate.table()
+        expect = 0.0
+        for edge, w in gap.edges:
+            probs, _ = edge_block_probs(theta, edge)
+            mu = [np.array([1 - theta.vertex_mean(v), theta.vertex_mean(v)]) for v in edge]
+            indep = np.outer(mu[0], mu[1]).reshape(-1)
+            expect += w * float(table @ (indep + k / R * (probs - indep)))
+        f = LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0])
+        mc = acceptance_estimate(gap, theta, cycle_sse(6), params, f, 200000, 23)
+        assert mc.estimate == pytest.approx(expect, abs=4 * mc.stderr)
 
     def test_deterministic_per_seed(self):
         gap = small_gap()

@@ -219,6 +219,26 @@ class TestBiasConcentration:
         assert rep.variance_holds
 
 
+    def test_checks_draw_their_own_rounds(self, monkeypatch):
+        # the variance and value checks must not share Gaussian matrices
+        import biascsp.rounding as rounding
+
+        seen = []
+        batch_p = rounding._batch_p
+
+        def record(*args):
+            seen.append(batch_p(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(rounding, "_batch_p", record)
+        g = host()
+        fam = mixture_family(g, np.random.default_rng(9))
+        inp = RoundingInput(g, dictator_tables(g, fam, 3), vector_solution(fam), family=fam)
+        bias_concentration_check(inp, 200, 41)
+        value_check(inp, 200, 41)
+        assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
+
+
 class TestValueCheck:
     def test_exact_value_matches_oracle(self):
         g = host()
