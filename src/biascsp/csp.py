@@ -12,6 +12,8 @@ from .polynomial import MultilinearPolynomial
 
 WEIGHT_TOL = 1e-9
 EXHAUSTIVE_CAP = 22
+# Low bits of the split-index scan: rows of 2^10 values (8 KiB) per high pattern.
+_SCAN_LOW_BITS = 10
 
 
 class IncompleteAssignmentError(KeyError):
@@ -175,24 +177,101 @@ def relative_weight(g: ConstraintHypergraph, sigma: Assignment) -> float:
     return math.fsum(w * sigma[v] for v, w in g.vertex_weights.items())
 
 
+def _bit_rows(k: int) -> np.ndarray:
+    """(2^k, k) int64 bits of 0..2^k-1, most significant bit first."""
+    return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+
+
 def _all_values(g: ConstraintHypergraph):
-    """Vectorized (relative weight, value) over all 2^n assignments."""
+    """Vectorized (relative weight, value) over all 2^n assignments.
+
+    Returns ``(verts, weights, values)``.  Assignment index i labels vertex j
+    with bit ``(i >> (n-1-j)) & 1``, so vertex 0 is the most significant
+    bit.  The index splits into high bits h (the first n-k vertices) and low
+    bits l (the last k = min(n, _SCAN_LOW_BITS)), and both arrays have
+    C-order shape ``(2^(n-k), 2^k)``, so their flat index is i.  An edge's
+    predicate index is ``idx_hi(h) | idx_lo(l)``; it is built over the
+    edge's own high bits and all l only, and the gathered slab of weighted
+    table entries is broadcast-added over the high bits the edge does not
+    read.  Edges are added in edge order, one float add per entry each, so
+    every entry gets the same sum as a per-assignment loop over ``g.edges``.
+    """
     verts = g.vertices
     n = len(verts)
     if n > EXHAUSTIVE_CAP:
         raise InstanceTooLargeError(f"{n} vertices exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    masks = np.arange(2 ** n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
-    weights = bits @ g.vertex_weight_vector(verts)
+    k = min(n, _SCAN_LOW_BITS)
+    hi = n - k
+    lo_bits = _bit_rows(k)
+    vw = g.vertex_weight_vector(verts)
+    weights = (_bit_rows(hi) @ vw[:hi])[:, None] + (lo_bits @ vw[hi:])[None, :]
+    values = np.zeros((2 ** hi, 2 ** k))
+    axes = values.reshape((2,) * hi + (2 ** k,))  # one axis per high vertex
+    # vertex j's bit as an array that broadcasts against `axes`
+    bit = [np.arange(2).reshape((1,) * j + (2,) + (1,) * (hi - j)) for j in range(hi)]
+    bit += [lo_bits[:, j].reshape((1,) * hi + (-1,)) for j in range(k)]
     vindex = {v: i for i, v in enumerate(verts)}
-    values = np.zeros(len(masks))
     table = g.predicate.table()
     for vs, w in g.edges:
-        idx = np.zeros(len(masks), dtype=np.int64)
+        idx = 0
         for v in vs:
-            idx = (idx << 1) | bits[:, vindex[v]]
-        values += w * table[idx]
-    return verts, bits, weights, values
+            idx = (idx << 1) | bit[vindex[v]]
+        axes += (w * table)[idx]
+    return verts, weights, values
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """Best value over the assignments whose relative weight lies in a window.
+
+    ``assignments`` is the number scanned (2^n) and ``in_window`` the number
+    that passed the window.  ``outcome`` is the ``(value, witness, feasible)``
+    triple that ``opt_constrained`` and ``robust_opt`` return.
+    """
+
+    value: float
+    witness: Assignment | None
+    feasible: bool
+    assignments: int
+    in_window: int
+
+    @property
+    def outcome(self):
+        return self.value, self.witness, self.feasible
+
+
+def _window_scan(g: ConstraintHypergraph, window) -> ScanResult:
+    """Scan every assignment; ``window`` maps the weight array to a mask.
+
+    Ties go to the first optimal index (vertex 0 most significant).
+    """
+    verts, weights, values = _all_values(g)
+    ok = window(weights)
+    del weights  # freed before the masked copy below
+    in_window = int(np.count_nonzero(ok))
+    if not in_window:
+        return ScanResult(0.0, None, False, values.size, 0)
+    best = int(np.argmax(np.where(ok, values, -np.inf)))
+    n = len(verts)
+    bits = [(best >> (n - 1 - j)) & 1 for j in range(n)]
+    return ScanResult(
+        float(values.flat[best]), Assignment.from_bits(verts, bits), True, values.size, in_window
+    )
+
+
+def opt_constrained_scan(g: ConstraintHypergraph, mu: float, tol: float | None = None) -> ScanResult:
+    """``opt_constrained`` with the scan's counters."""
+    if tol is None:
+        tol = 0.5 * min(g.vertex_weights.values())
+    return _window_scan(g, lambda w: np.abs(w - mu) <= tol + WEIGHT_TOL)
+
+
+def robust_opt_scan(g: ConstraintHypergraph, mu: float, gamma: float) -> ScanResult:
+    """``robust_opt`` with the scan's counters."""
+    half = mu * math.sqrt(max(gamma, 0.0))
+    return _window_scan(
+        g, lambda w: (w >= mu - half - WEIGHT_TOL) & (w <= mu + half + WEIGHT_TOL)
+    )
 
 
 def opt_constrained(g: ConstraintHypergraph, mu: float, tol: float | None = None):
@@ -201,25 +280,10 @@ def opt_constrained(g: ConstraintHypergraph, mu: float, tol: float | None = None
     Default tol is half the minimum vertex weight.  Returns
     ``(value, witness, feasible)``; an empty window gives ``(0.0, None, False)``.
     """
-    if tol is None:
-        tol = 0.5 * min(g.vertex_weights.values())
-    verts, bits, weights, values = _all_values(g)
-    ok = np.abs(weights - mu) <= tol + WEIGHT_TOL
-    if not ok.any():
-        return 0.0, None, False
-    vals = np.where(ok, values, -np.inf)
-    best = int(np.argmax(vals))
-    return float(values[best]), Assignment.from_bits(verts, bits[best]), True
+    return opt_constrained_scan(g, mu, tol).outcome
 
 
 def robust_opt(g: ConstraintHypergraph, mu: float, gamma: float):
     """Best constrained value over the window mu*(1 +- sqrt(gamma)),
     realized over relative weights achievable by actual assignments."""
-    half = mu * math.sqrt(max(gamma, 0.0))
-    verts, bits, weights, values = _all_values(g)
-    ok = (weights >= mu - half - WEIGHT_TOL) & (weights <= mu + half + WEIGHT_TOL)
-    if not ok.any():
-        return 0.0, None, False
-    vals = np.where(ok, values, -np.inf)
-    best = int(np.argmax(vals))
-    return float(values[best]), Assignment.from_bits(verts, bits[best]), True
+    return robust_opt_scan(g, mu, gamma).outcome

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -51,21 +52,26 @@ def _emit(report, out_path, ok: bool) -> int:
 
 
 def _cmd_csp_opt(args) -> int:
-    from ..csp import opt_constrained, robust_opt
+    from ..csp import opt_constrained_scan, robust_opt_scan
 
     g = load_instance(args.infile)
+    t0 = time.perf_counter()
     if args.gamma is not None:
-        value, witness, feasible = robust_opt(g, args.mu, args.gamma)
+        scan = robust_opt_scan(g, args.mu, args.gamma)
     else:
-        value, witness, feasible = opt_constrained(g, args.mu, args.tol)
+        scan = opt_constrained_scan(g, args.mu, args.tol)
+    elapsed = time.perf_counter() - t0
     report = {
         "stage": "csp-opt",
-        "verdict": feasible,
-        "value": value,
+        "verdict": scan.feasible,
+        "value": scan.value,
         "mu": args.mu,
-        "witness": witness.labels if witness else None,
+        "witness": scan.witness.labels if scan.witness else None,
+        "assignments": scan.assignments,
+        "in_window": scan.in_window,
+        "elapsed_s": elapsed,
     }
-    return _emit(report, args.out, feasible)
+    return _emit(report, args.out, scan.feasible)
 
 
 def _cmd_pd(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 from ..csp import ConstraintHypergraph
 from ..pseudodist import LocalDistributionFamily
 from .dictator import permute_rows
-from .graphs import SseGraph, noisy_walk
+from .graphs import SseGraph, noisy_walk_at
 from .params import ReductionParams
 
 
@@ -169,10 +169,10 @@ class BatchTestSampler:
         # the refreshed Bernoulli(beta) symbol.
         u = rng.random((r, *shape))
         z_prime = ((u < p.eta * p.beta) | ((u >= p.eta) & z)).astype(np.int8)
-        b = noisy_walk(g, p.eta, a, rng, where=z_prime)
+        top = np.flatnonzero(z_prime)
+        b = noisy_walk_at(g, p.eta, a, z_prime.shape, top, rng)
         mu = np.array([self.mus[v] for v in edge])[:, None, None]
         x_new = (rng.random((r, *shape)) < mu).astype(np.int8)
-        top = np.flatnonzero(z_prime)
         keep = top[rng.random(top.size) >= p.eta]
         position, coord = np.divmod(keep, a.size)
         x_new.reshape(-1)[keep] = pos_bits[outcome(u_outcome.reshape(-1)[coord]), position]

@@ -1,10 +1,14 @@
 """Predicates, hypergraphs, and exhaustive constrained optima."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biascsp.csp import (
+    WEIGHT_TOL,
     Assignment,
     ConstraintHypergraph,
     IncompleteAssignmentError,
@@ -12,9 +16,12 @@ from biascsp.csp import (
     Predicate,
     assignment_value,
     opt_constrained,
+    opt_constrained_scan,
     predicate_multilinear,
     relative_weight,
+    _all_values,
     robust_opt,
+    robust_opt_scan,
 )
 
 
@@ -236,3 +243,141 @@ class TestStructuralProperties:
             ConstraintHypergraph({"a": 0.7, "b": 0.7}, [(("a", "b"), 1.0)], Predicate.xor(2))
         with pytest.raises(ValueError):
             ConstraintHypergraph({"a": 0.5, "b": 0.5}, [(("a", "c"), 1.0)], Predicate.xor(2))
+
+
+# ---- split-index scan against the bit-matrix reference ------------------------
+
+
+def reference_all_values(g):
+    """The 2^n x n bit-matrix enumeration that the split-index scan replaced."""
+    verts = g.vertices
+    n = len(verts)
+    masks = np.arange(2 ** n, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+    weights = bits @ g.vertex_weight_vector(verts)
+    vindex = {v: i for i, v in enumerate(verts)}
+    values = np.zeros(len(masks))
+    table = g.predicate.table()
+    for vs, w in g.edges:
+        idx = np.zeros(len(masks), dtype=np.int64)
+        for v in vs:
+            idx = (idx << 1) | bits[:, vindex[v]]
+        values += w * table[idx]
+    return verts, bits, weights, values
+
+
+def reference_best(g, window):
+    verts, bits, weights, values = reference_all_values(g)
+    ok = window(weights)
+    if not ok.any():
+        return 0.0, None, False
+    best = int(np.argmax(np.where(ok, values, -np.inf)))
+    return float(values[best]), Assignment.from_bits(verts, bits[best]), True
+
+
+def reference_opt(g, mu, tol):
+    if tol is None:
+        tol = 0.5 * min(g.vertex_weights.values())
+    return reference_best(g, lambda w: np.abs(w - mu) <= tol + WEIGHT_TOL)
+
+
+def reference_robust(g, mu, gamma):
+    half = mu * np.sqrt(max(gamma, 0.0))
+    return reference_best(g, lambda w: (w >= mu - half - WEIGHT_TOL) & (w <= mu + half + WEIGHT_TOL))
+
+
+def same_outcome(got, want):
+    assert got[2] == want[2]
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if want[1] is not None:
+        assert got[1].labels == want[1].labels
+
+
+@st.composite
+def instances(draw):
+    """Random instances of 1-14 vertices: non-uniform vertex weights, a random
+    predicate of arity 1-3, and edges that may repeat a vertex."""
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(1, 3))
+    accepting = draw(st.sets(st.tuples(*[st.integers(0, 1)] * r)))
+    vw = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    m = draw(st.integers(1, 12))
+    edges = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * r), min_size=m, max_size=m))
+    if r > 1 and draw(st.booleans()):
+        edges[0] = (edges[0][0],) * r  # a vertex at every position
+    ew = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    verts = {f"v{i}": w / sum(vw) for i, w in enumerate(vw)}
+    return ConstraintHypergraph(
+        verts,
+        [(tuple(f"v{i}" for i in e), w / sum(ew)) for e, w in zip(edges, ew)],
+        Predicate(r, frozenset(accepting)),
+    )
+
+
+class TestSplitScan:
+    @settings(max_examples=60, deadline=None)
+    @given(instances())
+    def test_values_bit_identical(self, g):
+        _, _, weights, values = reference_all_values(g)
+        verts, got_weights, got_values = _all_values(g)
+        assert verts == g.vertices
+        assert got_values.size == 2 ** len(verts)
+        assert np.array_equal(got_values.reshape(-1), values)
+        # a different summation order; far inside the window slack WEIGHT_TOL
+        assert np.max(np.abs(got_weights.reshape(-1) - weights)) <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances())
+    def test_optima_match_reference(self, g):
+        for mu in (0.0, 0.2, 0.25, 1 / 3, 0.5, 0.75, 1.0):
+            for tol in (None, 0.0, 1e-9, 0.1):
+                same_outcome(opt_constrained(g, mu, tol), reference_opt(g, mu, tol))
+            for gamma in (0.0, 0.01, 0.25):
+                same_outcome(robust_opt(g, mu, gamma), reference_robust(g, mu, gamma))
+
+    @pytest.mark.parametrize("n", [6, 14])
+    def test_ties_go_to_first_packed_index(self, n):
+        # an OR path over the first half of the vertices: many assignments
+        # satisfy every edge, and all vertices weigh the same
+        psi = Predicate.from_strings(2, ["01", "10", "11"])
+        verts = {f"v{i}": 1.0 / n for i in range(n)}
+        edges = [((f"v{i}", f"v{i + 1}"), 1.0 / (n // 2)) for i in range(n // 2)]
+        g = ConstraintHypergraph(verts, edges, psi)
+        mu = (n - 2) / n
+        value, witness, feasible = opt_constrained(g, mu, 0.0)
+        assert feasible
+        optima = [
+            bits
+            for bits in itertools.product((0, 1), repeat=n)  # packed-index order, v0 first
+            if sum(bits) == n - 2
+            and assignment_value(g, Assignment.from_bits(g.vertices, bits)) == value
+        ]
+        assert len(optima) > 1
+        assert witness.labels == Assignment.from_bits(g.vertices, optima[0]).labels
+
+    def test_counters(self):
+        g = cycle_graph(4, Predicate.xor(2))
+        scan = opt_constrained_scan(g, 0.5, 0.0)
+        assert (scan.assignments, scan.in_window) == (16, 6)
+        assert scan.outcome == opt_constrained(g, 0.5, 0.0)
+        assert robust_opt_scan(g, 0.5, 4.0).in_window == 16
+        empty = opt_constrained_scan(cycle_graph(3, Predicate.xor(2)), 0.5, 0.0)
+        assert (empty.assignments, empty.in_window, empty.feasible) == (8, 0, False)
+
+    def test_peak_memory_at_n20(self):
+        n, m = 20, 60
+        rng = np.random.default_rng(5)
+        verts = {f"v{i}": 1.0 / n for i in range(n)}
+        pairs = [rng.choice(n, size=2, replace=False) for _ in range(m)]
+        g = ConstraintHypergraph(
+            verts, [((f"v{a}", f"v{b}"), 1.0 / m) for a, b in pairs], Predicate.xor(2)
+        )
+        tracemalloc.start()
+        try:
+            _, _, feasible = opt_constrained(g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feasible
+        assert peak < 64 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"

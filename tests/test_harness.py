@@ -242,6 +242,16 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["value"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("window", [["--tol", "0"], ["--gamma", "0.04"]])
+    def test_csp_opt_reports_scan(self, instance_file, window):
+        proc = run_cli("csp", "opt", "--mu", "1/2", *window, "--in", str(instance_file))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        # 4 vertices of weight 1/4: 16 assignments, C(4,2) = 6 of them at weight 1/2
+        assert report["assignments"] == 16
+        assert report["in_window"] == 6
+        assert report["elapsed_s"] >= 0.0
+
     def test_pd_verify(self, instance_file, pd_file):
         proc = run_cli(
             "pd", "verify", "--in", str(pd_file), "--instance", str(instance_file),
