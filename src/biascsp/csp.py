@@ -243,6 +243,7 @@ class ScanResult:
 def _window_scan(g: ConstraintHypergraph, window) -> ScanResult:
     """Scan every assignment; ``window`` maps the weight array to a mask.
 
+    ``window`` may overwrite the weights, which are freed right after it.
     Ties go to the first optimal index (vertex 0 most significant).
     """
     verts, weights, values = _all_values(g)
@@ -263,7 +264,12 @@ def opt_constrained_scan(g: ConstraintHypergraph, mu: float, tol: float | None =
     """``opt_constrained`` with the scan's counters."""
     if tol is None:
         tol = 0.5 * min(g.vertex_weights.values())
-    return _window_scan(g, lambda w: np.abs(w - mu) <= tol + WEIGHT_TOL)
+
+    def window(w):
+        np.subtract(w, mu, out=w)  # in place: no 2^n temporaries
+        return np.abs(w, out=w) <= tol + WEIGHT_TOL
+
+    return _window_scan(g, window)
 
 
 def robust_opt_scan(g: ConstraintHypergraph, mu: float, gamma: float) -> ScanResult:

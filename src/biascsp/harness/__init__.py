@@ -1,11 +1,9 @@
 from .rng import rng_for, child_seed
-from .mc import McRun, OracleResult, exact_expectation, mc_run
+from .mc import McRun, mc_run
 
 __all__ = [
     "rng_for",
     "child_seed",
     "McRun",
-    "OracleResult",
-    "exact_expectation",
     "mc_run",
 ]

@@ -1,11 +1,9 @@
-"""Brute-force oracles and managed Monte Carlo runs."""
+"""Managed Monte Carlo runs and the exact-enumeration cap."""
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -13,41 +11,6 @@ from .rng import rng_for
 
 ORACLE_CAP = 1 << 24
 CHUNK = 1 << 16
-
-
-@dataclass
-class OracleResult:
-    value: float
-    enumeration_size: int
-    method: str
-    exact: Fraction | None = None
-
-
-def exact_expectation(values, weights=None, method: str = "enumeration") -> OracleResult:
-    """Exact weighted sum over an enumerated support.
-
-    ``weights`` defaults to uniform.  Fraction inputs stay exact; float inputs
-    are summed with compensated summation.
-    """
-    values = list(values)
-    n = len(values)
-    if n == 0:
-        raise ValueError("empty support")
-    if n > ORACLE_CAP:
-        raise ValueError(f"support of size {n} exceeds oracle cap {ORACLE_CAP}")
-    if weights is None:
-        weights = [Fraction(1, n)] * n
-    else:
-        weights = list(weights)
-        if len(weights) != n:
-            raise ValueError("weights must match support size")
-    if all(isinstance(v, (int, Fraction)) for v in values) and all(
-        isinstance(w, (int, Fraction)) for w in weights
-    ):
-        total = sum(Fraction(w) * Fraction(v) for w, v in zip(weights, values))
-        return OracleResult(float(total), n, method, exact=total)
-    total = math.fsum(float(w) * float(v) for w, v in zip(weights, values))
-    return OracleResult(total, n, method)
 
 
 @dataclass
@@ -60,41 +23,23 @@ class McRun:
     ci95: tuple[float, float]
     wall_time: float
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tag": self.tag,
-            "ci95": list(self.ci95),
-            "wall_time": self.wall_time,
-        }
 
-
-def mc_run(estimator, samples: int, seed: int, workers: int = 1, tag: str = "estimate") -> McRun:
+def mc_run(estimator, samples: int, seed: int, tag: str = "estimate") -> McRun:
     """Chunked Monte Carlo run of ``estimator(rng, n) -> array of n values``.
 
-    Chunk c draws from ``rng_for(seed, tag, c)``; the multi-worker result is
-    identical to the single-threaded one because chunks are combined by index.
+    Chunk c draws from ``rng_for(seed, tag, c)`` and the chunk sums are
+    combined by index, so the result depends only on (seed, tag, samples).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     t0 = time.perf_counter()
-    bounds = [(c, min(CHUNK, samples - c * CHUNK)) for c in range((samples + CHUNK - 1) // CHUNK)]
-
-    def run_chunk(arg):
-        c, n = arg
+    parts = []
+    for c in range((samples + CHUNK - 1) // CHUNK):
+        n = min(CHUNK, samples - c * CHUNK)
         vals = np.asarray(estimator(rng_for(seed, tag, c), n), dtype=float)
         if vals.size != n:
             raise ValueError("estimator returned wrong sample count")
-        return float(vals.sum()), float((vals ** 2).sum())
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, bounds))
-    else:
-        parts = [run_chunk(b) for b in bounds]
+        parts.append((float(vals.sum()), float((vals ** 2).sum())))
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     value = total / samples

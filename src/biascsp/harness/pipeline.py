@@ -1,5 +1,9 @@
 """End-to-end run management: smoothing, conditioning, vector solution, and
-optional rounding / lifted-test experiments, emitting one verdict per stage."""
+optional rounding / lifted-test experiments, emitting one record per stage.
+
+This module owns the stage record (:func:`stage`) and the builders of the
+checks the pipeline and the CLI share (``*_stage``); both front ends emit
+only through them and exit by :func:`failed`."""
 from __future__ import annotations
 
 import json
@@ -38,19 +42,43 @@ def parse_number(text) -> float:
     return float(text)
 
 
-def stage_entry(
-    stage: str,
+def stage(
+    name: str,
     verdict,
+    *,
     value=None,
     bound=None,
     stderr=None,
     seed=None,
     samples=None,
+    applicable: bool | None = None,
+    vacuous: bool | None = None,
     **extra,
 ) -> dict:
+    """The one report record of a check: the stable keys, the status and,
+    when there is any, ``extra``.
+
+    The status is, by precedence: ``fail`` when the verdict is False;
+    ``not-applicable`` when there is no verdict or the check's premise is not
+    met; ``vacuous`` when the check cannot fail; ``pass`` otherwise.
+    ``applicable`` and ``vacuous`` are None for a check that has no such
+    flag; a flag that is given feeds the status and is kept in ``extra``.
+    """
+    verdict = None if verdict is None else bool(verdict)
+    if verdict is False:
+        status = "fail"
+    elif verdict is None or (applicable is not None and not applicable):
+        status = "not-applicable"
+    elif vacuous:
+        status = "vacuous"
+    else:
+        status = "pass"
+    flags = {"applicable": applicable, "vacuous": vacuous}
+    extra.update((k, v) for k, v in flags.items() if v is not None)
     entry = {
-        "stage": stage,
+        "stage": name,
         "verdict": verdict,
+        "status": status,
         "value": value,
         "bound": bound,
         "stderr": stderr,
@@ -60,6 +88,11 @@ def stage_entry(
     if extra:
         entry["extra"] = extra
     return entry
+
+
+def failed(records) -> bool:
+    """The exit rule of every front end: some record has status ``fail``."""
+    return any(r["status"] == "fail" for r in records)
 
 
 def _load_obj(source, what: str) -> dict:
@@ -167,11 +200,121 @@ def _counted(f, run):
     }
 
 
+def verify_stage(name: str, family, mu, seed=None) -> dict:
+    """Feasibility of ``family`` at bias ``mu``: consistency and the moment
+    matrix's least eigenvalue against -1e-8."""
+    t0 = time.perf_counter()
+    report = verify_feasible(family, mu)
+    return stage(
+        name,
+        report.feasible,
+        value=report.min_eigenvalue,
+        bound=-1e-8,
+        seed=seed,
+        objective=report.objective,
+        bias=report.bias,
+        violations=len(report.consistency_violations),
+        moment_size=report.moment_size,
+        support_rows=report.support_rows,
+        path=report.path,
+        elapsed_s=time.perf_counter() - t0,
+    )
+
+
+def smooth_stage(name: str, family, eta: float, mu=None, seed=None):
+    """Smooth ``family`` towards bias ``mu`` (default: its own bias) and check
+    that the bias becomes (1-eta)*bias + eta*mu within 1e-9 and that the
+    objective keeps at least (1-eta)^r of its value.
+
+    Returns ``(record, smoothed family)``.
+    """
+    bias_before = family.bias()
+    mu = bias_before if mu is None else mu
+    obj_before = family.objective()
+    smoothed = family.smooth(eta, mu)
+    obj_floor = (1.0 - eta) ** family.host.predicate.arity * obj_before
+    bias_after, objective = smoothed.bias(), smoothed.objective()
+    expected_bias = (1.0 - eta) * bias_before + eta * mu
+    verdict = abs(bias_after - expected_bias) <= 1e-9 and objective >= obj_floor - 1e-9
+    record = stage(name, verdict, value=objective, bound=obj_floor, seed=seed, bias=bias_after, eta=eta)
+    return record, smoothed
+
+
+def condition_stage(name: str, family, target: float, budget: int, seed=None):
+    """Greedy conditioning of ``family`` down to average |correlation|
+    ``target`` within ``budget`` pins.  Returns ``(record, conditioned family)``."""
+    result = find_conditioning(family, target, budget)
+    record = stage(
+        name,
+        result.success,
+        value=result.family.statistics().avg_abs_corr,
+        bound=target,
+        seed=seed,
+        trace=result.trace,
+        subset=result.subset,
+        values=result.values,
+    )
+    return record, result.family
+
+
+def planted_dictator(graph, params, what: str):
+    """The dictator assignment of ``graph``'s planted set."""
+    from ..reduction import dictator_assignment
+
+    if not graph.planted:
+        raise ConfigError(f"{what} needs a planted graph")
+    return dictator_assignment(graph.planted, params, graph)
+
+
+def acceptance_stage(name: str, host, family, graph, params, f, trials: int, seed: int) -> dict:
+    """Monte Carlo acceptance of the lifted test against the completeness
+    bound; a bound <= 0 passes every estimate, so the record is vacuous."""
+    from ..reduction import acceptance_estimate
+
+    rep, work = _counted(
+        f, lambda: acceptance_estimate(host, family, graph, params, f, trials, seed, assert_bound=True)
+    )
+    return stage(
+        name,
+        rep.holds,
+        value=rep.estimate,
+        bound=rep.completeness_bound,
+        stderr=rep.stderr,
+        seed=seed,
+        samples=trials,
+        vacuous=rep.completeness_bound <= 0.0,
+        objective=rep.objective,
+        trials_per_s=trials / work["elapsed_s"],
+        **work,
+    )
+
+
+def mixing_stage(name: str, host, family, graph, params, f, alpha, a_samples: int, seed: int, **kw) -> dict:
+    """Concentration of the restriction means (``mixing_check``; ``kw`` goes
+    to it); vacuous when no mean in [0, 1] can reach the threshold."""
+    from ..reduction import mixing_check
+
+    mix, work = _counted(f, lambda: mixing_check(host, family, graph, params, f, alpha, a_samples, seed, **kw))
+    return stage(
+        name,
+        mix.holds,
+        value=mix.fraction,
+        bound=mix.bound,
+        stderr=mix.fraction_stderr,
+        seed=seed,
+        samples=mix.a_samples,
+        vacuous=mix.vacuous,
+        threshold=mix.threshold,
+        draws_per_s=mix.a_samples * mix.inner_samples / work["elapsed_s"],
+        **work,
+    )
+
+
 def run_pipeline(config) -> dict:
     """Smooth, condition, factor, then run the configured experiments.
 
-    Returns {"stages": [...], "ok": bool}; every stage carries the stable
-    report keys {stage, verdict, value, bound, stderr, seed, samples}.
+    Returns {"stages": [...], "ok": bool}; every stage is a :func:`stage`
+    record, and ``ok`` is False exactly when some status is ``fail``.
     Stage failures propagate as :class:`StageError` tagged with the stage.
     """
     cfg = _load_obj(config, "config")
@@ -198,76 +341,27 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
     mu_target = parse_number(cfg.get("mu", family.bias()))
 
     enter("verify-input")
-    t0 = time.perf_counter()
-    report = verify_feasible(family, mu_target)
-    elapsed = time.perf_counter() - t0
-    stages.append(
-        stage_entry(
-            "verify-input",
-            report.feasible,
-            value=report.min_eigenvalue,
-            bound=-1e-8,
-            seed=seed,
-            objective=report.objective,
-            bias=report.bias,
-            violations=len(report.consistency_violations),
-            moment_size=report.moment_size,
-            support_rows=report.support_rows,
-            path=report.path,
-            elapsed_s=elapsed,
-        )
-    )
+    stages.append(verify_stage("verify-input", family, mu_target, seed))
 
     enter("smooth")
     smooth_cfg = cfg.get("smooth", {})
     eta_s = parse_number(smooth_cfg.get("eta", 0.1))
-    bias_before = family.bias()
-    resample_mu = parse_number(smooth_cfg.get("mu", bias_before))
-    obj_before = family.objective()
-    family = family.smooth(eta_s, resample_mu)
-    r = host.predicate.arity
-    obj_floor = (1.0 - eta_s) ** r * obj_before
-    bias_after = family.bias()
-    expected_bias = (1.0 - eta_s) * bias_before + eta_s * resample_mu
-    stages.append(
-        stage_entry(
-            "smooth",
-            abs(bias_after - expected_bias) <= 1e-9 and family.objective() >= obj_floor - 1e-9,
-            value=family.objective(),
-            bound=obj_floor,
-            seed=seed,
-            bias=bias_after,
-            eta=eta_s,
-        )
-    )
+    resample_mu = parse_number(smooth_cfg["mu"]) if "mu" in smooth_cfg else None
+    record, family = smooth_stage("smooth", family, eta_s, resample_mu, seed)
+    stages.append(record)
 
     enter("condition")
     cond_cfg = cfg.get("condition", {})
     target = parse_number(cond_cfg.get("target", 0.05))
-    budget = int(cond_cfg.get("budget", 6))
-    result = find_conditioning(family, target, budget)
-    family = result.family
-    stages.append(
-        stage_entry(
-            "condition",
-            result.success,
-            value=family.statistics().avg_abs_corr,
-            bound=target,
-            seed=seed,
-            trace=result.trace,
-            subset=result.subset,
-            values=result.values,
-        )
-    )
+    record, family = condition_stage("condition", family, target, int(cond_cfg.get("budget", 6)), seed)
+    stages.append(record)
 
     enter("vector-solution")
     sol = vector_solution(family)
     index, m2 = moment_matrix(family, order=2)
     gram = np.vstack([sol.u_empty, sol.u]) @ np.vstack([sol.u_empty, sol.u]).T
     resid = float(np.abs(gram - m2).max())
-    stages.append(
-        stage_entry("vector-solution", resid <= 1e-7, value=resid, bound=1e-7, seed=seed)
-    )
+    stages.append(stage("vector-solution", resid <= 1e-7, value=resid, bound=1e-7, seed=seed))
 
     enter("rounding")
     round_cfg = cfg.get("rounding")
@@ -287,7 +381,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
         trials = int(round_cfg.get("trials", 2000))
         conc = bias_concentration_check(inp, trials, seed)
         stages.append(
-            stage_entry(
+            stage(
                 "rounding-variance",
                 conc.variance_holds,
                 value=conc.variance,
@@ -302,7 +396,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
         vtrials = int(round_cfg.get("value_trials", 20000))
         vc = value_check(inp, vtrials, seed, budget=parse_number(round_cfg.get("budget", 0.02)))
         stages.append(
-            stage_entry(
+            stage(
                 "rounding-value",
                 vc.holds,
                 value=vc.mc_value,
@@ -310,9 +404,9 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 stderr=vc.mc_stderr,
                 seed=seed,
                 samples=vtrials,
+                applicable=vc.applicable,
                 sigma_value=vc.mc_sigma_value,
                 max_influence=vc.max_influence,
-                applicable=vc.applicable,
                 exact_elapsed_s=vc.exact_elapsed_s,
             )
         )
@@ -320,14 +414,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
     enter("reduction")
     red_cfg = cfg.get("reduction")
     if red_cfg and red_cfg.get("enabled", True):
-        from ..reduction import (
-            ReductionParams,
-            SseGraph,
-            acceptance_estimate,
-            dictator_assignment,
-            generate_sse,
-            mixing_check,
-        )
+        from ..reduction import ReductionParams, SseGraph, generate_sse
 
         graph_spec = red_cfg.get("graph")
         if isinstance(graph_spec, dict) and "kind" in graph_spec:
@@ -350,30 +437,12 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
             R=int(pspec.get("R", 10)),
             eta=parse_number(pspec.get("eta", 0.01)),
         )
-        if graph.planted is None:
-            raise ConfigError("reduction experiments need a planted graph")
-        f = dictator_assignment(graph.planted, params, graph)
+        f = planted_dictator(graph, params, "reduction experiments")
         trials = int(red_cfg.get("accept_trials", 100000))
-        rep, work = _counted(
-            f, lambda: acceptance_estimate(host, family, graph, params, f, trials, seed, assert_bound=True)
-        )
+        stages.append(acceptance_stage("reduction-acceptance", host, family, graph, params, f, trials, seed))
         stages.append(
-            stage_entry(
-                "reduction-acceptance",
-                rep.holds,
-                value=rep.estimate,
-                bound=rep.completeness_bound,
-                stderr=rep.stderr,
-                seed=seed,
-                samples=trials,
-                objective=rep.objective,
-                trials_per_s=trials / work["elapsed_s"],
-                **work,
-            )
-        )
-        mix, work = _counted(
-            f,
-            lambda: mixing_check(
+            mixing_stage(
+                "mixing",
                 host,
                 family,
                 graph,
@@ -383,23 +452,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 a_samples=int(red_cfg.get("a_samples", 2000)),
                 seed=seed,
                 inner_samples=int(red_cfg.get("inner_samples", 512)),
-            ),
-        )
-        stages.append(
-            stage_entry(
-                "mixing",
-                mix.holds,
-                value=mix.fraction,
-                bound=mix.bound,
-                stderr=mix.fraction_stderr,
-                seed=seed,
-                samples=mix.a_samples,
-                threshold=mix.threshold,
-                vacuous=mix.vacuous,
-                draws_per_s=mix.a_samples * mix.inner_samples / work["elapsed_s"],
-                **work,
             )
         )
 
-    ok = all(s["verdict"] is not False for s in stages)
-    return {"stages": stages, "ok": ok}
+    return {"stages": stages, "ok": not failed(stages)}

@@ -230,18 +230,6 @@ class AcceptanceReport:
     slack: float
     holds: bool | None
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.estimate,
-            "stderr": self.stderr,
-            "samples": self.trials,
-            "seed": self.seed,
-            "objective": self.objective,
-            "bound": self.completeness_bound,
-            "slack": self.slack,
-            "verdict": self.holds,
-        }
-
 
 def acceptance_estimate(
     gap: ConstraintHypergraph,

@@ -381,3 +381,22 @@ class TestSplitScan:
             tracemalloc.stop()
         assert feasible
         assert peak < 64 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
+
+    def test_window_is_tested_in_place(self):
+        # values and weights are 8 MiB each at n = 20; a window test that
+        # allocates 2^n floats (w - mu, then its abs) would add 16 MiB more
+        n, m = 20, 60
+        rng = np.random.default_rng(5)
+        verts = {f"v{i}": 1.0 / n for i in range(n)}
+        pairs = [rng.choice(n, size=2, replace=False) for _ in range(m)]
+        g = ConstraintHypergraph(
+            verts, [((f"v{a}", f"v{b}"), 1.0 / m) for a, b in pairs], Predicate.xor(2)
+        )
+        tracemalloc.start()
+        try:
+            scan = opt_constrained_scan(g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (scan.feasible, scan.in_window) == (True, 184756)  # C(20, 10) weights at 1/2
+        assert peak < 20 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"

@@ -1,38 +1,16 @@
-"""Oracle engine, Monte Carlo runs, pipeline, and the CLI surface."""
+"""Monte Carlo runs, the stage record, the pipeline, and the CLI surface."""
 import json
 import math
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from biascsp.harness import exact_expectation, mc_run, rng_for
-from biascsp.harness.pipeline import ConfigError, parse_number, run_pipeline
-
-
-class TestExactExpectation:
-    def test_xor_over_uniform_square(self):
-        values = [a ^ b for a in (0, 1) for b in (0, 1)]
-        res = exact_expectation(values)
-        assert res.value == pytest.approx(0.5)
-        assert res.exact == Fraction(1, 2)
-        assert res.enumeration_size == 4
-
-    def test_constant(self):
-        res = exact_expectation([0.37] * 8)
-        assert res.value == pytest.approx(0.37)
-
-    def test_weighted_fractions_stay_exact(self):
-        res = exact_expectation(
-            [Fraction(1), Fraction(0)], weights=[Fraction(1, 3), Fraction(2, 3)]
-        )
-        assert res.exact == Fraction(1, 3)
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            exact_expectation([])
+from biascsp.harness import cli, mc_run, rng_for
+from biascsp.harness.pipeline import ConfigError, failed, parse_number, run_pipeline, stage
 
 
 class TestMcRun:
@@ -47,12 +25,6 @@ class TestMcRun:
         a = mc_run(est, 200000, 9)
         b = mc_run(est, 200000, 9)
         assert a.value == b.value
-
-    def test_worker_split_invariance(self):
-        est = lambda rng, n: rng.random(n)
-        single = mc_run(est, 300000, 11, workers=1)
-        multi = mc_run(est, 300000, 11, workers=4)
-        assert single.value == multi.value
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
@@ -89,6 +61,35 @@ def product_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+class TestStageRecord:
+    FLAG = st.sampled_from([True, False, None, np.True_, np.False_])
+
+    @given(verdict=FLAG, applicable=FLAG, vacuous=FLAG)
+    def test_status_precedence(self, verdict, applicable, vacuous):
+        record = stage("s", verdict, value=0.5, applicable=applicable, vacuous=vacuous)
+        if verdict is None:
+            expected = "not-applicable"
+        elif not verdict:
+            expected = "fail"
+        elif applicable is not None and not applicable:
+            expected = "not-applicable"
+        else:
+            expected = "vacuous" if vacuous else "pass"
+        assert record["status"] == expected
+        assert record["verdict"] is (None if verdict is None else bool(verdict))
+        assert failed([record]) is (expected == "fail")
+        # a flag that is given is recorded next to the status; None means no such flag
+        flags = {"applicable": applicable, "vacuous": vacuous}
+        assert record.get("extra", {}) == {k: v for k, v in flags.items() if v is not None}
+
+    def test_stable_keys(self):
+        record = stage("s", True, value=1.0, seed=3, elapsed_s=0.1)
+        keys = ["stage", "verdict", "status", "value", "bound", "stderr", "seed", "samples", "extra"]
+        assert list(record) == keys
+        assert record["extra"] == {"elapsed_s": 0.1}
+        assert "extra" not in stage("s", None)
 
 
 class TestParseNumber:
@@ -160,6 +161,14 @@ class TestPipeline:
         # threshold 2*sqrt(centre ~ 0.3) ~ 1.1: no [0,1] mean can reach it
         assert by_stage["mixing"]["extra"]["threshold"] > 1.0
         assert by_stage["mixing"]["extra"]["vacuous"] is True
+
+    def test_reduction_stages_report_vacuous_status(self, tmp_path):
+        by_stage = self.reduction_stages(tmp_path)
+        # completeness bound exp(-6)*rho^2/r*objective - 10*r*eta < 0: every estimate passes it
+        assert by_stage["reduction-acceptance"]["bound"] <= 0.0
+        assert by_stage["reduction-acceptance"]["status"] == "vacuous"
+        assert by_stage["mixing"]["status"] == "vacuous"
+        assert by_stage["verify-input"]["status"] == "pass"
 
     def test_reduction_stages_report_work(self, tmp_path):
         by_stage = self.reduction_stages(tmp_path)
@@ -248,9 +257,9 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         # 4 vertices of weight 1/4: 16 assignments, C(4,2) = 6 of them at weight 1/2
-        assert report["assignments"] == 16
-        assert report["in_window"] == 6
-        assert report["elapsed_s"] >= 0.0
+        assert report["extra"]["assignments"] == 16
+        assert report["extra"]["in_window"] == 6
+        assert report["extra"]["elapsed_s"] >= 0.0
 
     def test_pd_verify(self, instance_file, pd_file):
         proc = run_cli(
@@ -298,7 +307,7 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert len(report["outcomes"]) == 4
+        assert len(report["extra"]["outcomes"]) == 4
 
     def test_round_run_trials_have_own_streams(self, instance_file, tmp_path):
         # trial 1 at --seed 3 must not replay trial 0 at --seed 4
@@ -316,7 +325,7 @@ class TestCli:
                 "--R", "3", "--trials", "2", "--seed", str(seed),
             )
             assert proc.returncode == 0, proc.stderr
-            return json.loads(proc.stdout)["outcomes"][trial]["p"]
+            return json.loads(proc.stdout)["extra"]["outcomes"][trial]["p"]
 
         assert trial_p(3, 1) != trial_p(4, 0)
 
@@ -327,7 +336,7 @@ class TestCli:
             "--delta", "0.25", "--seed", "4", "--out", str(graph_file),
         )
         assert proc.returncode == 0, proc.stderr
-        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["graph"]))
+        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["extra"]["graph"]))
         proc = run_cli(
             "reduce", "accept", "--instance", str(instance_file), "--pd", str(pd_file),
             "--graph", str(graph_file), "--R", "6", "--trials", "20000", "--seed", "5",
@@ -340,15 +349,15 @@ class TestCli:
             "reduce", "gen", "--kind", "random-regular", "--n", "12", "--deg", "4",
             "--seed", "6", "--out", str(graph_file),
         )
-        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["graph"]))
+        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["extra"]["graph"]))
         proc = run_cli(
             "reduce", "sample", "--instance", str(instance_file), "--pd", str(pd_file),
             "--graph", str(graph_file), "--R", "5", "--seed", "7",
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert len(report["parts"]) == 2
-        assert len(report["parts"][0]["B"]) == 5
+        assert len(report["extra"]["parts"]) == 2
+        assert len(report["extra"]["parts"][0]["B"]) == 5
 
     def test_reduce_decouple_exact_beyond_r5(self, instance_file, pd_file, tmp_path):
         graph_file = tmp_path / "graph.json"
@@ -356,7 +365,7 @@ class TestCli:
             "reduce", "gen", "--kind", "random-regular", "--n", "12", "--deg", "4",
             "--seed", "6", "--out", str(graph_file),
         )
-        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["graph"]))
+        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["extra"]["graph"]))
         args = (
             "reduce", "decouple", "--instance", str(instance_file), "--pd", str(pd_file),
             "--graph", str(graph_file), "--R", "7", "--seed", "8",
@@ -367,7 +376,7 @@ class TestCli:
             assert proc.returncode == 0, proc.stderr
             reports[mode] = json.loads(proc.stdout)
         exact, mc = reports["exact"], reports["mc"]
-        assert exact["mode"] == "exact" and exact["value"] <= exact["bound"]
+        assert exact["extra"]["mode"] == "exact" and exact["value"] <= exact["bound"]
         # each product lies in [0, 1], so the mc mean over decoupling_check's
         # default 2^20 samples has stderr <= 0.5 / sqrt(samples)
         assert abs(mc["value"] - exact["value"]) <= 4 * 0.5 / math.sqrt(1 << 20)
@@ -418,3 +427,81 @@ class TestCli:
         bad.write_text("{]")
         proc = run_cli("pipeline", "--config", str(bad))
         assert proc.returncode == 2
+
+
+def run_main(capsys, *argv):
+    """In-process CLI run: (exit code, the printed report)."""
+    code = cli.main([str(a) for a in argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestCliRecords:
+    @pytest.mark.parametrize("path", [c[0] for c in cli.COMMANDS], ids=" ".join)
+    def test_help(self, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path, "--help"])
+        assert exc.value.code == 0
+        assert "--out" in capsys.readouterr().out
+
+    def test_lambda_bound_outside_premise_is_not_applicable(self, capsys):
+        # rho = 0.5 is far above the cap 1/(4 r^2 ln(1/delta)): the bound is not asserted
+        code, record = run_main(
+            capsys, "gauss", "lambda", "--rho", "0.5", "--deltas", "0.01,0.01",
+            "--samples", "20000", "--check-bound",
+        )
+        assert (code, record["verdict"], record["status"]) == (0, None, "not-applicable")
+        assert record["extra"]["applicable"] is False
+
+    def test_infeasible_family_fails(self, instance_file, tmp_path, capsys):
+        # each vertex's marginal reads 0.5 alone and 0.6 inside its edges
+        singles = [{"subset": [f"v{i}"], "probs": {"0": 0.5, "1": 0.5}} for i in range(4)]
+        pairs = [
+            {"subset": [f"v{i}", f"v{(i + 1) % 4}"], "probs": {"00": 0.4, "10": 0.3, "11": 0.3}}
+            for i in range(4)
+        ]
+        bad = tmp_path / "bad_pd.json"
+        bad.write_text(json.dumps({"level": 2, "locals": singles + pairs}))
+        code, record = run_main(capsys, "pd", "verify", "--in", bad, "--instance", instance_file)
+        assert (code, record["verdict"], record["status"]) == (1, False, "fail")
+
+    @pytest.mark.parametrize("verdict, status, code", [(True, "fail", 1), (False, "vacuous", 0), (None, "pass", 0)])
+    def test_exit_code_reads_status(self, monkeypatch, capsys, verdict, status, code):
+        record = {"stage": "s", "verdict": verdict, "status": status}
+        monkeypatch.setattr(cli, "run_pipeline", lambda config: {"stages": [record]})
+        assert run_main(capsys, "pipeline", "--config", "unused.json")[0] == code
+
+    def test_pd_smooth_checks_the_smoothing(self, instance_file, pd_file, monkeypatch, capsys):
+        from biascsp.pseudodist import LocalDistributionFamily
+
+        argv = ("pd", "smooth", "--eta", "0.5", "--mu", "0.2", "--in", pd_file, "--instance", instance_file)
+        code, record = run_main(capsys, *argv)
+        assert (code, record["status"]) == (0, "pass")
+        # product family at 1/2 on a 4-cycle of XOR: objective 1/2, floor (1/2)^2 * 1/2
+        assert record["bound"] == pytest.approx(0.125)
+        assert record["extra"]["bias"] == pytest.approx(0.35)
+        assert "family" in record["extra"]
+        # a smoothing that leaves the family as it is misses the bias 0.35
+        monkeypatch.setattr(LocalDistributionFamily, "smooth", lambda self, eta, mu: self)
+        code, record = run_main(capsys, *argv)
+        assert (code, record["verdict"], record["status"]) == (1, False, "fail")
+
+    def test_cli_and_pipeline_report_the_same_fields(self, instance_file, tmp_path, capsys):
+        stages = TestPipeline.reduction_stages(tmp_path)
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        pd = tmp_path / "pd_mixture.json"
+        pd.write_text(json.dumps(cfg["pseudodistribution"]))
+        spec = cfg["reduction"]["graph"]
+        _, gen = run_main(capsys, "reduce", "gen", *(f"--{k}={v}" for k, v in spec.items()))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(gen["extra"]["graph"]))
+        ctx = ("--instance", instance_file, "--pd", pd, "--graph", graph, "--R", 4, "--seed", 7)
+        runs = {
+            "verify-input": ("pd", "verify", "--in", pd, "--instance", instance_file),
+            "condition": ("pd", "condition", "--target", 1.0, "--budget", 0, "--in", pd, "--instance", instance_file),
+            "reduction-acceptance": ("reduce", "accept", *ctx, "--trials", 2000),
+            "mixing": ("reduce", "mix", *ctx, "--a-samples", 20),
+        }
+        for name, argv in runs.items():
+            _, record = run_main(capsys, *argv)
+            assert set(record) == set(stages[name]), name
+            assert set(record["extra"]) - {"family"} == set(stages[name]["extra"]), name
