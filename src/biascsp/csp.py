@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .polynomial import MultilinearPolynomial
+from .probspace import domain_points, pack_bits, unpack_bits
 
 WEIGHT_TOL = 1e-9
 EXHAUSTIVE_CAP = 22
@@ -52,11 +53,7 @@ class Predicate:
     def table(self) -> np.ndarray:
         """Acceptance indicator indexed by packed bits (first argument = MSB)."""
         out = np.zeros(2 ** self.arity, dtype=np.int8)
-        for a in self.accepting:
-            idx = 0
-            for b in a:
-                idx = (idx << 1) | b
-            out[idx] = 1
+        out[[pack_bits(a) for a in self.accepting]] = 1
         return out
 
     @classmethod
@@ -177,11 +174,6 @@ def relative_weight(g: ConstraintHypergraph, sigma: Assignment) -> float:
     return math.fsum(w * sigma[v] for v, w in g.vertex_weights.items())
 
 
-def _bit_rows(k: int) -> np.ndarray:
-    """(2^k, k) int64 bits of 0..2^k-1, most significant bit first."""
-    return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-
-
 def _all_values(g: ConstraintHypergraph):
     """Vectorized (relative weight, value) over all 2^n assignments.
 
@@ -202,9 +194,9 @@ def _all_values(g: ConstraintHypergraph):
         raise InstanceTooLargeError(f"{n} vertices exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     k = min(n, _SCAN_LOW_BITS)
     hi = n - k
-    lo_bits = _bit_rows(k)
+    lo_bits = domain_points(k)
     vw = g.vertex_weight_vector(verts)
-    weights = (_bit_rows(hi) @ vw[:hi])[:, None] + (lo_bits @ vw[hi:])[None, :]
+    weights = (domain_points(hi) @ vw[:hi])[:, None] + (lo_bits @ vw[hi:])[None, :]
     values = np.zeros((2 ** hi, 2 ** k))
     axes = values.reshape((2,) * hi + (2 ** k,))  # one axis per high vertex
     # vertex j's bit as an array that broadcasts against `axes`
@@ -213,10 +205,7 @@ def _all_values(g: ConstraintHypergraph):
     vindex = {v: i for i, v in enumerate(verts)}
     table = g.predicate.table()
     for vs, w in g.edges:
-        idx = 0
-        for v in vs:
-            idx = (idx << 1) | bit[vindex[v]]
-        axes += (w * table)[idx]
+        axes += (w * table)[pack_bits(bit[vindex[v]] for v in vs)]
     return verts, weights, values
 
 
@@ -253,10 +242,12 @@ def _window_scan(g: ConstraintHypergraph, window) -> ScanResult:
     if not in_window:
         return ScanResult(0.0, None, False, values.size, 0)
     best = int(np.argmax(np.where(ok, values, -np.inf)))
-    n = len(verts)
-    bits = [(best >> (n - 1 - j)) & 1 for j in range(n)]
     return ScanResult(
-        float(values.flat[best]), Assignment.from_bits(verts, bits), True, values.size, in_window
+        float(values.flat[best]),
+        Assignment.from_bits(verts, unpack_bits(best, len(verts))),
+        True,
+        values.size,
+        in_window,
     )
 
 

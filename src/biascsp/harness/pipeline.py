@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..csp import Assignment, ConstraintHypergraph
-from ..probspace import BiasedSpace, FunctionTable, domain_points
+from ..probspace import BiasedSpace, FunctionTable, domain_points, product_measure
 from ..pseudodist import (
     LocalDistributionFamily,
     find_conditioning,
@@ -122,13 +122,8 @@ def load_family(source, host: ConstraintHypergraph) -> LocalDistributionFamily:
     kind = obj.get("kind", "file" if isinstance(source, str) else None)
     level = int(obj.get("level", 6))
     if kind == "product":
-        mu = parse_number(obj.get("mu", 0.5))
         n = len(host.vertices)
-        joint = np.ones((2,) * n)
-        for axis in range(n):
-            shape = [1] * n
-            shape[axis] = 2
-            joint = joint * np.array([1.0 - mu, mu]).reshape(shape)
+        joint = product_measure([parse_number(obj.get("mu", 0.5))] * n).reshape((2,) * n)
         return LocalDistributionFamily(host, level, joint=joint)
     if kind == "mixture":
         support = []

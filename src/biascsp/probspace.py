@@ -129,10 +129,43 @@ def _n_axes(space: Space) -> int:
     return len(_axis_biases(space))
 
 
+def unpack_bits(index, width: int) -> np.ndarray:
+    """The points that flat indices encode: bit ``j`` of the last axis is
+    ``(index >> (width-1-j)) & 1``, most significant first.
+
+    The result has shape ``np.shape(index) + (width,)``; it is int64 for
+    Python-int and int64 indices.
+    """
+    return (np.asarray(index)[..., None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+def pack_bits(columns):
+    """Flat index of the point whose coordinates are ``columns``, the first
+    most significant; the inverse of :func:`unpack_bits`.
+
+    Each column is an int or an array, and the arrays broadcast together, so
+    ``pack_bits(x.T)`` packs the rows of an (m, R) bit matrix.  The index is
+    int64 whatever the columns' dtype, so int8 columns cannot wrap.
+    """
+    idx = np.int64(0)
+    for c in columns:
+        idx = (idx << 1) | c
+    return idx
+
+
+def product_measure(biases) -> np.ndarray:
+    """The product of Bernoulli(p) coordinates, one per bias, as a flat
+    vector in C order over ``(2,)*len(biases)``: the weight of the point
+    ``x`` is the product of ``p_j`` or ``1 - p_j``, taken in coordinate order."""
+    out = np.ones(1)
+    for p in biases:
+        out = np.multiply.outer(out, np.array([1.0 - p, p])).reshape(-1)
+    return out
+
+
 def domain_points(r: int) -> np.ndarray:
     """All points of {0,1}^r in lexicographic order, shape (2^r, r)."""
-    k = np.arange(2 ** r)
-    return (k[:, None] >> np.arange(r - 1, -1, -1)) & 1
+    return unpack_bits(np.arange(2 ** r), r)
 
 
 def character(p: float, b) -> float | np.ndarray:
@@ -182,16 +215,9 @@ class FunctionTable:
 
     def value_at(self, *coords) -> float:
         """Look up f at a point given as one bit-vector (or x-vector, z-vector)."""
-        if isinstance(self.space, PairedSpace):
-            x, z = coords
-            bits = tuple(x) + tuple(z)
-        else:
-            (bits,) = coords
-            bits = tuple(bits)
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | int(b)
-        return float(self.values[idx])
+        if len(coords) != (2 if isinstance(self.space, PairedSpace) else 1):
+            raise ValueError("a paired table takes (x, z); a single table takes one bit-vector")
+        return float(self.values[pack_bits(np.concatenate(coords).astype(np.int64))])
 
     def to_json(self) -> dict:
         return {"space": self.space.to_json(), "values": self.values.tolist()}
@@ -221,25 +247,19 @@ class FourierTable:
     def tensor(self) -> np.ndarray:
         return self.coeffs.reshape((2,) * _n_axes(self.space))
 
-    def _flat_index(self, mask_s: int, mask_t: int | None = None) -> int:
-        n = _n_axes(self.space)
+    def coefficient(self, mask_s: int, mask_t: int | None = None) -> float:
+        """f-hat at subset mask S (little-endian), or at the pair (S, T)."""
         if isinstance(self.space, PairedSpace):
             if mask_t is None:
                 raise ValueError("paired space needs a (S, T) mask pair")
-            r = self.space.r
-            bits = [(mask_s >> j) & 1 for j in range(r)] + [(mask_t >> j) & 1 for j in range(r)]
+            masks = (mask_s, mask_t)
         else:
             if mask_t is not None:
                 raise ValueError("single space takes one subset mask")
-            bits = [(mask_s >> j) & 1 for j in range(n)]
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        return idx
-
-    def coefficient(self, mask_s: int, mask_t: int | None = None) -> float:
-        """f-hat at subset mask S (little-endian), or at the pair (S, T)."""
-        return float(self.coeffs[self._flat_index(mask_s, mask_t)])
+            masks = (mask_s,)
+        # reversed, a little-endian mask lists its coordinates in point order
+        bits = np.concatenate([unpack_bits(m, self.space.r)[::-1] for m in masks])
+        return float(self.coeffs[pack_bits(bits)])
 
     def degrees(self) -> np.ndarray:
         return _mask_degrees(_n_axes(self.space))
@@ -323,22 +343,15 @@ def max_influence(fh: FourierTable) -> float:
     return max(influence(fh, j) for j in range(r))
 
 
-def noise_apply(fh: FourierTable, rho: float, mode: str = "auto") -> FourierTable:
+def noise_apply(fh: FourierTable, rho: float) -> FourierTable:
     """Attenuate level-d coefficients by rho^d.
 
-    ``per-space`` is the usual operator on a single biased space; ``composite``
-    is the product operator on a paired space, acting on the x and z parts
-    independently (degree = |S| + |T|).  ``auto`` picks by space type.
+    On a single biased space this is the usual noise operator; on a paired
+    space it is the product operator acting on the x and z parts
+    independently (degree = |S| + |T|).
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0,1]")
-    paired = isinstance(fh.space, PairedSpace)
-    if mode == "auto":
-        mode = "composite" if paired else "per-space"
-    if mode == "composite" and not paired:
-        raise ValueError("composite mode needs a paired space")
-    if mode == "per-space" and paired:
-        raise ValueError("per-space mode needs a single space")
     deg = _mask_degrees(_n_axes(fh.space))
     return FourierTable(fh.space, fh.coeffs * rho ** deg)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .csp import Assignment, ConstraintHypergraph
 from .harness.mc import ORACLE_CAP
 from .polynomial import _apply_axis
+from .probspace import unpack_bits
 
 CONSISTENCY_TOL = 1e-9
 PSD_TOL = -1e-8
@@ -387,14 +388,13 @@ def _joint_moments(theta: LocalDistributionFamily, index: list[tuple[str, ...]])
     pos = np.full((size, width), n)
     for a, sa in enumerate(index):
         pos[a, : len(sa)] = [theta._order[v] for v in sa]
-    shifts = n - 1 - np.arange(n)  # C order: vertex 0 is the top bit
     nz = np.flatnonzero(p)
     step = max(1, _MOMENT_CHUNK // size)
     out = np.zeros((size, size))
     for start in range(0, rows, step):
         x = nz[start : start + step]
         bits = np.ones((x.size, n + 1), dtype=bool)
-        bits[:, :n] = (x[:, None] >> shifts) & 1
+        bits[:, :n] = unpack_bits(x, n)
         m = bits[:, pos].all(axis=2).astype(float)
         out += (m * p[x, None]).T @ m
     return out

@@ -16,17 +16,25 @@ from ..probspace import (
     BiasedSpace,
     FunctionTable,
     PairedSpace,
+    domain_points,
     fourier_expand,
     iid_product_expectation,
     influence,
     max_influence,
     noise_apply,
+    pack_bits,
+    product_measure,
+    unpack_bits,
 )
 from ..pseudodist import LocalDistributionFamily
 from .dictator import LongCodeAssignment
 from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
 from .sampler import BatchTestSampler, edge_block_probs
+
+# The completeness reference of :func:`acceptance_estimate` gives up this
+# multiple of arity*noise.
+COMPLETENESS_SLACK = 10.0
 
 
 # ---- averaged restriction tables --------------------------------------------
@@ -53,25 +61,25 @@ def averaged_function(
     space = PairedSpace(
         BiasedSpace((mu_i,) * R, "bit"), BiasedSpace((beta,) * R, "leak")
     )
-    walk = walk_matrix(graph, eta) if mode == "exact" else None
     n = graph.n
-    perms = [np.array(p) for p in itertools.permutations(range(R))]
-    pts = ((np.arange(4 ** R)[:, None] >> np.arange(2 * R - 1, -1, -1)) & 1).astype(np.int8)
-    values = np.empty(4 ** R)
-    for k, row in enumerate(pts):
-        x, z = row[:R], row[R:]
-        bots = np.flatnonzero(z == 0)
-        work = n ** R * 2 ** len(bots) * len(perms)
-        if mode == "exact":
-            if work > ORACLE_CAP:
-                raise ValueError("enumeration too large; use mode='mc'")
-            values[k] = _avg_point_exact(f, A, x, z, bots, mu_i, walk, n, perms)
-        elif mode == "mc":
-            if rng is None:
-                raise ValueError("mc mode needs an rng")
-            values[k] = _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples_per_point)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact":
+        # the point with every leak symbol bot enumerates the most
+        if n ** R * 2 ** R * math.factorial(R) > ORACLE_CAP:
+            raise ValueError("enumeration too large; use mode='mc'")
+        walk = walk_matrix(graph, eta)
+        perms = [np.array(p) for p in itertools.permutations(range(R))]
+
+        def point(x, z):
+            return _avg_point_exact(f, A, x, z, np.flatnonzero(z == 0), mu_i, walk, n, perms)
+    elif mode == "mc":
+        if rng is None:
+            raise ValueError("mc mode needs an rng")
+
+        def point(x, z):
+            return _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples_per_point)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    values = np.array([point(row[:R], row[R:]) for row in domain_points(2 * R).astype(np.int8)])
     return FunctionTable(space, np.clip(values, 0.0, 1.0), bounded=True)
 
 
@@ -82,11 +90,8 @@ def _avg_point_exact(f, A, x, z, bots, mu_i, walk, n, perms):
     pb = np.ones(len(b_combos))
     for j in range(R):
         pb *= dists[j][b_combos[:, j]]
-    x_free = np.array(list(itertools.product((0, 1), repeat=len(bots))), dtype=np.int8)
-    px = (mu_i ** x_free * (1.0 - mu_i) ** (1 - x_free)).prod(axis=1) if len(bots) else np.ones(1)
-    if not len(bots):
-        x_free = np.zeros((1, 0), dtype=np.int8)
-    total = 0.0
+    x_free = domain_points(len(bots)).astype(np.int8)
+    px = product_measure([mu_i] * len(bots))
     nb, nx = len(b_combos), len(x_free)
     big_b = np.repeat(b_combos, nx, axis=0)
     big_x = np.tile(np.asarray(x, dtype=np.int8), (nb * nx, 1))
@@ -183,15 +188,15 @@ def acceptance_exact(
     """
     R = params.R
     n = graph.n
+    for edge, _ in gap.edges:  # before any permutation or combo is built
+        if (4 * n) ** (len(edge) * R) * math.factorial(R) ** len(edge) > ORACLE_CAP:
+            raise ValueError("exact acceptance enumeration too large")
     total = 0.0
     perms = [np.array(p) for p in itertools.permutations(range(R))]
     table = gap.predicate.table()
     for e_idx, (edge, w_e) in enumerate(gap.edges):
         r = len(edge)
         n_codes = (4 * n) ** r
-        n_combos = n_codes ** R
-        if n_combos * math.factorial(R) ** r > ORACLE_CAP:
-            raise ValueError("exact acceptance enumeration too large")
         block = test_block_distribution(gap, theta, graph, params, e_idx).reshape(-1)
         combos = np.array(list(itertools.product(range(n_codes), repeat=R)), dtype=np.int64)
         probs = block[combos].prod(axis=1)
@@ -205,12 +210,12 @@ def acceptance_exact(
             z_pos.append((code % 2).astype(np.int8))
         acc = np.zeros(len(combos))
         for perm_tuple in itertools.product(perms, repeat=r):
-            idx = np.zeros(len(combos), dtype=np.int64)
-            for pos in range(r):
-                pm = perm_tuple[pos]
-                bits = f.evaluate_batch(b_pos[pos][:, pm], x_pos[pos][:, pm], z_pos[pos][:, pm])
-                idx = (idx << 1) | bits.astype(np.int64)
-            acc += table[idx]
+            acc += table[
+                pack_bits(
+                    f.evaluate_batch(b_pos[pos][:, pm], x_pos[pos][:, pm], z_pos[pos][:, pm])
+                    for pos, pm in enumerate(perm_tuple)
+                )
+            ]
         acc /= math.factorial(R) ** r
         total += w_e * float(np.dot(probs, acc))
     return total
@@ -227,7 +232,6 @@ class AcceptanceReport:
     seed: int
     objective: float
     completeness_bound: float
-    slack: float
     holds: bool | None
 
 
@@ -239,21 +243,20 @@ def acceptance_estimate(
     f: LongCodeAssignment,
     trials: int,
     seed: int,
-    slack: float = 10.0,
     assert_bound: bool = False,
 ) -> AcceptanceReport:
     """Monte Carlo acceptance probability of an assignment under the test.
 
     The completeness reference is exp(-6)*coupling/arity times the family's
-    objective, minus a slack multiple of arity*noise; it is only asserted when
-    requested (dictator assignments on planted instances).
+    objective, minus :data:`COMPLETENESS_SLACK` times arity*noise; it is only
+    asserted when requested (dictator assignments on planted instances).
     """
     sampler = BatchTestSampler(gap, theta, graph, params)
     run = mc_run(lambda rng, m: sampler.accept_indicators(f, m, rng), trials, seed, tag="acceptance")
     c = theta.objective()
-    bound = math.exp(-6.0) * params.rho_sq / params.r * c - slack * params.r * params.eta
+    bound = math.exp(-6.0) * params.rho_sq / params.r * c - COMPLETENESS_SLACK * params.r * params.eta
     holds = run.value >= bound - 3.0 * run.stderr if assert_bound else None
-    return AcceptanceReport(run.value, run.stderr, trials, seed, c, bound, slack, holds)
+    return AcceptanceReport(run.value, run.stderr, trials, seed, c, bound, holds)
 
 
 # ---- leak-variable decoupling --------------------------------------------------
@@ -275,9 +278,7 @@ def _leak_block(block_probs: np.ndarray, r: int, beta: float, rho_sq: float) -> 
     """Joint (x-block, z-block) one-coordinate distribution: position bits from
     the edge's local distribution; leak bits either copied from one draw or
     i.i.d., independent of the bits."""
-    z_iid = np.ones(1)
-    for _ in range(r):
-        z_iid = np.multiply.outer(z_iid, np.array([1.0 - beta, beta])).reshape(-1)
+    z_iid = product_measure([beta] * r)
     z_coupled = np.zeros(2 ** r)
     z_coupled[0] = 1.0 - beta
     z_coupled[-1] = beta
@@ -291,19 +292,8 @@ def _pair_indices(outcomes: np.ndarray, r: int, R: int) -> list[np.ndarray]:
     ``outcomes`` is (N, R) with entries in [0, 4^r): per-coordinate joint
     (x-block, z-block) codes.  Returns one (N,) index array per position.
     """
-    xb = outcomes // (2 ** r)
-    zb = outcomes % (2 ** r)
-    out = []
-    for pos in range(r):
-        x_bits = (xb >> (r - 1 - pos)) & 1
-        z_bits = (zb >> (r - 1 - pos)) & 1
-        x_idx = np.zeros(len(outcomes), dtype=np.int64)
-        z_idx = np.zeros(len(outcomes), dtype=np.int64)
-        for j in range(R):
-            x_idx = (x_idx << 1) | x_bits[:, j]
-            z_idx = (z_idx << 1) | z_bits[:, j]
-        out.append(x_idx * 2 ** R + z_idx)
-    return out
+    bits = unpack_bits(outcomes, 2 * r)  # (N, R, 2r): x-block bits, then z-block bits
+    return [pack_bits([*bits[..., pos].T, *bits[..., r + pos].T]) for pos in range(r)]
 
 
 def _interleave(values: np.ndarray, n: int) -> np.ndarray:
@@ -357,9 +347,7 @@ def decoupling_check(
     flat = d_block.reshape(-1)
 
     # leak-averaged tables
-    zw = np.ones(1)
-    for _ in range(R):
-        zw = np.multiply.outer(zw, np.array([1.0 - beta, beta])).reshape(-1)
+    zw = product_measure([beta] * R)
     hbars = [t.values.reshape(2 ** R, 2 ** R) @ zw for t in h_tables]
 
     if mode == "exact":
@@ -373,13 +361,10 @@ def decoupling_check(
             prod *= h_tables[pos].values[idx]
         lhs = float(prod.mean())
         xd = rng.choice(2 ** r, size=(samples, R), p=np.asarray(block_probs, dtype=float))
+        bits = unpack_bits(xd, r)
         prod_term = np.ones(samples)
         for pos in range(r):
-            bits = (xd >> (r - 1 - pos)) & 1
-            idx = np.zeros(samples, dtype=np.int64)
-            for j in range(R):
-                idx = (idx << 1) | bits[:, j]
-            prod_term *= hbars[pos][idx]
+            prod_term *= hbars[pos][pack_bits(bits[..., pos].T)]
         product_term = float(prod_term.mean())
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -534,14 +519,13 @@ def influence_decode_stat(
 
     # permutation-respect spot check
     violations = 0
-    pts_x = ((np.arange(2 ** R)[:, None] >> np.arange(R - 1, -1, -1)) & 1).astype(np.int8)
     for _ in range(respect_checks):
         pt = all_points[int(rng.integers(len(all_points)))]
         perm = rng.permutation(R)
-        x = pts_x[int(rng.integers(2 ** R))]
+        k = int(rng.integers(2 ** R))
         permuted_pt = tuple(np.asarray(pt)[perm])
-        lhs = table_of(permuted_pt)[_pack_bits(x[perm])]
-        rhs = table_of(pt)[_pack_bits(x)]
+        lhs = table_of(permuted_pt)[pack_bits(unpack_bits(k, R)[perm])]
+        rhs = table_of(pt)[k]
         if abs(lhs - rhs) > 1e-9:
             violations += 1
 
@@ -606,10 +590,3 @@ def influence_decode_stat(
         samples=samples,
         seed=seed,
     )
-
-
-def _pack_bits(bits) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx

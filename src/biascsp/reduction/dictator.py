@@ -23,15 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..probspace import pack_bits
 from .graphs import SseGraph
 from .params import ReductionParams
 
 
-def _as_batch(arr, dtype=np.int64) -> tuple[np.ndarray, bool]:
+def _as_batch(arr, dtype=np.int64) -> np.ndarray:
+    """``arr`` as rows of shape (m, R); a single row (R,) becomes (1, R)."""
     a = np.asarray(arr, dtype=dtype)
-    if a.ndim == 1:
-        return a[None, :], True
-    return a, False
+    return a[None, :] if a.ndim == 1 else a
 
 
 def permute_rows(rng: np.random.Generator, *arrays):
@@ -71,9 +71,7 @@ class PlantedDictator:
         return out, fallback
 
     def istar_batch(self, A: np.ndarray, z: np.ndarray) -> np.ndarray:
-        A, _ = _as_batch(A)
-        z, _ = _as_batch(z)
-        return self._select(A, z)[0]
+        return self._select(_as_batch(A), _as_batch(z))[0]
 
     def _tie_break(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of codes 2A + z: the index of the smallest code that
@@ -91,9 +89,7 @@ class PlantedDictator:
         return np.argmax(code == target[:, None], axis=1), fallback
 
     def evaluate_batch(self, A, x, z) -> np.ndarray:
-        A, _ = _as_batch(A)
-        x, _ = _as_batch(x)
-        z, _ = _as_batch(z)
+        A, x, z = _as_batch(A), _as_batch(x), _as_batch(z)
         idx = self.istar_batch(A, z)
         return x[np.arange(len(idx)), idx]
 
@@ -120,7 +116,6 @@ class PlantedDictator:
 class LongCodeAssignment:
     """Boolean assignment on lifted vertices with a vectorized evaluator."""
 
-    kind: str  # "dictator" | "table" | "callback"
     _eval: object = field(repr=False)
     dictator: PlantedDictator | None = None
     permuted_rows: int = field(default=0, init=False)  # rows evaluate_batch read at an explicit permutation
@@ -134,9 +129,7 @@ class LongCodeAssignment:
         permutes only the rows it cannot decide covariantly
         (:meth:`PlantedDictator.evaluate_permuted`).
         """
-        A, _ = _as_batch(A)
-        x, _ = _as_batch(x, np.int8)
-        z, _ = _as_batch(z, np.int8)
+        A, x, z = _as_batch(A), _as_batch(x, np.int8), _as_batch(z, np.int8)
         if rng is None:
             return np.asarray(self._eval(A, x, z), dtype=np.int8)
         if self.dictator is not None:
@@ -152,7 +145,7 @@ class LongCodeAssignment:
 
     @classmethod
     def from_callback(cls, fn) -> "LongCodeAssignment":
-        return cls("callback", fn)
+        return cls(fn)
 
     @classmethod
     def from_table(cls, n: int, R: int, values) -> "LongCodeAssignment":
@@ -161,17 +154,11 @@ class LongCodeAssignment:
         if values.size != n ** R * 4 ** R:
             raise ValueError("table size must be n^R * 4^R")
 
-        def fn(A, x, z):
-            idx = np.zeros(len(A), dtype=np.int64)
-            for j in range(R):
-                idx = idx * n + A[:, j]
-            for j in range(R):
-                idx = (idx << 1) | x[:, j]
-            for j in range(R):
-                idx = (idx << 1) | z[:, j]
-            return values[idx]
+        def fn(A, x, z):  # C order over (n,)*R + (2,)*R + (2,)*R
+            a_index = np.ravel_multi_index(tuple(A.T), (n,) * R)
+            return values[a_index * 4 ** R + pack_bits([*x.T, *z.T])]
 
-        return cls("table", fn)
+        return cls(fn)
 
 
 def dictator_assignment(planted, params: ReductionParams | None = None, graph: SseGraph | None = None) -> LongCodeAssignment:
@@ -187,8 +174,7 @@ def dictator_assignment(planted, params: ReductionParams | None = None, graph: S
     else:
         mask = np.asarray(planted, dtype=bool)
     core = PlantedDictator(mask)
-    lca = LongCodeAssignment("dictator", core.evaluate_batch, dictator=core)
-    return lca
+    return LongCodeAssignment(core.evaluate_batch, dictator=core)
 
 
 def analytic_bias(vertex_weights: dict[str, float], mus: dict[str, float]) -> float:

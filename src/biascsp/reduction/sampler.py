@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..csp import ConstraintHypergraph
+from ..probspace import domain_points, pack_bits
 from ..pseudodist import LocalDistributionFamily
 from .dictator import permute_rows
 from .graphs import SseGraph, noisy_walk_at
@@ -32,19 +33,12 @@ def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
     duplicate vertices within the edge induce identical columns.
     """
     key = theta._key(edge)
-    k = len(key)
     table = np.asarray(theta.local(key)).reshape(-1)
-    r = len(edge)
-    pos_of = {v: t for t, v in enumerate(key)}
-    outcome_bits = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.int8)
-    probs = np.zeros(2 ** r)
-    pos_bits = ((np.arange(2 ** r)[:, None] >> np.arange(r - 1, -1, -1)) & 1).astype(np.int8)
-    for o in range(2 ** k):
-        idx = 0
-        for pos, v in enumerate(edge):
-            idx = (idx << 1) | int(outcome_bits[o, pos_of[v]])
-        probs[idx] += table[o]
-    return probs, pos_bits
+    key_bits = domain_points(len(key))
+    # the outcome each assignment of the key's vertices induces on the positions
+    outcome = pack_bits(key_bits[:, key.index(v)] for v in edge)
+    probs = np.bincount(outcome, weights=table, minlength=2 ** len(edge))
+    return probs, domain_points(len(edge)).astype(np.int8)
 
 
 def leakage_apply(z, mu, point, graph: SseGraph, rng: np.random.Generator):
@@ -200,9 +194,8 @@ class BatchTestSampler:
         for e_idx, cnt in enumerate(counts):
             if cnt == 0:
                 continue
-            idx = np.zeros(cnt, dtype=np.int64)
-            for b, x, z in self.sample_parts(e_idx, cnt, rng):
-                idx = (idx << 1) | f.evaluate_batch(b, x, z, rng)
+            parts = self.sample_parts(e_idx, cnt, rng)
+            idx = pack_bits(f.evaluate_batch(b, x, z, rng) for b, x, z in parts)
             out[offset : offset + cnt] = table[idx]
             offset += cnt
         return out

@@ -25,6 +25,7 @@ from .probspace import (
     max_influence,
     multilinear_extend,
     noise_apply,
+    pack_bits,
 )
 from .pseudodist import LocalDistributionFamily, VectorSolution
 
@@ -43,7 +44,6 @@ class RoundingInput:
     solution: VectorSolution
     eta: float = 0.01
     tau: float = 0.1
-    nu: float = 0.1
     mu: float | None = None
     family: LocalDistributionFamily | None = None
     # derived
@@ -307,10 +307,7 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
     table = inp.host.predicate.table()
     sig_vals = np.zeros(trials)
     for edge, w_e in inp.host.edges:
-        idx = np.zeros(trials, dtype=np.int64)
-        for v in edge:
-            idx = (idx << 1) | sig[:, vindex[v]]
-        sig_vals += w_e * table[idx]
+        sig_vals += w_e * table[pack_bits(sig[:, vindex[v]] for v in edge)]
     t0 = time.perf_counter()
     exact = exact_test_value(inp)
     exact_elapsed = time.perf_counter() - t0

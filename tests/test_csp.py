@@ -23,6 +23,7 @@ from biascsp.csp import (
     robust_opt,
     robust_opt_scan,
 )
+from biascsp.probspace import domain_points
 
 
 def cycle_graph(k, predicate):
@@ -76,6 +77,15 @@ class TestPredicate:
                 assert poly.evaluate(np.array(corner, float)) == pytest.approx(
                     psi(corner), abs=1e-12
                 )
+
+
+    @given(arity=st.integers(1, 5), data=st.data())
+    def test_table_matches_call_on_every_point(self, arity, data):
+        accepting = data.draw(st.frozensets(st.tuples(*[st.integers(0, 1)] * arity)))
+        psi = Predicate(arity, accepting)
+        table = psi.table()
+        assert table.dtype == np.int8
+        assert [int(t) for t in table] == [psi(pt) for pt in domain_points(arity)]
 
 
 class TestValues:

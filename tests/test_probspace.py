@@ -1,9 +1,13 @@
 """Fourier calculus on biased product spaces, checked against enumeration oracles."""
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biascsp.probspace import (
     BiasedSpace,
@@ -19,7 +23,10 @@ from biascsp.probspace import (
     influence,
     multilinear_extend,
     noise_apply,
+    pack_bits,
+    product_measure,
     split_influences,
+    unpack_bits,
 )
 
 TOL = 1e-9
@@ -317,7 +324,7 @@ class TestPairedSpace:
         rng = np.random.default_rng(18)
         f = self.random_paired(rng, 2)
         fh = fourier_expand(f)
-        noised = noise_apply(fh, 0.5, mode="composite")
+        noised = noise_apply(fh, 0.5)
         for s in range(4):
             for t in range(4):
                 deg = bin(s).count("1") + bin(t).count("1")
@@ -345,3 +352,66 @@ class TestSerialization:
         fh = fourier_expand(random_table(rng, 2))
         back = FourierTable.from_json(fh.to_json())
         np.testing.assert_allclose(back.coeffs, fh.coeffs)
+
+
+class TestBitLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 62), data=st.data())
+    def test_pack_unpack_round_trip(self, width, data):
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, 2 ** width - 1), min_size=1, max_size=16)),
+            dtype=np.int64,
+        )
+        bits = unpack_bits(idx, width)
+        assert bits.shape == idx.shape + (width,)
+        assert set(np.unique(bits)) <= {0, 1}
+        # an independent reading of the layout: bit j weighs 2^(width-1-j)
+        assert [sum(int(b) << (width - 1 - j) for j, b in enumerate(row)) for row in bits] == idx.tolist()
+        for columns in (bits.T, bits.astype(np.int8).T):
+            packed = pack_bits(columns)
+            assert packed.dtype == np.int64
+            np.testing.assert_array_equal(packed, idx)
+        assert pack_bits(unpack_bits(int(idx[0]), width).tolist()) == idx[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 14), low=st.integers(0, 10), data=st.data())
+    def test_broadcast_columns(self, n, low, data):
+        """Columns shaped as the split-index scan of ``csp._all_values`` has
+        them: one axis per high vertex, then one axis over the low bits."""
+        k = min(n, low)
+        hi = n - k
+        lo_bits = domain_points(k)
+        bit = [np.arange(2).reshape((1,) * j + (2,) + (1,) * (hi - j)) for j in range(hi)]
+        bit += [lo_bits[:, j].reshape((1,) * hi + (-1,)) for j in range(k)]
+        points = domain_points(n)
+        for cols in (bit, [b.astype(np.int8) for b in bit]):
+            packed = pack_bits(cols)
+            assert packed.dtype == np.int64
+            np.testing.assert_array_equal(packed.reshape(-1), np.arange(2 ** n))
+            # an edge reads some vertices, repeats allowed, in its own order
+            vs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=9))
+            want = points[:, vs] @ (1 << np.arange(len(vs) - 1, -1, -1))
+            got = np.broadcast_to(pack_bits(cols[v] for v in vs), packed.shape)
+            np.testing.assert_array_equal(got.reshape(-1), want)
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=10))
+    def test_product_measure_is_outer_chain(self, biases):
+        want = np.ones(())
+        for p in biases:
+            want = np.multiply.outer(want, np.array([1.0 - p, p]))
+        got = product_measure(biases)
+        assert got.shape == (2 ** len(biases),)
+        np.testing.assert_array_equal(got, want.reshape(-1))
+
+    def test_no_hand_rolled_layout_outside_probspace(self):
+        """probspace is the one module that encodes the bit layout."""
+        root = Path(__file__).resolve().parents[1] / "src" / "biascsp"
+        pattern = re.compile(r"<< 1\) \||>> np\.arange\(")
+        found = [
+            f"{path.relative_to(root)}:{no}: {line.strip()}"
+            for path in sorted(root.rglob("*.py"))
+            if path.name != "probspace.py"
+            for no, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+        ]
+        assert not found, "hand-rolled bit layout; use probspace.pack_bits/unpack_bits:\n" + "\n".join(found)

@@ -1,6 +1,7 @@
 """Gadget graphs, parameter ledger, test sampler, dictators, and verifiers."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from biascsp.reduction import (
     sample_test_tuple,
     walk_matrix,
 )
-from biascsp.reduction.analysis import _leak_block, coupled_product_expectation
+from biascsp.reduction.analysis import _leak_block, _pair_indices, coupled_product_expectation
 from biascsp.reduction.dictator import PlantedDictator
 from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs, leakage_apply
 
@@ -625,6 +626,25 @@ class TestAcceptance:
         assert rep.estimate > theta.bias() ** 2 + 3 * rep.stderr
 
 
+    def test_refuses_before_enumerating(self):
+        """The work cap is checked before any permutation or combo is built."""
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(13))
+        graph = generate_sse("planted", 4, 2, 0.5, seed=13)
+        params = desk_params(theta, R=10)
+        f = dictator_assignment(graph.planted, params, graph)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large"):
+                acceptance_exact(gap, theta, graph, params, f)
+            with pytest.raises(ValueError, match="too large"):
+                averaged_function(f, np.zeros(8, dtype=np.int64), 0.4, params.beta, params.eta, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestAveragedFunction:
     def test_constant_assignment(self):
         graph = cycle_sse(6)
@@ -927,3 +947,89 @@ class TestDecodeStat:
         rep = influence_decode_stat(family, graph, params, tau=0.05, samples=2500, seed=45)
         assert rep.max_list_size == 0
         assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.stderr)
+
+
+# ---- the loops the probspace bit codec replaced, kept as references ------------
+
+
+def edge_block_probs_loop(theta, edge):
+    key = theta._key(edge)
+    k = len(key)
+    table = np.asarray(theta.local(key)).reshape(-1)
+    r = len(edge)
+    pos_of = {v: t for t, v in enumerate(key)}
+    outcome_bits = ((np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.int8)
+    probs = np.zeros(2 ** r)
+    pos_bits = ((np.arange(2 ** r)[:, None] >> np.arange(r - 1, -1, -1)) & 1).astype(np.int8)
+    for o in range(2 ** k):
+        idx = 0
+        for pos, v in enumerate(edge):
+            idx = (idx << 1) | int(outcome_bits[o, pos_of[v]])
+        probs[idx] += table[o]
+    return probs, pos_bits
+
+
+def pair_indices_loop(outcomes, r, R):
+    xb = outcomes // (2 ** r)
+    zb = outcomes % (2 ** r)
+    out = []
+    for pos in range(r):
+        x_bits = (xb >> (r - 1 - pos)) & 1
+        z_bits = (zb >> (r - 1 - pos)) & 1
+        x_idx = np.zeros(len(outcomes), dtype=np.int64)
+        z_idx = np.zeros(len(outcomes), dtype=np.int64)
+        for j in range(R):
+            x_idx = (x_idx << 1) | x_bits[:, j]
+            z_idx = (z_idx << 1) | z_bits[:, j]
+        out.append(x_idx * 2 ** R + z_idx)
+    return out
+
+
+def table_index_loop(n, R, A, x, z):
+    idx = np.zeros(len(A), dtype=np.int64)
+    for j in range(R):
+        idx = idx * n + A[:, j]
+    for j in range(R):
+        idx = (idx << 1) | x[:, j]
+    for j in range(R):
+        idx = (idx << 1) | z[:, j]
+    return idx
+
+
+class TestCodecAgainstLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(arity=st.integers(1, 4), seed=st.integers(0, 2 ** 31))
+    def test_edge_block_probs(self, arity, seed):
+        # edges drawn with replacement from 4 vertices, so vertices repeat
+        rng = np.random.default_rng(seed)
+        verts = {v: 0.25 for v in "abcd"}
+        edges = [(tuple(rng.choice(list(verts), size=arity)), 0.2) for _ in range(5)]
+        gap = ConstraintHypergraph(verts, edges, Predicate.xor(arity))
+        theta = mixture_theta(gap, rng)
+        for edge, _ in gap.edges:
+            probs, pos_bits = edge_block_probs(theta, edge)
+            want_probs, want_bits = edge_block_probs_loop(theta, edge)
+            np.testing.assert_array_equal(probs, want_probs)
+            np.testing.assert_array_equal(pos_bits, want_bits)
+            assert pos_bits.dtype == np.int8
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.integers(1, 3), R=st.integers(1, 5), seed=st.integers(0, 2 ** 31))
+    def test_pair_indices(self, r, R, seed):
+        outcomes = np.random.default_rng(seed).integers(0, 4 ** r, size=(64, R))
+        got = _pair_indices(outcomes, r, R)
+        want = pair_indices_loop(outcomes, r, R)
+        assert len(got) == len(want) == r
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n, R", [(2, 2), (3, 1), (1, 3)])
+    def test_from_table_index(self, n, R):
+        values = np.arange(n ** R * 4 ** R)  # distinct, so a wrong index shows
+        f = LongCodeAssignment.from_table(n, R, values)
+        rng = np.random.default_rng(n * 10 + R)
+        A = rng.integers(0, n, size=(50, R))
+        x = rng.integers(0, 2, size=(50, R)).astype(np.int8)
+        z = rng.integers(0, 2, size=(50, R)).astype(np.int8)
+        np.testing.assert_array_equal(f.evaluate_batch(A, x, z), values[table_index_loop(n, R, A, x, z)])
