@@ -6,9 +6,9 @@ master seed alone.  Labels are free-form strings/ints; the derivation hashes
 them into the key of a counter-based Philox generator.
 
 Splitting rule: a run over N samples is partitioned into fixed-size chunks,
-and chunk ``c`` of estimator ``tag`` uses ``rng_for(seed, tag, c)``.  Workers
-may process chunks in any order; combining per-chunk results by chunk index
-reproduces the single-threaded output bit for bit.
+and chunk ``c`` of estimator ``tag`` uses ``rng_for(seed, tag, c)``; combining
+the per-chunk results by chunk index makes the output depend only on the
+seed, the tag and N.
 """
 from __future__ import annotations
 

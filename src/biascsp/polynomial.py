@@ -12,7 +12,8 @@ import numpy as np
 
 
 def _apply_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``mat`` (shape (2,2), new-by-old) into one tensor axis."""
+    """Contract ``mat`` (shape (new, old), old the length of ``axis``) into
+    one tensor axis; the result has length new on that axis."""
     out = np.tensordot(mat, tensor, axes=(1, axis))
     return np.moveaxis(out, 0, axis)
 

@@ -1,9 +1,8 @@
-"""Verifiers for the lifted test: acceptance estimation and exact enumeration,
+"""Verifiers for the lifted test: acceptance estimation and its exact oracle,
 averaged restriction tables, leak-variable decoupling, long-code mixing, and
 influence-decoding statistics."""
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -12,6 +11,7 @@ import numpy as np
 from ..csp import ConstraintHypergraph
 from ..harness.mc import CHUNK, ORACLE_CAP, mc_run
 from ..harness.rng import rng_for
+from ..polynomial import _apply_axis
 from ..probspace import (
     BiasedSpace,
     FunctionTable,
@@ -37,6 +37,39 @@ from .sampler import BatchTestSampler, edge_block_probs
 COMPLETENESS_SLACK = 10.0
 
 
+# ---- the permutation-averaged assignment ------------------------------------
+
+
+def _symmetrized(f: LongCodeAssignment, n: int, R: int) -> np.ndarray:
+    """f averaged over the coordinate permutations, on the lifted grid.
+
+    Axis j of the (4n,)*R result is coordinate j, with letter
+    4*A(j) + 2*x(j) + z(j).  f is read once per grid point, CHUNK rows at a
+    time, and the grid is refused above ORACLE_CAP before f is read.  The
+    average over S_R is taken one axis at a time: S_k is the union of the
+    cosets (j k-1) S_{k-1}, j < k, so swapping axis k-1 with each earlier
+    axis averages a table symmetric in its first k-1 axes over S_k.
+    """
+    size = (4 * n) ** R
+    if size > ORACLE_CAP:
+        raise ValueError(
+            f"lifted grid (4n)^R = {size} is too large for the exact oracle (cap {ORACLE_CAP})"
+        )
+    t = np.empty(size)
+    for start in range(0, size, CHUNK):
+        stop = min(start + CHUNK, size)
+        code = np.stack(np.unravel_index(np.arange(start, stop), (4 * n,) * R), axis=1)
+        t[start:stop] = f.evaluate_batch(code // 4, code // 2 % 2, code % 2)
+    t = t.reshape((4 * n,) * R)
+    for k in range(2, R + 1):
+        acc = t.copy()
+        for j in range(k - 1):
+            acc += np.swapaxes(t, j, k - 1)
+        acc /= k
+        t = acc
+    return t
+
+
 # ---- averaged restriction tables --------------------------------------------
 
 
@@ -55,6 +88,9 @@ def averaged_function(
     walk, the leakage fold, and a uniform coordinate permutation.
 
     Returns a bounded table on the paired (bit, leak) space of the vertex.
+    Exact mode contracts the permutation average of f on the (4n)^R lifted
+    grid one coordinate at a time, so it is refused when that grid exceeds
+    ORACLE_CAP.
     """
     A = np.asarray(A, dtype=np.int64)
     R = A.size
@@ -63,47 +99,29 @@ def averaged_function(
     )
     n = graph.n
     if mode == "exact":
-        # the point with every leak symbol bot enumerates the most
-        if n ** R * 2 ** R * math.factorial(R) > ORACLE_CAP:
-            raise ValueError("enumeration too large; use mode='mc'")
+        t = _symmetrized(f, n, R)
         walk = walk_matrix(graph, eta)
-        perms = [np.array(p) for p in itertools.permutations(range(R))]
-
-        def point(x, z):
-            return _avg_point_exact(f, A, x, z, np.flatnonzero(z == 0), mu_i, walk, n, perms)
+        fold = np.multiply.outer(np.full(n, 1.0 / n), [1.0 - mu_i, mu_i])
+        for j in range(R):
+            # letter (x, z) to letter (b, x', z'): z' = z; where z is top,
+            # b follows the walk from A(j) and x' = x; where z is bot, b is
+            # uniform and x' is a fresh Bernoulli(mu_i) bit
+            kernel = np.zeros((2, 2, n, 2, 2))
+            kernel[:, 1, :, :, 1] = walk[A[j]][None, :, None] * np.eye(2)[:, None, :]
+            kernel[:, 0, :, :, 0] = fold
+            t = _apply_axis(t, kernel.reshape(4, 4 * n), j)
+        # letters 2x + z per axis -> x bits, then z bits: the paired layout
+        values = t.reshape((2, 2) * R).transpose([*range(0, 2 * R, 2), *range(1, 2 * R, 2)]).reshape(-1)
     elif mode == "mc":
         if rng is None:
             raise ValueError("mc mode needs an rng")
-
-        def point(x, z):
-            return _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples_per_point)
+        values = np.array([
+            _avg_point_mc(f, A, row[:R], row[R:], mu_i, eta, graph, rng, samples_per_point)
+            for row in domain_points(2 * R).astype(np.int8)
+        ])
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    values = np.array([point(row[:R], row[R:]) for row in domain_points(2 * R).astype(np.int8)])
     return FunctionTable(space, np.clip(values, 0.0, 1.0), bounded=True)
-
-
-def _avg_point_exact(f, A, x, z, bots, mu_i, walk, n, perms):
-    R = A.size
-    dists = [walk[A[j]] if z[j] == 1 else np.full(n, 1.0 / n) for j in range(R)]
-    b_combos = np.array(list(itertools.product(range(n), repeat=R)), dtype=np.int64)
-    pb = np.ones(len(b_combos))
-    for j in range(R):
-        pb *= dists[j][b_combos[:, j]]
-    x_free = domain_points(len(bots)).astype(np.int8)
-    px = product_measure([mu_i] * len(bots))
-    nb, nx = len(b_combos), len(x_free)
-    big_b = np.repeat(b_combos, nx, axis=0)
-    big_x = np.tile(np.asarray(x, dtype=np.int8), (nb * nx, 1))
-    if len(bots):
-        big_x[:, bots] = np.tile(x_free, (nb, 1))
-    big_z = np.tile(np.asarray(z, dtype=np.int8), (nb * nx, 1))
-    probs = (pb[:, None] * px[None, :]).reshape(-1)
-    acc = np.zeros(nb * nx)
-    for perm in perms:
-        acc += f.evaluate_batch(big_b[:, perm], big_x[:, perm], big_z[:, perm])
-    total = float(np.dot(probs, acc / len(perms)))
-    return total
 
 
 def _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples):
@@ -181,43 +199,28 @@ def acceptance_exact(
     params: ReductionParams,
     f: LongCodeAssignment,
 ) -> float:
-    """Acceptance probability by full enumeration of the test distribution.
+    """Acceptance probability of f under the test, exactly.
 
-    Feasible only for tiny lift dimension and graph size; intended as the
-    oracle side of identity checks.
+    Each position reads f at an independent uniform coordinate permutation,
+    that is, it reads the permutation average of f, and the R coordinates of
+    the test are i.i.d. copies of :func:`test_block_distribution`.  So per
+    edge and accepting string the acceptance is a product expectation of the
+    average or its complement per position, contracted one coordinate at a
+    time.  The (4n)^R grid and, at arity r, the contraction's (4n)^((r-1)R)
+    entries are checked against ORACLE_CAP before f is read.
     """
     R = params.R
     n = graph.n
-    for edge, _ in gap.edges:  # before any permutation or combo is built
-        if (4 * n) ** (len(edge) * R) * math.factorial(R) ** len(edge) > ORACLE_CAP:
-            raise ValueError("exact acceptance enumeration too large")
+    for edge, _ in gap.edges:
+        if (4 * n) ** ((len(edge) - 1) * R) > ORACLE_CAP:
+            raise ValueError("exact acceptance contraction too large")
+    fbar = _symmetrized(f, n, R)
+    reads = (1.0 - fbar, fbar)
     total = 0.0
-    perms = [np.array(p) for p in itertools.permutations(range(R))]
-    table = gap.predicate.table()
     for e_idx, (edge, w_e) in enumerate(gap.edges):
-        r = len(edge)
-        n_codes = (4 * n) ** r
-        block = test_block_distribution(gap, theta, graph, params, e_idx).reshape(-1)
-        combos = np.array(list(itertools.product(range(n_codes), repeat=R)), dtype=np.int64)
-        probs = block[combos].prod(axis=1)
-        keep = probs > 0
-        combos, probs = combos[keep], probs[keep]
-        b_pos, x_pos, z_pos = [], [], []
-        for pos in range(r):
-            code = (combos // (4 * n) ** (r - 1 - pos)) % (4 * n)
-            b_pos.append(code // 4)
-            x_pos.append(((code // 2) % 2).astype(np.int8))
-            z_pos.append((code % 2).astype(np.int8))
-        acc = np.zeros(len(combos))
-        for perm_tuple in itertools.product(perms, repeat=r):
-            acc += table[
-                pack_bits(
-                    f.evaluate_batch(b_pos[pos][:, pm], x_pos[pos][:, pm], z_pos[pos][:, pm])
-                    for pos, pm in enumerate(perm_tuple)
-                )
-            ]
-        acc /= math.factorial(R) ** r
-        total += w_e * float(np.dot(probs, acc))
+        block = test_block_distribution(gap, theta, graph, params, e_idx)
+        for a in sorted(gap.predicate.accepting):
+            total += w_e * iid_product_expectation([reads[bit] for bit in a], block)
     return total
 
 
@@ -313,14 +316,6 @@ def coupled_product_expectation(
     )
 
 
-def product_expectation_over_blocks(
-    h_values: list[np.ndarray], block_probs: np.ndarray, r: int, R: int
-) -> float:
-    """Exact E[prod_i h_i(x_i)] with coordinatewise x-blocks; h_i are flat
-    bit-space tables."""
-    return iid_product_expectation(h_values, np.reshape(block_probs, (2,) * r))
-
-
 def decoupling_check(
     h_tables: list[FunctionTable],
     block_probs: np.ndarray,
@@ -352,7 +347,7 @@ def decoupling_check(
 
     if mode == "exact":
         lhs = coupled_product_expectation([t.values for t in h_tables], flat, r, R)
-        product_term = product_expectation_over_blocks(hbars, block_probs, r, R)
+        product_term = iid_product_expectation(hbars, np.reshape(block_probs, (2,) * r))
     elif mode == "mc":
         rng = rng_for(seed, "decoupling")
         draws = rng.choice(n_blk, size=(samples, R), p=flat)
@@ -463,6 +458,15 @@ def mixing_check(
 # ---- influence decoding -----------------------------------------------------------
 
 
+def _walk_average(tables: np.ndarray, walk: np.ndarray) -> np.ndarray:
+    """g(A) = E[t_B] with B(j) drawn from ``walk[A(j)]`` independently per
+    coordinate; ``tables`` holds t_B at index B on its first axes, one per
+    coordinate, and the table on its last."""
+    for j in range(tables.ndim - 1):
+        tables = _apply_axis(tables, walk, j)
+    return tables
+
+
 @dataclass
 class DecodeStatReport:
     match_prob: float
@@ -501,17 +505,11 @@ def influence_decode_stat(
     if n ** R > 4096:
         raise ValueError("vertex-vector space too large for exact walk averages")
     rng = rng_for(seed, "decode-stat")
+    families = [table_family(pt) for pt in np.ndindex((n,) * R)]
+    space = families[0].space
+    tables = np.stack([np.asarray(t.values, dtype=float) for t in families]).reshape((n,) * R + (-1,))
     walk = walk_matrix(graph, eta)
-
-    tables: dict[tuple, np.ndarray] = {}
-
-    def table_of(pt: tuple) -> np.ndarray:
-        if pt not in tables:
-            tables[pt] = np.asarray(table_family(pt).values, dtype=float)
-        return tables[pt]
-
-    all_points = list(itertools.product(range(n), repeat=R))
-    space = table_family(all_points[0]).space
+    g_tables = _walk_average(tables, walk)
 
     def noised_influences(vals: np.ndarray) -> np.ndarray:
         fh = noise_apply(fourier_expand(FunctionTable(space, vals)), 1.0 - eta)
@@ -520,37 +518,22 @@ def influence_decode_stat(
     # permutation-respect spot check
     violations = 0
     for _ in range(respect_checks):
-        pt = all_points[int(rng.integers(len(all_points)))]
+        pt = np.unravel_index(int(rng.integers(n ** R)), (n,) * R)
         perm = rng.permutation(R)
         k = int(rng.integers(2 ** R))
         permuted_pt = tuple(np.asarray(pt)[perm])
-        lhs = table_of(permuted_pt)[pack_bits(unpack_bits(k, R)[perm])]
-        rhs = table_of(pt)[k]
+        lhs = tables[permuted_pt][pack_bits(unpack_bits(k, R)[perm])]
+        rhs = tables[pt][k]
         if abs(lhs - rhs) > 1e-9:
             violations += 1
-
-    g_tables: dict[tuple, np.ndarray] = {}
-
-    def g_of(pt: tuple) -> np.ndarray:
-        if pt not in g_tables:
-            per_coord = [walk[pt[j]] for j in range(R)]
-            acc = np.zeros(2 ** R)
-            for b_pt in all_points:
-                p = 1.0
-                for j in range(R):
-                    p *= per_coord[j][b_pt[j]]
-                if p > 0:
-                    acc += p * table_of(b_pt)
-            g_tables[pt] = acc
-        return g_tables[pt]
 
     lists1: dict[tuple, np.ndarray] = {}
     lists2: dict[tuple, np.ndarray] = {}
 
     def candidate_lists(pt: tuple) -> tuple[np.ndarray, np.ndarray]:
         if pt not in lists1:
-            inf_f = noised_influences(table_of(pt))
-            inf_g = noised_influences(g_of(pt))
+            inf_f = noised_influences(tables[pt])
+            inf_g = noised_influences(g_tables[pt])
             lists1[pt] = np.flatnonzero(inf_f >= tau / 2.0)
             lists2[pt] = np.flatnonzero(inf_g >= tau)
         return lists1[pt], lists2[pt]

@@ -140,9 +140,6 @@ class LongCodeAssignment:
         self.permuted_rows += permuted
         return np.asarray(vals, dtype=np.int8)
 
-    def evaluate(self, A, x, z) -> int:
-        return int(self.evaluate_batch([list(A)], [list(x)], [list(z)])[0])
-
     @classmethod
     def from_callback(cls, fn) -> "LongCodeAssignment":
         return cls(fn)

@@ -16,7 +16,7 @@ from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
 from biascsp.harness.mc import ORACLE_CAP
 from biascsp.probspace import BiasedSpace, FunctionTable, iid_product_expectation
 from biascsp.pseudodist import LocalDistributionFamily, vector_solution
-from biascsp.reduction.analysis import coupled_product_expectation, product_expectation_over_blocks
+from biascsp.reduction.analysis import coupled_product_expectation
 from biascsp.rounding import RoundingInput, exact_test_value, signed_tables
 
 ENUM_CAP = 1 << 18  # largest enumeration a hypothesis example may ask for
@@ -109,7 +109,7 @@ def test_bit_blocks_match_enumeration(k, data, seed):
     rng = np.random.default_rng(seed)
     probs = sparse_block(rng, 2 ** k)
     tables = [rng.random(2 ** R) for _ in range(k)]
-    got = product_expectation_over_blocks(tables, probs, k, R)
+    got = iid_product_expectation(tables, probs.reshape((2,) * k))
     assert got == pytest.approx(enumerated_product_expectation(tables, probs, k, R), abs=1e-12)
 
 
@@ -154,8 +154,8 @@ def test_test_value_matches_enumeration(k, data, seed):
 
 def test_bit_tables_at_r16_closed_form():
     # constant tables: the expectation is the product of the constants
-    got = product_expectation_over_blocks(
-        [np.full(2 ** 16, 0.3), np.full(2 ** 16, 0.7)], np.array([0.1, 0.2, 0.3, 0.4]), 2, 16
+    got = iid_product_expectation(
+        [np.full(2 ** 16, 0.3), np.full(2 ** 16, 0.7)], np.array([[0.1, 0.2], [0.3, 0.4]])
     )
     assert got == pytest.approx(0.21, abs=1e-12)
 

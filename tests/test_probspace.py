@@ -415,3 +415,16 @@ class TestBitLayout:
             if pattern.search(line)
         ]
         assert not found, "hand-rolled bit layout; use probspace.pack_bits/unpack_bits:\n" + "\n".join(found)
+
+    def test_no_enumeration_under_reduction(self):
+        """The lifted-test oracles contract one coordinate at a time; none
+        lists outcome combos or coordinate permutations."""
+        root = Path(__file__).resolve().parents[1] / "src" / "biascsp"
+        pattern = re.compile(r"itertools\.(product|permutations)\b|from itertools import .*\b(product|permutations)\b")
+        found = [
+            f"{path.relative_to(root)}:{no}: {line.strip()}"
+            for path in sorted((root / "reduction").rglob("*.py"))
+            for no, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+        ]
+        assert not found, "enumeration under reduction/; contract per coordinate instead:\n" + "\n".join(found)
