@@ -1,6 +1,6 @@
 from .graphs import SseGraph, expansion, generate_sse, noisy_walk, walk_matrix
 from .params import ReductionParams, derive_params
-from .sampler import TestSample, leakage_apply, sample_test_tuple
+from .sampler import TestSample, sample_test_tuple
 from .dictator import LongCodeAssignment, dictator_assignment
 from .analysis import (
     AcceptanceReport,
@@ -21,7 +21,6 @@ __all__ = [
     "ReductionParams",
     "derive_params",
     "TestSample",
-    "leakage_apply",
     "sample_test_tuple",
     "LongCodeAssignment",
     "dictator_assignment",

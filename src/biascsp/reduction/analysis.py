@@ -101,15 +101,8 @@ def averaged_function(
     if mode == "exact":
         t = _symmetrized(f, n, R)
         walk = walk_matrix(graph, eta)
-        fold = np.multiply.outer(np.full(n, 1.0 / n), [1.0 - mu_i, mu_i])
         for j in range(R):
-            # letter (x, z) to letter (b, x', z'): z' = z; where z is top,
-            # b follows the walk from A(j) and x' = x; where z is bot, b is
-            # uniform and x' is a fresh Bernoulli(mu_i) bit
-            kernel = np.zeros((2, 2, n, 2, 2))
-            kernel[:, 1, :, :, 1] = walk[A[j]][None, :, None] * np.eye(2)[:, None, :]
-            kernel[:, 0, :, :, 0] = fold
-            t = _apply_axis(t, kernel.reshape(4, 4 * n), j)
+            t = _apply_axis(t, _fold_kernel(walk[A[j]], mu_i), j)
         # letters 2x + z per axis -> x bits, then z bits: the paired layout
         values = t.reshape((2, 2) * R).transpose([*range(0, 2 * R, 2), *range(1, 2 * R, 2)]).reshape(-1)
     elif mode == "mc":
@@ -135,60 +128,60 @@ def _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples):
 # ---- exact acceptance via per-coordinate blocks ------------------------------
 
 
+def _noise_kernel(p: float, eta: float) -> np.ndarray:
+    """N(p, eta) = (1 - eta) I + eta Bernoulli(p): a bit kept, or with
+    probability eta redrawn from Bernoulli(p); entry [new, old]."""
+    return (1.0 - eta) * np.eye(2) + eta * np.array([[1.0 - p], [p]])
+
+
+def _fold_kernel(walk_row: np.ndarray, mu: float) -> np.ndarray:
+    """The leakage fold from letter 2x + z to code 4b + 2x' + z', as a (4, 4n)
+    conditional law with rows indexed by the letter: z' = z; where z is top,
+    b follows ``walk_row`` and x' = x; where z is bot, b is uniform and x' is
+    a fresh Bernoulli(mu) bit."""
+    n = walk_row.size
+    kernel = np.zeros((2, 2, n, 2, 2))
+    kernel[:, 1, :, :, 1] = walk_row[None, :, None] * np.eye(2)[:, None, :]
+    kernel[:, 0, :, :, 0] = np.multiply.outer(np.full(n, 1.0 / n), [1.0 - mu, mu])
+    return kernel.reshape(4, 4 * n)
+
+
 def test_block_distribution(
     gap: ConstraintHypergraph,
     theta: LocalDistributionFamily,
     graph: SseGraph,
     params: ReductionParams,
     edge_index: int,
-    mus: dict[str, float] | None = None,
 ) -> np.ndarray:
     """Exact one-coordinate joint of ((B', x', z') per position) for one edge.
 
     Output tensor has one axis of size 4n per edge position; the per-position
     code is vertex*4 + bit*2 + leak.  Coordinates of the full R-dimensional
-    tuple are i.i.d. copies of this block.
+    tuple are i.i.d. copies of this block.  It is the edge's leak block
+    (letters 2x + z), with each position's letter re-randomized by
+    N(mu_v, eta) on x and N(beta, eta) on z, then folded from one uniform
+    vertex a shared by all positions.  A block above ORACLE_CAP entries is
+    refused before anything is allocated.
     """
     edge, _ = gap.edges[edge_index]
     r = len(edge)
     n = graph.n
-    mus = mus or {v: theta.vertex_mean(v) for v in gap.vertices}
-    probs, pos_bits = edge_block_probs(theta, edge)
-    walk = walk_matrix(graph, params.eta)
-    uniform = np.full(n, 1.0 / n)
-    beta, eta, rho_sq = params.beta, params.eta, params.rho_sq
-    bdist = np.array([1.0 - beta, beta])
+    if (4 * n) ** r > ORACLE_CAP:
+        raise ValueError(f"test block (4n)^r = {(4 * n) ** r} is too large (cap {ORACLE_CAP})")
+    beta, eta = params.beta, params.eta
+    mus = [theta.vertex_mean(v) for v in edge]
+    probs, _ = edge_block_probs(theta, edge)
+    letters = _interleave(_leak_block(probs, r, beta, params.rho_sq), r)
+    for pos, mu in enumerate(mus):
+        letters = _apply_axis(letters, np.kron(_noise_kernel(mu, eta), _noise_kernel(beta, eta)), pos)
+    walk = walk_matrix(graph, eta)
     block = np.zeros((4 * n,) * r)
     for a in range(n):
-        for zc in (0, 1):
-            for xi in (0, 1):
-                p_latent = (1.0 / n) * bdist[zc] * (rho_sq if xi else 1.0 - rho_sq)
-                for o in range(2 ** r):
-                    p = p_latent * probs[o]
-                    if p == 0.0:
-                        continue
-                    conds = []
-                    for pos, v in enumerate(edge):
-                        x_val = int(pos_bits[o, pos])
-                        mu_v = mus[v]
-                        mdist = np.array([1.0 - mu_v, mu_v])
-
-                        z_src = np.zeros(2)
-                        if xi:
-                            z_src[zc] = 1.0
-                        else:
-                            z_src[:] = bdist
-                        q_z = (1.0 - eta) * z_src + eta * bdist
-                        q_x = eta * mdist
-                        q_x[x_val] += 1.0 - eta
-                        cond = np.zeros((n, 2, 2))
-                        cond[:, :, 1] = q_z[1] * np.outer(walk[a], q_x)
-                        cond[:, :, 0] = q_z[0] * np.outer(uniform, mdist)
-                        conds.append(cond.reshape(-1))
-                    joint = conds[0]
-                    for c in conds[1:]:
-                        joint = np.multiply.outer(joint, c)
-                    block += p * joint
+        folded = letters
+        for pos, mu in enumerate(mus):
+            folded = _apply_axis(folded, _fold_kernel(walk[a], mu).T, pos)
+        block += folded
+    block /= n
     return block
 
 
@@ -214,6 +207,8 @@ def acceptance_exact(
     for edge, _ in gap.edges:
         if (4 * n) ** ((len(edge) - 1) * R) > ORACLE_CAP:
             raise ValueError("exact acceptance contraction too large")
+        if (4 * n) ** len(edge) > ORACLE_CAP:
+            raise ValueError("exact acceptance test block too large")
     fbar = _symmetrized(f, n, R)
     reads = (1.0 - fbar, fbar)
     total = 0.0

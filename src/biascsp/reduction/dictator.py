@@ -73,20 +73,23 @@ class PlantedDictator:
     def istar_batch(self, A: np.ndarray, z: np.ndarray) -> np.ndarray:
         return self._select(_as_batch(A), _as_batch(z))[0]
 
-    def _tie_break(self, code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _tie_break(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of codes 2A + z: the index of the smallest code that
         appears once in the row, and the rows with no such code, which fall
-        back to the first occurrence of their smallest code.  One bincount
-        over row * 2n + code counts every row's codes at once."""
-        m = len(code)
-        width = self._marked.size
-        keys = (np.arange(m)[:, None] * width + code).ravel()
-        unique = np.bincount(keys, minlength=m * width).reshape(m, width) == 1
-        target = unique.argmax(axis=1)
-        fallback = ~unique[np.arange(m), target]
-        if fallback.any():
-            target[fallback] = code[fallback].min(axis=1)
-        return np.argmax(code == target[:, None], axis=1), fallback
+        back to the first occurrence of their smallest code.  Each row is
+        sorted, so the work is m x R whatever the vertex count: a code is
+        unique where it differs from both sorted neighbours."""
+        s = np.sort(code, axis=1)
+        differs = s[:, 1:] != s[:, :-1]
+        unique = np.ones(s.shape, dtype=bool)
+        unique[:, 1:] = differs
+        unique[:, :-1] &= differs
+        # argmax is 0 in a row with no unique code: its smallest code
+        first = unique.argmax(axis=1)
+        rows = np.arange(len(s))
+        target = s[rows, first]
+        return np.argmax(code == target[:, None], axis=1), ~unique[rows, first]
 
     def evaluate_batch(self, A, x, z) -> np.ndarray:
         A, x, z = _as_batch(A), _as_batch(x), _as_batch(z)

@@ -41,22 +41,6 @@ def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
     return probs, domain_points(len(edge)).astype(np.int8)
 
 
-def leakage_apply(z, mu, point, graph: SseGraph, rng: np.random.Generator):
-    """Fold (A, x): copy where the leak symbol is top, refresh both where bot.
-
-    ``mu`` is the bit bias of the refresh: a float, or an array that
-    broadcasts against x (one bias per row).
-    """
-    a, x = point
-    a = np.asarray(a, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int8)
-    z = np.asarray(z, dtype=np.int8)
-    keep = z == 1
-    a_new = np.where(keep, a, rng.integers(0, graph.n, size=a.shape))
-    x_new = np.where(keep, x, (rng.random(x.shape) < mu).astype(np.int8))
-    return a_new, x_new
-
-
 @dataclass
 class TestSample:
     """One ordered constraint tuple of lifted vertices, with its trace."""

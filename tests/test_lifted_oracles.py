@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
+from biascsp.harness.rng import rng_for
 from biascsp.probspace import domain_points, pack_bits, product_measure
 from biascsp.pseudodist import LocalDistributionFamily
 from biascsp.reduction import (
@@ -30,11 +32,56 @@ from biascsp.reduction import (
     walk_matrix,
 )
 from biascsp.reduction import analysis
+from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs
 
 ENUM_CAP = 1 << 18  # largest combo list a hypothesis example may ask for
 
 
 # ---- reference enumerators -----------------------------------------------------
+
+
+def reference_block(gap, theta, graph, params, edge_index) -> np.ndarray:
+    """The one-coordinate test block by listing every latent draw (a, z_common,
+    xi, outcome) and, per position, the noised and folded letter law."""
+    edge, _ = gap.edges[edge_index]
+    r = len(edge)
+    n = graph.n
+    probs, pos_bits = edge_block_probs(theta, edge)
+    walk = walk_matrix(graph, params.eta)
+    uniform = np.full(n, 1.0 / n)
+    beta, eta, rho_sq = params.beta, params.eta, params.rho_sq
+    bdist = np.array([1.0 - beta, beta])
+    block = np.zeros((4 * n,) * r)
+    for a in range(n):
+        for zc in (0, 1):
+            for xi in (0, 1):
+                p_latent = (1.0 / n) * bdist[zc] * (rho_sq if xi else 1.0 - rho_sq)
+                for o in range(2 ** r):
+                    p = p_latent * probs[o]
+                    if p == 0.0:
+                        continue
+                    conds = []
+                    for pos, v in enumerate(edge):
+                        x_val = int(pos_bits[o, pos])
+                        mu_v = theta.vertex_mean(v)
+                        mdist = np.array([1.0 - mu_v, mu_v])
+                        z_src = np.zeros(2)
+                        if xi:
+                            z_src[zc] = 1.0
+                        else:
+                            z_src[:] = bdist
+                        q_z = (1.0 - eta) * z_src + eta * bdist
+                        q_x = eta * mdist
+                        q_x[x_val] += 1.0 - eta
+                        cond = np.zeros((n, 2, 2))
+                        cond[:, :, 1] = q_z[1] * np.outer(walk[a], q_x)
+                        cond[:, :, 0] = q_z[0] * np.outer(uniform, mdist)
+                        conds.append(cond.reshape(-1))
+                    joint = conds[0]
+                    for c in conds[1:]:
+                        joint = np.multiply.outer(joint, c)
+                    block += p * joint
+    return block
 
 
 def enumerated_acceptance(gap, theta, graph, params, f) -> float:
@@ -46,7 +93,7 @@ def enumerated_acceptance(gap, theta, graph, params, f) -> float:
     total = 0.0
     for e_idx, (edge, w_e) in enumerate(gap.edges):
         r = len(edge)
-        block = analysis.test_block_distribution(gap, theta, graph, params, e_idx).reshape(-1)
+        block = reference_block(gap, theta, graph, params, e_idx).reshape(-1)
         combos = np.array(list(itertools.product(range((4 * n) ** r), repeat=R)), dtype=np.int64)
         probs = block[combos].prod(axis=1)
         keep = probs > 0
@@ -195,6 +242,53 @@ def test_walk_average_matches_loop(n, R, seed):
     got = analysis._walk_average(tables, walk)
     for pt in itertools.product(range(n), repeat=R):
         np.testing.assert_allclose(got[pt], walk_average_loop(tables, walk, pt), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    r=st.integers(1, 3),
+    eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    rho_sq=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_block_matches_reference(n, r, eta, beta, rho_sq, seed):
+    # the second edge of lifted_config repeats a vertex when r >= 2
+    gap, theta, graph, _, _, _ = lifted_config(n, 1, r, "dictator", seed)
+    params = ReductionParams.manual(mu=theta.bias(), r=r, beta=beta, rho_sq=rho_sq, R=1, eta=eta)
+    for e_idx in range(len(gap.edges)):
+        got = analysis.test_block_distribution(gap, theta, graph, params, e_idx)
+        want = reference_block(gap, theta, graph, params, e_idx)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "beta, rho_sq, eta", [(0.8, 1.0, 0.3), (0.3, 0.6, 0.6), (0.5, 0.25, 0.05)]
+)
+def test_sampler_letters_follow_block(beta, rho_sq, eta):
+    """Letter-tuple frequencies of the sampler against the block, chi-square.
+
+    The coordinates of every row are i.i.d. copies of the block, so the
+    m x R coordinates are pooled; cells expected fewer than 5 times are merged.
+    """
+    n, m, R = 8, 20000, 20
+    gap, theta, graph, _, _, _ = lifted_config(n, R, 2, "dictator", 2)
+    params = ReductionParams.manual(mu=theta.bias(), r=2, beta=beta, rho_sq=rho_sq, R=R, eta=eta)
+    sampler = BatchTestSampler(gap, theta, graph, params)
+    for e_idx in range(len(gap.edges)):
+        rng = rng_for(31, "block-chi2", e_idx)
+        (b0, x0, z0), (b1, x1, z1) = sampler.sample_parts(e_idx, m, rng)
+        cell = (4 * b0 + 2 * x0 + z0) * 4 * n + 4 * b1 + 2 * x1 + z1
+        observed = np.bincount(cell.ravel(), minlength=(4 * n) ** 2)
+        block = analysis.test_block_distribution(gap, theta, graph, params, e_idx).ravel()
+        expected = block / block.sum() * observed.sum()
+        assert observed[expected == 0].sum() == 0
+        small = expected < 5
+        obs, exp = observed[~small], expected[~small]
+        if small.any():
+            obs, exp = np.append(obs, observed[small].sum()), np.append(exp, expected[small].sum())
+        assert chisquare(obs, exp).pvalue > 1e-3
 
 
 # ---- beyond the enumerable range ---------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
+from biascsp.harness.mc import CHUNK
 from biascsp.harness.rng import rng_for
 from biascsp.probspace import (
     BiasedSpace,
@@ -37,9 +38,10 @@ from biascsp.reduction import (
     sample_test_tuple,
     walk_matrix,
 )
+from biascsp.reduction import analysis
 from biascsp.reduction.analysis import _leak_block, _pair_indices, coupled_product_expectation
 from biascsp.reduction.dictator import PlantedDictator
-from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs, leakage_apply
+from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs
 
 
 def complete_graph(n):
@@ -189,39 +191,6 @@ class TestNoisyWalk:
         for b in range(6):
             se = math.sqrt(p[2, b] * (1 - p[2, b]) / n_samp)
             assert abs(freq[b] - p[2, b]) <= 4 * se + 1e-12
-
-
-class TestLeakage:
-    def test_all_top_is_identity(self):
-        g = cycle_sse(6)
-        rng = rng_for(0, "leak-id")
-        a = np.array([0, 3, 5, 1])
-        x = np.array([1, 0, 0, 1])
-        a2, x2 = leakage_apply(np.ones(4, dtype=int), 0.4, (a, x), g, rng)
-        np.testing.assert_array_equal(a2, a)
-        np.testing.assert_array_equal(x2, x)
-
-    def test_all_bot_marginals(self):
-        g = cycle_sse(6)
-        rng = rng_for(0, "leak-fresh")
-        n = 50000
-        a = np.zeros(n, dtype=int)
-        x = np.zeros(n, dtype=int)
-        a2, x2 = leakage_apply(np.zeros(n, dtype=int), 0.35, (a, x), g, rng)
-        assert abs(x2.mean() - 0.35) < 4 * math.sqrt(0.35 * 0.65 / n)
-        counts = np.bincount(a2, minlength=6) / n
-        assert np.abs(counts - 1 / 6).max() < 4 * math.sqrt((1 / 6) * (5 / 6) / n)
-
-    def test_mixed_coordinates(self):
-        g = cycle_sse(6)
-        rng = rng_for(0, "leak-mixed")
-        n = 50000
-        a = np.tile(np.array([2, 4]), (n, 1))
-        x = np.tile(np.array([1, 0]), (n, 1))
-        z = np.tile(np.array([1, 0]), (n, 1))
-        a2, x2 = leakage_apply(z, 0.5, (a, x), g, rng)
-        assert (a2[:, 0] == 2).all() and (x2[:, 0] == 1).all()
-        assert abs(x2[:, 1].mean() - 0.5) < 4 * math.sqrt(0.25 / n)
 
 
 class TestSampleTuple:
@@ -467,7 +436,7 @@ class TestDictator:
 
 
 def tie_break_by_sort(code):
-    """The sort-based tie-break that the dictator's bincount replaced, kept
+    """A sort-based tie-break written out with shifted neighbour rows, kept
     as the reference: (index of the smallest code appearing once in the row,
     rows with no such code), falling back to the first smallest code."""
     s = np.sort(code, axis=1)
@@ -501,6 +470,21 @@ class TestPermutedEvaluation:
         np.testing.assert_array_equal(fallback, ref_fallback)
         if doubled:
             assert fallback.all()
+
+    def test_tie_break_memory_follows_rows_not_vertices(self):
+        # one CHUNK of rows at n = 128, R = 40: a count over all 2n codes
+        # per row would need m x 256 int64 entries (128 MiB)
+        n, R = 128, 40
+        rng = np.random.default_rng(3)
+        code = 2 * rng.integers(0, n, size=(CHUNK, R)) + rng.integers(0, 2, size=(CHUNK, R))
+        dictator = PlantedDictator(np.arange(n) == 0)
+        tracemalloc.start()
+        try:
+            dictator._tie_break(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * code.nbytes
 
     def test_covariant_rows_read_unpermuted(self):
         graph = generate_sse("planted", 32, 6, 0.25, seed=11)
@@ -627,22 +611,36 @@ class TestAcceptance:
 
 
     def test_refuses_before_enumerating(self):
-        """The work cap is checked before any permutation or combo is built."""
+        """The work cap is checked before any permutation or combo is built.
+
+        At arity 3, R = 1, n = 256 the grid (4n)^R = 2^10 and the contraction
+        (4n)^((r-1)R) = 2^20 pass the cap, but the test block (4n)^r = 2^30
+        entries (8 GiB of float64) does not."""
         gap = small_gap()
         theta = mixture_theta(gap, np.random.default_rng(13))
         graph = generate_sse("planted", 4, 2, 0.5, seed=13)
         params = desk_params(theta, R=10)
         f = dictator_assignment(graph.planted, params, graph)
+        gap3 = ConstraintHypergraph({"a": 0.3, "b": 0.4, "c": 0.3}, [(("a", "b", "c"), 1.0)], Predicate.and_(3))
+        theta3 = mixture_theta(gap3, np.random.default_rng(13))
+        graph3 = cycle_sse(256)
+        params3 = desk_params(theta3, r=3, R=1)
+        f3 = dictator_assignment([0, 1], params3, graph3)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="too large"):
                 acceptance_exact(gap, theta, graph, params, f)
             with pytest.raises(ValueError, match="too large"):
                 averaged_function(f, np.zeros(8, dtype=np.int64), 0.4, params.beta, params.eta, graph)
+            with pytest.raises(ValueError, match="too large"):
+                acceptance_exact(gap3, theta3, graph3, params3, f3)
+            with pytest.raises(ValueError, match="too large"):
+                analysis.test_block_distribution(gap3, theta3, graph3, params3, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        assert f3.dictator.query_count == 0
 
 
 class TestAveragedFunction:
