@@ -11,6 +11,9 @@ from .rng import rng_for
 
 ORACLE_CAP = 1 << 24
 CHUNK = 1 << 16
+# Entries (2 MiB of float64) in one working block of a Monte Carlo kernel: the
+# shared matrices of a block of rounding rounds, a row block of the dictator.
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass

@@ -134,16 +134,17 @@ def _noise_kernel(p: float, eta: float) -> np.ndarray:
     return (1.0 - eta) * np.eye(2) + eta * np.array([[1.0 - p], [p]])
 
 
-def _fold_kernel(walk_row: np.ndarray, mu: float) -> np.ndarray:
+def _fold_kernel(walk_rows: np.ndarray, mu: float) -> np.ndarray:
     """The leakage fold from letter 2x + z to code 4b + 2x' + z', as a (4, 4n)
     conditional law with rows indexed by the letter: z' = z; where z is top,
-    b follows ``walk_row`` and x' = x; where z is bot, b is uniform and x' is
-    a fresh Bernoulli(mu) bit."""
-    n = walk_row.size
-    kernel = np.zeros((2, 2, n, 2, 2))
-    kernel[:, 1, :, :, 1] = walk_row[None, :, None] * np.eye(2)[:, None, :]
-    kernel[:, 0, :, :, 0] = np.multiply.outer(np.full(n, 1.0 / n), [1.0 - mu, mu])
-    return kernel.reshape(4, 4 * n)
+    b follows ``walk_rows`` and x' = x; where z is bot, b is uniform and x' is
+    a fresh Bernoulli(mu) bit.  Leading axes of ``walk_rows`` (one walk row
+    per source vertex, say) lead the result."""
+    lead, n = walk_rows.shape[:-1], walk_rows.shape[-1]
+    kernel = np.zeros((*lead, 2, 2, n, 2, 2))
+    kernel[..., :, 1, :, :, 1] = walk_rows[..., None, :, None] * np.eye(2)[:, None, :]
+    kernel[..., :, 0, :, :, 0] = np.multiply.outer(np.full(n, 1.0 / n), [1.0 - mu, mu])
+    return kernel.reshape(*lead, 4, 4 * n)
 
 
 def test_block_distribution(
@@ -162,6 +163,14 @@ def test_block_distribution(
     N(mu_v, eta) on x and N(beta, eta) on z, then folded from one uniform
     vertex a shared by all positions.  A block above ORACLE_CAP entries is
     refused before anything is allocated.
+
+    The fold is contracted from the last position to the first: positions
+    r-1, ..., 1 per source vertex a, as batched matmuls, and position 0 jointly
+    over (a, letter) as one matmul, which also takes the mean over a.  At
+    r = 2 that is sum_a K_a^T L K_a' / n for the fold kernels K_a, K_a' of
+    the two positions and the letter block L.  Each position's kernels are
+    one (n, 4, 4n) array, like the walk matrix O(n^2); at r >= 2 neither
+    they nor any intermediate exceeds the block's (4n)^r entries.
     """
     edge, _ = gap.edges[edge_index]
     r = len(edge)
@@ -175,14 +184,15 @@ def test_block_distribution(
     for pos, mu in enumerate(mus):
         letters = _apply_axis(letters, np.kron(_noise_kernel(mu, eta), _noise_kernel(beta, eta)), pos)
     walk = walk_matrix(graph, eta)
-    block = np.zeros((4 * n,) * r)
-    for a in range(n):
-        folded = letters
-        for pos, mu in enumerate(mus):
-            folded = _apply_axis(folded, _fold_kernel(walk[a], mu).T, pos)
-        block += folded
+    # t[a, earlier letters, letter of pos, folded codes of the later positions]
+    t = letters.reshape(1, 4 ** (r - 1), 4, 1)
+    for pos in range(r - 1, 0, -1):
+        t = np.swapaxes(t, 2, 3) @ _fold_kernel(walk, mus[pos])[:, None]
+        t = np.swapaxes(t, 2, 3).reshape(n, 4 ** (pos - 1), 4, -1)
+    t = np.broadcast_to(t, (n, 1, 4, t.shape[-1])).reshape(4 * n, -1)
+    block = _fold_kernel(walk, mus[0]).reshape(4 * n, 4 * n).T @ t
     block /= n
-    return block
+    return block.reshape((4 * n,) * r)
 
 
 def acceptance_exact(
@@ -425,8 +435,12 @@ def mixing_check(
         vert_idx = rng.choice(len(verts), size=m, p=wvec)
         # x is already a Bernoulli(mu) draw, so the fold's refresh of x where
         # z is bot would not change its law; only the vertex part is folded.
-        x = (rng.random((m, R)) < mus[vert_idx][:, None]).astype(np.int8)
-        z = (rng.random((m, R)) < params.beta).astype(np.int8)
+        # One buffer holds the x uniforms, then the z uniforms, and is let go
+        # before the walk.
+        u = rng.random((m, R))
+        x = (u < mus[vert_idx][:, None]).astype(np.int8)
+        z = (rng.random(out=u) < params.beta).astype(np.int8)
+        del u
         b = noisy_walk(graph, params.eta, a_blk[:, None, :], rng, where=z.reshape(k, inner_samples, R))
         vals = f.evaluate_batch(b.reshape(m, R), x, z, rng)
         mu_hat[start : start + k] = vals.reshape(k, inner_samples).mean(axis=1)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..harness.mc import BLOCK_ENTRIES
 from ..probspace import pack_bits
 from .graphs import SseGraph
 from .params import ReductionParams
@@ -58,7 +59,8 @@ class PlantedDictator:
 
     def _select(self, A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Selected index per row and the fallback rows; counts both."""
-        code = 2 * A + z
+        code = A * 2
+        code += z
         marked = self._marked[code]
         single = np.count_nonzero(marked, axis=1) == 1
         out = np.argmax(marked, axis=1)
@@ -136,7 +138,16 @@ class LongCodeAssignment:
         if rng is None:
             return np.asarray(self._eval(A, x, z), dtype=np.int8)
         if self.dictator is not None:
-            vals, permuted = self.dictator.evaluate_permuted(A, x, z, rng)
+            # Row blocks bound the selection's temporaries.  Fallback rows
+            # draw their permutations block after block, in row order, so the
+            # stream is that of one call over all rows.
+            vals = np.empty(len(A), dtype=np.int8)
+            step = max(1, BLOCK_ENTRIES // A.shape[1])
+            permuted = 0
+            for lo in range(0, len(A), step):
+                hi = lo + step
+                vals[lo:hi], count = self.dictator.evaluate_permuted(A[lo:hi], x[lo:hi], z[lo:hi], rng)
+                permuted += count
         else:
             _, (A, x, z) = permute_rows(rng, A, x, z)
             vals, permuted = self._eval(A, x, z), len(A)

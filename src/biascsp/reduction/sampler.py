@@ -67,7 +67,7 @@ def sample_test_tuple(
     """
     if params.R > 1 << 16:
         raise ValueError("lift dimension too large to sample explicitly")
-    sampler = BatchTestSampler(gap, theta, graph, params)
+    sampler = _cached_sampler(gap, theta, graph, params)
     edge_idx = int(rng.choice(len(gap.edges), p=sampler.edge_weights))
     trace: dict = {}
     rows = sampler.sample_parts(edge_idx, 1, rng, trace)
@@ -75,6 +75,22 @@ def sample_test_tuple(
     # one (positions, R) array per part: row i is position i's coordinates
     perms, (b, x, z) = permute_rows(rng, *(np.concatenate(a) for a in zip(*rows)))
     return TestSample(edge=gap.edges[edge_idx][0], parts=list(zip(b, x, z)), perms=list(perms), trace=trace)
+
+
+_last_sampler: list = [(), None]  # [inputs, their BatchTestSampler]
+
+
+def _cached_sampler(gap, theta, graph, params) -> "BatchTestSampler":
+    """The sampler of the last inputs if they are the same objects, else a
+    new one, which replaces it: a loop of single draws builds one sampler.
+    The inputs are compared by identity, so one changed in place between
+    calls keeps its old sampler."""
+    inputs = (gap, theta, graph, params)
+    key, sampler = _last_sampler
+    if len(key) != 4 or any(a is not b for a, b in zip(key, inputs)):
+        sampler = BatchTestSampler(*inputs)
+        _last_sampler[:] = [inputs, sampler]
+    return sampler
 
 
 class _Memo(dict):
@@ -139,18 +155,30 @@ class BatchTestSampler:
 
         a = rng.integers(0, g.n, size=shape)
         u_outcome = rng.random(shape)
-        z_common = rng.random(shape) < p.beta
-        xi = rng.random(shape) < p.rho_sq
-        z = (xi & z_common) | (~xi & (rng.random((r, *shape)) < p.beta))
+        # The other uniforms go through one (m, R) buffer, a position at a
+        # time: random fills in C order, so the stream is that of (r, m, R)
+        # draws.  The buffer is let go during the walk.
+        u = np.empty(shape)
+        z_common = rng.random(out=u) < p.beta
+        xi = rng.random(out=u) < p.rho_sq
+        z = np.empty((r, *shape), dtype=bool)
+        for pos in range(r):
+            z[pos] = (xi & z_common) | (~xi & (rng.random(out=u) < p.beta))
         # One uniform u per entry refreshes z at rate eta: u < eta fires the
         # refresh, and given that, u / eta is uniform, so u < eta * beta is
         # the refreshed Bernoulli(beta) symbol.
-        u = rng.random((r, *shape))
-        z_prime = ((u < p.eta * p.beta) | ((u >= p.eta) & z)).astype(np.int8)
+        z_prime = np.empty((r, *shape), dtype=np.int8)
+        for pos in range(r):
+            rng.random(out=u)
+            z_prime[pos] = (u < p.eta * p.beta) | ((u >= p.eta) & z[pos])
+        del u
         top = np.flatnonzero(z_prime)
         b = noisy_walk_at(g, p.eta, a, z_prime.shape, top, rng)
-        mu = np.array([self.mus[v] for v in edge])[:, None, None]
-        x_new = (rng.random((r, *shape)) < mu).astype(np.int8)
+        u = np.empty(shape)
+        x_new = np.empty((r, *shape), dtype=np.int8)
+        for pos, v in enumerate(edge):
+            x_new[pos] = rng.random(out=u) < self.mus[v]
+        del u
         keep = top[rng.random(top.size) >= p.eta]
         position, coord = np.divmod(keep, a.size)
         x_new.reshape(-1)[keep] = pos_bits[outcome(u_outcome.reshape(-1)[coord]), position]
@@ -178,8 +206,9 @@ class BatchTestSampler:
         for e_idx, cnt in enumerate(counts):
             if cnt == 0:
                 continue
-            parts = self.sample_parts(e_idx, cnt, rng)
-            idx = pack_bits(f.evaluate_batch(b, x, z, rng) for b, x, z in parts)
+            # parts inline, so that an edge's parts are gone before the next
+            # edge draws its own
+            idx = pack_bits(f.evaluate_batch(b, x, z, rng) for b, x, z in self.sample_parts(e_idx, cnt, rng))
             out[offset : offset + cnt] = table[idx]
             offset += cnt
         return out

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import Assignment, ConstraintHypergraph, assignment_value, relative_weight
+from .harness.mc import BLOCK_ENTRIES
 from .harness.rng import rng_for
-from .polynomial import MultilinearPolynomial
+from .polynomial import _EVAL_CHUNK, MultilinearPolynomial
 from .probspace import (
     FunctionTable,
     evaluate,
@@ -113,16 +114,32 @@ def round_with(inp: RoundingInput, rng: np.random.Generator, seed: int) -> Round
     )
 
 
+def _round_block(R: int, d: int) -> int:
+    """Rounds per block of :func:`_batch_p`: about ``BLOCK_ENTRIES`` Gaussian
+    entries, in whole chunks of ``_EVAL_CHUNK`` rounds, so that each
+    polynomial evaluation sees the same row chunks as one unblocked call."""
+    return _EVAL_CHUNK * max(1, BLOCK_ENTRIES // (R * d * _EVAL_CHUNK))
+
+
 def _batch_p(inp: RoundingInput, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Acceptance probabilities for `trials` shared-matrix rounds, (trials, n)."""
+    """Acceptance probabilities for `trials` shared-matrix rounds, (trials, n).
+
+    The shared matrices are drawn a block of rounds at a time from ``rng``.
+    ``standard_normal`` fills in C order, so the blocks read the same stream
+    as one (trials, R, d) draw, and the working memory is one block whatever
+    the trial count; only the (trials, n) result grows with it.
+    """
     R = inp.r_dim
     d = inp.solution.dimension
-    gmats = rng.standard_normal((trials, R, d))
     verts = inp.host.vertices
     out = np.empty((trials, len(verts)))
-    for k, v in enumerate(verts):
-        q = inp.solution.mu_for(v) + gmats @ inp.solution.w_for(v)  # (trials, R)
-        out[:, k] = clip(inp.polys[v].evaluate(q))
+    block = _round_block(R, d)
+    for start in range(0, trials, block):
+        gmats = rng.standard_normal((min(block, trials - start), R, d))
+        rows = out[start : start + len(gmats)]
+        for k, v in enumerate(verts):
+            q = inp.solution.mu_for(v) + gmats @ inp.solution.w_for(v)  # (rounds, R)
+            rows[:, k] = clip(inp.polys[v].evaluate(q))
     return out
 
 

@@ -5,7 +5,6 @@ The enumerators below list every one of the (s^k)^R coordinatewise outcomes
 and are the reference oracles; they are feasible for R <= 6.
 """
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from biascsp.reduction.analysis import coupled_product_expectation
 from biascsp.rounding import RoundingInput, exact_test_value, signed_tables
 
 ENUM_CAP = 1 << 18  # largest enumeration a hypothesis example may ask for
+
+from conftest import traced_peak
 
 
 # ---- reference enumerators -----------------------------------------------------
@@ -179,15 +180,11 @@ def test_cap_refuses_before_allocating():
     # arity 3 over 4-letter coordinates at R = 8 needs 4^16 = 2^32 entries
     tables = [np.ones(4 ** 8)] * 3
     block = np.full((4, 4, 4), 1.0 / 64)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         with pytest.raises(ValueError, match=r"s=4, k=3, R=8 needs 4294967296 entries") as exc:
             iid_product_expectation(tables, block)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert str(ORACLE_CAP) in str(exc.value)
-    assert peak < 256 * 1024
+    assert peak.bytes < 256 * 1024
 
 
 def test_mismatched_shapes_rejected():

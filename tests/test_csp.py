@@ -1,6 +1,5 @@
 """Predicates, hypergraphs, and exhaustive constrained optima."""
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from biascsp.csp import (
     robust_opt_scan,
 )
 from biascsp.probspace import domain_points
+
+from conftest import traced_peak
 
 
 def cycle_graph(k, predicate):
@@ -383,14 +384,10 @@ class TestSplitScan:
         g = ConstraintHypergraph(
             verts, [((f"v{a}", f"v{b}"), 1.0 / m) for a, b in pairs], Predicate.xor(2)
         )
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             _, _, feasible = opt_constrained(g, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert feasible
-        assert peak < 64 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
+        assert peak.bytes < 64 * 2 ** 20, f"peak traced allocation {peak.bytes / 2 ** 20:.1f} MiB"
 
     def test_window_is_tested_in_place(self):
         # values and weights are 8 MiB each at n = 20; a window test that
@@ -402,11 +399,7 @@ class TestSplitScan:
         g = ConstraintHypergraph(
             verts, [((f"v{a}", f"v{b}"), 1.0 / m) for a, b in pairs], Predicate.xor(2)
         )
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             scan = opt_constrained_scan(g, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert (scan.feasible, scan.in_window) == (True, 184756)  # C(20, 10) weights at 1/2
-        assert peak < 20 * 2 ** 20, f"peak traced allocation {peak / 2 ** 20:.1f} MiB"
+        assert peak.bytes < 20 * 2 ** 20, f"peak traced allocation {peak.bytes / 2 ** 20:.1f} MiB"

@@ -8,7 +8,6 @@ oracles and are feasible for n <= 5, R <= 2.
 """
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,8 @@ from biascsp.reduction import analysis
 from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs
 
 ENUM_CAP = 1 << 18  # largest combo list a hypothesis example may ask for
+
+from conftest import traced_peak
 
 
 # ---- reference enumerators -----------------------------------------------------
@@ -307,13 +308,9 @@ def test_planted_dictator_at_n32_r3_matches_estimate():
     graph = generate_sse("planted", 32, 6, 0.25, seed=17)
     params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.01)
     f = dictator_assignment(graph.planted, params, graph)
-    tracemalloc.start()
-    try:
+    with traced_peak() as peak:
         exact = acceptance_exact(gap, theta, graph, params, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 << 20
+    assert peak.bytes < 128 << 20
     assert f.dictator.fallback_count > 0
     mc = acceptance_estimate(gap, theta, graph, params, dictator_assignment(graph.planted, params, graph), 200000, 18)
     assert mc.estimate == pytest.approx(exact, abs=4 * mc.stderr)

@@ -1,7 +1,6 @@
 """Local-distribution families: feasibility, smoothing, conditioning, vectors."""
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,8 @@ from biascsp.pseudodist import (
     vector_solution,
     verify_feasible,
 )
+
+from conftest import traced_peak
 
 
 def host(n=4, predicate=None, seed=None):
@@ -482,14 +483,10 @@ class TestJointFastPath:
     def test_work_cap_refuses_before_allocating(self):
         # 2^16 nonzero rows x 697 index subsets (size <= 3 of 16) > ORACLE_CAP
         fam = LocalDistributionFamily(host(16), 6, joint=np.full((2,) * 16, 2.0 ** -16))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             with pytest.raises(ValueError, match="n=16, level=6: 65536 nonzero joint rows x 697 index"):
                 moment_matrix(fam)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         # one full indicator matrix would be 365 MB, one chunk of it 512 KiB
-        assert peak < 256 * 1024
+        assert peak.bytes < 256 * 1024
         with pytest.raises(ValueError, match="work cap"):
             verify_feasible(fam)

@@ -1,7 +1,6 @@
 """Gadget graphs, parameter ledger, test sampler, dictators, and verifiers."""
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
-from biascsp.harness.mc import CHUNK
+from biascsp.harness.mc import BLOCK_ENTRIES, CHUNK
 from biascsp.harness.rng import rng_for
 from biascsp.probspace import (
     BiasedSpace,
@@ -41,7 +40,10 @@ from biascsp.reduction import (
 from biascsp.reduction import analysis
 from biascsp.reduction.analysis import _leak_block, _pair_indices, coupled_product_expectation
 from biascsp.reduction.dictator import PlantedDictator
+from biascsp.reduction.graphs import noisy_walk_at
 from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs
+
+from conftest import traced_peak
 
 
 def complete_graph(n):
@@ -266,6 +268,25 @@ class TestSampleTuple:
         expect = rho_sq + (1 - rho_sq) * iid
         assert agree / total == pytest.approx(expect, abs=4 * math.sqrt(expect * (1 - expect) / total))
 
+    def test_repeated_inputs_reuse_one_sampler(self):
+        from biascsp.reduction import sampler as sampler_module
+
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(11))
+        graph = cycle_sse(6)
+        params = desk_params(theta, R=6)
+        first = sample_test_tuple(gap, theta, graph, params, rng_for(5, "memo"))
+        held = sampler_module._last_sampler[1]
+        second = sample_test_tuple(gap, theta, graph, params, rng_for(5, "memo"))
+        assert sampler_module._last_sampler[1] is held
+        # a cached sampler draws what a fresh one draws
+        for (b0, x0, z0), (b1, x1, z1) in zip(first.parts, second.parts):
+            for u, v in ((b0, b1), (x0, x1), (z0, z1)):
+                np.testing.assert_array_equal(u, v)
+        # equal but distinct inputs build a new sampler
+        sample_test_tuple(gap, theta, graph, desk_params(theta, R=6), rng_for(5, "memo"))
+        assert sampler_module._last_sampler[1] is not held
+
     def test_missing_edge_local_raises(self):
         gap = small_gap()
         fam = LocalDistributionFamily(
@@ -304,6 +325,32 @@ class TestKernelTrace:
             np.testing.assert_array_equal(x[top], s.trace["x_tilde"][pos][perm][top])
 
 
+def sample_parts_unbuffered(sampler, edge_index, m, rng):
+    """BatchTestSampler.sample_parts with one fresh array per draw, in the
+    kernel's draw order."""
+    g, p = sampler.graph, sampler.params
+    edge, _ = sampler.gap.edges[edge_index]
+    r, shape = len(edge), (m, p.R)
+    probs, pos_bits = sampler.blocks[edge_index]
+    cdf = np.cumsum(probs)[:-1] / np.sum(probs)
+    a = rng.integers(0, g.n, size=shape)
+    u_outcome = rng.random(shape)
+    z_common = rng.random(shape) < p.beta
+    xi = rng.random(shape) < p.rho_sq
+    z = (xi & z_common) | (~xi & (rng.random((r, *shape)) < p.beta))
+    u = rng.random((r, *shape))
+    z_prime = ((u < p.eta * p.beta) | ((u >= p.eta) & z)).astype(np.int8)
+    top = np.flatnonzero(z_prime)
+    b = noisy_walk_at(g, p.eta, a, z_prime.shape, top, rng)
+    mu = np.array([sampler.mus[v] for v in edge])[:, None, None]
+    x_new = (rng.random((r, *shape)) < mu).astype(np.int8)
+    keep = top[rng.random(top.size) >= p.eta]
+    position, coord = np.divmod(keep, a.size)
+    outcome = (u_outcome.reshape(-1)[coord, None] >= cdf).sum(axis=1)
+    x_new.reshape(-1)[keep] = pos_bits[outcome, position]
+    return [(b[pos], x_new[pos], z_prime[pos]) for pos in range(r)]
+
+
 class TestFoldedKernel:
     """The one-pass kernel against the law of the walk-then-fold it replaces:
     B' walks from A only where z' is top, with the lazy step, and is uniform
@@ -324,6 +371,21 @@ class TestFoldedKernel:
     @staticmethod
     def assert_rate(hits, total, p):
         assert abs(hits / total - p) <= 4 * math.sqrt(p * (1 - p) / total) + 1e-12, (hits / total, p)
+
+    def test_buffered_draws_read_one_stream(self):
+        # the same parts as fresh (r, m, R) arrays drawn in the same order
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(10))
+        params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.3, rho_sq=0.4, R=7, eta=0.2)
+        sampler = BatchTestSampler(gap, theta, cycle_sse(6), params)
+        for e_idx in range(len(gap.edges)):
+            rng, ref_rng = rng_for(12, "buffered", e_idx), rng_for(12, "buffered", e_idx)
+            got = sampler.sample_parts(e_idx, 3000, rng)
+            want = sample_parts_unbuffered(sampler, e_idx, 3000, ref_rng)
+            for part, ref in zip(got, want):
+                for u, v in zip(part, ref):
+                    np.testing.assert_array_equal(u, v)
+            assert rng.random() == ref_rng.random()
 
     def test_vertex_fold(self):
         eta = 0.5
@@ -478,13 +540,9 @@ class TestPermutedEvaluation:
         rng = np.random.default_rng(3)
         code = 2 * rng.integers(0, n, size=(CHUNK, R)) + rng.integers(0, 2, size=(CHUNK, R))
         dictator = PlantedDictator(np.arange(n) == 0)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             dictator._tie_break(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * code.nbytes
+        assert peak.bytes < 2 * code.nbytes
 
     def test_covariant_rows_read_unpermuted(self):
         graph = generate_sse("planted", 32, 6, 0.25, seed=11)
@@ -511,6 +569,26 @@ class TestPermutedEvaluation:
         vals = f.evaluate_batch(A, x, z, rng_for(10, "fallback-perm"))
         assert abs(vals.mean() - 0.5) <= 4 * math.sqrt(0.25 / m)
         assert (f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows) == (m, m, m)
+
+    def test_row_blocks_read_one_stream(self):
+        # more rows than two blocks, with fallback rows in each block
+        f = dictator_assignment([0], None, cycle_sse(4))
+        rng = rng_for(13, "row-blocks")
+        m, R = 80000, 8
+        assert m > 2 * (BLOCK_ENTRIES // R)
+        A = rng.integers(0, 4, size=(m, R))
+        x = (rng.random((m, R)) < 0.4).astype(np.int8)
+        z = (rng.random((m, R)) < 0.3).astype(np.int8)
+        core = PlantedDictator(np.arange(4) == 0)
+        got_rng, ref_rng = rng_for(14, "row-blocks"), rng_for(14, "row-blocks")
+        got = f.evaluate_batch(A, x, z, got_rng)
+        want, permuted = core.evaluate_permuted(A, x, z, ref_rng)
+        np.testing.assert_array_equal(got, want)
+        assert 0 < permuted < m
+        assert (f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows) == (
+            core.query_count, core.fallback_count, permuted
+        )
+        assert got_rng.random() == ref_rng.random()
 
     def test_other_assignments_permute_every_row(self):
         f = LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0])
@@ -626,8 +704,7 @@ class TestAcceptance:
         graph3 = cycle_sse(256)
         params3 = desk_params(theta3, r=3, R=1)
         f3 = dictator_assignment([0, 1], params3, graph3)
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             with pytest.raises(ValueError, match="too large"):
                 acceptance_exact(gap, theta, graph, params, f)
             with pytest.raises(ValueError, match="too large"):
@@ -636,10 +713,7 @@ class TestAcceptance:
                 acceptance_exact(gap3, theta3, graph3, params3, f3)
             with pytest.raises(ValueError, match="too large"):
                 analysis.test_block_distribution(gap3, theta3, graph3, params3, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak.bytes < 1 << 20
         assert f3.dictator.query_count == 0
 
 
@@ -884,6 +958,55 @@ class TestMixing:
         threshold = alpha * math.sqrt(center)
         frac = np.mean([abs(v - center) >= threshold for v in mu_a.values()])
         assert frac <= len(verts) * params.beta / alpha ** 2 + 1e-12
+
+
+def reduce_mc_setup():
+    """The reduce-mc benchmark's lifted test: a 4-cycle AND gap, a 0.3/0.7
+    mixture smoothed toward 0.3, a planted graph on 32 vertices, R = 40."""
+    gap = ConstraintHypergraph(
+        {f"v{i}": 0.25 for i in range(4)},
+        [((f"v{i}", f"v{(i + 1) % 4}"), 0.25) for i in range(4)],
+        Predicate.and_(2),
+    )
+    support = [
+        (Assignment({v: 1 for v in gap.vertices}), 0.3),
+        (Assignment({v: 0 for v in gap.vertices}), 0.7),
+    ]
+    theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.1, 0.3)
+    graph = generate_sse("planted", 32, 6, 0.25, seed=42)
+    params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=40, eta=0.01)
+    return gap, theta, graph, params, dictator_assignment(graph.planted, params, graph)
+
+
+class TestWorkingMemory:
+    """Traced peaks of the Monte Carlo kernels at the reduce-mc sizes, in
+    units of one (rows, R) array of 8-byte entries."""
+
+    def test_one_mixing_batch(self):
+        # 128 vertex-vectors x 512 inner draws: one batch of CHUNK rows.  The
+        # walk's output and its index temporaries take about two units.  A
+        # uniform buffer alive through the walk adds one more, and the
+        # dictator's codes over all rows, built as 2A + z, add two.
+        gap, theta, graph, params, f = reduce_mc_setup()
+        with traced_peak() as peak:
+            rep = mixing_check(gap, theta, graph, params, f, 2.0, 128, 44, inner_samples=512)
+        assert rep.a_samples * rep.inner_samples == CHUNK
+        unit = CHUNK * params.R * 8
+        assert peak.bytes < 2.5 * unit, peak.bytes / unit
+
+    def test_one_acceptance_chunk(self):
+        # CHUNK rows split over the 4 edges: each edge draws about CHUNK / 4
+        # rows, and its peak (the walk over both positions, the vertex
+        # points, the outcome uniforms and the index temporaries) is about
+        # seven and a half units of those rows.  One edge's parts alive while
+        # the next edge draws, or (r, rows, R) uniforms alive through the
+        # walk, take it past eight.
+        gap, theta, graph, params, f = reduce_mc_setup()
+        sampler = BatchTestSampler(gap, theta, graph, params)
+        with traced_peak() as peak:
+            sampler.accept_indicators(f, CHUNK, rng_for(45, "accept-memory"))
+        unit = CHUNK // 4 * params.R * 8
+        assert peak.bytes < 8 * unit, peak.bytes / unit
 
 
 class TestDecodeStat:

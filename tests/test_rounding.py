@@ -18,6 +18,8 @@ from biascsp.rounding import (
     value_check,
 )
 
+from conftest import traced_peak
+
 
 def host(n=4, predicate=None):
     predicate = predicate or Predicate.xor(2)
@@ -237,6 +239,55 @@ class TestBiasConcentration:
         bias_concentration_check(inp, 200, 41)
         value_check(inp, 200, 41)
         assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
+
+
+class TestBatchRounds:
+    """The shared matrices are drawn a block of rounds at a time."""
+
+    @staticmethod
+    def round_exact_input(rng):
+        # the round-exact benchmark's sizes: 8 vertices, so d = 9, at R = 9
+        g = host(8)
+        fam = mixture_family(g, rng)
+        tables = {
+            v: FunctionTable(
+                BiasedSpace((fam.vertex_mean(v),) * 9),
+                np.clip(0.5 + 0.05 * rng.standard_normal(2 ** 9), 0.0, 1.0),
+                bounded=True,
+            )
+            for v in g.vertices
+        }
+        return RoundingInput(g, tables, vector_solution(fam), family=fam)
+
+    def test_blocks_read_one_stream(self):
+        # a trial count that ends inside a block and inside an evaluation chunk
+        import biascsp.rounding as rounding
+
+        inp = self.round_exact_input(np.random.default_rng(50))
+        R, d = inp.r_dim, inp.solution.dimension
+        trials = 2 * rounding._round_block(R, d) + 777
+        got = rounding._batch_p(inp, trials, np.random.default_rng(51))
+        gmats = np.random.default_rng(51).standard_normal((trials, R, d))
+        for k, v in enumerate(inp.host.vertices):
+            q = inp.solution.mu_for(v) + gmats @ inp.solution.w_for(v)
+            assert np.array_equal(got[:, k], clip(inp.polys[v].evaluate(q)))
+
+    def test_working_memory_is_one_block(self):
+        # Ten times the trials may add one block of shared matrices and the
+        # larger (trials, n) result, nothing more.  Drawing every matrix at
+        # once would add 36000 x 81 float64 entries (22 MiB).
+        import biascsp.rounding as rounding
+
+        inp = self.round_exact_input(np.random.default_rng(52))
+        R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
+        assert (R, d) == (9, 9)
+        peaks = {}
+        for trials in (4000, 40000):
+            with traced_peak() as peak:
+                rounding._batch_p(inp, trials, np.random.default_rng(53))
+            peaks[trials] = peak.bytes
+        block = 2 << 20  # a block is at most 2^18 Gaussian entries at R * d = 81
+        assert peaks[40000] - peaks[4000] <= block + 36000 * n * 8, peaks
 
 
 class TestValueCheck:
