@@ -30,7 +30,7 @@ from ..pseudodist import LocalDistributionFamily
 from .dictator import LongCodeAssignment
 from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
-from .sampler import BatchTestSampler, edge_block_probs
+from .sampler import BatchTestSampler, _interleave, _leak_block, fold, letter_block
 
 # The completeness reference of :func:`acceptance_estimate` gives up this
 # multiple of arity*noise.
@@ -118,20 +118,12 @@ def averaged_function(
 
 
 def _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples):
-    shape = (samples, A.size)
-    zs = np.broadcast_to(np.asarray(z, dtype=np.int8), shape)
-    b = noisy_walk(graph, eta, A, rng, where=zs)
-    xs = np.where(zs == 1, x, rng.random(shape) < mu_i).astype(np.int8)
+    zs = np.broadcast_to(np.asarray(z, dtype=np.int8), (samples, A.size))
+    b, xs = fold(graph, eta, A, x, zs, mu_i, rng)
     return float(np.mean(f.evaluate_batch(b, xs, zs, rng)))
 
 
 # ---- exact acceptance via per-coordinate blocks ------------------------------
-
-
-def _noise_kernel(p: float, eta: float) -> np.ndarray:
-    """N(p, eta) = (1 - eta) I + eta Bernoulli(p): a bit kept, or with
-    probability eta redrawn from Bernoulli(p); entry [new, old]."""
-    return (1.0 - eta) * np.eye(2) + eta * np.array([[1.0 - p], [p]])
 
 
 def _fold_kernel(walk_rows: np.ndarray, mu: float) -> np.ndarray:
@@ -158,11 +150,10 @@ def test_block_distribution(
 
     Output tensor has one axis of size 4n per edge position; the per-position
     code is vertex*4 + bit*2 + leak.  Coordinates of the full R-dimensional
-    tuple are i.i.d. copies of this block.  It is the edge's leak block
-    (letters 2x + z), with each position's letter re-randomized by
-    N(mu_v, eta) on x and N(beta, eta) on z, then folded from one uniform
-    vertex a shared by all positions.  A block above ORACLE_CAP entries is
-    refused before anything is allocated.
+    tuple are i.i.d. copies of this block.  It is the edge's
+    :func:`letter_block`, the law the sampler draws its letters from, folded
+    from one uniform vertex a shared by all positions.  A block above
+    ORACLE_CAP entries is refused before anything is allocated.
 
     The fold is contracted from the last position to the first: positions
     r-1, ..., 1 per source vertex a, as batched matmuls, and position 0 jointly
@@ -177,15 +168,10 @@ def test_block_distribution(
     n = graph.n
     if (4 * n) ** r > ORACLE_CAP:
         raise ValueError(f"test block (4n)^r = {(4 * n) ** r} is too large (cap {ORACLE_CAP})")
-    beta, eta = params.beta, params.eta
     mus = [theta.vertex_mean(v) for v in edge]
-    probs, _ = edge_block_probs(theta, edge)
-    letters = _interleave(_leak_block(probs, r, beta, params.rho_sq), r)
-    for pos, mu in enumerate(mus):
-        letters = _apply_axis(letters, np.kron(_noise_kernel(mu, eta), _noise_kernel(beta, eta)), pos)
-    walk = walk_matrix(graph, eta)
+    walk = walk_matrix(graph, params.eta)
     # t[a, earlier letters, letter of pos, folded codes of the later positions]
-    t = letters.reshape(1, 4 ** (r - 1), 4, 1)
+    t = letter_block(theta, edge, params).reshape(1, 4 ** (r - 1), 4, 1)
     for pos in range(r - 1, 0, -1):
         t = np.swapaxes(t, 2, 3) @ _fold_kernel(walk, mus[pos])[:, None]
         t = np.swapaxes(t, 2, 3).reshape(n, 4 ** (pos - 1), 4, -1)
@@ -282,18 +268,6 @@ class DecouplingReport:
     mode: str
 
 
-def _leak_block(block_probs: np.ndarray, r: int, beta: float, rho_sq: float) -> np.ndarray:
-    """Joint (x-block, z-block) one-coordinate distribution: position bits from
-    the edge's local distribution; leak bits either copied from one draw or
-    i.i.d., independent of the bits."""
-    z_iid = product_measure([beta] * r)
-    z_coupled = np.zeros(2 ** r)
-    z_coupled[0] = 1.0 - beta
-    z_coupled[-1] = beta
-    z_dist = rho_sq * z_coupled + (1.0 - rho_sq) * z_iid
-    return np.multiply.outer(block_probs, z_dist)
-
-
 def _pair_indices(outcomes: np.ndarray, r: int, R: int) -> list[np.ndarray]:
     """Flat paired-table indices per position for coordinatewise outcomes.
 
@@ -302,13 +276,6 @@ def _pair_indices(outcomes: np.ndarray, r: int, R: int) -> list[np.ndarray]:
     """
     bits = unpack_bits(outcomes, 2 * r)  # (N, R, 2r): x-block bits, then z-block bits
     return [pack_bits([*bits[..., pos].T, *bits[..., r + pos].T]) for pos in range(r)]
-
-
-def _interleave(values: np.ndarray, n: int) -> np.ndarray:
-    """Regroup a (2,)*n + (2,)*n tensor (x bits, then z bits) as (4,)*n with
-    letter 2*x_j + z_j on axis j."""
-    t = np.asarray(values, dtype=float).reshape((2,) * (2 * n))
-    return t.transpose([a for j in range(n) for a in (j, n + j)]).reshape((4,) * n)
 
 
 def coupled_product_expectation(

@@ -89,22 +89,21 @@ def noisy_walk(g: SseGraph, eta: float, point, rng: np.random.Generator, where=N
     the coordinates where it holds take the step, and every other coordinate
     gets a fresh uniform vertex.  That is the vertex part of the lifted
     test's leakage fold, which walks only where the leak symbol is top.
+    The flat adjacency index src * deg + slot, then the neighbour it reads,
+    are built in place in one array.
     """
-    a = np.asarray(point, dtype=np.int64)
-    if where is None:
-        return noisy_walk_at(g, eta, a, a.shape, np.arange(a.size), rng)
-    return noisy_walk_at(g, eta, a, np.shape(where), np.flatnonzero(where), rng)
-
-
-def noisy_walk_at(g: SseGraph, eta: float, point, shape, steps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``noisy_walk`` over an array of ``shape`` that steps only at the flat
-    indices ``steps`` (for a caller that already holds them)."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0,1]")
+    a = np.asarray(point, dtype=np.int64)
+    shape = a.shape if where is None else np.shape(where)
     out = rng.integers(0, g.n, size=shape)  # also the lazy step's uniform vertex
+    steps = np.arange(out.size) if where is None else np.flatnonzero(where)
     steps = steps[rng.random(steps.size) >= eta]
-    src = np.broadcast_to(point, shape).flat[steps]
-    out.reshape(-1)[steps] = g.adj.reshape(-1)[src * g.deg + rng.integers(0, g.deg, size=steps.size)]
+    nbr = np.broadcast_to(a, shape).flat[steps]
+    nbr *= g.deg
+    nbr += rng.integers(0, g.deg, size=steps.size)
+    np.take(g.adj.reshape(-1), nbr, out=nbr)
+    out.reshape(-1)[steps] = nbr
     return out
 
 

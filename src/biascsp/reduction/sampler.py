@@ -1,27 +1,28 @@
 """The lifted test distribution: one constraint tuple per draw.
 
 For a sampled gap edge, each output position carries a triple
-(vertex-vector, bit-vector, leak-vector).  Per coordinate: the bit values
-across positions follow the edge's local distribution; the leak values are
-either copied from a common draw (with the coupling probability) or fresh;
-both are then re-randomized at the noise rate; finally the leakage fold
-refreshes vertex and bit together wherever the leak symbol is bot.  Each
-position is read at an independent uniform coordinate permutation; since the
-permutation is independent of everything else, it is applied where the
-assignment is evaluated (``LongCodeAssignment.evaluate_batch`` with an rng),
-not here.
+(vertex-vector, bit-vector, leak-vector).  The coordinates are i.i.d.; each
+is a uniform source vertex A shared by all positions, the noised letters
+2x~ + z' of all positions drawn at once from :func:`letter_block` (which
+``analysis.test_block_distribution`` folds exactly), and then the leakage
+:func:`fold`.  Each position is read at an independent uniform coordinate
+permutation; since the permutation is independent of everything else, it is
+applied where the assignment is evaluated (``LongCodeAssignment.evaluate_batch``
+with an rng), not here.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..csp import ConstraintHypergraph
-from ..probspace import domain_points, pack_bits
+from ..polynomial import _apply_axis
+from ..probspace import domain_points, pack_bits, product_measure
 from ..pseudodist import LocalDistributionFamily
 from .dictator import permute_rows
-from .graphs import SseGraph, noisy_walk_at
+from .graphs import SseGraph, noisy_walk
 from .params import ReductionParams
 
 
@@ -39,6 +40,60 @@ def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
     outcome = pack_bits(key_bits[:, key.index(v)] for v in edge)
     probs = np.bincount(outcome, weights=table, minlength=2 ** len(edge))
     return probs, domain_points(len(edge)).astype(np.int8)
+
+
+def _leak_block(block_probs: np.ndarray, r: int, beta: float, rho_sq: float) -> np.ndarray:
+    """Joint (x-block, z-block) one-coordinate distribution: position bits from
+    the edge's local distribution; leak bits either copied from one draw or
+    i.i.d., independent of the bits."""
+    z_iid = product_measure([beta] * r)
+    z_coupled = np.zeros(2 ** r)
+    z_coupled[0] = 1.0 - beta
+    z_coupled[-1] = beta
+    z_dist = rho_sq * z_coupled + (1.0 - rho_sq) * z_iid
+    return np.multiply.outer(block_probs, z_dist)
+
+
+def _interleave(values: np.ndarray, n: int) -> np.ndarray:
+    """Regroup a (2,)*n + (2,)*n tensor (x bits, then z bits) as (4,)*n with
+    letter 2*x_j + z_j on axis j."""
+    t = np.asarray(values, dtype=float).reshape((2,) * (2 * n))
+    return t.transpose([a for j in range(n) for a in (j, n + j)]).reshape((4,) * n)
+
+
+def _noise_kernel(p: float, eta: float) -> np.ndarray:
+    """N(p, eta) = (1 - eta) I + eta Bernoulli(p): a bit kept, or with
+    probability eta redrawn from Bernoulli(p); entry [new, old]."""
+    return (1.0 - eta) * np.eye(2) + eta * np.array([[1.0 - p], [p]])
+
+
+def letter_block(theta: LocalDistributionFamily, edge: tuple[str, ...], params: ReductionParams) -> np.ndarray:
+    """One coordinate's law of the noised letters 2x~ + z' of an edge, as a
+    (4,)*r tensor with position i on axis i: the leak block (letters 2x + z)
+    with each position's letter re-randomized by N(mu_v, eta) on x and
+    N(beta, eta) on z."""
+    r = len(edge)
+    probs, _ = edge_block_probs(theta, edge)
+    letters = _interleave(_leak_block(probs, r, params.beta, params.rho_sq), r)
+    for pos, v in enumerate(edge):
+        kernel = np.kron(_noise_kernel(theta.vertex_mean(v), params.eta), _noise_kernel(params.beta, params.eta))
+        letters = _apply_axis(letters, kernel, pos)
+    return letters
+
+
+def fold(graph: SseGraph, eta: float, a, x_tilde, z_prime, mu, rng: np.random.Generator):
+    """The leakage fold of noised letters (x~, z') at source vertices ``a``,
+    which broadcast against them: B' takes one noisy-walk step from a where z'
+    is top and is a uniform vertex where it is bot; x' = x~ where z' is top
+    and a fresh Bernoulli(mu) bit where it is bot.  The walk is drawn before
+    the fresh bits.  x~ and z' are 0/1 integers; x' is int8."""
+    b = noisy_walk(graph, eta, a, rng, where=z_prime)
+    x = (rng.random(np.shape(z_prime)) < mu).view(np.int8)
+    # where z' is 1, flip the fresh bit wherever it differs from x~
+    flip = x ^ x_tilde
+    flip &= z_prime
+    x ^= flip
+    return b, x
 
 
 @dataclass
@@ -93,16 +148,16 @@ def _cached_sampler(gap, theta, graph, params) -> "BatchTestSampler":
     return sampler
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)`` on first use."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+def _letter_sampler(theta: LocalDistributionFamily, edge: tuple[str, ...], params: ReductionParams):
+    """One edge's letter CDF, whose ``searchsorted(cdf, u, side="right")`` is
+    the packed letter code of a uniform u; the (2, r, 4^r) int8 x~ and z' bits
+    of each code per position; and the vertex means, shaped (r, 1, 1)."""
+    cdf = np.cumsum(letter_block(theta, edge, params))
+    cdf = cdf[:-1] / cdf[-1]  # exactly 1 from the last nonzero cell on
+    r = len(edge)
+    digits = domain_points(2 * r).T.astype(np.int8).reshape(r, 2, -1).swapaxes(0, 1)
+    mus = np.array([theta.vertex_mean(v) for v in edge])[:, None, None]
+    return cdf, digits, mus
 
 
 class BatchTestSampler:
@@ -118,12 +173,11 @@ class BatchTestSampler:
         self.gap = gap
         self.graph = graph
         self.params = params
-        # built per vertex and per edge on first use, so that a single draw
-        # (sample_test_tuple) pays only for the edge it draws
-        self.mus = _Memo(theta.vertex_mean)
         self.edge_weights = np.array([w for _, w in gap.edges])
         self.edge_weights = self.edge_weights / self.edge_weights.sum()
-        self.blocks = _Memo(lambda e: edge_block_probs(theta, gap.edges[e][0]))
+        # built per edge on first use, so that a single draw
+        # (sample_test_tuple) pays only for the edge it draws
+        self.letters = functools.cache(lambda e: _letter_sampler(theta, gap.edges[e][0], params))
 
     def sample_parts(
         self, edge_index: int, m: int, rng: np.random.Generator, trace: dict | None = None
@@ -132,70 +186,24 @@ class BatchTestSampler:
 
         The parts are unpermuted: read them at a uniform coordinate
         permutation (``LongCodeAssignment.evaluate_batch`` with an rng).
-        z' is drawn first for every position; then B' walks from A only where
-        z' is top and is a uniform vertex elsewhere, and x' is the edge's
-        outcome bit where z' is top and the bit's noise did not fire, a fresh
-        Bernoulli(mu) elsewhere.
+        Per coordinate: the source vertex A, then one uniform mapped to the
+        letters of all positions through the CDF of :func:`letter_block`,
+        then :func:`fold`.
 
-        When ``trace`` is given it receives the (m, R) latent draws: "A",
-        "z_common", "xi", and per position the lists "B" (walk), "x", "z",
-        "x_tilde" (x after its noise) and "z_prime".  "B" and "x_tilde" are
-        -1 where z' is bot: the fold refreshes those entries, so they are
-        never drawn.
+        When ``trace`` is given it receives the (m, R) draws: "A", and per
+        position the lists "x_tilde", "z_prime" (the letters) and "B" (the
+        walk), which is -1 where z' is bot: the fold refreshes those
+        entries, so the walk is never drawn there.
         """
-        g, p = self.graph, self.params
-        edge, _ = self.gap.edges[edge_index]
-        r = len(edge)
-        shape = (m, p.R)
-        probs, pos_bits = self.blocks[edge_index]
-        cdf = np.cumsum(probs)[:-1] / np.sum(probs)
-
-        def outcome(u):  # k where cdf[k-1] <= u < cdf[k]: the thresholds at or below u
-            return sum(u >= c for c in cdf)
-
-        a = rng.integers(0, g.n, size=shape)
-        u_outcome = rng.random(shape)
-        # The other uniforms go through one (m, R) buffer, a position at a
-        # time: random fills in C order, so the stream is that of (r, m, R)
-        # draws.  The buffer is let go during the walk.
-        u = np.empty(shape)
-        z_common = rng.random(out=u) < p.beta
-        xi = rng.random(out=u) < p.rho_sq
-        z = np.empty((r, *shape), dtype=bool)
-        for pos in range(r):
-            z[pos] = (xi & z_common) | (~xi & (rng.random(out=u) < p.beta))
-        # One uniform u per entry refreshes z at rate eta: u < eta fires the
-        # refresh, and given that, u / eta is uniform, so u < eta * beta is
-        # the refreshed Bernoulli(beta) symbol.
-        z_prime = np.empty((r, *shape), dtype=np.int8)
-        for pos in range(r):
-            rng.random(out=u)
-            z_prime[pos] = (u < p.eta * p.beta) | ((u >= p.eta) & z[pos])
-        del u
-        top = np.flatnonzero(z_prime)
-        b = noisy_walk_at(g, p.eta, a, z_prime.shape, top, rng)
-        u = np.empty(shape)
-        x_new = np.empty((r, *shape), dtype=np.int8)
-        for pos, v in enumerate(edge):
-            x_new[pos] = rng.random(out=u) < self.mus[v]
-        del u
-        keep = top[rng.random(top.size) >= p.eta]
-        position, coord = np.divmod(keep, a.size)
-        x_new.reshape(-1)[keep] = pos_bits[outcome(u_outcome.reshape(-1)[coord]), position]
+        cdf, digits, mus = self.letters(edge_index)
+        shape = (m, self.params.R)
+        a = rng.integers(0, self.graph.n, size=shape)
+        x_tilde, z_prime = np.take(digits, np.searchsorted(cdf, rng.random(shape), side="right"), axis=2)
+        b, x = fold(self.graph, self.params.eta, a, x_tilde, z_prime, mus, rng)
         if trace is not None:
             bot = z_prime == 0
-            x = pos_bits[outcome(u_outcome)].transpose(2, 0, 1)
-            trace.update(
-                A=a,
-                z_common=z_common.astype(np.int8),
-                xi=xi.astype(np.int8),
-                B=list(np.where(bot, -1, b)),
-                x=list(x),
-                z=list(z.astype(np.int8)),
-                x_tilde=list(np.where(bot, -1, x_new).astype(np.int8)),
-                z_prime=list(z_prime),
-            )
-        return [(b[pos], x_new[pos], z_prime[pos]) for pos in range(r)]
+            trace.update(A=a, B=list(np.where(bot, -1, b)), x_tilde=list(x_tilde), z_prime=list(z_prime))
+        return [(b[pos], x[pos], z_prime[pos]) for pos in range(len(mus))]
 
     def accept_indicators(self, f, m: int, rng: np.random.Generator) -> np.ndarray:
         """m draws of the 0/1 acceptance indicator under assignment f."""

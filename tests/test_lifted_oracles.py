@@ -268,28 +268,31 @@ def test_block_matches_reference(n, r, eta, beta, rho_sq, seed):
     "beta, rho_sq, eta", [(0.8, 1.0, 0.3), (0.3, 0.6, 0.6), (0.5, 0.25, 0.05)]
 )
 def test_sampler_letters_follow_block(beta, rho_sq, eta):
-    """Letter-tuple frequencies of the sampler against the block, chi-square.
+    """Code-tuple frequencies of the sampler against the block, chi-square,
+    at arity 2 (n = 8) and arity 3 (n = 4).
 
     The coordinates of every row are i.i.d. copies of the block, so the
     m x R coordinates are pooled; cells expected fewer than 5 times are merged.
     """
-    n, m, R = 8, 20000, 20
-    gap, theta, graph, _, _, _ = lifted_config(n, R, 2, "dictator", 2)
-    params = ReductionParams.manual(mu=theta.bias(), r=2, beta=beta, rho_sq=rho_sq, R=R, eta=eta)
-    sampler = BatchTestSampler(gap, theta, graph, params)
-    for e_idx in range(len(gap.edges)):
-        rng = rng_for(31, "block-chi2", e_idx)
-        (b0, x0, z0), (b1, x1, z1) = sampler.sample_parts(e_idx, m, rng)
-        cell = (4 * b0 + 2 * x0 + z0) * 4 * n + 4 * b1 + 2 * x1 + z1
-        observed = np.bincount(cell.ravel(), minlength=(4 * n) ** 2)
-        block = analysis.test_block_distribution(gap, theta, graph, params, e_idx).ravel()
-        expected = block / block.sum() * observed.sum()
-        assert observed[expected == 0].sum() == 0
-        small = expected < 5
-        obs, exp = observed[~small], expected[~small]
-        if small.any():
-            obs, exp = np.append(obs, observed[small].sum()), np.append(exp, expected[small].sum())
-        assert chisquare(obs, exp).pvalue > 1e-3
+    m, R = 20000, 20
+    for r, n in ((2, 8), (3, 4)):
+        gap, theta, graph, _, _, _ = lifted_config(n, R, r, "dictator", 2)
+        params = ReductionParams.manual(mu=theta.bias(), r=r, beta=beta, rho_sq=rho_sq, R=R, eta=eta)
+        sampler = BatchTestSampler(gap, theta, graph, params)
+        for e_idx in range(len(gap.edges)):
+            rng = rng_for(31, "block-chi2", e_idx) if r == 2 else rng_for(31, "block-chi2", r, e_idx)
+            cell = 0
+            for b, x, z in sampler.sample_parts(e_idx, m, rng):
+                cell = cell * 4 * n + 4 * b + 2 * x + z
+            observed = np.bincount(cell.ravel(), minlength=(4 * n) ** r)
+            block = analysis.test_block_distribution(gap, theta, graph, params, e_idx).ravel()
+            expected = block / block.sum() * observed.sum()
+            assert observed[expected == 0].sum() == 0
+            small = expected < 5
+            obs, exp = observed[~small], expected[~small]
+            if small.any():
+                obs, exp = np.append(obs, observed[small].sum()), np.append(exp, expected[small].sum())
+            assert chisquare(obs, exp).pvalue > 1e-3, (r, e_idx)
 
 
 # ---- beyond the enumerable range ---------------------------------------------------------

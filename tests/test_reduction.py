@@ -40,8 +40,7 @@ from biascsp.reduction import (
 from biascsp.reduction import analysis
 from biascsp.reduction.analysis import _leak_block, _pair_indices, coupled_product_expectation
 from biascsp.reduction.dictator import PlantedDictator
-from biascsp.reduction.graphs import noisy_walk_at
-from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs
+from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs, letter_block
 
 from conftest import traced_peak
 
@@ -181,6 +180,25 @@ class TestNoisyWalk:
         out = noisy_walk(g, 0.0, np.zeros(100, dtype=int), rng)
         assert (out == 1).all()
 
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_in_place_step_reads_one_stream(self, eta, masked):
+        # the step as a formula of fresh arrays, in the walk's draw order
+        g = generate_sse("planted", 32, 6, 0.25, seed=17)
+        point = rng_for(5, "walk-point").integers(0, g.n, size=(7, 50))
+        where = rng_for(5, "walk-where").random((3, 7, 50)) < 0.4 if masked else None
+        rng, ref_rng = rng_for(6, "walk-in-place"), rng_for(6, "walk-in-place")
+        got = noisy_walk(g, eta, point, rng, where=where)
+        shape = point.shape if where is None else where.shape
+        want = ref_rng.integers(0, g.n, size=shape)
+        steps = np.arange(want.size) if where is None else np.flatnonzero(where)
+        steps = steps[ref_rng.random(steps.size) >= eta]
+        src = np.broadcast_to(point, shape).flat[steps]
+        want.reshape(-1)[steps] = g.adj.reshape(-1)[src * g.deg + ref_rng.integers(0, g.deg, size=steps.size)]
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.int64
+        assert rng.random() == ref_rng.random()
+
     def test_transition_frequencies_match_matrix(self):
         g = generate_sse("random-regular", 6, 3, seed=4)
         eta = 0.3
@@ -207,28 +225,29 @@ class TestSampleTuple:
         rng = rng_for(1, "tuple-coupled")
         for _ in range(20):
             s = sample_test_tuple(gap, theta, graph, params, rng)
-            for pos in range(2):
-                np.testing.assert_array_equal(
-                    s.trace["z_prime"][pos], s.trace["z_common"]
-                )
+            # fully coupled leaks: both positions carry the same z'
+            np.testing.assert_array_equal(s.trace["z_prime"][0], s.trace["z_prime"][1])
 
-    def test_coordinate_marginals_match_edge_local(self):
+    def test_letter_frequencies_match_letter_block(self):
+        # the sampler's letter pairs (2x~ + z' per position), pooled over
+        # the coordinates, against the law it draws them from
         gap = small_gap()
         rng_master = np.random.default_rng(7)
         theta = mixture_theta(gap, rng_master)
         graph = cycle_sse(6)
         params = desk_params(theta, R=4)
         sampler = BatchTestSampler(gap, theta, graph, params)
-        e_idx = 0
-        probs, pos_bits = sampler.blocks[e_idx]
-        rng = rng_for(2, "marginals")
         m = 25000
-        edge, _ = gap.edges[e_idx]
-        outcomes = rng.choice(4, size=(m, params.R), p=probs)
-        counts = np.bincount(outcomes.reshape(-1), minlength=4) / (m * params.R)
-        for o in range(4):
-            se = math.sqrt(probs[o] * (1 - probs[o]) / (m * params.R))
-            assert abs(counts[o] - probs[o]) <= 4 * se
+        total = m * params.R
+        for e_idx, (edge, _) in enumerate(gap.edges):
+            trace: dict = {}
+            sampler.sample_parts(e_idx, m, rng_for(2, "letters", e_idx), trace)
+            (x0, x1), (z0, z1) = trace["x_tilde"], trace["z_prime"]
+            counts = np.bincount(((2 * x0 + z0) * 4 + 2 * x1 + z1).reshape(-1), minlength=16) / total
+            law = letter_block(theta, edge, params).reshape(-1)
+            for c in range(16):
+                se = math.sqrt(law[c] * (1 - law[c]) / total)
+                assert abs(counts[c] - law[c]) <= 4 * se + 1e-12, (e_idx, c, counts[c], law[c])
 
     def test_independent_leaks_agreement_rate(self):
         gap = small_gap()
@@ -325,37 +344,11 @@ class TestKernelTrace:
             np.testing.assert_array_equal(x[top], s.trace["x_tilde"][pos][perm][top])
 
 
-def sample_parts_unbuffered(sampler, edge_index, m, rng):
-    """BatchTestSampler.sample_parts with one fresh array per draw, in the
-    kernel's draw order."""
-    g, p = sampler.graph, sampler.params
-    edge, _ = sampler.gap.edges[edge_index]
-    r, shape = len(edge), (m, p.R)
-    probs, pos_bits = sampler.blocks[edge_index]
-    cdf = np.cumsum(probs)[:-1] / np.sum(probs)
-    a = rng.integers(0, g.n, size=shape)
-    u_outcome = rng.random(shape)
-    z_common = rng.random(shape) < p.beta
-    xi = rng.random(shape) < p.rho_sq
-    z = (xi & z_common) | (~xi & (rng.random((r, *shape)) < p.beta))
-    u = rng.random((r, *shape))
-    z_prime = ((u < p.eta * p.beta) | ((u >= p.eta) & z)).astype(np.int8)
-    top = np.flatnonzero(z_prime)
-    b = noisy_walk_at(g, p.eta, a, z_prime.shape, top, rng)
-    mu = np.array([sampler.mus[v] for v in edge])[:, None, None]
-    x_new = (rng.random((r, *shape)) < mu).astype(np.int8)
-    keep = top[rng.random(top.size) >= p.eta]
-    position, coord = np.divmod(keep, a.size)
-    outcome = (u_outcome.reshape(-1)[coord, None] >= cdf).sum(axis=1)
-    x_new.reshape(-1)[keep] = pos_bits[outcome, position]
-    return [(b[pos], x_new[pos], z_prime[pos]) for pos in range(r)]
-
-
 class TestFoldedKernel:
-    """The one-pass kernel against the law of the walk-then-fold it replaces:
-    B' walks from A only where z' is top, with the lazy step, and is uniform
-    where z' is bot; x' keeps the outcome bit only where z' is top and its
-    noise did not fire.  The parts come back unpermuted, aligned with the trace."""
+    """The leakage fold of the sampled letters: B' walks from A only where z'
+    is top, with the lazy step, and is uniform where z' is bot; x' is the
+    noised bit x~ where z' is top and a fresh Bernoulli(mu) bit where z' is
+    bot.  The parts come back unpermuted, aligned with the trace."""
 
     @staticmethod
     def draws(eta, seed, m=20000, R=4):
@@ -371,21 +364,6 @@ class TestFoldedKernel:
     @staticmethod
     def assert_rate(hits, total, p):
         assert abs(hits / total - p) <= 4 * math.sqrt(p * (1 - p) / total) + 1e-12, (hits / total, p)
-
-    def test_buffered_draws_read_one_stream(self):
-        # the same parts as fresh (r, m, R) arrays drawn in the same order
-        gap = small_gap()
-        theta = mixture_theta(gap, np.random.default_rng(10))
-        params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.3, rho_sq=0.4, R=7, eta=0.2)
-        sampler = BatchTestSampler(gap, theta, cycle_sse(6), params)
-        for e_idx in range(len(gap.edges)):
-            rng, ref_rng = rng_for(12, "buffered", e_idx), rng_for(12, "buffered", e_idx)
-            got = sampler.sample_parts(e_idx, 3000, rng)
-            want = sample_parts_unbuffered(sampler, e_idx, 3000, ref_rng)
-            for part, ref in zip(got, want):
-                for u, v in zip(part, ref):
-                    np.testing.assert_array_equal(u, v)
-            assert rng.random() == ref_rng.random()
 
     def test_vertex_fold(self):
         eta = 0.5
@@ -408,16 +386,13 @@ class TestFoldedKernel:
         eta = 0.5
         parts, trace, mus = self.draws(eta, 2)
         for pos, (_, x_new, z) in enumerate(parts):
-            x, mu = trace["x"][pos], mus[pos]
+            x_tilde, mu = trace["x_tilde"][pos], mus[pos]
             top, bot = z == 1, z == 0
-            np.testing.assert_array_equal(x_new[top], trace["x_tilde"][pos][top])
-            assert (trace["x_tilde"][pos][bot] == -1).all()
-            # a fresh Bernoulli(mu) differs from the outcome bit x with
-            # probability mu where x = 0 and 1 - mu where x = 1
-            flip = np.where(x == 1, 1 - mu, mu)
-            for where, rate in ((top, eta), (bot, 1.0)):
-                p = rate * float(flip[where].mean())
-                self.assert_rate(int((x_new[where] != x[where]).sum()), int(where.sum()), p)
+            np.testing.assert_array_equal(x_new[top], x_tilde[top])
+            # where z' is bot, x' is Bernoulli(mu) and independent of x~,
+            # which is itself Bernoulli(mu): they differ at rate 2 mu (1 - mu)
+            self.assert_rate(int(x_new[bot].sum()), int(bot.sum()), mu)
+            self.assert_rate(int((x_new[bot] != x_tilde[bot]).sum()), int(bot.sum()), 2 * mu * (1 - mu))
 
 
 class TestDictator:
@@ -996,17 +971,17 @@ class TestWorkingMemory:
 
     def test_one_acceptance_chunk(self):
         # CHUNK rows split over the 4 edges: each edge draws about CHUNK / 4
-        # rows, and its peak (the walk over both positions, the vertex
-        # points, the outcome uniforms and the index temporaries) is about
-        # seven and a half units of those rows.  One edge's parts alive while
-        # the next edge draws, or (r, rows, R) uniforms alive through the
-        # walk, take it past eight.
+        # rows, and its peak, in the fold's fresh bits, is about REPLACE
+        # units of those rows: the walk's int64 output over both positions
+        # (two), the (r, rows, R) uniforms of the fresh bits (two), the
+        # vertex points (one) and the int8 letters and bits.  One edge's
+        # parts alive while the next edge draws takes it past six and a half.
         gap, theta, graph, params, f = reduce_mc_setup()
         sampler = BatchTestSampler(gap, theta, graph, params)
         with traced_peak() as peak:
             sampler.accept_indicators(f, CHUNK, rng_for(45, "accept-memory"))
         unit = CHUNK // 4 * params.R * 8
-        assert peak.bytes < 8 * unit, peak.bytes / unit
+        assert peak.bytes < 6.5 * unit, peak.bytes / unit
 
 
 class TestDecodeStat:
