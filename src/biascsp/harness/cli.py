@@ -243,12 +243,18 @@ _PD = [
     _opt("--in", dest="infile", required=True), _opt("--instance", required=True), _OUT,
     _opt("--mu", type=_num, default=None),
 ]
-_REDUCE = [
-    _opt("--instance", required=True), _opt("--pd", required=True), _opt("--graph", required=True),
-    _opt("--mu", type=_num, default=None), _opt("--beta", type=_num, default=0.2),
-    _opt("--rho-sq", type=_num, default=0.25), _opt("--R", type=int, default=10),
-    _opt("--eta", type=_num, default=0.01), _SEED, _OUT,
-]
+
+
+def _reduce_flags(R: int) -> list:
+    return [
+        _opt("--instance", required=True), _opt("--pd", required=True), _opt("--graph", required=True),
+        _opt("--mu", type=_num, default=None), _opt("--beta", type=_num, default=0.2),
+        _opt("--rho-sq", type=_num, default=0.25), _opt("--R", type=int, default=R),
+        _opt("--eta", type=_num, default=0.01), _SEED, _OUT,
+    ]
+
+
+_REDUCE = _reduce_flags(10)
 GROUPS = {
     "csp": "constraint hypergraph utilities", "pd": "local-distribution families",
     "gauss": "correlated-Gaussian stability", "round": "Gaussian-projection rounding",
@@ -296,7 +302,10 @@ COMMANDS = [
         _opt("--set", default=None, help="comma-separated planted vertices"),
     ]),
     (("reduce", "accept"), _cmd_reduce_accept, None, _REDUCE + [_opt("--trials", type=int, default=100000)]),
-    (("reduce", "decouple"), _cmd_reduce_decouple, None, _REDUCE + [_opt("--exact", action="store_true")]),
+    # decoupling tables live on a PairedSpace, which caps R at MAX_PAIR_R = 8
+    (("reduce", "decouple"), _cmd_reduce_decouple, None, _reduce_flags(6) + [
+        _opt("--exact", action="store_true"),
+    ]),
     (("reduce", "mix"), _cmd_reduce_mix, None, _REDUCE + [
         _opt("--alpha", type=_num, default=2.0), _opt("--a-samples", type=int, default=2000),
     ]),

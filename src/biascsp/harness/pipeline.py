@@ -210,8 +210,6 @@ def verify_stage(name: str, family, mu, seed=None) -> dict:
         bias=report.bias,
         violations=len(report.consistency_violations),
         moment_size=report.moment_size,
-        support_rows=report.support_rows,
-        path=report.path,
         elapsed_s=time.perf_counter() - t0,
     )
 

@@ -153,6 +153,26 @@ def pack_bits(columns):
     return idx
 
 
+def subset_masks(index, positions, width: int) -> np.ndarray:
+    """Masks over ``width`` coordinates, the first most significant, of the
+    subsets that flat indices over ``(2,)*len(positions)`` select: bit ``j``
+    of an index (read as :func:`unpack_bits` does) puts coordinate
+    ``positions[j]`` in the subset.
+
+    ``subset_masks(2**k - 1, positions, width)`` is the mask of ``positions``
+    itself, and with ``positions = range(width)`` every index is its own
+    mask.  Masks are int64, so ``width`` is at most 63.
+    """
+    if width > 63:
+        raise ValueError(f"subset masks hold at most 63 coordinates, not {width}")
+    index = np.asarray(index, dtype=np.int64)
+    k = len(positions)
+    out = np.zeros(index.shape, dtype=np.int64)
+    for j, p in enumerate(positions):
+        out |= ((index >> (k - 1 - j)) & 1) << (width - 1 - p)
+    return out
+
+
 def product_measure(biases) -> np.ndarray:
     """The product of Bernoulli(p) coordinates, one per bias, as a flat
     vector in C order over ``(2,)*len(biases)``: the weight of the point

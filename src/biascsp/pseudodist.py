@@ -17,13 +17,12 @@ import numpy as np
 from .csp import Assignment, ConstraintHypergraph
 from .harness.mc import ORACLE_CAP
 from .polynomial import _apply_axis
-from .probspace import unpack_bits
+from .probspace import _mask_degrees, domain_points, pack_bits, subset_masks, unpack_bits
 
 CONSISTENCY_TOL = 1e-9
 PSD_TOL = -1e-8
 VECTOR_TOL = 1e-7
 _JOINT_CAP = 20
-_MOMENT_CHUNK = 1 << 16  # entries of one monomial-indicator chunk
 
 
 class StructuralError(KeyError):
@@ -117,13 +116,6 @@ class LocalDistributionFamily:
         given = dict(zip(subset, bits))
         aligned = tuple(int(given[v]) for v in key)
         return float(table[aligned])
-
-    def prob_all_ones(self, subset) -> float:
-        key = self._key(subset)
-        if not key:
-            return 1.0
-        table = self.local(key)
-        return float(table[(1,) * len(key)])
 
     def vertex_mean(self, v: str) -> float:
         return float(self.local((v,))[1])
@@ -243,18 +235,11 @@ class LocalDistributionFamily:
 
     def objective(self) -> float:
         """Edge-weighted probability of satisfying the predicate."""
-        psi = self.host.predicate
+        accepting = self.host.predicate.table()
         total = 0.0
         for vs, w in self.host.edges:
-            key = self._key(vs)
-            table = self.local(key)
-            pos = {v: i for i, v in enumerate(key)}
-            p = 0.0
-            for bits in itertools.product((0, 1), repeat=len(key)):
-                labels = [bits[pos[v]] for v in vs]
-                if psi(labels):
-                    p += float(table[bits])
-            total += w * p
+            probs, _ = edge_block_probs(self, vs)
+            total += w * float(probs @ accepting)
         return total
 
     def bias(self) -> float:
@@ -293,6 +278,22 @@ class LocalDistributionFamily:
                 table[tuple(int(c) for c in bit_string)] = float(p)
             locals_[subset] = table
         return cls(host, obj["level"], locals_)
+
+
+def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
+    """Per-coordinate distribution of the position bits of one edge.
+
+    Returns (probs over 2^r outcomes, outcome -> per-position bit matrix).
+    Outcome index packs position bits with position 0 most significant;
+    duplicate vertices within the edge induce identical columns.
+    """
+    key = theta._key(edge)
+    table = np.asarray(theta.local(key)).reshape(-1)
+    key_bits = domain_points(len(key))
+    # the outcome each assignment of the key's vertices induces on the positions
+    outcome = pack_bits(key_bits[:, key.index(v)] for v in edge)
+    probs = np.bincount(outcome, weights=table, minlength=2 ** len(edge))
+    return probs, domain_points(len(edge)).astype(np.int8)
 
 
 # ---- statistics ------------------------------------------------------------
@@ -360,72 +361,95 @@ class FeasibilityReport:
     objective: float
     feasible: bool
     moment_size: int  # |index|: subsets of size <= level/2, the empty one included
-    support_rows: int | None  # nonzero joint entries; None when locals-backed
-    path: str  # "joint" (batched kernel, joint check) or "locals" (per-entry, pairwise scan)
 
 
-def _joint_backed(theta: LocalDistributionFamily) -> bool:
-    return theta._joint is not None and not theta._locals
+_ZETA = np.array([[1.0, 1.0], [0.0, 1.0]])  # superset sum along one axis
 
 
-def _joint_moments(theta: LocalDistributionFamily, index: list[tuple[str, ...]]) -> np.ndarray:
-    """P[all ones on sa ∪ sb] for every pair of index subsets, as M^T diag(p) M.
-
-    ``p`` holds the nonzero joint entries and ``M[x, a] = prod_{v in sa} x_v``;
-    rows go through in chunks, so no ``rows x |index|`` array is built.
-    """
+def _subset(theta: LocalDistributionFamily, mask) -> tuple[str, ...]:
     verts = theta.host.vertices
-    n, size = len(verts), len(index)
-    p = theta._joint.reshape(-1)
-    rows = int(np.count_nonzero(p))
-    if rows * size > ORACLE_CAP:
-        raise ValueError(
-            f"moment matrix at n={n}, level={theta.level}: {rows} nonzero joint rows x "
-            f"{size} index subsets exceeds the work cap {ORACLE_CAP}"
-        )
-    # index subsets as vertex positions, padded with n (a column of ones)
-    width = max(len(s) for s in index)
-    pos = np.full((size, width), n)
-    for a, sa in enumerate(index):
-        pos[a, : len(sa)] = [theta._order[v] for v in sa]
-    nz = np.flatnonzero(p)
-    step = max(1, _MOMENT_CHUNK // size)
-    out = np.zeros((size, size))
-    for start in range(0, rows, step):
-        x = nz[start : start + step]
-        bits = np.ones((x.size, n + 1), dtype=bool)
-        bits[:, :n] = unpack_bits(x, n)
-        m = bits[:, pos].all(axis=2).astype(float)
-        out += (m * p[x, None]).T @ m
-    return out
+    return tuple(v for v, b in zip(verts, unpack_bits(mask, len(verts))) if b)
 
 
-def _moment_entries(theta: LocalDistributionFamily, order: int, violations: list | None = None):
+def _moments(theta: LocalDistributionFamily, max_size: int, violations: list | None = None,
+             tol: float = CONSISTENCY_TOL):
+    """Pseudo-moments y_S = P[x_v = 1 for every v in S] with |S| <= max_size.
+
+    Returns (masks, y): the sorted subset masks (``probspace.subset_masks``,
+    vertex 0 most significant) that some stored array covers, and their
+    moments.  An array's superset-sum (zeta) transform holds the moments of
+    the subsets of its key; where several arrays give a moment, the first
+    stored one (the joint, then the locals in order) is read.  With ``violations``, each array is checked: its
+    negative mass >= -tol, its total within tol of 1, and the moments it
+    shares with other arrays agree within tol ('marginal').
+    """
+    n = len(theta.host.vertices)
+    stored = list(theta._locals.items())
+    if theta._joint is not None:
+        stored.insert(0, (tuple(theta.host.vertices), theta._joint))
+    masks, values = [], []
+    for key, table in stored:
+        if violations is not None:
+            negative = float(table.sum(where=table < 0.0))
+            if negative < -tol:
+                violations.append(("negative", key, negative))
+            if abs(table.sum() - 1.0) > tol:
+                violations.append(("normalization", key, float(table.sum())))
+        z = table
+        for axis in range(z.ndim):
+            z = _apply_axis(z, _ZETA, axis)
+        sel = np.flatnonzero(_mask_degrees(z.ndim) <= max_size)
+        masks.append(subset_masks(sel, [theta._order[v] for v in key], n))
+        values.append(z.reshape(-1)[sel])
+    if not masks:
+        raise StructuralError("the family stores no distribution")
+    masks, values = np.concatenate(masks), np.concatenate(values)
+    order = np.argsort(masks, kind="stable")
+    masks, values = masks[order], values[order]
+    first = np.flatnonzero(np.r_[True, masks[1:] != masks[:-1]])
+    if violations is not None:
+        gap = np.maximum.reduceat(values, first) - np.minimum.reduceat(values, first)
+        for i in np.flatnonzero(gap > tol):
+            violations.append(("marginal", _subset(theta, masks[first[i]]), float(gap[i])))
+    return masks[first], values[first]
+
+
+def _moment_entries(theta: LocalDistributionFamily, order: int, violations: list | None = None,
+                    tol: float = CONSISTENCY_TOL):
     """Index subsets (size <= order/2), moment matrix and usable-row mask.
 
-    Joint-backed families take the batched kernel.  Otherwise each entry is a
-    local query; when ``violations`` is given, an entry no stored local covers
-    is recorded as 'missing-local' and its rows are marked unusable.
+    Entry (a, b) is the pseudo-moment of a | b, one gather from
+    :func:`_moments`, which checks every moment of size <= order when
+    ``violations`` is given.  An entry no stored array covers raises
+    :class:`StructuralError`; with ``violations`` it is recorded as
+    'missing-local' and its rows are marked unusable.
     """
     verts = theta.host.vertices
-    half = min(max(order // 2, 1), len(verts))
+    n = len(verts)
+    half = min(max(order // 2, 1), n)
+    size = sum(math.comb(n, k) for k in range(half + 1))
+    if size * size > ORACLE_CAP:
+        raise ValueError(
+            f"moment matrix at n={n}, order {order}: {size} index subsets, {size}^2 entries "
+            f"exceed the work cap {ORACLE_CAP}"
+        )
+    masks, y = _moments(theta, max(order, 2 * half), violations, tol)
     index: list[tuple[str, ...]] = [()]
     for k in range(1, half + 1):
-        index.extend(tuple(c) for c in itertools.combinations(verts, k))
-    usable = np.ones(len(index), dtype=bool)
-    if _joint_backed(theta):
-        return index, _joint_moments(theta, index), usable
-    m = np.zeros((len(index), len(index)))
-    for a, sa in enumerate(index):
-        for b, sb in enumerate(index[a:], start=a):
-            union = tuple(dict.fromkeys(sa + sb))
-            try:
-                m[a, b] = m[b, a] = theta.prob_all_ones(union)
-            except (StructuralError, ValueError):
-                if violations is None:
-                    raise
-                violations.append(("missing-local", union, None))
-                usable[a] = usable[b] = False
+        index.extend(itertools.combinations(verts, k))
+    rows = np.array([subset_masks(2 ** len(s) - 1, [theta._order[v] for v in s], n) for s in index])
+    union = rows[:, None] | rows
+    at = np.searchsorted(masks, union)
+    np.minimum(at, masks.size - 1, out=at)
+    found = masks[at] == union
+    m = y[at]
+    usable = found.all(axis=1)
+    if not usable.all():
+        missing = np.argwhere(np.triu(~found))
+        if violations is None:
+            raise StructuralError(f"no stored distribution covers {_subset(theta, union[tuple(missing[0])])}")
+        violations.extend(("missing-local", _subset(theta, union[a, b]), None) for a, b in missing)
+        m[~found] = 0.0
     return index, m, usable
 
 
@@ -442,30 +466,18 @@ def verify_feasible(
 ) -> FeasibilityReport:
     """Check local consistency, moment-matrix PSDness, bias, and objective.
 
-    A joint-backed family is checked on the joint alone: its negative mass,
-    a lower bound on every marginal entry, must be >= -tol and its total
-    within tol of 1.  Marginals of one array agree with each other, so the
-    pairwise scan other families get is not needed.
+    Every stored array, the joint or a local, has negative mass >= -tol (a
+    lower bound on each of its marginal entries) and a total within tol of
+    1, and arrays agree within tol on the pseudo-moments they share.
     """
-    violations = []
-    joint_path = _joint_backed(theta)
-    if joint_path:
-        joint = theta._joint
-        key = tuple(theta.host.vertices)
-        negative = float(joint.sum(where=joint < 0.0))
-        if negative < -tol:
-            violations.append(("negative", key, negative))
-        if abs(joint.sum() - 1.0) > tol:
-            violations.append(("normalization", key, float(joint.sum())))
-    else:
-        _scan_locals(theta, tol, violations)
     # missing edge locals are structural failures
     for vs, _ in theta.host.edges:
         try:
             theta.local(theta._key(vs))
         except StructuralError as exc:
             raise StructuralError(f"edge {vs} has no stored local") from exc
-    index, m, usable = _moment_entries(theta, theta.level, violations)
+    violations = []
+    index, m, usable = _moment_entries(theta, theta.level, violations, tol)
     sub = m[np.ix_(usable, usable)]
     min_eig = float(np.linalg.eigvalsh(sub).min()) if usable.any() else 0.0
     bias = theta.bias()
@@ -475,44 +487,7 @@ def verify_feasible(
         and min_eig >= PSD_TOL
         and (mu is None or abs(bias - mu) <= 1e-7)
     )
-    return FeasibilityReport(
-        violations,
-        min_eig,
-        bias,
-        mu,
-        objective,
-        feasible,
-        moment_size=len(index),
-        support_rows=int(np.count_nonzero(theta._joint)) if joint_path else None,
-        path="joint" if joint_path else "locals",
-    )
-
-
-def _scan_locals(theta: LocalDistributionFamily, tol: float, violations: list) -> None:
-    """Sign, normalization and pairwise-marginal checks of the stored locals."""
-    subsets = theta.stored_subsets()
-    for key in subsets:
-        table = np.asarray(theta.local(key))
-        if table.min() < -tol:
-            violations.append(("negative", key, float(table.min())))
-        if abs(table.sum() - 1.0) > tol:
-            violations.append(("normalization", key, float(table.sum())))
-    for ka, kb in itertools.combinations(subsets, 2):
-        common = tuple(v for v in ka if v in kb)
-        if not common:
-            continue
-        ta = theta.local(ka)
-        tb = theta.local(kb)
-        da = tuple(i for i, v in enumerate(ka) if v not in common)
-        db = tuple(i for i, v in enumerate(kb) if v not in common)
-        ma = ta.sum(axis=da) if da else ta
-        mb = tb.sum(axis=db) if db else tb
-        order_a = [v for v in ka if v in common]
-        order_b = [v for v in kb if v in common]
-        mb = np.transpose(mb, [order_b.index(v) for v in order_a])
-        gap = float(np.abs(ma - mb).max())
-        if gap > tol:
-            violations.append(("marginal", (ka, kb), gap))
+    return FeasibilityReport(violations, min_eig, bias, mu, objective, feasible, moment_size=len(index))
 
 
 # ---- vector solution -------------------------------------------------------

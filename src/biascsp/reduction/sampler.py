@@ -20,26 +20,10 @@ import numpy as np
 from ..csp import ConstraintHypergraph
 from ..polynomial import _apply_axis
 from ..probspace import domain_points, pack_bits, product_measure
-from ..pseudodist import LocalDistributionFamily
+from ..pseudodist import LocalDistributionFamily, edge_block_probs
 from .dictator import permute_rows
 from .graphs import SseGraph, noisy_walk
 from .params import ReductionParams
-
-
-def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
-    """Per-coordinate distribution of the position bits of one edge.
-
-    Returns (probs over 2^r outcomes, outcome -> per-position bit matrix).
-    Outcome index packs position bits with position 0 most significant;
-    duplicate vertices within the edge induce identical columns.
-    """
-    key = theta._key(edge)
-    table = np.asarray(theta.local(key)).reshape(-1)
-    key_bits = domain_points(len(key))
-    # the outcome each assignment of the key's vertices induces on the positions
-    outcome = pack_bits(key_bits[:, key.index(v)] for v in edge)
-    probs = np.bincount(outcome, weights=table, minlength=2 ** len(edge))
-    return probs, domain_points(len(edge)).astype(np.int8)
 
 
 def _leak_block(block_probs: np.ndarray, r: int, beta: float, rho_sq: float) -> np.ndarray:

@@ -109,12 +109,12 @@ class TestPipeline:
             for s in report["stages"]:
                 assert key in s
 
-    def test_verify_input_reports_path_and_size(self, tmp_path):
+    def test_verify_input_reports_moment_size(self, tmp_path):
         report = run_pipeline(str(product_config(tmp_path)))
         extra = report["stages"][0]["extra"]
         assert report["stages"][0]["stage"] == "verify-input"
-        # product joint over 4 vertices: 16 nonzero rows; subsets of size <= 4: 16
-        assert (extra["path"], extra["support_rows"], extra["moment_size"]) == ("joint", 16, 16)
+        # 4 vertices at level 8: index subsets of size <= 4, all 16 of them
+        assert extra["moment_size"] == 16
         assert extra["elapsed_s"] >= 0.0
 
     def test_rounding_value_reports_applicability(self, tmp_path):
@@ -380,6 +380,19 @@ class TestCli:
         # each product lies in [0, 1], so the mc mean over decoupling_check's
         # default 2^20 samples has stderr <= 0.5 / sqrt(samples)
         assert abs(mc["value"] - exact["value"]) <= 4 * 0.5 / math.sqrt(1 << 20)
+
+    def test_reduce_decouple_runs_with_default_flags(self, instance_file, pd_file, tmp_path):
+        # the default R must fit the paired tables' cap (MAX_PAIR_R = 8)
+        graph_file = tmp_path / "graph.json"
+        run_cli("reduce", "gen", "--kind", "planted", "--n", "32", "--out", str(graph_file))
+        graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["extra"]["graph"]))
+        proc = run_cli(
+            "reduce", "decouple", "--instance", str(instance_file), "--pd", str(pd_file),
+            "--graph", str(graph_file),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["extra"]["mode"] == "mc" and report["value"] <= report["bound"]
 
     def test_pipeline_command(self, tmp_path):
         cfg = product_config(tmp_path)

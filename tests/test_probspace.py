@@ -26,6 +26,7 @@ from biascsp.probspace import (
     pack_bits,
     product_measure,
     split_influences,
+    subset_masks,
     unpack_bits,
 )
 
@@ -393,6 +394,30 @@ class TestBitLayout:
             want = points[:, vs] @ (1 << np.arange(len(vs) - 1, -1, -1))
             got = np.broadcast_to(pack_bits(cols[v] for v in vs), packed.shape)
             np.testing.assert_array_equal(got.reshape(-1), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(width=st.integers(1, 63), data=st.data())
+    def test_subset_masks_place_each_bit(self, width, data):
+        positions = data.draw(st.lists(st.integers(0, width - 1), unique=True, max_size=min(width, 8)))
+        k = len(positions)
+        got = subset_masks(np.arange(2 ** k), positions, width)
+        assert got.dtype == np.int64
+        # index bit j (the first most significant) selects positions[j],
+        # which weighs 2^(width-1-positions[j]) in the mask
+        want = [
+            sum(1 << (width - 1 - p) for j, p in enumerate(positions) if (s >> (k - 1 - j)) & 1)
+            for s in range(2 ** k)
+        ]
+        assert got.tolist() == want
+        whole = sum(1 << (width - 1 - p) for p in positions)
+        assert int(subset_masks(2 ** k - 1, positions, width)) == whole
+        # the identity placement packs a point's own index
+        idx = np.arange(2 ** min(width, 10))
+        np.testing.assert_array_equal(subset_masks(idx, range(min(width, 10)), min(width, 10)), idx)
+
+    def test_subset_masks_refuse_64_coordinates(self):
+        with pytest.raises(ValueError, match="at most 63"):
+            subset_masks(1, [0], 64)
 
     @given(st.lists(st.floats(0.0, 1.0), max_size=10))
     def test_product_measure_is_outer_chain(self, biases):

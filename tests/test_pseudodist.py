@@ -11,7 +11,9 @@ from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
 from biascsp.pseudodist import (
     LocalDistributionFamily,
     PSDFailureError,
+    StructuralError,
     ZeroProbabilityEvent,
+    _moments,
     find_conditioning,
     moment_matrix,
     vector_solution,
@@ -417,8 +419,8 @@ class TestSerialization:
 
 
 class TestJointFastPath:
-    """The batched joint kernel against the per-entry path of the same family
-    re-imported through JSON (which keeps only locals)."""
+    """Moments read from a joint against the same family re-imported through
+    JSON, which keeps only locals: one read path over either storage."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -443,9 +445,6 @@ class TestJointFastPath:
         assert index_fast == index_slow
         np.testing.assert_allclose(m_fast, m_slow, rtol=0.0, atol=1e-12)
         fast, slow = verify_feasible(fam), verify_feasible(back)
-        assert (fast.path, slow.path) == ("joint", "locals")
-        assert fast.support_rows == np.count_nonzero(fam._joint)
-        assert slow.support_rows is None
         assert fast.moment_size == slow.moment_size == len(index_fast)
         assert abs(fast.min_eigenvalue - slow.min_eigenvalue) <= 1e-12
         assert fast.feasible == slow.feasible
@@ -457,7 +456,6 @@ class TestJointFastPath:
         joint[1, 1, 1] = -0.05  # total stays 1
         rep = verify_feasible(LocalDistributionFamily(g, 2, joint=joint))
         assert not rep.feasible
-        assert rep.path == "joint"
         assert {v[0] for v in rep.consistency_violations} == {"negative"}
         assert rep.consistency_violations[0][2] == pytest.approx(-0.05)
 
@@ -481,12 +479,87 @@ class TestJointFastPath:
         assert rep.consistency_violations[0][2] == pytest.approx(1.01)
 
     def test_work_cap_refuses_before_allocating(self):
-        # 2^16 nonzero rows x 697 index subsets (size <= 3 of 16) > ORACLE_CAP
-        fam = LocalDistributionFamily(host(16), 6, joint=np.full((2,) * 16, 2.0 ** -16))
+        # level 6 at n = 64: 43745 index subsets (size <= 3), 43745^2 > ORACLE_CAP
+        g = host(64)
+        locals_ = {(f"v{i}", f"v{(i + 1) % 64}"): np.full((2, 2), 0.25) for i in range(64)}
+        fam = LocalDistributionFamily(g, 6, locals_)
         with traced_peak() as peak:
-            with pytest.raises(ValueError, match="n=16, level=6: 65536 nonzero joint rows x 697 index"):
+            with pytest.raises(ValueError, match="n=64, order 6: 43745 index subsets"):
                 moment_matrix(fam)
-        # one full indicator matrix would be 365 MB, one chunk of it 512 KiB
+            with pytest.raises(ValueError, match="work cap"):
+                verify_feasible(fam)
+        # the (|index|, |index|) gather alone would be 15 GB
         assert peak.bytes < 256 * 1024
-        with pytest.raises(ValueError, match="work cap"):
-            verify_feasible(fam)
+
+    def test_dense_joint_at_n16_matches_closed_form(self):
+        # uniform on 16 bits: every moment matrix entry is 2^-|a | b|
+        fam = LocalDistributionFamily(host(16), 6, joint=np.full((2,) * 16, 2.0 ** -16))
+        index, m = moment_matrix(fam)
+        assert len(index) == 697
+        sizes = np.array([[len(set(a) | set(b)) for b in index] for a in index])
+        np.testing.assert_allclose(m, 2.0 ** -sizes, rtol=1e-12, atol=0.0)
+        rep = verify_feasible(fam)
+        assert rep.feasible and rep.moment_size == 697
+
+    def test_locals_disagreeing_on_one_moment_are_inconsistent(self):
+        # the (v1, v2) table is a distribution that puts E[x_v1] 1e-6 above
+        # the other tables' value and agrees with them on every other moment
+        g = host(3)
+        locals_ = {
+            ("v0",): np.array([0.5, 0.5]),
+            ("v1",): np.array([0.5, 0.5]),
+            ("v2",): np.array([0.5, 0.5]),
+            ("v0", "v1"): np.array([[0.25, 0.25], [0.25, 0.25]]),
+            ("v1", "v2"): np.array([[0.25 - 1e-6, 0.25], [0.25 + 1e-6, 0.25]]),
+            ("v0", "v2"): np.array([[0.25, 0.25], [0.25, 0.25]]),
+        }
+        rep = verify_feasible(LocalDistributionFamily(g, 2, locals_))
+        assert not rep.feasible
+        assert {v[0] for v in rep.consistency_violations} == {"marginal"}
+        assert [v[1] for v in rep.consistency_violations] == [("v1",)]
+        assert rep.consistency_violations[0][2] == pytest.approx(1e-6)
+
+    def test_uncovered_union_is_missing_local(self):
+        # a path v0 - v1 - v2: the moment matrix reads y of {v0, v2}, which
+        # no stored table holds
+        path = ConstraintHypergraph(
+            {f"v{i}": 1.0 / 3 for i in range(3)},
+            [(("v0", "v1"), 0.5), (("v1", "v2"), 0.5)],
+            Predicate.xor(2),
+        )
+        locals_ = {(f"v{i}",): np.array([0.5, 0.5]) for i in range(3)}
+        locals_.update({("v0", "v1"): np.full((2, 2), 0.25), ("v1", "v2"): np.full((2, 2), 0.25)})
+        fam = LocalDistributionFamily(path, 2, locals_)
+        rep = verify_feasible(fam)
+        assert not rep.feasible
+        assert [v[:2] for v in rep.consistency_violations] == [("missing-local", ("v0", "v2"))]
+        # the rows of v0 and v2 are left out: [[1, 1/2], [1/2, 1/2]] remains
+        assert rep.min_eigenvalue == pytest.approx((1.5 - math.sqrt(1.25)) / 2, abs=1e-12)
+        with pytest.raises(StructuralError, match="v0.*v2"):
+            moment_matrix(fam)
+
+    def test_scattered_negative_mass_in_a_local_is_infeasible(self):
+        # each entry of the pair table is above -tol; their sum is not
+        g = host(2)
+        pair = np.array([[0.5 + 1.2e-9, -0.6e-9], [-0.6e-9, 0.5]])
+        locals_ = {("v0",): pair.sum(axis=1), ("v1",): pair.sum(axis=0), ("v0", "v1"): pair}
+        assert pair.min() > -1e-9 and abs(pair.sum() - 1.0) < 1e-15
+        rep = verify_feasible(LocalDistributionFamily(g, 2, locals_))
+        assert not rep.feasible
+        assert {v[0] for v in rep.consistency_violations} == {"negative"}
+        assert rep.consistency_violations[0][1] == ("v0", "v1")
+
+    def test_moments_of_an_n20_joint_stay_within_a_few_joints(self):
+        n = 20
+        joint = np.random.default_rng(0).dirichlet(np.ones(2 ** n))
+        fam = LocalDistributionFamily(host(n), 6, joint=joint)
+        with traced_peak() as peak:
+            masks, y = _moments(fam, 6)
+        assert masks.size == sum(math.comb(n, k) for k in range(7))
+        assert peak.bytes < 6 * joint.nbytes
+        # y_S = P[x_v = 1 for v in S]; vertex 0 is the most significant bit
+        t = joint.reshape((2,) * n)
+        for subset in ((0,), (0, 1), (1, 2, 19), (0, 3, 4, 10, 18, 19)):
+            mask = sum(1 << (n - 1 - v) for v in subset)
+            want = t[tuple(1 if v in subset else slice(None) for v in range(n))].sum()
+            assert y[np.searchsorted(masks, mask)] == pytest.approx(want, rel=1e-12)
