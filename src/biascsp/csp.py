@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -137,11 +136,6 @@ class ConstraintHypergraph:
         vw = {item["id"]: item["weight"] for item in obj["vertices"]}
         edges = [(tuple(item["vs"]), item["weight"]) for item in obj["edges"]]
         return cls(vw, edges, pred)
-
-    @classmethod
-    def load(cls, path) -> "ConstraintHypergraph":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ def load_family(source, host: ConstraintHypergraph) -> LocalDistributionFamily:
     if kind == "product":
         n = len(host.vertices)
         joint = product_measure([parse_number(obj.get("mu", 0.5))] * n).reshape((2,) * n)
-        return LocalDistributionFamily(host, level, joint=joint)
+        return LocalDistributionFamily(host, level, {tuple(host.vertices): joint})
     if kind == "mixture":
         support = []
         for item in obj.get("support", []):
@@ -240,7 +240,7 @@ def condition_stage(name: str, family, target: float, budget: int, seed=None):
     record = stage(
         name,
         result.success,
-        value=result.family.statistics().avg_abs_corr,
+        value=result.avg_abs_corr,
         bound=target,
         seed=seed,
         trace=result.trace,

@@ -1,6 +1,6 @@
 """Locally-consistent distribution families over a constraint hypergraph.
 
-A family stores one probability vector per small vertex subset, consistent on
+A family stores probability tables keyed by vertex subsets, consistent on
 overlaps, with a PSD moment matrix: the desk-scale stand-in for a solution of
 the level-l relaxation.  Families are sourced from true distributions (always
 feasible), from per-coordinate smoothing, from conditioning, or from JSON
@@ -52,62 +52,53 @@ class LocalDistributionFamily:
 
     Subsets are canonically ordered by the host's vertex order, and each local
     is a probability tensor of shape ``(2,)*|S|`` with axis k indexing the
-    k-th vertex of the sorted subset.  Families built from true distributions
-    additionally carry the full joint, from which any local is derived on
-    demand.
+    k-th vertex of the sorted subset.  The family stores one kind of object,
+    tables keyed by vertex subsets: a true distribution is one table over
+    every vertex, a JSON import one table per local.  Any local another
+    table covers is its marginal.
     """
 
     def __init__(
         self,
         host: ConstraintHypergraph,
         level: int,
-        locals_: dict[tuple[str, ...], np.ndarray] | None = None,
-        joint: np.ndarray | None = None,
+        tables: dict[tuple[str, ...], np.ndarray] | None = None,
     ):
         if level < 2:
             raise ValueError("level must be >= 2")
         self.host = host
         self.level = int(level)
         self._order = {v: i for i, v in enumerate(host.vertices)}
-        self._locals: dict[tuple[str, ...], np.ndarray] = {}
-        if locals_:
-            for subset, table in locals_.items():
-                key = self._key(subset)
-                self._locals[key] = np.asarray(table, dtype=float).reshape((2,) * len(key))
-        self._joint = None
-        if joint is not None:
-            n = len(host.vertices)
-            self._joint = np.asarray(joint, dtype=float).reshape((2,) * n)
+        self._tables: dict[tuple[str, ...], np.ndarray] = {}
+        for subset, table in (tables or {}).items():
+            key = self._key(subset)
+            self._tables[key] = np.asarray(table, dtype=float).reshape((2,) * len(key))
 
     # ---- subset plumbing -------------------------------------------------
 
     def _key(self, subset) -> tuple[str, ...]:
-        vs = sorted(set(subset), key=lambda v: self._order[v])
+        vs = set(subset)
         for v in vs:
             if v not in self._order:
                 raise KeyError(f"unknown vertex {v}")
-        return tuple(vs)
+        return tuple(sorted(vs, key=self._order.__getitem__))
 
-    def stored_subsets(self) -> list[tuple[str, ...]]:
-        return list(self._locals)
+    def _cover(self, key: tuple[str, ...]) -> np.ndarray:
+        """Marginal on ``key`` of the first stored table whose subset covers it."""
+        if key in self._tables:
+            return self._tables[key]
+        need = set(key)
+        for skey, table in self._tables.items():
+            if need <= set(skey):
+                return _marginal(table, skey, key)
+        raise StructuralError(f"no stored local covers {key}")
 
     def local(self, subset) -> np.ndarray:
         """Probability tensor of the local distribution on ``subset``."""
         key = self._key(subset)
         if len(key) > self.level:
             raise ValueError(f"subset of size {len(key)} exceeds level {self.level}")
-        if key in self._locals:
-            return self._locals[key]
-        if self._joint is not None:
-            axes = tuple(i for i, v in enumerate(self.host.vertices) if v not in key)
-            table = self._joint.sum(axis=axes) if axes else self._joint
-            return np.asarray(table)
-        # fall back to marginalizing a stored superset
-        for skey, table in self._locals.items():
-            if set(key) <= set(skey):
-                drop = tuple(i for i, v in enumerate(skey) if v not in key)
-                return table.sum(axis=drop) if drop else table
-        raise StructuralError(f"no stored local covers {key}")
+        return self._cover(key)
 
     def prob(self, subset, bits) -> float:
         """Probability of X_subset = bits (bits follow the caller's order)."""
@@ -143,7 +134,7 @@ class LocalDistributionFamily:
         for sigma, p in support:
             idx = tuple(sigma[v] for v in verts)
             joint[idx] += p
-        return cls(host, level, joint=joint)
+        return cls(host, level, {tuple(verts): joint})
 
     # ---- transforms ------------------------------------------------------
 
@@ -156,21 +147,21 @@ class LocalDistributionFamily:
         if not 0.0 < eta < 1.0:
             raise ValueError("smoothing rate must lie in (0,1)")
         kernel = _smooth_kernel(eta, mu)
-        joint = None
-        if self._joint is not None:
-            joint = self._joint
-            for axis in range(joint.ndim):
-                joint = _apply_axis(joint, kernel, axis)
-        locals_ = {}
-        for key, table in self._locals.items():
-            t = table
+        tables = {}
+        for key, t in self._tables.items():
             for axis in range(t.ndim):
                 t = _apply_axis(t, kernel, axis)
-            locals_[key] = t
-        return LocalDistributionFamily(self.host, self.level, locals_, joint)
+            tables[key] = t
+        return LocalDistributionFamily(self.host, self.level, tables)
 
     def condition(self, subset, alpha) -> "LocalDistributionFamily":
-        """Restrict on the event X_subset = alpha; level drops by |subset|."""
+        """Restrict on the event X_subset = alpha; level drops by |subset|.
+
+        Each stored table is conditioned through its union with the pinned
+        vertices, read from the first table that covers it: the off-event
+        entries are zeroed, the rest divided by their mass, and the result
+        marginalized back.  A table whose union no table covers is dropped.
+        """
         key = self._key(subset)
         if isinstance(subset, (tuple, list)):
             pin = {v: int(b) for v, b in zip(subset, alpha)}
@@ -179,54 +170,23 @@ class LocalDistributionFamily:
         new_level = self.level - len(key)
         if new_level < 2:
             raise ValueError("conditioning would drop level below 2")
-        p_event = self._event_prob(key, tuple(pin[v] for v in key))
-        if p_event <= 0.0:
-            raise ZeroProbabilityEvent(f"conditioning event {pin} has probability 0")
-        joint = None
-        if self._joint is not None:
-            joint = self._joint.copy()
-            for v, b in pin.items():
-                axis = self._order[v]
-                sl = [slice(None)] * joint.ndim
-                sl[axis] = 1 - b
-                joint[tuple(sl)] = 0.0
-            joint /= joint.sum()
-        locals_ = {}
-        for skey in self._locals:
-            if len(skey) > new_level:
-                continue
+        tables = {}
+        for skey in self._tables:
             union = self._key(skey + key)
             try:
-                big = self.local(union)
-            except (StructuralError, ValueError):
+                t = self._cover(union).copy()
+            except StructuralError:
                 continue
-            locals_[skey] = self._condition_table(big, union, skey, pin) / p_event
-        return LocalDistributionFamily(self.host, new_level, locals_, joint)
-
-    def _event_prob(self, key: tuple[str, ...], bits: tuple[int, ...]) -> float:
-        table = self.local(key)
-        return float(table[bits])
-
-    @staticmethod
-    def _condition_table(big, union, keep, pin) -> np.ndarray:
-        sl = [slice(None)] * len(union)
-        for i, v in enumerate(union):
-            if v in pin:
-                sl[i] = pin[v]
-        reduced = big[tuple(sl)]
-        kept = [v for v in union if v not in pin]
-        # reduced axes follow `kept`; marginalize down to `keep` order
-        drop = tuple(i for i, v in enumerate(kept) if v not in keep)
-        out = reduced.sum(axis=drop) if drop else reduced
-        # conditioned vertices inside `keep` are pinned point masses
-        for v in keep:
-            if v in pin:
-                point = np.zeros(2)
-                point[pin[v]] = 1.0
-                out = np.multiply.outer(out, point)
-        kept_order = [v for v in keep if v not in pin] + [v for v in keep if v in pin]
-        perm = [kept_order.index(v) for v in keep]
-        return np.transpose(np.asarray(out), perm)
+            for v, b in pin.items():
+                sl = [slice(None)] * t.ndim
+                sl[union.index(v)] = 1 - b
+                t[tuple(sl)] = 0.0
+            mass = t.sum()
+            if mass <= 0.0:
+                raise ZeroProbabilityEvent(f"conditioning event {pin} has probability 0")
+            t /= mass
+            tables[skey] = _marginal(t, union, skey)
+        return LocalDistributionFamily(self.host, new_level, tables)
 
     # ---- reporting -------------------------------------------------------
 
@@ -248,16 +208,15 @@ class LocalDistributionFamily:
     # ---- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
+        """Every local of size <= level that a stored table covers, each table's
+        subsets in order of size, then of the host's vertex order."""
         out = {"level": self.level, "locals": []}
-        subsets = self.stored_subsets()
-        if not subsets and self._joint is not None:
-            n = len(self.host.vertices)
-            size = min(self.level, n)
-            subsets = [
-                self._key(c)
-                for k in range(1, size + 1)
-                for c in itertools.combinations(self.host.vertices, k)
-            ]
+        subsets = dict.fromkeys(
+            c
+            for key in self._tables
+            for k in range(1, min(self.level, len(key)) + 1)
+            for c in itertools.combinations(key, k)
+        )
         for key in subsets:
             table = self.local(key)
             probs = {}
@@ -278,6 +237,12 @@ class LocalDistributionFamily:
                 table[tuple(int(c) for c in bit_string)] = float(p)
             locals_[subset] = table
         return cls(host, obj["level"], locals_)
+
+
+def _marginal(table: np.ndarray, key: tuple[str, ...], keep: tuple[str, ...]) -> np.ndarray:
+    """Sum ``table`` (axes follow ``key``) down to the vertices of ``keep``."""
+    drop = tuple(i for i, v in enumerate(key) if v not in keep)
+    return table.sum(axis=drop) if drop else table
 
 
 def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
@@ -376,19 +341,16 @@ def _moments(theta: LocalDistributionFamily, max_size: int, violations: list | N
     """Pseudo-moments y_S = P[x_v = 1 for every v in S] with |S| <= max_size.
 
     Returns (masks, y): the sorted subset masks (``probspace.subset_masks``,
-    vertex 0 most significant) that some stored array covers, and their
-    moments.  An array's superset-sum (zeta) transform holds the moments of
-    the subsets of its key; where several arrays give a moment, the first
-    stored one (the joint, then the locals in order) is read.  With ``violations``, each array is checked: its
+    vertex 0 most significant) that some stored table covers, and their
+    moments.  A table's superset-sum (zeta) transform holds the moments of
+    the subsets of its key; where several tables give a moment, the first
+    stored one is read.  With ``violations``, each table is checked: its
     negative mass >= -tol, its total within tol of 1, and the moments it
-    shares with other arrays agree within tol ('marginal').
+    shares with other tables agree within tol ('marginal').
     """
     n = len(theta.host.vertices)
-    stored = list(theta._locals.items())
-    if theta._joint is not None:
-        stored.insert(0, (tuple(theta.host.vertices), theta._joint))
     masks, values = [], []
-    for key, table in stored:
+    for key, table in theta._tables.items():
         if violations is not None:
             negative = float(table.sum(where=table < 0.0))
             if negative < -tol:
@@ -420,7 +382,7 @@ def _moment_entries(theta: LocalDistributionFamily, order: int, violations: list
 
     Entry (a, b) is the pseudo-moment of a | b, one gather from
     :func:`_moments`, which checks every moment of size <= order when
-    ``violations`` is given.  An entry no stored array covers raises
+    ``violations`` is given.  An entry no stored table covers raises
     :class:`StructuralError`; with ``violations`` it is recorded as
     'missing-local' and its rows are marked unusable.
     """
@@ -466,9 +428,9 @@ def verify_feasible(
 ) -> FeasibilityReport:
     """Check local consistency, moment-matrix PSDness, bias, and objective.
 
-    Every stored array, the joint or a local, has negative mass >= -tol (a
-    lower bound on each of its marginal entries) and a total within tol of
-    1, and arrays agree within tol on the pseudo-moments they share.
+    Every stored table has negative mass >= -tol (a lower bound on each of
+    its marginal entries) and a total within tol of 1, and tables agree
+    within tol on the pseudo-moments they share.
     """
     # missing edge locals are structural failures
     for vs, _ in theta.host.edges:
@@ -551,6 +513,7 @@ class ConditioningResult:
     subset: list[str]
     values: list[int]
     family: LocalDistributionFamily
+    avg_abs_corr: float  # of ``family``
     trace: list[dict] = field(default_factory=list)
 
 
@@ -599,4 +562,4 @@ def find_conditioning(
         trace.append({"vertex": v, "value": b, "avg_abs_corr": best[0][0], "before": avg})
         current = cand
         avg = best[0][0]
-    return ConditioningResult(avg <= target, chosen, values, current, trace)
+    return ConditioningResult(avg <= target, chosen, values, current, avg, trace)

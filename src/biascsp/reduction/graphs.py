@@ -1,7 +1,6 @@
 """Regular graphs for the expansion gadget: generation, expansion, noisy walks."""
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -48,11 +47,6 @@ class SseGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "SseGraph":
         return cls(obj["n"], obj["deg"], np.array(obj["adj"]), obj.get("planted"))
-
-    @classmethod
-    def load(cls, path) -> "SseGraph":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def expansion(g: SseGraph, subset) -> float:
