@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from .mc import ORACLE_CAP
 from .pipeline import (
     ConfigError, StageError, acceptance_stage, build_rounding_tables, condition_stage, failed,
     load_family, load_instance, mixing_stage, parse_number, planted_dictator, run_pipeline,
@@ -201,10 +202,12 @@ def _cmd_reduce_decouple(args) -> dict:
     space = PairedSpace(BiasedSpace(bits, "bit"), BiasedSpace(leaks, "leak"))
     noisy = [np.clip(family.vertex_mean(v) + 0.1 * rng.standard_normal(space.size), 0.0, 1.0) for v in edge]
     tables = [FunctionTable(space, vals, bounded=True) for vals in noisy]
-    rep = decoupling_check(tables, probs, params, mode="exact" if args.exact else "mc", seed=args.seed)
+    # exact whenever the contraction's 4^((r-1)R) entries fit the cap
+    mode = "exact" if 4 ** ((len(edge) - 1) * params.R) <= ORACLE_CAP else "mc"
+    rep = decoupling_check(tables, probs, params, mode=mode, seed=args.seed)
     return stage(
-        "reduce-decouple", rep.holds, value=rep.lhs, bound=rep.rhs, seed=args.seed,
-        max_influence=rep.max_influence, mode=rep.mode,
+        "reduce-decouple", rep.holds, value=rep.lhs, bound=rep.rhs, stderr=rep.lhs_stderr, seed=args.seed,
+        max_influence=rep.max_influence, mode=rep.mode, product_stderr=rep.product_stderr,
     )
 
 
@@ -227,6 +230,7 @@ def _cmd_reduce_decode_stat(args) -> dict:
     return stage(
         "reduce-decode-stat", rep.list_cap_holds, value=rep.match_prob, stderr=rep.stderr,
         seed=args.seed, samples=rep.samples, baseline=rep.baseline, max_list_size=rep.max_list_size,
+        respect_violations=rep.respect_violations,
     )
 
 
@@ -303,9 +307,7 @@ COMMANDS = [
     ]),
     (("reduce", "accept"), _cmd_reduce_accept, None, _REDUCE + [_opt("--trials", type=int, default=100000)]),
     # decoupling tables live on a PairedSpace, which caps R at MAX_PAIR_R = 8
-    (("reduce", "decouple"), _cmd_reduce_decouple, None, _reduce_flags(6) + [
-        _opt("--exact", action="store_true"),
-    ]),
+    (("reduce", "decouple"), _cmd_reduce_decouple, None, _reduce_flags(6)),
     (("reduce", "mix"), _cmd_reduce_mix, None, _REDUCE + [
         _opt("--alpha", type=_num, default=2.0), _opt("--a-samples", type=int, default=2000),
     ]),

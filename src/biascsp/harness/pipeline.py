@@ -444,7 +444,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 alpha=parse_number(red_cfg.get("alpha", 2.0)),
                 a_samples=int(red_cfg.get("a_samples", 2000)),
                 seed=seed,
-                inner_samples=int(red_cfg.get("inner_samples", 512)),
+                **({"inner_samples": int(red_cfg["inner_samples"])} if "inner_samples" in red_cfg else {}),
             )
         )
 

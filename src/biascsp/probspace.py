@@ -300,14 +300,21 @@ class FourierTable:
         return cls(space, obj["values"])
 
 
-def fourier_expand(f: FunctionTable) -> FourierTable:
-    """Exact expansion in the per-coordinate orthonormal character basis."""
-    t = f.tensor.astype(float)
-    for axis, p in enumerate(_axis_biases(f.space)):
+def _character_transform(t: np.ndarray, biases, first_axis: int = 0) -> np.ndarray:
+    """Coefficients of ``t`` in the orthonormal character basis along the
+    axes ``first_axis``, ``first_axis + 1``, ..., one per bias; leading axes
+    index a stack of tables transformed at once."""
+    for axis, p in enumerate(biases, start=first_axis):
         w = np.array([1.0 - p, p])
         phi = character(p, np.array([0.0, 1.0]))
         mat = np.stack([w, w * phi])  # row s: E-weight against phi^s
         t = _apply_axis(t, mat, axis)
+    return t
+
+
+def fourier_expand(f: FunctionTable) -> FourierTable:
+    """Exact expansion in the per-coordinate orthonormal character basis."""
+    t = _character_transform(f.tensor.astype(float), _axis_biases(f.space))
     return FourierTable(f.space, t.reshape(-1))
 
 

@@ -72,7 +72,9 @@ class LocalDistributionFamily:
         self._tables: dict[tuple[str, ...], np.ndarray] = {}
         for subset, table in (tables or {}).items():
             key = self._key(subset)
-            self._tables[key] = np.asarray(table, dtype=float).reshape((2,) * len(key))
+            table = np.asarray(table, dtype=float).reshape((2,) * len(key))
+            # axis k of the stored table is the k-th vertex of the sorted key
+            self._tables[key] = table.transpose([list(subset).index(v) for v in key])
 
     # ---- subset plumbing -------------------------------------------------
 
@@ -482,14 +484,18 @@ class VectorSolution:
 
 
 def vector_solution(theta: LocalDistributionFamily) -> VectorSolution:
-    """Factor the degree-2 moment matrix into explicit vectors."""
+    """Factor the degree-2 moment matrix into explicit vectors: the rows of
+    its symmetric square root V diag(sqrt(lam)) V^T.  Unlike eigh's
+    V diag(sqrt(lam)), they do not depend on eigenvector signs or on the
+    basis of a repeated eigenvalue, so a roundoff-level change of the
+    moments moves them only a little."""
     verts = theta.host.vertices
     index, m2 = moment_matrix(theta, order=2)
     lam, vecs = np.linalg.eigh(m2)
     if lam.min() < PSD_TOL:
         raise PSDFailureError(f"degree-2 moment matrix has eigenvalue {lam.min():.3e}")
     lam = np.clip(lam, 0.0, None)
-    factors = vecs * np.sqrt(lam)  # rows are the Gram vectors
+    factors = (vecs * np.sqrt(lam)) @ vecs.T  # rows are the Gram vectors
     u_empty = factors[0]
     u = factors[1 : 1 + len(verts)]
     mu = np.array([theta.vertex_mean(v) for v in verts])

@@ -16,18 +16,18 @@ from ..probspace import (
     BiasedSpace,
     FunctionTable,
     PairedSpace,
+    _character_transform,
+    _mask_degrees,
     domain_points,
     fourier_expand,
     iid_product_expectation,
-    influence,
     max_influence,
-    noise_apply,
     pack_bits,
     product_measure,
     unpack_bits,
 )
 from ..pseudodist import LocalDistributionFamily
-from .dictator import LongCodeAssignment
+from .dictator import LongCodeAssignment, permute_rows
 from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
 from .sampler import BatchTestSampler, _interleave, _leak_block, fold, letter_block
@@ -266,6 +266,8 @@ class DecouplingReport:
     budget: float
     holds: bool
     mode: str
+    lhs_stderr: float  # Monte Carlo standard errors of the two sides; 0 when exact
+    product_stderr: float
 
 
 def _pair_indices(outcomes: np.ndarray, r: int, R: int) -> list[np.ndarray]:
@@ -301,7 +303,10 @@ def decoupling_check(
 
     LHS draws the full coupled tuple; RHS is 2^r times the product expectation
     of the leak-averaged tables under the edge distribution, plus bias^arity.
-    Exact mode computes both sides by per-coordinate contraction.
+    Exact mode computes both sides by per-coordinate contraction.  Monte
+    Carlo mode runs each side through ``mc_run`` (tags ``decoupling-lhs`` and
+    ``decoupling-product``), so its working set is one CHUNK of rows
+    whatever ``samples`` is.
     """
     r = len(h_tables)
     space = h_tables[0].space
@@ -309,8 +314,8 @@ def decoupling_check(
         raise TypeError("tables must live on the paired space")
     R = space.r
     beta = space.leak.biases[0]
-    d_block = _leak_block(np.asarray(block_probs, dtype=float), r, beta, params.rho_sq)
-    n_blk = 4 ** r
+    block_probs = np.asarray(block_probs, dtype=float)
+    d_block = _leak_block(block_probs, r, beta, params.rho_sq)
     flat = d_block.reshape(-1)
 
     # leak-averaged tables
@@ -320,19 +325,27 @@ def decoupling_check(
     if mode == "exact":
         lhs = coupled_product_expectation([t.values for t in h_tables], flat, r, R)
         product_term = iid_product_expectation(hbars, np.reshape(block_probs, (2,) * r))
+        lhs_se = product_se = 0.0
     elif mode == "mc":
-        rng = rng_for(seed, "decoupling")
-        draws = rng.choice(n_blk, size=(samples, R), p=flat)
-        prod = np.ones(samples)
-        for pos, idx in enumerate(_pair_indices(draws, r, R)):
-            prod *= h_tables[pos].values[idx]
-        lhs = float(prod.mean())
-        xd = rng.choice(2 ** r, size=(samples, R), p=np.asarray(block_probs, dtype=float))
-        bits = unpack_bits(xd, r)
-        prod_term = np.ones(samples)
-        for pos in range(r):
-            prod_term *= hbars[pos][pack_bits(bits[..., pos].T)]
-        product_term = float(prod_term.mean())
+
+        def coupled(rng, m):
+            draws = rng.choice(flat.size, size=(m, R), p=flat)
+            prod = np.ones(m)
+            for pos, idx in enumerate(_pair_indices(draws, r, R)):
+                prod *= h_tables[pos].values[idx]
+            return prod
+
+        def decoupled(rng, m):
+            bits = unpack_bits(rng.choice(block_probs.size, size=(m, R), p=block_probs), r)
+            prod = np.ones(m)
+            for pos in range(r):
+                prod *= hbars[pos][pack_bits(bits[..., pos].T)]
+            return prod
+
+        lhs_run = mc_run(coupled, samples, seed, tag="decoupling-lhs")
+        product_run = mc_run(decoupled, samples, seed, tag="decoupling-product")
+        lhs, lhs_se = lhs_run.value, lhs_run.stderr
+        product_term, product_se = product_run.value, product_run.stderr
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -348,6 +361,8 @@ def decoupling_check(
         budget=budget,
         holds=lhs <= rhs + budget,
         mode=mode,
+        lhs_stderr=lhs_se,
+        product_stderr=product_se,
     )
 
 
@@ -452,9 +467,30 @@ class DecodeStatReport:
     list_size_cap: float
     list_cap_holds: bool
     respect_violations: int
-    respect_checks: int
     samples: int
     seed: int
+
+
+def _respect_violations(tables: np.ndarray, R: int) -> int:
+    """Entries of a (n,)*R + (2,)*R table family, vertex-vector axes first,
+    that some adjacent transposition of the coordinates, applied to the
+    vertex-vector and the point together, maps to a value more than 1e-9
+    away.  The R - 1 adjacent transpositions generate S_R, so the count is 0
+    exactly when the family respects every coordinate permutation."""
+    bad = np.zeros(tables.shape, dtype=bool)
+    for j in range(R - 1):
+        moved = np.swapaxes(np.swapaxes(tables, j, j + 1), R + j, R + j + 1)
+        bad |= np.abs(moved - tables) > 1e-9
+    return int(np.count_nonzero(bad))
+
+
+def _noised_influences(tables: np.ndarray, biases, eta: float) -> np.ndarray:
+    """Influence of each coordinate in T_{1-eta} of each row of ``tables``:
+    (m, 2^R) values over the given biases in, (m, R) influences out."""
+    R = len(biases)
+    coeffs = _character_transform(tables.reshape((-1,) + (2,) * R), biases, first_axis=1)
+    weight = (coeffs * (1.0 - eta) ** _mask_degrees(R).reshape((2,) * R)) ** 2
+    return np.stack([weight.take(1, axis=1 + j).reshape(len(weight), -1).sum(axis=1) for j in range(R)], axis=1)
 
 
 def influence_decode_stat(
@@ -464,78 +500,54 @@ def influence_decode_stat(
     tau: float,
     samples: int,
     seed: int,
-    respect_checks: int = 200,
 ) -> DecodeStatReport:
     """Candidate-coordinate matching statistic for a permutation-respecting
     table family indexed by vertex-vectors.
 
-    ``table_family(A_tuple)`` must return a bounded bit-space table.  Builds
-    the influence candidate lists of the noised tables and of their walk
-    averages, realizes one lazily-sampled randomized decoder, and estimates
-    the probability that two endpoints of a walk step decode to a common
-    unpermuted coordinate.
+    ``table_family(A_tuple)`` must return a bounded bit-space table; every
+    table is read on the family's first table's biases.  The n^R tables,
+    n^R * 2^R entries, are refused above ORACLE_CAP before any is read.
+    Candidate lists are the coordinates of influence >= tau/2 in the noised
+    table and >= tau in the noised walk average.  One randomized decoder is
+    realized for every vertex-vector (a fair coin picks a list, then a
+    uniform entry of it; coordinate 0 if it is empty), before the walk is
+    drawn.  The statistic is the probability that both endpoints of a
+    noisy-walk step, each read at an independent uniform coordinate
+    permutation, decode to a common unpermuted coordinate.
     """
     R = params.R
     n = graph.n
     eta = params.eta
-    if n ** R > 4096:
-        raise ValueError("vertex-vector space too large for exact walk averages")
+    if n ** R * 2 ** R > ORACLE_CAP:
+        raise ValueError(
+            f"table family n^R * 2^R = {n ** R * 2 ** R} is too large for exact walk averages (cap {ORACLE_CAP})"
+        )
     rng = rng_for(seed, "decode-stat")
     families = [table_family(pt) for pt in np.ndindex((n,) * R)]
-    space = families[0].space
+    biases = families[0].space.biases
     tables = np.stack([np.asarray(t.values, dtype=float) for t in families]).reshape((n,) * R + (-1,))
-    walk = walk_matrix(graph, eta)
-    g_tables = _walk_average(tables, walk)
+    violations = _respect_violations(tables.reshape((n,) * R + (2,) * R), R)
+    g_tables = _walk_average(tables, walk_matrix(graph, eta))
 
-    def noised_influences(vals: np.ndarray) -> np.ndarray:
-        fh = noise_apply(fourier_expand(FunctionTable(space, vals)), 1.0 - eta)
-        return np.array([influence(fh, j) for j in range(R)])
+    # candidate lists, (2, n^R, R): the tables' at tau/2, the walk averages' at tau
+    cells = n ** R
+    influences = _noised_influences(np.stack([tables, g_tables]).reshape(2 * cells, -1), biases, eta)
+    lists = influences.reshape(2, cells, R) >= np.array([tau / 2.0, tau])[:, None, None]
+    # the decoder: a fair coin picks a list, then a uniform entry of it
+    pick = lists[(rng.random(cells) >= 0.5).astype(np.int64), np.arange(cells)]
+    size = np.count_nonzero(pick, axis=1)
+    k = rng.integers(0, np.maximum(size, 1))
+    decoder = np.where(size > 0, np.argmax(np.cumsum(pick, axis=1) > k[:, None], axis=1), 0)
 
-    # permutation-respect spot check
-    violations = 0
-    for _ in range(respect_checks):
-        pt = np.unravel_index(int(rng.integers(n ** R)), (n,) * R)
-        perm = rng.permutation(R)
-        k = int(rng.integers(2 ** R))
-        permuted_pt = tuple(np.asarray(pt)[perm])
-        lhs = tables[permuted_pt][pack_bits(unpack_bits(k, R)[perm])]
-        rhs = tables[pt][k]
-        if abs(lhs - rhs) > 1e-9:
-            violations += 1
-
-    lists1: dict[tuple, np.ndarray] = {}
-    lists2: dict[tuple, np.ndarray] = {}
-
-    def candidate_lists(pt: tuple) -> tuple[np.ndarray, np.ndarray]:
-        if pt not in lists1:
-            inf_f = noised_influences(tables[pt])
-            inf_g = noised_influences(g_tables[pt])
-            lists1[pt] = np.flatnonzero(inf_f >= tau / 2.0)
-            lists2[pt] = np.flatnonzero(inf_g >= tau)
-        return lists1[pt], lists2[pt]
-
-    decoder: dict[tuple, int] = {}
-
-    def decode(pt: tuple) -> int:
-        if pt not in decoder:
-            l1, l2 = candidate_lists(pt)
-            pick = l1 if rng.random() < 0.5 else l2
-            decoder[pt] = int(rng.choice(pick)) if len(pick) else 0
-        return decoder[pt]
-
-    matches = 0
-    for _ in range(samples):
-        a = np.array([int(rng.integers(n)) for _ in range(R)])
-        b = np.array([int(rng.choice(n, p=walk[a[j]])) for j in range(R)])
-        pa, pb = rng.permutation(R), rng.permutation(R)
-        ja = int(pa[decode(tuple(a[pa]))])
-        jb = int(pb[decode(tuple(b[pb]))])
-        matches += int(ja == jb)
-    match_prob = matches / samples
+    a = rng.integers(0, n, size=(samples, R))
+    ends = []
+    for pt in (a, noisy_walk(graph, eta, a, rng)):
+        perm, (permuted,) = permute_rows(rng, pt)
+        picked = decoder[np.ravel_multi_index(tuple(permuted.T), (n,) * R)]
+        ends.append(perm[np.arange(samples), picked])
+    match_prob = float(np.mean(ends[0] == ends[1]))
     se = math.sqrt(max(match_prob * (1 - match_prob), 0.0) / samples)
-    max_list = max(
-        [len(l) for l in lists1.values()] + [len(l) for l in lists2.values()] + [0]
-    )
+    max_list = int(np.count_nonzero(lists, axis=2).max())
     cap = 2.0 / (eta * tau)
     return DecodeStatReport(
         match_prob=match_prob,
@@ -545,7 +557,6 @@ def influence_decode_stat(
         list_size_cap=cap,
         list_cap_holds=max_list <= cap,
         respect_violations=violations,
-        respect_checks=respect_checks,
         samples=samples,
         seed=seed,
     )

@@ -92,17 +92,14 @@ def round_once(inp: RoundingInput, seed: int) -> RoundingOutcome:
 
 
 def round_with(inp: RoundingInput, rng: np.random.Generator, seed: int) -> RoundingOutcome:
-    """One full round drawn from ``rng``; ``seed`` is recorded in the outcome."""
-    R = inp.r_dim
+    """One full round drawn from ``rng``; ``seed`` is recorded in the outcome.
+
+    The round is the one-round case of :func:`_batch_p`, then one uniform per
+    vertex for the Bernoulli step."""
     d = inp.solution.dimension
-    gmat = rng.standard_normal((R, d))
-    p = {}
-    for v in inp.host.vertices:
-        w_v = inp.solution.w_for(v)
-        if w_v.shape[0] != d:
-            raise ValueError("vector solution dimension mismatch")
-        q = inp.solution.mu_for(v) + gmat @ w_v
-        p[v] = float(clip(inp.polys[v].evaluate(q)))
+    if any(inp.solution.w_for(v).shape[0] != d for v in inp.host.vertices):
+        raise ValueError("vector solution dimension mismatch")
+    p = dict(zip(inp.host.vertices, _batch_p(inp, 1, rng)[0].tolist()))
     draws = rng.random(len(p))
     sigma = Assignment({v: int(u < p[v]) for (v, u) in zip(p, draws)})
     return RoundingOutcome(
@@ -157,7 +154,6 @@ class BiasConcentrationReport:
     deviation_fraction: float
     deviation_bound: float
     chebyshev_premise: bool  # gamma <= mu^4 regime for the fraction bound
-    bernoulli_quantile: float
     trials: int
     seed: int
 
@@ -184,10 +180,6 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Bias
     threshold = mu * math.sqrt(gamma)
     frac = float((np.abs(m - mean) >= threshold).mean()) if threshold > 0 else 1.0
     frac_bound = math.sqrt(gamma)
-    rng = rng_for(seed, "round-batch-bernoulli")
-    draws = rng.random(p.shape)
-    sigma_bias = ((draws < p) @ wvec)
-    bern_dev = np.abs(sigma_bias - m)
     return BiasConcentrationReport(
         variance=var,
         variance_stderr=var_se,
@@ -198,7 +190,6 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Bias
         deviation_fraction=frac,
         deviation_bound=frac_bound,
         chebyshev_premise=gamma <= mu ** 4,
-        bernoulli_quantile=float(np.quantile(bern_dev, 0.95)),
         trials=trials,
         seed=seed,
     )

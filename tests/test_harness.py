@@ -1,8 +1,12 @@
 """Monte Carlo runs, the stage record, the pipeline, and the CLI surface."""
+import inspect
+import itertools
 import json
-import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,37 @@ class TestPipeline:
             # the dictator permutes exactly its fallback rows
             assert extra["permuted_rows"] == extra["dictator_fallbacks"] <= extra["dictator_queries"]
         assert acc["trials_per_s"] == pytest.approx(2000 / acc["elapsed_s"])
+
+    def test_mixing_default_is_the_checks_own(self, tmp_path, capsys):
+        # without inner_samples in the config, the pipeline and `reduce mix`
+        # both take mixing_check's default, so they agree on the same inputs
+        from biascsp.reduction import mixing_check
+
+        default = inspect.signature(mixing_check).parameters["inner_samples"].default
+        cfg_path = product_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        graph_spec = {"kind": "planted", "n": 8, "deg": 2, "delta": 0.25, "seed": 3}
+        cfg.update(
+            rounding={"enabled": False},
+            reduction={"graph": graph_spec, "params": {"R": 3}, "accept_trials": 100, "a_samples": 4},
+        )
+        cfg_path.write_text(json.dumps(cfg))
+        mix = {s["stage"]: s for s in run_pipeline(str(cfg_path))["stages"]}["mixing"]
+        assert mix["extra"]["dictator_queries"] == 4 * default
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(cfg["instance"]))
+        pd = tmp_path / "pd.json"
+        pd.write_text(json.dumps(cfg["pseudodistribution"]))
+        _, gen = run_main(capsys, "reduce", "gen", *(f"--{k}={v}" for k, v in graph_spec.items()))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(gen["extra"]["graph"]))
+        _, record = run_main(
+            capsys, "reduce", "mix", "--instance", instance, "--pd", pd, "--graph", graph,
+            "--R", 3, "--a-samples", 4, "--seed", cfg["seed"],
+        )
+        # the smoothing and conditioning leave the product family as it is
+        assert record["extra"]["dictator_queries"] == mix["extra"]["dictator_queries"]
+        assert (record["value"], record["extra"]["threshold"]) == (mix["value"], mix["extra"]["threshold"])
 
     def test_correlated_mixture_conditions(self, tmp_path):
         mixture = {
@@ -366,20 +401,15 @@ class TestCli:
             "--seed", "6", "--out", str(graph_file),
         )
         graph_file.write_text(json.dumps(json.loads(graph_file.read_text())["extra"]["graph"]))
-        args = (
+        proc = run_cli(
             "reduce", "decouple", "--instance", str(instance_file), "--pd", str(pd_file),
             "--graph", str(graph_file), "--R", "7", "--seed", "8",
         )
-        reports = {}
-        for mode in ("exact", "mc"):
-            proc = run_cli(*args, *(("--exact",) if mode == "exact" else ()))
-            assert proc.returncode == 0, proc.stderr
-            reports[mode] = json.loads(proc.stdout)
-        exact, mc = reports["exact"], reports["mc"]
+        assert proc.returncode == 0, proc.stderr
+        exact = json.loads(proc.stdout)
+        # arity 2 at R = 7: the contraction's 4^7 entries fit the cap
         assert exact["extra"]["mode"] == "exact" and exact["value"] <= exact["bound"]
-        # each product lies in [0, 1], so the mc mean over decoupling_check's
-        # default 2^20 samples has stderr <= 0.5 / sqrt(samples)
-        assert abs(mc["value"] - exact["value"]) <= 4 * 0.5 / math.sqrt(1 << 20)
+        assert exact["stderr"] == 0.0
 
     def test_reduce_decouple_runs_with_default_flags(self, instance_file, pd_file, tmp_path):
         # the default R must fit the paired tables' cap (MAX_PAIR_R = 8)
@@ -392,7 +422,26 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["extra"]["mode"] == "mc" and report["value"] <= report["bound"]
+        assert report["extra"]["mode"] == "exact" and report["value"] <= report["bound"]
+
+    def test_reduce_decouple_falls_back_to_monte_carlo_beyond_the_cap(self, tmp_path, capsys):
+        # arity 3 at R = 7: the contraction would hold 4^14 > ORACLE_CAP entries
+        instance = tmp_path / "instance3.json"
+        instance.write_text(json.dumps({
+            "predicate": {"arity": 3, "accepting": ["001", "010", "100", "111"]},
+            "vertices": [{"id": f"v{i}", "weight": 0.25} for i in range(4)],
+            "edges": [{"vs": [f"v{i}", f"v{(i + 1) % 4}", f"v{(i + 2) % 4}"], "weight": 0.25} for i in range(4)],
+        }))
+        pd = tmp_path / "pd.json"
+        pd.write_text(json.dumps({"kind": "product", "mu": 0.5, "level": 6}))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"n": 4, "deg": 2, "adj": [[1, 3], [0, 2], [1, 3], [0, 2]]}))
+        code, record = run_main(
+            capsys, "reduce", "decouple", "--instance", instance, "--pd", pd, "--graph", graph, "--R", 7,
+        )
+        assert code in (0, 1)
+        assert record["extra"]["mode"] == "mc"
+        assert 0.0 < record["stderr"] < 1e-3 and 0.0 < record["extra"]["product_stderr"] < 1e-3
 
     def test_pipeline_command(self, tmp_path):
         cfg = product_config(tmp_path)
@@ -518,3 +567,49 @@ class TestCliRecords:
             _, record = run_main(capsys, *argv)
             assert set(record) == set(stages[name]), name
             assert set(record["extra"]) - {"family"} == set(stages[name]["extra"]), name
+
+
+# ---- the README's CLI examples -------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang: str) -> list[str]:
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), flags=re.S)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every ``biascsp`` line of the README's CLI block exits 0 or 1, never 2,
+    on the inputs it names: an instance, a family, the README's pipeline
+    config, and the graph ``reduce gen`` writes, taken from its
+    ``extra.graph`` as the README's note says."""
+    monkeypatch.chdir(tmp_path)
+    instance = {
+        "predicate": {"arity": 2, "accepting": ["01", "10"]},
+        "vertices": [{"id": f"v{i}", "weight": 0.25} for i in range(4)],
+        "edges": [{"vs": [f"v{i}", f"v{(i + 1) % 4}"], "weight": 0.25} for i in range(4)],
+    }
+    Path("instance.json").write_text(json.dumps(instance))
+    # the uniform distribution, as its locals on every subset
+    subsets = [c for k in range(1, 5) for c in itertools.combinations([f"v{i}" for i in range(4)], k)]
+    family = {
+        "level": 4,
+        "locals": [
+            {"subset": list(c), "probs": {"".join(b): 0.5 ** len(c) for b in itertools.product("01", repeat=len(c))}}
+            for c in subsets
+        ],
+    }
+    Path("pd.json").write_text(json.dumps(family))
+    config = next(b for b in readme_blocks("json") if '"pseudodistribution"' in b)
+    Path("config.json").write_text(config)
+    cli_block = next(b for b in readme_blocks("sh") if "biascsp pipeline" in b)
+    lines = [line for line in cli_block.splitlines() if line.startswith("biascsp ")]
+    assert len(lines) >= 16
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        assert code in (0, 1), (line, out.err)
+        if argv[:2] == ["reduce", "gen"]:
+            graph = Path(argv[argv.index("--out") + 1])
+            graph.write_text(json.dumps(json.loads(graph.read_text())["extra"]["graph"]))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
 from biascsp.polynomial import _apply_axis
+from biascsp.probspace import product_measure
 from biascsp.pseudodist import (
     LocalDistributionFamily,
     PSDFailureError,
@@ -381,6 +382,21 @@ class TestVectorSolution:
             vector_solution(fam_bad)
         vector_solution(fam)  # the first family is fine
 
+    def test_gram_rows_stable_under_roundoff(self):
+        # a product family has one repeated eigenvalue per vertex, so eigh's
+        # basis for it is arbitrary; the symmetric square root is unique and
+        # moves only as far as the biases do
+        g = host(6)
+        base = np.full(6, 0.3)
+        moved = base + 1e-13 * np.arange(1, 7)
+        sols = [
+            vector_solution(LocalDistributionFamily(g, 6, {tuple(g.vertices): product_measure(b)}))
+            for b in (base, moved)
+        ]
+        assert sols[0].dimension == sols[1].dimension == 7
+        assert np.abs(sols[0].u - sols[1].u).max() < 1e-10
+        assert np.abs(sols[0].u_empty - sols[1].u_empty).max() < 1e-10
+
 
 class TestFindConditioning:
     def test_product_family_returns_empty(self):
@@ -442,6 +458,25 @@ class TestSerialization:
         for v in g.vertices:
             assert back.vertex_mean(v) == pytest.approx(fam.vertex_mean(v), abs=1e-12)
         assert verify_feasible(back).feasible
+
+    def test_unsorted_local_is_transposed(self):
+        # the subset lists v1 first: "10" is v1 = 1, v0 = 0
+        g = host(2)
+        obj = {"level": 2, "locals": [{"subset": ["v1", "v0"], "probs": {"10": 1.0}}]}
+        fam = LocalDistributionFamily.from_json(obj, g)
+        np.testing.assert_array_equal(fam.local(("v0",)), [1.0, 0.0])
+        np.testing.assert_array_equal(fam.local(("v1",)), [0.0, 1.0])
+        assert fam.prob(("v1", "v0"), (1, 0)) == 1.0
+
+    def test_sorted_locals_load_as_given(self):
+        g = host(4)
+        fam = random_mixture(g, np.random.default_rng(16))
+        joint = fam.local(tuple(g.vertices))
+        back = LocalDistributionFamily.from_json(fam.to_json(), g)
+        for item in fam.to_json()["locals"]:
+            key = tuple(item["subset"])
+            np.testing.assert_array_equal(back.local(key), fam.local(key))
+        np.testing.assert_array_equal(LocalDistributionFamily(g, 8, {tuple(g.vertices): joint}).local(tuple(g.vertices)), joint)
 
     def test_unknown_vertex_named(self):
         obj = {"level": 2, "locals": [{"subset": ["zz"], "probs": {"0": 1.0}}]}

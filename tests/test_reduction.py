@@ -865,6 +865,39 @@ class TestDecoupling:
         mc = decoupling_check(tables, probs, params, mode="mc", samples=1 << 18, seed=32)
         assert mc.lhs == pytest.approx(exact.lhs, abs=0.01)
 
+    def test_mc_reports_both_standard_errors(self):
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(30))
+        params = desk_params(theta, R=3)
+        probs, _ = edge_block_probs(theta, gap.edges[0][0])
+        rng = np.random.default_rng(48)
+        space = self.paired_space(3, theta.vertex_mean("a"), params.beta)
+        tables = [self.random_low_influence(rng, space, scale=0.15) for _ in range(2)]
+        exact = decoupling_check(tables, probs, params, mode="exact")
+        mc = decoupling_check(tables, probs, params, mode="mc", samples=100_000, seed=49)
+        assert (exact.lhs_stderr, exact.product_stderr) == (0.0, 0.0)
+        assert 0.0 < mc.lhs_stderr < 0.01 and 0.0 < mc.product_stderr < 0.01
+        assert mc.lhs == pytest.approx(exact.lhs, abs=4 * mc.lhs_stderr)
+        assert mc.product_term == pytest.approx(exact.product_term, abs=4 * mc.product_stderr)
+        assert mc.holds == (mc.lhs <= mc.rhs + mc.budget)
+
+    def test_mc_working_set_does_not_grow_with_samples(self):
+        # both sides run one CHUNK of rows at a time through mc_run
+        R = 6
+        space = self.paired_space(R, 0.4, 0.2)
+        rng = np.random.default_rng(50)
+        tables = [self.random_low_influence(rng, space) for _ in range(2)]
+        params = ReductionParams.manual(mu=0.4, r=2, beta=0.2, rho_sq=0.25, R=R, eta=0.01)
+        probs = np.array([0.4, 0.2, 0.2, 0.2])
+        peaks = []
+        for samples in (1 << 18, 1 << 20):
+            with traced_peak() as peak:
+                decoupling_check(tables, probs, params, mode="mc", samples=samples, seed=51)
+            peaks.append(peak.bytes)
+        assert peaks[1] < 1.1 * peaks[0], peaks
+        # the chunk's bit unpacking, (CHUNK, R, 2r) int64, dominates
+        assert peaks[1] < 2 * CHUNK * R * 4 * 8, peaks
+
 
 class TestMixing:
     def test_x_only_assignment_concentrates(self):
@@ -1043,6 +1076,87 @@ class TestDecodeStat:
         rep = influence_decode_stat(family, graph, params, tau=0.05, samples=2500, seed=45)
         assert rep.max_list_size == 0
         assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.stderr)
+
+    def test_single_broken_entry_is_a_respect_violation(self):
+        graph = self._graph()
+        params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.2)
+        space = BiasedSpace((0.3,) * 3, "bit")
+
+        def family(pt):
+            vals = np.full(8, 0.3)
+            if pt == (0, 1, 2):
+                vals[1] = 0.9  # the point (0, 0, 1) at one vertex-vector only
+            return FunctionTable(space, vals, bounded=True)
+
+        rep = influence_decode_stat(family, graph, params, tau=0.01, samples=100, seed=46)
+        assert rep.respect_violations > 0
+
+    @staticmethod
+    def all_permutation_violations(values: np.ndarray, R: int) -> int:
+        """Entries T[A][x] of a (n,)*R + (2,)*R family with T[A o pi][x o pi]
+        != T[A][x] for some permutation pi, listing all of S_R."""
+        bad = np.zeros(values.shape, dtype=bool)
+        for perm in itertools.permutations(range(R)):
+            moved = values.transpose([*perm, *(R + p for p in perm)])
+            bad |= np.abs(moved - values) > 1e-9
+        return int(bad.sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        R=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+        breaks=st.integers(0, 2),
+    )
+    def test_respect_check_matches_all_permutations(self, n, R, seed, breaks):
+        # a family that depends on the multiset of (A(j), x(j)) respects every
+        # permutation; a few changed entries may or may not break it
+        rng = np.random.default_rng(seed)
+        grid = np.indices((n,) * R + (2,) * R).reshape(2 * R, -1).T
+        codes = np.sort(2 * grid[:, :R] + grid[:, R:], axis=1)
+        _, orbit = np.unique(codes, axis=0, return_inverse=True)
+        values = rng.integers(0, 3, size=orbit.max() + 1)[orbit.reshape(-1)] / 2.0
+        values[rng.integers(0, values.size, size=breaks)] = rng.integers(0, 3, size=breaks) / 2.0
+        values = values.reshape((n,) * R + (2,) * R)
+        space = BiasedSpace((0.3,) * R, "bit")
+        graph = SseGraph(n, 1, np.roll(np.arange(n), 1)[:, None])
+        params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=R, eta=0.2)
+
+        def family(pt):
+            return FunctionTable(space, values[pt].reshape(-1), bounded=True)
+
+        rep = influence_decode_stat(family, graph, params, tau=0.05, samples=16, seed=seed % 1000)
+        expected = self.all_permutation_violations(values, R)
+        # adjacent transpositions generate S_R: they flag some entry exactly
+        # when some permutation does, and never an entry no permutation moves
+        assert (rep.respect_violations > 0) == (expected > 0)
+        assert rep.respect_violations <= expected
+
+    def test_family_above_the_cap_is_refused_before_it_is_read(self):
+        graph = cycle_sse(64)
+        params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=4, eta=0.2)
+
+        def family(pt):
+            raise AssertionError("read a table of a refused family")
+
+        # 64^4 vertex-vectors * 2^4 points = 2^28 > ORACLE_CAP
+        with pytest.raises(ValueError, match="too large"):
+            influence_decode_stat(family, graph, params, tau=0.05, samples=16, seed=0)
+
+    def test_decoder_covers_every_vertex_vector(self):
+        # one walk sample reads at most two of the 16 vertex-vectors; the
+        # list sizes still cover the dictator at (3, 3) wherever it lands
+        graph = SseGraph(4, 1, np.array([[1], [0], [3], [2]]))
+        params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=2, eta=0.2)
+        space = BiasedSpace((0.3,) * 2, "bit")
+
+        def family(pt):
+            if pt == (3, 3):
+                return FunctionTable(space, [0.0, 0.0, 1.0, 1.0], bounded=True)
+            return FunctionTable(space, np.full(4, 0.3), bounded=True)
+
+        rep = influence_decode_stat(family, graph, params, tau=0.05, samples=1, seed=47)
+        assert rep.max_list_size == 1
 
 
 # ---- the loops the probspace bit codec replaced, kept as references ------------
