@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .harness.mc import ORACLE_CAP
 from .polynomial import MultilinearPolynomial
 from .probspace import domain_points, pack_bits, unpack_bits
 
@@ -32,7 +33,8 @@ def _as_bits(s) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Predicate:
-    """Arity-r Boolean predicate given by its accepting set."""
+    """Arity-r Boolean predicate given by its accepting set; r is at most
+    12, so that an edge's 4^r lifted letters fit ``ORACLE_CAP``."""
 
     arity: int
     accepting: frozenset[tuple[int, ...]]
@@ -40,6 +42,8 @@ class Predicate:
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be >= 1")
+        if 4 ** self.arity > ORACLE_CAP:
+            raise ValueError(f"arity {self.arity} exceeds the cap: 4^arity > {ORACLE_CAP}")
         acc = frozenset(_as_bits(a) for a in self.accepting)
         for a in acc:
             if len(a) != self.arity or any(b not in (0, 1) for b in a):

@@ -1,5 +1,4 @@
-"""Correlated Gaussian sampling, joint-orthant stability estimation, and
-Hermite utilities.
+"""Correlated Gaussian sampling and joint-orthant stability estimation.
 
 All Monte Carlo assertions in this module use 3-sigma normal-approximation
 bands, and every report records its seed and sample count.
@@ -8,44 +7,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
 from .harness.mc import McRun, mc_run
 
-_SQRT2 = math.sqrt(2.0)
-
 
 def normal_cdf(t: float) -> float:
     """Standard normal CDF via erfc; absolute error well under 1e-12."""
-    return 0.5 * math.erfc(-float(t) / _SQRT2)
-
-
-def normal_pdf(t: float) -> float:
-    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return 0.5 * math.erfc(-float(t) / math.sqrt(2.0))
 
 
 def normal_quantile(delta: float) -> float:
-    """Inverse CDF by bisection, finished with one Newton step.
-
-    Accurate to |cdf(result) - delta| <= 1e-10 on (0,1).
-    """
+    """Inverse CDF on (0,1), the standard library's
+    ``NormalDist().inv_cdf``: |cdf(result) - delta| is at roundoff level."""
     if not 0.0 < delta < 1.0:
         raise ValueError("quantile defined on (0,1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < delta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    t = 0.5 * (lo + hi)
-    pdf = normal_pdf(t)
-    if pdf > 0.0:
-        t -= (normal_cdf(t) - delta) / pdf
-    return t
+    return NormalDist().inv_cdf(delta)
 
 
 @dataclass(frozen=True)
@@ -74,12 +53,6 @@ class CorrelatedSampler:
         h *= math.sqrt(1.0 - rho * rho)
         h += rho * g
         return g, h
-
-
-def sample_correlated(sampler: CorrelatedSampler, rng: np.random.Generator):
-    """One tuple of correlated copies, shape (copies, dimension)."""
-    _, h = sampler.sample(rng, 1)
-    return h[:, 0, :]
 
 
 def _orthant_run(rho: float, deltas, samples: int, seed: int, tag: str) -> McRun:
@@ -215,40 +188,3 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
     holds = joint.value <= lam.value + 3.0 * sigma_total
     return BorellReport(joint, [m.value for m in means], [m.stderr for m in means],
                         lam, sigma_total, holds)
-
-
-# ---- Hermite utilities -------------------------------------------------------
-
-MAX_HERMITE_DEGREE = 8
-
-
-def hermite_1d(k: int, x) -> np.ndarray:
-    """Probabilists' Hermite polynomial of degree k, normalized to unit norm
-    against the standard normal."""
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    if k > MAX_HERMITE_DEGREE:
-        raise ValueError(f"degree {k} exceeds cap {MAX_HERMITE_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if k == 0:
-        return h_prev
-    h = x.copy()
-    for deg in range(1, k):
-        h, h_prev = x * h - deg * h_prev, h
-    return h / math.sqrt(math.factorial(k))
-
-
-def hermite_eval(multi_index, point) -> float | np.ndarray:
-    """Product Hermite basis function for a multi-index over coordinates."""
-    multi_index = [int(k) for k in multi_index]
-    if sum(multi_index) > MAX_HERMITE_DEGREE:
-        raise ValueError(f"total degree exceeds cap {MAX_HERMITE_DEGREE}")
-    pts = np.asarray(point, dtype=float)
-    if pts.shape[-1] != len(multi_index):
-        raise ValueError("point dimension must match multi-index length")
-    out = np.ones(pts.shape[:-1])
-    for j, k in enumerate(multi_index):
-        if k:
-            out = out * hermite_1d(k, pts[..., j])
-    return out if out.shape else float(out)

@@ -212,21 +212,20 @@ def _cmd_reduce_decouple(args) -> dict:
 
 
 def _cmd_reduce_decode_stat(args) -> dict:
-    from ..probspace import BiasedSpace, FunctionTable, domain_points
+    from ..probspace import BiasedSpace, domain_points
     from ..reduction import influence_decode_stat
+    from ..reduction.analysis import _check_decode_size
 
     _, _, graph, params = _reduce_ctx(args)
-    mask = graph.planted_mask()
-    space = BiasedSpace((params.mu,) * params.R, "bit")
-    pts = domain_points(params.R)
-
-    def family_tables(pt):
-        marked = np.flatnonzero(mask[np.asarray(pt)])
-        if len(marked) == 1:
-            return FunctionTable(space, pts[:, marked[0]].astype(float), bounded=True)
-        return FunctionTable(space, np.full(2 ** params.R, params.mu), bounded=True)
-
-    rep = influence_decode_stat(family_tables, graph, params, args.tau, args.samples, args.seed)
+    n, R = graph.n, params.R
+    _check_decode_size(n, R)
+    # the planted dictator family: a vertex-vector with exactly one planted
+    # coordinate reads that coordinate's bit, any other is the constant mu
+    marked = graph.planted_mask()[np.indices((n,) * R).reshape(R, -1).T]
+    dictators = domain_points(R).T.astype(float)[np.argmax(marked, axis=1)]
+    tables = np.where(np.count_nonzero(marked, axis=1)[:, None] == 1, dictators, params.mu)
+    space = BiasedSpace((params.mu,) * R, "bit")
+    rep = influence_decode_stat(tables, space, graph, params, args.tau, args.samples, args.seed)
     return stage(
         "reduce-decode-stat", rep.list_cap_holds, value=rep.match_prob, stderr=rep.stderr,
         seed=args.seed, samples=rep.samples, baseline=rep.baseline, max_list_size=rep.max_list_size,

@@ -16,6 +16,7 @@ import numpy as np
 from ..csp import Assignment, ConstraintHypergraph
 from ..probspace import BiasedSpace, FunctionTable, domain_points, product_measure
 from ..pseudodist import (
+    _JOINT_CAP,
     LocalDistributionFamily,
     find_conditioning,
     moment_matrix,
@@ -123,6 +124,8 @@ def load_family(source, host: ConstraintHypergraph) -> LocalDistributionFamily:
     level = int(obj.get("level", 6))
     if kind == "product":
         n = len(host.vertices)
+        if n > _JOINT_CAP:
+            raise ConfigError(f"pseudodistribution: a product over {n} vertices exceeds the joint cap {_JOINT_CAP}")
         joint = product_measure([parse_number(obj.get("mu", 0.5))] * n).reshape((2,) * n)
         return LocalDistributionFamily(host, level, {tuple(host.vertices): joint})
     if kind == "mixture":

@@ -65,17 +65,6 @@ class BiasedSpace:
     def size(self) -> int:
         return 2 ** self.r
 
-    @classmethod
-    def uniform(cls, r: int, p: float, alphabet: str = "bit") -> "BiasedSpace":
-        return cls((p,) * r, alphabet)
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "biases": list(self.biases), "alphabet": self.alphabet}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BiasedSpace":
-        return cls(tuple(obj["biases"]), obj.get("alphabet", "bit"))
-
 
 @dataclass(frozen=True)
 class PairedSpace:
@@ -99,21 +88,6 @@ class PairedSpace:
     @property
     def size(self) -> int:
         return 4 ** self.r
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "bit_biases": list(self.bit.biases),
-            "leak_biases": list(self.leak.biases),
-            "alphabet": "pair",
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PairedSpace":
-        return cls(
-            BiasedSpace(tuple(obj["bit_biases"]), "bit"),
-            BiasedSpace(tuple(obj["leak_biases"]), "leak"),
-        )
 
 
 Space = BiasedSpace | PairedSpace
@@ -239,15 +213,6 @@ class FunctionTable:
             raise ValueError("a paired table takes (x, z); a single table takes one bit-vector")
         return float(self.values[pack_bits(np.concatenate(coords).astype(np.int64))])
 
-    def to_json(self) -> dict:
-        return {"space": self.space.to_json(), "values": self.values.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict, bounded: bool = False) -> "FunctionTable":
-        sp = obj["space"]
-        space = PairedSpace.from_json(sp) if sp.get("alphabet") == "pair" else BiasedSpace.from_json(sp)
-        return cls(space, obj["values"], bounded=bounded)
-
 
 class FourierTable:
     """Fourier coefficients of a function over a biased product space.
@@ -289,15 +254,6 @@ class FourierTable:
 
     def variance(self) -> float:
         return self.total_weight() - self.coefficient(0, 0 if isinstance(self.space, PairedSpace) else None) ** 2
-
-    def to_json(self) -> dict:
-        return {"space": self.space.to_json(), "kind": "fourier", "values": self.coeffs.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FourierTable":
-        sp = obj["space"]
-        space = PairedSpace.from_json(sp) if sp.get("alphabet") == "pair" else BiasedSpace.from_json(sp)
-        return cls(space, obj["values"])
 
 
 def _character_transform(t: np.ndarray, biases, first_axis: int = 0) -> np.ndarray:

@@ -38,7 +38,8 @@ class ZeroProbabilityEvent(ValueError):
 
 
 def _smooth_kernel(eta: float, mu: float) -> np.ndarray:
-    """Per-coordinate resampling kernel, rows = new value, cols = old."""
+    """Per-coordinate resampling kernel (1 - eta) I + eta Bernoulli(mu), a bit
+    kept or redrawn from Bernoulli(mu); rows = new value, cols = old."""
     return np.array(
         [
             [1.0 - eta + eta * (1.0 - mu), eta * (1.0 - mu)],
@@ -231,14 +232,19 @@ class LocalDistributionFamily:
 
     @classmethod
     def from_json(cls, obj: dict, host: ConstraintHypergraph) -> "LocalDistributionFamily":
+        """The family of the given locals; a local over more vertices than
+        the level or ``_JOINT_CAP`` is refused before its table is made."""
+        level = int(obj["level"])
         locals_ = {}
         for item in obj["locals"]:
             subset = tuple(item["subset"])
+            if len(subset) > min(level, _JOINT_CAP):
+                raise ValueError(f"local over {len(subset)} vertices exceeds level {level} or the cap {_JOINT_CAP}")
             table = np.zeros((2,) * len(subset))
             for bit_string, p in item["probs"].items():
                 table[tuple(int(c) for c in bit_string)] = float(p)
             locals_[subset] = table
-        return cls(host, obj["level"], locals_)
+        return cls(host, level, locals_)
 
 
 def _marginal(table: np.ndarray, key: tuple[str, ...], keep: tuple[str, ...]) -> np.ndarray:

@@ -13,6 +13,7 @@ from ..harness.mc import CHUNK, ORACLE_CAP, mc_run
 from ..harness.rng import rng_for
 from ..polynomial import _apply_axis
 from ..probspace import (
+    TOL,
     BiasedSpace,
     FunctionTable,
     PairedSpace,
@@ -24,13 +25,12 @@ from ..probspace import (
     max_influence,
     pack_bits,
     product_measure,
-    unpack_bits,
 )
 from ..pseudodist import LocalDistributionFamily
 from .dictator import LongCodeAssignment, permute_rows
 from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
-from .sampler import BatchTestSampler, _interleave, _leak_block, fold, letter_block
+from .sampler import BatchTestSampler, _interleave, _leak_block, letter_block
 
 # The completeness reference of :func:`acceptance_estimate` gives up this
 # multiple of arity*noise.
@@ -80,16 +80,13 @@ def averaged_function(
     beta: float,
     eta: float,
     graph: SseGraph,
-    mode: str = "exact",
-    rng: np.random.Generator | None = None,
-    samples_per_point: int = 4096,
 ) -> FunctionTable:
     """Restriction of f to a lifted vertex-vector, averaged over the noisy
     walk, the leakage fold, and a uniform coordinate permutation.
 
     Returns a bounded table on the paired (bit, leak) space of the vertex.
-    Exact mode contracts the permutation average of f on the (4n)^R lifted
-    grid one coordinate at a time, so it is refused when that grid exceeds
+    The permutation average of f on the (4n)^R lifted grid is contracted one
+    coordinate at a time, so the call is refused when that grid exceeds
     ORACLE_CAP.
     """
     A = np.asarray(A, dtype=np.int64)
@@ -97,30 +94,13 @@ def averaged_function(
     space = PairedSpace(
         BiasedSpace((mu_i,) * R, "bit"), BiasedSpace((beta,) * R, "leak")
     )
-    n = graph.n
-    if mode == "exact":
-        t = _symmetrized(f, n, R)
-        walk = walk_matrix(graph, eta)
-        for j in range(R):
-            t = _apply_axis(t, _fold_kernel(walk[A[j]], mu_i), j)
-        # letters 2x + z per axis -> x bits, then z bits: the paired layout
-        values = t.reshape((2, 2) * R).transpose([*range(0, 2 * R, 2), *range(1, 2 * R, 2)]).reshape(-1)
-    elif mode == "mc":
-        if rng is None:
-            raise ValueError("mc mode needs an rng")
-        values = np.array([
-            _avg_point_mc(f, A, row[:R], row[R:], mu_i, eta, graph, rng, samples_per_point)
-            for row in domain_points(2 * R).astype(np.int8)
-        ])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    t = _symmetrized(f, graph.n, R)
+    walk = walk_matrix(graph, eta)
+    for j in range(R):
+        t = _apply_axis(t, _fold_kernel(walk[A[j]], mu_i), j)
+    # letters 2x + z per axis -> x bits, then z bits: the paired layout
+    values = t.reshape((2, 2) * R).transpose([*range(0, 2 * R, 2), *range(1, 2 * R, 2)]).reshape(-1)
     return FunctionTable(space, np.clip(values, 0.0, 1.0), bounded=True)
-
-
-def _avg_point_mc(f, A, x, z, mu_i, eta, graph, rng, samples):
-    zs = np.broadcast_to(np.asarray(z, dtype=np.int8), (samples, A.size))
-    b, xs = fold(graph, eta, A, x, zs, mu_i, rng)
-    return float(np.mean(f.evaluate_batch(b, xs, zs, rng)))
 
 
 # ---- exact acceptance via per-coordinate blocks ------------------------------
@@ -274,10 +254,12 @@ def _pair_indices(outcomes: np.ndarray, r: int, R: int) -> list[np.ndarray]:
     """Flat paired-table indices per position for coordinatewise outcomes.
 
     ``outcomes`` is (N, R) with entries in [0, 4^r): per-coordinate joint
-    (x-block, z-block) codes.  Returns one (N,) index array per position.
+    (x-block, z-block) codes.  Returns one (N,) int64 index array per
+    position, packed from that position's (N, R) int8 x and z bits, which
+    are gathered from a (4^r, 2r) table of each code's bits.
     """
-    bits = unpack_bits(outcomes, 2 * r)  # (N, R, 2r): x-block bits, then z-block bits
-    return [pack_bits([*bits[..., pos].T, *bits[..., r + pos].T]) for pos in range(r)]
+    code_bits = domain_points(2 * r).astype(np.int8)  # x-block bits, then z-block bits
+    return [pack_bits([*code_bits[outcomes, pos].T, *code_bits[outcomes, r + pos].T]) for pos in range(r)]
 
 
 def coupled_product_expectation(
@@ -335,11 +317,13 @@ def decoupling_check(
                 prod *= h_tables[pos].values[idx]
             return prod
 
+        outcome_bits = domain_points(r).astype(np.int8)
+
         def decoupled(rng, m):
-            bits = unpack_bits(rng.choice(block_probs.size, size=(m, R), p=block_probs), r)
+            draws = rng.choice(block_probs.size, size=(m, R), p=block_probs)
             prod = np.ones(m)
             for pos in range(r):
-                prod *= hbars[pos][pack_bits(bits[..., pos].T)]
+                prod *= hbars[pos][pack_bits(outcome_bits[draws, pos].T)]
             return prod
 
         lhs_run = mc_run(coupled, samples, seed, tag="decoupling-lhs")
@@ -493,8 +477,17 @@ def _noised_influences(tables: np.ndarray, biases, eta: float) -> np.ndarray:
     return np.stack([weight.take(1, axis=1 + j).reshape(len(weight), -1).sum(axis=1) for j in range(R)], axis=1)
 
 
+def _check_decode_size(n: int, R: int) -> None:
+    """Refuse a family of n^R tables, n^R * 2^R entries, above ORACLE_CAP."""
+    if n ** R * 2 ** R > ORACLE_CAP:
+        raise ValueError(
+            f"table family n^R * 2^R = {n ** R * 2 ** R} is too large for exact walk averages (cap {ORACLE_CAP})"
+        )
+
+
 def influence_decode_stat(
-    table_family,
+    tables,
+    space: BiasedSpace,
     graph: SseGraph,
     params: ReductionParams,
     tau: float,
@@ -504,9 +497,9 @@ def influence_decode_stat(
     """Candidate-coordinate matching statistic for a permutation-respecting
     table family indexed by vertex-vectors.
 
-    ``table_family(A_tuple)`` must return a bounded bit-space table; every
-    table is read on the family's first table's biases.  The n^R tables,
-    n^R * 2^R entries, are refused above ORACLE_CAP before any is read.
+    ``tables`` holds the family's [0, 1] values on the bit space ``space``,
+    one row per vertex-vector A in ``np.ndindex((n,)*R)`` order; its
+    n^R * 2^R entries are refused above ORACLE_CAP before any is read.
     Candidate lists are the coordinates of influence >= tau/2 in the noised
     table and >= tau in the noised walk average.  One randomized decoder is
     realized for every vertex-vector (a fair coin picks a list, then a
@@ -518,20 +511,20 @@ def influence_decode_stat(
     R = params.R
     n = graph.n
     eta = params.eta
-    if n ** R * 2 ** R > ORACLE_CAP:
-        raise ValueError(
-            f"table family n^R * 2^R = {n ** R * 2 ** R} is too large for exact walk averages (cap {ORACLE_CAP})"
-        )
+    _check_decode_size(n, R)
+    tables = np.asarray(tables, dtype=float)
+    if tables.shape != (n ** R, 2 ** R) or space.r != R:
+        raise ValueError(f"expected ({n ** R}, {2 ** R}) tables at R = {R}, got {tables.shape} at R = {space.r}")
+    if tables.min() < -TOL or tables.max() > 1.0 + TOL:
+        raise ValueError("table family has values outside [0,1]")
     rng = rng_for(seed, "decode-stat")
-    families = [table_family(pt) for pt in np.ndindex((n,) * R)]
-    biases = families[0].space.biases
-    tables = np.stack([np.asarray(t.values, dtype=float) for t in families]).reshape((n,) * R + (-1,))
+    tables = tables.reshape((n,) * R + (-1,))
     violations = _respect_violations(tables.reshape((n,) * R + (2,) * R), R)
     g_tables = _walk_average(tables, walk_matrix(graph, eta))
 
     # candidate lists, (2, n^R, R): the tables' at tau/2, the walk averages' at tau
     cells = n ** R
-    influences = _noised_influences(np.stack([tables, g_tables]).reshape(2 * cells, -1), biases, eta)
+    influences = _noised_influences(np.stack([tables, g_tables]).reshape(2 * cells, -1), space.biases, eta)
     lists = influences.reshape(2, cells, R) >= np.array([tau / 2.0, tau])[:, None, None]
     # the decoder: a fair coin picks a list, then a uniform entry of it
     pick = lists[(rng.random(cells) >= 0.5).astype(np.int64), np.arange(cells)]

@@ -20,7 +20,7 @@ import numpy as np
 from ..csp import ConstraintHypergraph
 from ..polynomial import _apply_axis
 from ..probspace import domain_points, pack_bits, product_measure
-from ..pseudodist import LocalDistributionFamily, edge_block_probs
+from ..pseudodist import LocalDistributionFamily, _smooth_kernel, edge_block_probs
 from .dictator import permute_rows
 from .graphs import SseGraph, noisy_walk
 from .params import ReductionParams
@@ -45,22 +45,17 @@ def _interleave(values: np.ndarray, n: int) -> np.ndarray:
     return t.transpose([a for j in range(n) for a in (j, n + j)]).reshape((4,) * n)
 
 
-def _noise_kernel(p: float, eta: float) -> np.ndarray:
-    """N(p, eta) = (1 - eta) I + eta Bernoulli(p): a bit kept, or with
-    probability eta redrawn from Bernoulli(p); entry [new, old]."""
-    return (1.0 - eta) * np.eye(2) + eta * np.array([[1.0 - p], [p]])
-
-
 def letter_block(theta: LocalDistributionFamily, edge: tuple[str, ...], params: ReductionParams) -> np.ndarray:
     """One coordinate's law of the noised letters 2x~ + z' of an edge, as a
     (4,)*r tensor with position i on axis i: the leak block (letters 2x + z)
     with each position's letter re-randomized by N(mu_v, eta) on x and
-    N(beta, eta) on z."""
+    N(beta, eta) on z, where N(p, eta) = (1 - eta) I + eta Bernoulli(p) is
+    ``pseudodist._smooth_kernel(eta, p)``, the smoothing kernel."""
     r = len(edge)
     probs, _ = edge_block_probs(theta, edge)
     letters = _interleave(_leak_block(probs, r, params.beta, params.rho_sq), r)
     for pos, v in enumerate(edge):
-        kernel = np.kron(_noise_kernel(theta.vertex_mean(v), params.eta), _noise_kernel(params.beta, params.eta))
+        kernel = np.kron(_smooth_kernel(params.eta, theta.vertex_mean(v)), _smooth_kernel(params.eta, params.beta))
         letters = _apply_axis(letters, kernel, pos)
     return letters
 
@@ -106,7 +101,7 @@ def sample_test_tuple(
     """
     if params.R > 1 << 16:
         raise ValueError("lift dimension too large to sample explicitly")
-    sampler = _cached_sampler(gap, theta, graph, params)
+    sampler = BatchTestSampler(gap, theta, graph, params)
     edge_idx = int(rng.choice(len(gap.edges), p=sampler.edge_weights))
     trace: dict = {}
     rows = sampler.sample_parts(edge_idx, 1, rng, trace)
@@ -114,22 +109,6 @@ def sample_test_tuple(
     # one (positions, R) array per part: row i is position i's coordinates
     perms, (b, x, z) = permute_rows(rng, *(np.concatenate(a) for a in zip(*rows)))
     return TestSample(edge=gap.edges[edge_idx][0], parts=list(zip(b, x, z)), perms=list(perms), trace=trace)
-
-
-_last_sampler: list = [(), None]  # [inputs, their BatchTestSampler]
-
-
-def _cached_sampler(gap, theta, graph, params) -> "BatchTestSampler":
-    """The sampler of the last inputs if they are the same objects, else a
-    new one, which replaces it: a loop of single draws builds one sampler.
-    The inputs are compared by identity, so one changed in place between
-    calls keeps its old sampler."""
-    inputs = (gap, theta, graph, params)
-    key, sampler = _last_sampler
-    if len(key) != 4 or any(a is not b for a, b in zip(key, inputs)):
-        sampler = BatchTestSampler(*inputs)
-        _last_sampler[:] = [inputs, sampler]
-    return sampler
 
 
 def _letter_sampler(theta: LocalDistributionFamily, edge: tuple[str, ...], params: ReductionParams):

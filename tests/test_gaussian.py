@@ -1,4 +1,4 @@
-"""CDF facts, correlated sampling, joint-orthant stability, Hermite utilities."""
+"""CDF facts, correlated sampling, joint-orthant stability."""
 import math
 
 import numpy as np
@@ -12,13 +12,10 @@ from biascsp.gaussian import (
     box,
     constant,
     halfspace,
-    hermite_1d,
-    hermite_eval,
     lambda_bound_check,
     lambda_estimate,
     normal_cdf,
     normal_quantile,
-    sample_correlated,
 )
 from biascsp.harness.rng import rng_for
 
@@ -92,8 +89,9 @@ class TestCorrelatedSampler:
         assert h[0].std() == pytest.approx(1.0, abs=0.01)
 
     def test_single_tuple_shape(self):
-        got = sample_correlated(CorrelatedSampler(5, 0.3, 4), rng_for(0, "t-shape"))
-        assert got.shape == (4, 5)
+        g, h = CorrelatedSampler(5, 0.3, 4).sample(rng_for(0, "t-shape"), 1)
+        assert g.shape == (1, 5)
+        assert h.shape == (4, 1, 5)
 
 
 def orthant_oracle(rho, a, b):
@@ -185,46 +183,3 @@ class TestBorell:
         assert rep.stability_bound.tag == "borell-lambda"
         assert rep.joint.tag == "borell-joint"
 
-
-class TestHermite:
-    def test_low_degrees(self):
-        x = np.linspace(-3, 3, 7)
-        np.testing.assert_allclose(hermite_1d(0, x), np.ones_like(x))
-        np.testing.assert_allclose(hermite_1d(1, x), x)
-        np.testing.assert_allclose(hermite_1d(2, x), (x ** 2 - 1) / math.sqrt(2))
-
-    def test_orthonormality_monte_carlo(self):
-        rng = rng_for(17, "hermite")
-        g = rng.standard_normal(400000)
-        for k in range(4):
-            vals = hermite_1d(k, g)
-            second = vals ** 2
-            se = 3 * second.std() / math.sqrt(len(g))
-            assert second.mean() == pytest.approx(1.0, abs=se)
-        cross = hermite_1d(1, g) * hermite_1d(3, g)
-        assert cross.mean() == pytest.approx(0.0, abs=3 * cross.std() / math.sqrt(len(g)))
-
-    def test_product_basis(self):
-        pts = np.array([[0.5, -1.0], [2.0, 0.3]])
-        expect = hermite_1d(2, pts[:, 0]) * hermite_1d(1, pts[:, 1])
-        np.testing.assert_allclose(hermite_eval((2, 1), pts), expect)
-
-    def test_noise_action_on_low_degree(self):
-        # E[f(h) * basis(g)] = rho^{degree} * coefficient, f of degree <= 3
-        rho = 0.6
-        rng = rng_for(18, "hermite-noise")
-        n = 600000
-        g = rng.standard_normal(n)
-        h = rho * g + math.sqrt(1 - rho ** 2) * rng.standard_normal(n)
-        coeffs = {0: 0.5, 1: -0.8, 2: 0.3, 3: 0.2}
-        f = sum(c * hermite_1d(k, h) for k, c in coeffs.items())
-        for k, c in coeffs.items():
-            prod = f * hermite_1d(k, g)
-            se = 3 * prod.std() / math.sqrt(n)
-            assert prod.mean() == pytest.approx(rho ** k * c, abs=se)
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            hermite_1d(9, 0.0)
-        with pytest.raises(ValueError):
-            hermite_eval((5, 4), np.zeros((1, 2)))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from biascsp.harness import cli, mc_run, rng_for
 from biascsp.harness.pipeline import ConfigError, failed, parse_number, run_pipeline, stage
+from conftest import traced_peak
 
 
 class TestMcRun:
@@ -495,6 +496,56 @@ def run_main(capsys, *argv):
     """In-process CLI run: (exit code, the printed report)."""
     code = cli.main([str(a) for a in argv])
     return code, json.loads(capsys.readouterr().out)
+
+
+def cycle_instance(n: int) -> dict:
+    return {
+        "predicate": {"arity": 2, "accepting": ["01", "10"]},
+        "vertices": [{"id": f"v{i}", "weight": 1.0 / n} for i in range(n)],
+        "edges": [{"vs": [f"v{i}", f"v{(i + 1) % n}"], "weight": 1.0 / n} for i in range(n)],
+    }
+
+
+class TestOversizedLoads:
+    """Inputs whose tables would take gigabytes are refused with exit 2
+    before anything of that size is allocated."""
+
+    @staticmethod
+    def refused(capsys, *argv) -> str:
+        with traced_peak() as peak:
+            code = cli.main([str(a) for a in argv])
+        assert code == 2
+        assert peak.bytes < 2 ** 20, peak.bytes
+        return json.loads(capsys.readouterr().err)["error"]
+
+    def test_product_over_more_vertices_than_the_joint_cap(self, tmp_path, capsys):
+        # a 2^30 joint would take 8 GiB
+        inst, pd = tmp_path / "inst.json", tmp_path / "pd.json"
+        inst.write_text(json.dumps(cycle_instance(30)))
+        pd.write_text(json.dumps({"kind": "product", "mu": 0.5, "level": 6}))
+        error = self.refused(capsys, "pd", "verify", "--in", pd, "--instance", inst)
+        assert "product over 30 vertices" in error
+
+    @pytest.mark.parametrize("level, size", [(6, 30), (30, 25)])
+    def test_json_local_above_its_level_or_the_joint_cap(self, tmp_path, capsys, level, size):
+        inst, pd = tmp_path / "inst.json", tmp_path / "pd.json"
+        inst.write_text(json.dumps(cycle_instance(30)))
+        local = {"subset": [f"v{i}" for i in range(size)], "probs": {"0" * size: 1.0}}
+        pd.write_text(json.dumps({"level": level, "locals": [local]}))
+        error = self.refused(capsys, "pd", "verify", "--in", pd, "--instance", inst)
+        assert f"local over {size} vertices" in error
+
+    def test_arity_above_the_oracle_cap(self, tmp_path, capsys):
+        # an edge may repeat a vertex, so two vertices carry an arity-30
+        # edge, whose predicate table would hold 2^30 entries
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "predicate": {"arity": 30, "accepting": ["1" * 30]},
+            "vertices": [{"id": "a", "weight": 0.5}, {"id": "b", "weight": 0.5}],
+            "edges": [{"vs": ["a", "b"] * 15, "weight": 1.0}],
+        }))
+        error = self.refused(capsys, "csp", "opt", "--mu", "0.5", "--in", inst)
+        assert "arity 30" in error
 
 
 class TestCliRecords:

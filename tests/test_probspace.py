@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from biascsp.probspace import (
     BiasedSpace,
     DegenerateBiasError,
-    FourierTable,
     FunctionTable,
     PairedSpace,
     character,
@@ -338,21 +337,6 @@ class TestPairedSpace:
         f = self.random_paired(rng, 2)
         fh = fourier_expand(f)
         assert fh.total_weight() == pytest.approx(f.second_moment(), abs=TOL)
-
-
-class TestSerialization:
-    def test_function_table_roundtrip(self):
-        rng = np.random.default_rng(20)
-        f = random_table(rng, 3)
-        back = FunctionTable.from_json(f.to_json())
-        assert back.space == f.space
-        np.testing.assert_allclose(back.values, f.values)
-
-    def test_fourier_table_roundtrip(self):
-        rng = np.random.default_rng(21)
-        fh = fourier_expand(random_table(rng, 2))
-        back = FourierTable.from_json(fh.to_json())
-        np.testing.assert_allclose(back.coeffs, fh.coeffs)
 
 
 class TestBitLayout:

@@ -1,5 +1,6 @@
 """Gadget graphs, parameter ledger, test sampler, dictators, and verifiers."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -286,25 +287,6 @@ class TestSampleTuple:
         iid = beta ** 2 + (1 - beta) ** 2
         expect = rho_sq + (1 - rho_sq) * iid
         assert agree / total == pytest.approx(expect, abs=4 * math.sqrt(expect * (1 - expect) / total))
-
-    def test_repeated_inputs_reuse_one_sampler(self):
-        from biascsp.reduction import sampler as sampler_module
-
-        gap = small_gap()
-        theta = mixture_theta(gap, np.random.default_rng(11))
-        graph = cycle_sse(6)
-        params = desk_params(theta, R=6)
-        first = sample_test_tuple(gap, theta, graph, params, rng_for(5, "memo"))
-        held = sampler_module._last_sampler[1]
-        second = sample_test_tuple(gap, theta, graph, params, rng_for(5, "memo"))
-        assert sampler_module._last_sampler[1] is held
-        # a cached sampler draws what a fresh one draws
-        for (b0, x0, z0), (b1, x1, z1) in zip(first.parts, second.parts):
-            for u, v in ((b0, b1), (x0, x1), (z0, z1)):
-                np.testing.assert_array_equal(u, v)
-        # equal but distinct inputs build a new sampler
-        sample_test_tuple(gap, theta, graph, desk_params(theta, R=6), rng_for(5, "memo"))
-        assert sampler_module._last_sampler[1] is not held
 
     def test_missing_edge_local_raises(self):
         gap = small_gap()
@@ -714,19 +696,6 @@ class TestAveragedFunction:
         )
         np.testing.assert_allclose(table.values, overall, atol=1e-12)
 
-    def test_mc_matches_exact(self):
-        graph = cycle_sse(4)
-        rng_master = np.random.default_rng(19)
-        fvals = rng_master.integers(0, 2, size=4 ** 2 * 4 ** 2)
-        f = LongCodeAssignment.from_table(4, 2, fvals)
-        a_pt = np.array([1, 3])
-        exact = averaged_function(f, a_pt, 0.35, 0.3, 0.2, graph, mode="exact")
-        mc = averaged_function(
-            f, a_pt, 0.35, 0.3, 0.2, graph, mode="mc",
-            rng=rng_for(20, "avg-mc"), samples_per_point=40000,
-        )
-        assert np.abs(exact.values - mc.values).max() < 0.02
-
 
 class TestArithmetizationIdentity:
     def _identity_config(self, seed):
@@ -895,8 +864,9 @@ class TestDecoupling:
                 decoupling_check(tables, probs, params, mode="mc", samples=samples, seed=51)
             peaks.append(peak.bytes)
         assert peaks[1] < 1.1 * peaks[0], peaks
-        # the chunk's bit unpacking, (CHUNK, R, 2r) int64, dominates
-        assert peaks[1] < 2 * CHUNK * R * 4 * 8, peaks
+        # each chunk gathers its codes' int8 bits from a small table; unpacking
+        # them into (CHUNK, R, 2r) int64 bits took the peak to 17.5 MiB
+        assert peaks[1] < 12 * 2 ** 20, peaks
 
 
 class TestMixing:
@@ -1022,15 +992,18 @@ class TestDecodeStat:
     def _graph():
         return generate_sse("planted", 8, 2, 0.25, seed=41, eps=0.05)
 
+    @staticmethod
+    def stacked(table, n, R):
+        """The (n^R, 2^R) family whose row for a vertex-vector A is table(A),
+        rows in np.ndindex order."""
+        return np.stack([np.asarray(table(pt), dtype=float) for pt in np.ndindex((n,) * R)])
+
     def test_constant_tables_empty_lists(self):
         graph = self._graph()
         params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.2)
         space = BiasedSpace((0.3,) * 3, "bit")
-
-        def family(pt):
-            return FunctionTable(space, np.full(8, 0.3), bounded=True)
-
-        rep = influence_decode_stat(family, graph, params, tau=0.01, samples=2000, seed=42)
+        tables = np.full((8 ** 3, 8), 0.3)
+        rep = influence_decode_stat(tables, space, graph, params, tau=0.01, samples=2000, seed=42)
         assert rep.max_list_size == 0
         assert rep.respect_violations == 0
         assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.stderr)
@@ -1044,14 +1017,14 @@ class TestDecodeStat:
         space = BiasedSpace((mu,) * R, "bit")
         pts = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(float)
 
-        def family(pt):
+        def table(pt):
             marked = np.flatnonzero(mask[np.asarray(pt)])
             if len(marked) == 1:
-                return FunctionTable(space, pts[:, marked[0]], bounded=True)
-            return FunctionTable(space, np.full(8, mu), bounded=True)
+                return pts[:, marked[0]]
+            return np.full(8, mu)
 
         tau = 0.05
-        rep = influence_decode_stat(family, graph, params, tau=tau, samples=3000, seed=43)
+        rep = influence_decode_stat(self.stacked(table, 8, R), space, graph, params, tau=tau, samples=3000, seed=43)
         assert rep.respect_violations == 0
         assert rep.list_cap_holds
         assert rep.match_prob >= params.eta ** 2 * tau ** 2 / 16
@@ -1062,18 +1035,17 @@ class TestDecodeStat:
         R = 3
         params = ReductionParams.manual(mu=0.4, r=2, beta=0.2, rho_sq=0.25, R=R, eta=0.2)
         space = BiasedSpace((0.4,) * R, "bit")
-        rng = np.random.default_rng(44)
         # tiny symmetric perturbations keep every influence below tau/2
         cache = {}
 
-        def family(pt):
+        def table(pt):
             key = tuple(sorted(pt))
             if key not in cache:
                 local = np.random.default_rng(hash(key) % (2 ** 32))
                 cache[key] = np.clip(0.4 + 0.01 * local.standard_normal(), 0.0, 1.0)
-            return FunctionTable(space, np.full(8, cache[key]), bounded=True)
+            return np.full(8, cache[key])
 
-        rep = influence_decode_stat(family, graph, params, tau=0.05, samples=2500, seed=45)
+        rep = influence_decode_stat(self.stacked(table, 8, R), space, graph, params, tau=0.05, samples=2500, seed=45)
         assert rep.max_list_size == 0
         assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.stderr)
 
@@ -1081,14 +1053,10 @@ class TestDecodeStat:
         graph = self._graph()
         params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.2)
         space = BiasedSpace((0.3,) * 3, "bit")
-
-        def family(pt):
-            vals = np.full(8, 0.3)
-            if pt == (0, 1, 2):
-                vals[1] = 0.9  # the point (0, 0, 1) at one vertex-vector only
-            return FunctionTable(space, vals, bounded=True)
-
-        rep = influence_decode_stat(family, graph, params, tau=0.01, samples=100, seed=46)
+        tables = np.full((8 ** 3, 8), 0.3)
+        # the point (0, 0, 1) at the vertex-vector (0, 1, 2) only
+        tables[np.ravel_multi_index((0, 1, 2), (8,) * 3), 1] = 0.9
+        rep = influence_decode_stat(tables, space, graph, params, tau=0.01, samples=100, seed=46)
         assert rep.respect_violations > 0
 
     @staticmethod
@@ -1122,10 +1090,8 @@ class TestDecodeStat:
         graph = SseGraph(n, 1, np.roll(np.arange(n), 1)[:, None])
         params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=R, eta=0.2)
 
-        def family(pt):
-            return FunctionTable(space, values[pt].reshape(-1), bounded=True)
-
-        rep = influence_decode_stat(family, graph, params, tau=0.05, samples=16, seed=seed % 1000)
+        tables = values.reshape(n ** R, 2 ** R)
+        rep = influence_decode_stat(tables, space, graph, params, tau=0.05, samples=16, seed=seed % 1000)
         expected = self.all_permutation_violations(values, R)
         # adjacent transpositions generate S_R: they flag some entry exactly
         # when some permutation does, and never an entry no permutation moves
@@ -1135,13 +1101,26 @@ class TestDecodeStat:
     def test_family_above_the_cap_is_refused_before_it_is_read(self):
         graph = cycle_sse(64)
         params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=4, eta=0.2)
+        space = BiasedSpace((0.3,) * 4, "bit")
 
-        def family(pt):
-            raise AssertionError("read a table of a refused family")
+        class Unreadable:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("read a table of a refused family")
 
         # 64^4 vertex-vectors * 2^4 points = 2^28 > ORACLE_CAP
         with pytest.raises(ValueError, match="too large"):
-            influence_decode_stat(family, graph, params, tau=0.05, samples=16, seed=0)
+            influence_decode_stat(Unreadable(), space, graph, params, tau=0.05, samples=16, seed=0)
+
+    @pytest.mark.parametrize("bad", ["shape", "range", "space"])
+    def test_malformed_family_is_refused(self, bad):
+        graph = self._graph()
+        params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.2)
+        space = BiasedSpace((0.3,) * (2 if bad == "space" else 3), "bit")
+        tables = np.full((8 ** 3, 4 if bad == "shape" else 8), 0.3)
+        if bad == "range":
+            tables[5, 2] = 1.0 + 1e-6
+        with pytest.raises(ValueError):
+            influence_decode_stat(tables, space, graph, params, tau=0.05, samples=16, seed=0)
 
     def test_decoder_covers_every_vertex_vector(self):
         # one walk sample reads at most two of the 16 vertex-vectors; the
@@ -1149,14 +1128,41 @@ class TestDecodeStat:
         graph = SseGraph(4, 1, np.array([[1], [0], [3], [2]]))
         params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=2, eta=0.2)
         space = BiasedSpace((0.3,) * 2, "bit")
-
-        def family(pt):
-            if pt == (3, 3):
-                return FunctionTable(space, [0.0, 0.0, 1.0, 1.0], bounded=True)
-            return FunctionTable(space, np.full(4, 0.3), bounded=True)
-
-        rep = influence_decode_stat(family, graph, params, tau=0.05, samples=1, seed=47)
+        tables = np.full((16, 4), 0.3)
+        tables[np.ravel_multi_index((3, 3), (4, 4))] = [0.0, 0.0, 1.0, 1.0]
+        rep = influence_decode_stat(tables, space, graph, params, tau=0.05, samples=1, seed=47)
         assert rep.max_list_size == 1
+
+    def test_cli_family_is_the_planted_dictator(self, tmp_path):
+        # the CLI's numpy-built family, against one table per vertex-vector
+        from biascsp.harness.cli import _cmd_reduce_decode_stat, build_parser
+
+        graph = self._graph()
+        gap = small_gap()
+        paths = {}
+        for name, obj in (("instance", gap.to_json()), ("graph", graph.to_json()),
+                          ("pd", {"kind": "product", "mu": 0.3, "level": 3})):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj))
+        args = build_parser().parse_args(
+            ["reduce", "decode-stat", "--instance", str(paths["instance"]), "--pd", str(paths["pd"]),
+             "--graph", str(paths["graph"]), "--R", "3", "--mu", "0.3", "--eta", "0.15", "--tau", "0.05",
+             "--samples", "500", "--seed", "9"]
+        )
+        record = _cmd_reduce_decode_stat(args)
+        mask = graph.planted_mask()
+        bits = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(float)
+
+        def table(pt):
+            marked = np.flatnonzero(mask[np.asarray(pt)])
+            return bits[:, marked[0]] if len(marked) == 1 else np.full(8, 0.3)
+
+        params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.15)
+        rep = influence_decode_stat(self.stacked(table, 8, 3), BiasedSpace((0.3,) * 3, "bit"), graph, params,
+                                    tau=0.05, samples=500, seed=9)
+        assert record["value"] == rep.match_prob
+        assert record["extra"]["max_list_size"] == rep.max_list_size
+        assert record["extra"]["respect_violations"] == rep.respect_violations == 0
 
 
 # ---- the loops the probspace bit codec replaced, kept as references ------------

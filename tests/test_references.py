@@ -1,0 +1,29 @@
+"""The benchmark's stored references, checked at full size on a few seeds.
+
+A change that moves a stored stage value fails here, in the test suite,
+instead of first showing up as an incorrect benchmark run.  The benchmark's
+own modules are imported read-only, as ``perfbench/tests`` does.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
+sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+# pd-scale seeds 3, 48 and 88 have near-tied greedy conditioning picks, so a
+# roundoff-level change of the statistics moves their stored values first.
+CASES = [("pd-scale", 3), ("pd-scale", 48), ("pd-scale", 88),
+         ("round-exact", 3), ("reduce-mc", 3), ("oracles", 3)]
+
+
+@pytest.mark.parametrize("name, seed", CASES)
+def test_full_size_run_matches_its_stored_reference(name, seed):
+    prepared = workloads.build(name, seed, "full")
+    stages = prepared.stages(prepared.call())
+    assert run.check(stages, run.load_references(name, seed, "full")) == []
