@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harness.mc import ORACLE_CAP
+from .harness.mc import BLOCK_ENTRIES, ORACLE_CAP
 from .polynomial import MultilinearPolynomial
 from .probspace import domain_points, pack_bits, unpack_bits
 
@@ -175,11 +175,12 @@ def relative_weight(g: ConstraintHypergraph, sigma: Assignment) -> float:
 def _all_values(g: ConstraintHypergraph):
     """Vectorized (relative weight, value) over all 2^n assignments.
 
-    Returns ``(verts, weights, values)``.  Assignment index i labels vertex j
-    with bit ``(i >> (n-1-j)) & 1``, so vertex 0 is the most significant
-    bit.  The index splits into high bits h (the first n-k vertices) and low
-    bits l (the last k = min(n, _SCAN_LOW_BITS)), and both arrays have
-    C-order shape ``(2^(n-k), 2^k)``, so their flat index is i.  An edge's
+    Returns ``(verts, hi_weights, lo_weights, values)``.  Assignment index i
+    labels vertex j with bit ``(i >> (n-1-j)) & 1``, so vertex 0 is the most
+    significant bit.  The index splits into high bits h (the first n-k
+    vertices) and low bits l (the last k = min(n, _SCAN_LOW_BITS)); ``values``
+    has C-order shape ``(2^(n-k), 2^k)``, so its flat index is i, and the
+    weight of i is ``hi_weights[h] + lo_weights[l]``.  An edge's
     predicate index is ``idx_hi(h) | idx_lo(l)``; it is built over the
     edge's own high bits and all l only, and the gathered slab of weighted
     table entries is broadcast-added over the high bits the edge does not
@@ -194,7 +195,6 @@ def _all_values(g: ConstraintHypergraph):
     hi = n - k
     lo_bits = domain_points(k)
     vw = g.vertex_weight_vector(verts)
-    weights = (domain_points(hi) @ vw[:hi])[:, None] + (lo_bits @ vw[hi:])[None, :]
     values = np.zeros((2 ** hi, 2 ** k))
     axes = values.reshape((2,) * hi + (2 ** k,))  # one axis per high vertex
     # vertex j's bit as an array that broadcasts against `axes`
@@ -204,7 +204,7 @@ def _all_values(g: ConstraintHypergraph):
     table = g.predicate.table()
     for vs, w in g.edges:
         axes += (w * table)[pack_bits(bit[vindex[v]] for v in vs)]
-    return verts, weights, values
+    return verts, domain_points(hi) @ vw[:hi], lo_bits @ vw[hi:], values
 
 
 @dataclass(frozen=True)
@@ -228,18 +228,23 @@ class ScanResult:
 
 
 def _window_scan(g: ConstraintHypergraph, window) -> ScanResult:
-    """Scan every assignment; ``window`` maps the weight array to a mask.
+    """Scan every assignment; ``window`` maps a block of weights to a mask.
 
-    ``window`` may overwrite the weights, which are freed right after it.
-    Ties go to the first optimal index (vertex 0 most significant).
+    The weights are built and tested in row blocks of ``BLOCK_ENTRIES``, never
+    as one 2^n array, and ``window`` may overwrite its block.  Values outside
+    the window are set to -inf in place.  Ties go to the first optimal index
+    (vertex 0 most significant).
     """
-    verts, weights, values = _all_values(g)
-    ok = window(weights)
-    del weights  # freed before the masked copy below
-    in_window = int(np.count_nonzero(ok))
+    verts, hi_weights, lo_weights, values = _all_values(g)
+    rows = max(1, BLOCK_ENTRIES // lo_weights.size)
+    in_window = 0
+    for start in range(0, len(values), rows):
+        ok = window(hi_weights[start : start + rows, None] + lo_weights)
+        in_window += int(np.count_nonzero(ok))
+        values[start : start + rows][~ok] = -np.inf
     if not in_window:
         return ScanResult(0.0, None, False, values.size, 0)
-    best = int(np.argmax(np.where(ok, values, -np.inf)))
+    best = int(np.argmax(values))
     return ScanResult(
         float(values.flat[best]),
         Assignment.from_bits(verts, unpack_bits(best, len(verts))),
@@ -255,7 +260,7 @@ def opt_constrained_scan(g: ConstraintHypergraph, mu: float, tol: float | None =
         tol = 0.5 * min(g.vertex_weights.values())
 
     def window(w):
-        np.subtract(w, mu, out=w)  # in place: no 2^n temporaries
+        np.subtract(w, mu, out=w)  # in place: no block-sized temporaries
         return np.abs(w, out=w) <= tol + WEIGHT_TOL
 
     return _window_scan(g, window)

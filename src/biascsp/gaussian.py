@@ -47,24 +47,46 @@ class CorrelatedSampler:
 
     def sample(self, rng: np.random.Generator, n: int = 1):
         """Draw n tuples; returns (g, copies) with shapes (n, R), (r, n, R)."""
-        r, R, rho = self.copies, self.dimension, self.rho
-        g = rng.standard_normal((n, R))
-        h = rng.standard_normal((r, n, R))
-        h *= math.sqrt(1.0 - rho * rho)
-        h += rho * g
+        g = rng.standard_normal((n, self.dimension))
+        h = np.empty((self.copies, n, self.dimension))
+        for _ in self._fill(rng, self.rho * g, h):
+            pass
         return g, h
+
+    def each_copy(self, rng: np.random.Generator, n: int):
+        """Yield the r copies of n tuples one after another, each in the same
+        (n, R) buffer, which the next copy overwrites.
+
+        The draws and float operations are those of ``sample``, so copy i
+        equals ``sample(rng, n)[1][i]`` bit for bit; the working set is two
+        (n, R) arrays, not r + 2.
+        """
+        shared = rng.standard_normal((n, self.dimension))
+        shared *= self.rho  # rho * g; g itself is not needed
+        return self._fill(rng, shared, [np.empty_like(shared)] * self.copies)
+
+    def _fill(self, rng, shared: np.ndarray, out):
+        """Draw each copy into out[i] in turn: sqrt(1-rho^2) * zeta_i + rho*g."""
+        scale = math.sqrt(1.0 - self.rho * self.rho)
+        for h in out:
+            rng.standard_normal(out=h)
+            h *= scale
+            h += shared
+            yield h
 
 
 def _orthant_run(rho: float, deltas, samples: int, seed: int, tag: str) -> McRun:
     """Pr[forall i: h_i <= quantile(delta_i)] over shared-source copies."""
-    thresholds = np.array([normal_quantile(d) for d in deltas])[:, None]
+    thresholds = [normal_quantile(d) for d in deltas]
     sampler = CorrelatedSampler(1, rho, len(deltas))
 
     def below(rng, n):
-        _, h = sampler.sample(rng, n)  # (r, n, 1)
-        return (h[:, :, 0] <= thresholds).all(axis=0)
+        inside = np.ones(n, dtype=bool)
+        for h, t in zip(sampler.each_copy(rng, n), thresholds):
+            inside &= h[:, 0] <= t
+        return inside
 
-    return mc_run(below, samples, seed, tag=tag)
+    return mc_run(below, samples, seed, tag=tag, parallel=True)
 
 
 def lambda_estimate(rho: float, deltas, samples: int, seed: int) -> McRun:
@@ -173,13 +195,17 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
     sampler = CorrelatedSampler(dimension, rho, len(functions))
 
     def joint_product(rng, n):
-        _, h = sampler.sample(rng, n)
-        return np.prod([np.asarray(f(h[i])) for i, f in enumerate(functions)], axis=0)
+        product = None
+        for f, h in zip(functions, sampler.each_copy(rng, n)):
+            value = np.asarray(f(h))
+            # a copy first: f may return a view of the reused buffer
+            product = value.copy() if product is None else product * value
+        return product
 
-    joint = mc_run(joint_product, samples, seed, tag="borell-joint")
+    joint = mc_run(joint_product, samples, seed, tag="borell-joint", parallel=True)
     means = [
         mc_run(lambda rng, n, f=f: f(rng.standard_normal((n, dimension))), samples, seed,
-               tag=f"borell-mean-{i}")
+               tag=f"borell-mean-{i}", parallel=True)
         for i, f in enumerate(functions)
     ]
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]

@@ -66,19 +66,31 @@ def _cmd_pd(args) -> dict:
     return record
 
 
+def _throughput(t0: float, samples: int, threads: int) -> dict:
+    """Wall time of a Monte Carlo check since ``t0``, the samples its runs
+    drew per second, together, and the threads each run used."""
+    elapsed = time.perf_counter() - t0
+    return {"elapsed_s": elapsed, "samples_per_s": samples / elapsed, "threads": threads}
+
+
 def _cmd_gauss_lambda(args) -> dict:
     from ..gaussian import lambda_bound_check, lambda_estimate
 
     deltas = [parse_number(d) for d in args.deltas.split(",")]
+    t0 = time.perf_counter()
     if args.check_bound:
         rep = lambda_bound_check(args.rho, deltas, args.samples, args.seed, delta0=args.delta0)
         return stage(
             "gauss-lambda-bound", rep.holds, value=rep.estimate.value, bound=rep.bound,
             stderr=rep.estimate.stderr, seed=args.seed, samples=args.samples,
             applicable=rep.applicable, preconditions=rep.preconditions,
+            **_throughput(t0, rep.estimate.samples, rep.estimate.threads),
         )
     est = lambda_estimate(args.rho, deltas, args.samples, args.seed)
-    return stage("gauss-lambda", None, value=est.value, stderr=est.stderr, seed=est.seed, samples=est.samples)
+    return stage(
+        "gauss-lambda", None, value=est.value, stderr=est.stderr, seed=est.seed, samples=est.samples,
+        **_throughput(t0, est.samples, est.threads),
+    )
 
 
 def _cmd_gauss_borell(args) -> dict:
@@ -94,10 +106,13 @@ def _cmd_gauss_borell(args) -> dict:
         if item.get("kind") not in makers:
             raise ConfigError(f"unknown function kind {item.get('kind')!r}")
         fns.append(makers[item["kind"]](item))
+    t0 = time.perf_counter()
     rep = borell_check(fns, args.dim, args.rho, args.samples, args.seed)
     return stage(
         "gauss-borell", rep.holds, value=rep.joint.value, bound=rep.stability_bound.value,
         stderr=rep.sigma_total, seed=args.seed, samples=args.samples, means=rep.means,
+        # the joint, each mean and the stability term: one run of `samples` each
+        **_throughput(t0, (len(fns) + 2) * args.samples, rep.joint.threads),
     )
 
 

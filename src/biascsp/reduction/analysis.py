@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..csp import ConstraintHypergraph
-from ..harness.mc import CHUNK, ORACLE_CAP, mc_run
+from ..harness.mc import BLOCK_ENTRIES, CHUNK, ORACLE_CAP, mc_run
 from ..harness.rng import rng_for
 from ..polynomial import _apply_axis
 from ..probspace import (
@@ -460,21 +460,33 @@ def _respect_violations(tables: np.ndarray, R: int) -> int:
     that some adjacent transposition of the coordinates, applied to the
     vertex-vector and the point together, maps to a value more than 1e-9
     away.  The R - 1 adjacent transpositions generate S_R, so the count is 0
-    exactly when the family respects every coordinate permutation."""
+    exactly when the family respects every coordinate permutation.  One
+    float buffer serves every transposition."""
     bad = np.zeros(tables.shape, dtype=bool)
+    diff = np.empty(tables.shape)
     for j in range(R - 1):
         moved = np.swapaxes(np.swapaxes(tables, j, j + 1), R + j, R + j + 1)
-        bad |= np.abs(moved - tables) > 1e-9
+        np.subtract(moved, tables, out=diff)
+        bad |= np.abs(diff, out=diff) > 1e-9
     return int(np.count_nonzero(bad))
 
 
 def _noised_influences(tables: np.ndarray, biases, eta: float) -> np.ndarray:
     """Influence of each coordinate in T_{1-eta} of each row of ``tables``:
-    (m, 2^R) values over the given biases in, (m, R) influences out."""
+    (m, 2^R) values over the given biases in, (m, R) influences out.  Rows
+    are transformed in blocks of ``BLOCK_ENTRIES`` entries."""
     R = len(biases)
-    coeffs = _character_transform(tables.reshape((-1,) + (2,) * R), biases, first_axis=1)
-    weight = (coeffs * (1.0 - eta) ** _mask_degrees(R).reshape((2,) * R)) ** 2
-    return np.stack([weight.take(1, axis=1 + j).reshape(len(weight), -1).sum(axis=1) for j in range(R)], axis=1)
+    damping = (1.0 - eta) ** _mask_degrees(R).reshape((2,) * R)
+    rows = max(1, BLOCK_ENTRIES // tables.shape[1])
+    out = np.empty((len(tables), R))
+    for start in range(0, len(tables), rows):
+        block = tables[start : start + rows]
+        weight = _character_transform(block.reshape((-1,) + (2,) * R), biases, first_axis=1)
+        weight *= damping
+        np.square(weight, out=weight)
+        for j in range(R):
+            out[start : start + rows, j] = weight.take(1, axis=1 + j).reshape(len(block), -1).sum(axis=1)
+    return out
 
 
 def _check_decode_size(n: int, R: int) -> None:
@@ -524,8 +536,11 @@ def influence_decode_stat(
 
     # candidate lists, (2, n^R, R): the tables' at tau/2, the walk averages' at tau
     cells = n ** R
-    influences = _noised_influences(np.stack([tables, g_tables]).reshape(2 * cells, -1), space.biases, eta)
-    lists = influences.reshape(2, cells, R) >= np.array([tau / 2.0, tau])[:, None, None]
+    lists = np.stack([
+        _noised_influences(t.reshape(cells, -1), space.biases, eta) >= cut
+        for t, cut in ((tables, tau / 2.0), (g_tables, tau))
+    ])
+    del g_tables
     # the decoder: a fair coin picks a list, then a uniform entry of it
     pick = lists[(rng.random(cells) >= 0.5).astype(np.int64), np.arange(cells)]
     size = np.count_nonzero(pick, axis=1)

@@ -17,6 +17,8 @@ from biascsp.gaussian import (
     normal_cdf,
     normal_quantile,
 )
+from biascsp.harness import mc
+from biascsp.harness.mc import CHUNK, mc_run
 from biascsp.harness.rng import rng_for
 
 
@@ -93,6 +95,64 @@ class TestCorrelatedSampler:
         assert g.shape == (1, 5)
         assert h.shape == (4, 1, 5)
 
+    @pytest.mark.parametrize("dim, rho, r", [(1, 0.5, 3), (4, -0.3, 2), (2, 1.0, 2), (3, 0.0, 1)])
+    def test_sample_and_each_copy_match_the_stacked_draw(self, dim, rho, r):
+        sampler = CorrelatedSampler(dim, rho, r)
+        g_ref, h_ref = stacked_sample(sampler, rng_for(1, "t-stack"), 1001)
+        g, h = sampler.sample(rng_for(1, "t-stack"), 1001)
+        assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
+        streamed = [copy.copy() for copy in sampler.each_copy(rng_for(1, "t-stack"), 1001)]
+        assert np.array_equal(np.stack(streamed), h_ref)
+
+
+# ---- the stacked estimators the streaming ones replaced, kept as references ----
+
+
+def stacked_sample(sampler, rng, n):
+    """g (n, R), then all r copies at once, (r, n, R)."""
+    g = rng.standard_normal((n, sampler.dimension))
+    h = rng.standard_normal((sampler.copies, n, sampler.dimension))
+    h *= math.sqrt(1.0 - sampler.rho * sampler.rho)
+    h += sampler.rho * g
+    return g, h
+
+
+def stacked_orthant(rho, deltas, samples, seed, tag):
+    thresholds = np.array([normal_quantile(d) for d in deltas])[:, None]
+    sampler = CorrelatedSampler(1, rho, len(deltas))
+
+    def below(rng, n):
+        _, h = stacked_sample(sampler, rng, n)
+        return (h[:, :, 0] <= thresholds).all(axis=0)
+
+    return mc_run(below, samples, seed, tag=tag)
+
+
+def stacked_borell(functions, dimension, rho, samples, seed):
+    """The joint, mean and stability runs of borell_check."""
+    sampler = CorrelatedSampler(dimension, rho, len(functions))
+
+    def joint_product(rng, n):
+        _, h = stacked_sample(sampler, rng, n)
+        return np.prod([np.asarray(f(h[i])) for i, f in enumerate(functions)], axis=0)
+
+    joint = mc_run(joint_product, samples, seed, tag="borell-joint")
+    means = [
+        mc_run(lambda rng, n, f=f: f(rng.standard_normal((n, dimension))), samples, seed, tag=f"borell-mean-{i}")
+        for i, f in enumerate(functions)
+    ]
+    clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
+    return joint, means, stacked_orthant(rho, clipped, samples, seed, "borell-lambda")
+
+
+# a partial last chunk, on three threads whatever the host has
+PARTIAL = 2 * CHUNK + 1234
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
 
 def orthant_oracle(rho, a, b):
     """Bivariate normal lower-orthant mass by scipy quadrature."""
@@ -128,6 +188,12 @@ class TestLambda:
         a = lambda_estimate(0.4, (0.3, 0.3), 100000, 9)
         b = lambda_estimate(0.4, (0.3, 0.3), 100000, 9)
         assert a.value == b.value
+
+    @pytest.mark.parametrize("rho, deltas", [(0.5, (0.3, 0.55, 0.6)), (-0.2, (0.1, 0.9))])
+    def test_matches_stacked_estimator(self, three_cpus, rho, deltas):
+        est = lambda_estimate(rho, deltas, PARTIAL, 18)
+        ref = stacked_orthant(rho, deltas, PARTIAL, 18, "lambda")
+        assert (est.value, est.stderr, est.threads) == (ref.value, ref.stderr, 3)
 
 
 class TestLambdaBound:
@@ -171,6 +237,15 @@ class TestBorell:
         rep = borell_check(fns, 2, 0.6, 300000, 16)
         assert rep.joint.value == pytest.approx(0.21, abs=3 * rep.joint.stderr + 1e-9)
         assert rep.holds
+
+    def test_matches_stacked_estimators(self, three_cpus):
+        fns = [halfspace([1.0, -0.3, 0.2], 0.1), box([-1.0] * 3, [1.0, 0.5, 2.0]), constant(0.7)]
+        rep = borell_check(fns, 3, 0.4, PARTIAL, 19)
+        joint, means, lam = stacked_borell(fns, 3, 0.4, PARTIAL, 19)
+        assert (rep.joint.value, rep.joint.stderr) == (joint.value, joint.stderr)
+        assert (rep.means, rep.mean_stderrs) == ([m.value for m in means], [m.stderr for m in means])
+        assert (rep.stability_bound.value, rep.stability_bound.stderr) == (lam.value, lam.stderr)
+        assert {rep.joint.threads, rep.stability_bound.threads} == {3}
 
     def test_stability_has_its_own_stream(self):
         # the stability term must not be the seed+1 lambda estimate

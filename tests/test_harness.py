@@ -2,10 +2,12 @@
 import inspect
 import itertools
 import json
+import os
 import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biascsp.harness import cli, mc_run, rng_for
+from biascsp.harness import cli, mc, mc_run, rng_for
+from biascsp.harness.mc import CHUNK
 from biascsp.harness.pipeline import ConfigError, failed, parse_number, run_pipeline, stage
 from conftest import traced_peak
 
@@ -34,6 +37,82 @@ class TestMcRun:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             mc_run(lambda rng, n: rng.random(n), 0, 1)
+
+
+def cpus(monkeypatch, k: int) -> None:
+    """Let mc_run see k usable CPUs, whatever the host has."""
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def squares(rng, n):
+    return rng.standard_normal(n) ** 2
+
+
+class TestParallelMcRun:
+    @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
+    def test_equals_the_serial_run(self, monkeypatch, samples):
+        cpus(monkeypatch, 3)
+        serial = mc_run(squares, samples, 21, tag="par")
+        par = mc_run(squares, samples, 21, tag="par", parallel=True)
+        assert (par.value, par.stderr, par.ci95, par.samples) == (serial.value, serial.stderr, serial.ci95, samples)
+        assert (serial.threads, par.threads) == (1, min(3, -(-samples // CHUNK)))
+
+    def test_worker_error_is_reraised(self, monkeypatch):
+        cpus(monkeypatch, 3)
+        main = threading.main_thread()
+
+        def short_off_main(rng, n):
+            return rng.random(n - (threading.current_thread() is not main))
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="estimator returned wrong sample count"):
+            mc_run(short_off_main, 4 * CHUNK, 1, parallel=True)
+        assert threading.active_count() == before  # every worker was joined
+
+    def test_generators_made_by_the_caller_in_chunk_order(self, monkeypatch):
+        cpus(monkeypatch, 3)
+        made = []
+
+        def recording_rng_for(seed, tag, c):
+            made.append((threading.get_ident(), c))
+            return rng_for(seed, tag, c)
+
+        monkeypatch.setattr(mc, "rng_for", recording_rng_for)
+        run = mc_run(squares, 7 * CHUNK + 1, 4, parallel=True)
+        assert run.threads == 3
+        assert made == [(threading.get_ident(), c) for c in range(8)]
+
+    def test_one_cpu_runs_serially(self, monkeypatch):
+        cpus(monkeypatch, 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("started a thread on one CPU")
+
+        monkeypatch.setattr(mc.threading, "Thread", no_thread)
+        run = mc_run(squares, 5 * CHUNK, 6, parallel=True)
+        assert run.threads == 1
+        assert run.value == mc_run(squares, 5 * CHUNK, 6).value
+
+    def test_many_threads_on_tiny_chunks(self, monkeypatch):
+        # more workers than cores and a short switch interval: a lost or
+        # misplaced chunk sum would change the value or leave a None behind
+        cpus(monkeypatch, 8)
+        monkeypatch.setattr(mc, "CHUNK", 16)
+        serial = mc_run(squares, 16 * 200 + 3, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [mc_run(squares, 16 * 200 + 3, 8, parallel=True) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert {(r.value, r.stderr, r.threads) for r in runs} == {(serial.value, serial.stderr, 8)}
+
+    def test_import_does_not_load_concurrent_futures(self):
+        code = "import sys, biascsp, biascsp.gaussian, biascsp.harness.cli; print('concurrent.futures' in sys.modules)"
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestRngFamily:
@@ -564,6 +643,22 @@ class TestCliRecords:
         )
         assert (code, record["verdict"], record["status"]) == (0, None, "not-applicable")
         assert record["extra"]["applicable"] is False
+
+    @pytest.mark.parametrize("argv, runs", [
+        (("gauss", "lambda", "--rho", "0.5", "--deltas", "0.3,0.4"), 1),
+        (("gauss", "lambda", "--rho", "0.01", "--deltas", "0.01,0.01", "--check-bound"), 1),
+        (("gauss", "borell", "--rho", "0.5", "--functions",
+          '[{"kind":"box","lo":[-1,-1],"hi":[1,1]},{"kind":"constant","value":0.5}]'), 4),
+    ], ids=["lambda", "lambda-bound", "borell"])
+    def test_gauss_records_carry_throughput(self, monkeypatch, capsys, argv, runs):
+        cpus(monkeypatch, 2)
+        samples = 2 * CHUNK + 1
+        _, record = run_main(capsys, *argv, "--samples", samples)
+        extra = record["extra"]
+        assert extra["threads"] == 2
+        assert extra["elapsed_s"] > 0
+        # the borell check draws its joint, two means and its stability term
+        assert extra["samples_per_s"] == pytest.approx(runs * samples / extra["elapsed_s"])
 
     def test_infeasible_family_fails(self, instance_file, tmp_path, capsys):
         # each vertex's marginal reads 0.5 alone and 0.6 inside its edges

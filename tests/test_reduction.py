@@ -15,6 +15,8 @@ from biascsp.probspace import (
     BiasedSpace,
     FunctionTable,
     PairedSpace,
+    _character_transform,
+    _mask_degrees,
     evaluate,
     fourier_expand,
     noise_apply,
@@ -1163,6 +1165,39 @@ class TestDecodeStat:
         assert record["value"] == rep.match_prob
         assert record["extra"]["max_list_size"] == rep.max_list_size
         assert record["extra"]["respect_violations"] == rep.respect_violations == 0
+
+
+    def test_peak_stays_within_five_families(self):
+        # n = 64, R = 3: a 16 MiB family of noisy planted dictators; the
+        # report is the one the stacked transforms gave at this seed
+        n, R = 64, 3
+        graph = generate_sse("planted", n, 2, 0.25, seed=41, eps=0.05)
+        params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=R, eta=0.15)
+        marked = graph.planted_mask()[np.indices((n,) * R).reshape(R, -1).T]
+        one = marked.sum(axis=1) == 1
+        bits = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(float)
+        tables = np.full((n ** R, 8), 0.3)
+        tables[one] = bits[:, np.argmax(marked[one], axis=1)].T
+        tables = np.clip(tables + 0.05 * np.random.default_rng(0).standard_normal(tables.shape), 0.0, 1.0)
+        with traced_peak() as peak:
+            rep = influence_decode_stat(tables, BiasedSpace((0.3,) * R, "bit"), graph, params,
+                                        tau=0.05, samples=4000, seed=9)
+        assert peak.bytes < 5 * tables.nbytes, f"peak traced allocation {peak.bytes / 2 ** 20:.1f} MiB"
+        assert (rep.match_prob, rep.stderr, rep.max_list_size, rep.respect_violations) == (
+            0.559, 0.007850461769857873, 1, 1985420
+        )
+
+    @pytest.mark.parametrize("R, rows", [(1, 3), (3, 40000), (5, 9000)])
+    def test_influences_match_the_stacked_transform(self, R, rows):
+        # the families one after the other in row blocks, against both at once
+        rng = np.random.default_rng(R)
+        biases, eta = tuple(rng.uniform(0.05, 0.95, R)), 0.15
+        tables, averages = rng.random((2, rows, 2 ** R))
+        coeffs = _character_transform(np.concatenate([tables, averages]).reshape((-1,) + (2,) * R), biases, 1)
+        weight = (coeffs * (1.0 - eta) ** _mask_degrees(R).reshape((2,) * R)) ** 2
+        stacked = np.stack([weight.take(1, axis=1 + j).reshape(2 * rows, -1).sum(axis=1) for j in range(R)], axis=1)
+        got = [analysis._noised_influences(t, biases, eta) for t in (tables, averages)]
+        assert np.array_equal(np.concatenate(got), stacked)
 
 
 # ---- the loops the probspace bit codec replaced, kept as references ------------
