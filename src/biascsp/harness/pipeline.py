@@ -281,6 +281,7 @@ def acceptance_stage(name: str, host, family, graph, params, f, trials: int, see
         vacuous=rep.completeness_bound <= 0.0,
         objective=rep.objective,
         trials_per_s=trials / work["elapsed_s"],
+        threads=rep.threads,
         **work,
     )
 

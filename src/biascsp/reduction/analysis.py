@@ -30,7 +30,7 @@ from ..pseudodist import LocalDistributionFamily
 from .dictator import LongCodeAssignment, permute_rows
 from .graphs import SseGraph, noisy_walk, walk_matrix
 from .params import ReductionParams
-from .sampler import BatchTestSampler, _interleave, _leak_block, letter_block
+from .sampler import BatchTestSampler, _interleave, _leak_block, bernoulli_bits, letter_block
 
 # The completeness reference of :func:`acceptance_estimate` gives up this
 # multiple of arity*noise.
@@ -207,6 +207,7 @@ class AcceptanceReport:
     objective: float
     completeness_bound: float
     holds: bool | None
+    threads: int  # the threads the Monte Carlo run used (McRun.threads)
 
 
 def acceptance_estimate(
@@ -224,13 +225,22 @@ def acceptance_estimate(
     The completeness reference is exp(-6)*coupling/arity times the family's
     objective, minus :data:`COMPLETENESS_SLACK` times arity*noise; it is only
     asserted when requested (dictator assignments on planted instances).
+
+    The chunks run on every usable CPU (``mc_run(..., parallel=True)``), so
+    ``f`` is called from several threads at once; the result is the serial
+    one bit for bit.  Every edge's letter sampler is built first, so no two
+    threads fill the sampler's cache.
     """
     sampler = BatchTestSampler(gap, theta, graph, params)
-    run = mc_run(lambda rng, m: sampler.accept_indicators(f, m, rng), trials, seed, tag="acceptance")
+    for e_idx in range(len(gap.edges)):
+        sampler.letters(e_idx)
+    run = mc_run(
+        lambda rng, m: sampler.accept_indicators(f, m, rng), trials, seed, tag="acceptance", parallel=True
+    )
     c = theta.objective()
     bound = math.exp(-6.0) * params.rho_sq / params.r * c - COMPLETENESS_SLACK * params.r * params.eta
     holds = run.value >= bound - 3.0 * run.stderr if assert_bound else None
-    return AcceptanceReport(run.value, run.stderr, trials, seed, c, bound, holds)
+    return AcceptanceReport(run.value, run.stderr, trials, seed, c, bound, holds, run.threads)
 
 
 # ---- leak-variable decoupling --------------------------------------------------
@@ -391,7 +401,8 @@ def mixing_check(
     wvec = gap.vertex_weight_vector(verts)
     mus = np.array([theta.vertex_mean(v) for v in verts])
     rng = rng_for(seed, "mixing")
-    a_pts = rng.integers(0, n, size=(a_samples, R))
+    # int32 vertices: the same draws as int64 at half the memory
+    a_pts = rng.integers(0, n, size=(a_samples, R), dtype=np.int32)
     mu_hat = np.empty(a_samples)
     batch = max(1, CHUNK // max(inner_samples, 1))
     for start in range(0, a_samples, batch):
@@ -401,13 +412,9 @@ def mixing_check(
         vert_idx = rng.choice(len(verts), size=m, p=wvec)
         # x is already a Bernoulli(mu) draw, so the fold's refresh of x where
         # z is bot would not change its law; only the vertex part is folded.
-        # One buffer holds the x uniforms, then the z uniforms, and is let go
-        # before the walk.
-        u = rng.random((m, R))
-        x = (u < mus[vert_idx][:, None]).astype(np.int8)
-        z = (rng.random(out=u) < params.beta).astype(np.int8)
-        del u
-        b = noisy_walk(graph, params.eta, a_blk[:, None, :], rng, where=z.reshape(k, inner_samples, R))
+        x = bernoulli_bits(rng, mus[vert_idx][:, None], (m, R))
+        z = bernoulli_bits(rng, params.beta, (m, R))
+        b = noisy_walk(graph, params.eta, a_blk[:, None, :], rng, where=z.reshape(k, inner_samples, R).view(bool))
         vals = f.evaluate_batch(b.reshape(m, R), x, z, rng)
         mu_hat[start : start + k] = vals.reshape(k, inner_samples).mean(axis=1)
     center = float(mu_hat.mean()) if mu is None else float(mu)
@@ -436,10 +443,20 @@ def mixing_check(
 def _walk_average(tables: np.ndarray, walk: np.ndarray) -> np.ndarray:
     """g(A) = E[t_B] with B(j) drawn from ``walk[A(j)]`` independently per
     coordinate; ``tables`` holds t_B at index B on its first axes, one per
-    coordinate, and the table on its last."""
-    for j in range(tables.ndim - 1):
-        tables = _apply_axis(tables, walk, j)
-    return tables
+    coordinate, and the table on its last.
+
+    Axis 0 is contracted into a new array, and each later axis j in place,
+    as ``walk @ v[b]`` over the (n^j, n, rest) view v, a block of about
+    ``BLOCK_ENTRIES`` entries at a time: the same products as contracting
+    the whole axis, with a working set of the result and one block."""
+    n = len(walk)
+    out = (walk @ tables.reshape(n, -1)).reshape(tables.shape)
+    for j in range(1, tables.ndim - 1):
+        v = out.reshape(n ** j, n, -1)
+        step = max(1, BLOCK_ENTRIES // v[0].size)
+        for lo in range(0, len(v), step):
+            v[lo : lo + step] = walk @ v[lo : lo + step]
+    return out
 
 
 @dataclass

@@ -19,19 +19,21 @@ vertex-weighted mean bias exactly.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..harness.mc import BLOCK_ENTRIES
 from ..probspace import pack_bits
-from .graphs import SseGraph
+from .graphs import SseGraph, vertex_indices
 from .params import ReductionParams
 
 
-def _as_batch(arr, dtype=np.int64) -> np.ndarray:
-    """``arr`` as rows of shape (m, R); a single row (R,) becomes (1, R)."""
-    a = np.asarray(arr, dtype=dtype)
+def _as_batch(arr, dtype=None) -> np.ndarray:
+    """``arr`` as rows of shape (m, R); a single row (R,) becomes (1, R).
+    Without ``dtype``, the rows are :func:`~.graphs.vertex_indices`."""
+    a = vertex_indices(arr) if dtype is None else np.asarray(arr, dtype=dtype)
     return a[None, :] if a.ndim == 1 else a
 
 
@@ -54,6 +56,9 @@ class PlantedDictator:
         # code 2A + z is marked iff A is planted and z is top
         self._marked = np.zeros(2 * self.mask.size, dtype=bool)
         self._marked[1::2] = self.mask
+        # the counters are read as plain attributes and updated under the
+        # lock, since the lifted test evaluates on several threads
+        self._lock = threading.Lock()
         self.fallback_count = 0
         self.query_count = 0
 
@@ -68,8 +73,10 @@ class PlantedDictator:
         rest = np.flatnonzero(~single)
         if rest.size:
             out[rest], fallback[rest] = self._tie_break(code[rest])
-        self.query_count += len(code)
-        self.fallback_count += int(fallback.sum())
+        fallbacks = int(fallback.sum())
+        with self._lock:
+            self.query_count += len(code)
+            self.fallback_count += fallbacks
         return out, fallback
 
     def istar_batch(self, A: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -124,6 +131,7 @@ class LongCodeAssignment:
     _eval: object = field(repr=False)
     dictator: PlantedDictator | None = None
     permuted_rows: int = field(default=0, init=False)  # rows evaluate_batch read at an explicit permutation
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def evaluate_batch(self, A, x, z, rng: np.random.Generator | None = None) -> np.ndarray:
         """f on each row of (A, x, z), each of shape (m, R) or (R,).
@@ -151,7 +159,8 @@ class LongCodeAssignment:
         else:
             _, (A, x, z) = permute_rows(rng, A, x, z)
             vals, permuted = self._eval(A, x, z), len(A)
-        self.permuted_rows += permuted
+        with self._lock:
+            self.permuted_rows += permuted
         return np.asarray(vals, dtype=np.int8)
 
     @classmethod

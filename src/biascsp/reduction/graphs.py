@@ -76,6 +76,16 @@ def walk_matrix(g: SseGraph, eta: float) -> np.ndarray:
     return p
 
 
+def vertex_indices(arr) -> np.ndarray:
+    """``arr`` as vertex indices: int32 stays int32, and anything else
+    becomes int64.  Bounded integer draws give the same values and leave the
+    generator in the same state at either width, so int32 halves the memory
+    of a sample; it needs n * deg < 2^31, which any adjacency that fits in
+    memory meets."""
+    a = np.asarray(arr)
+    return a.astype(np.int32 if a.dtype == np.int32 else np.int64, copy=False)
+
+
 def noisy_walk(g: SseGraph, eta: float, point, rng: np.random.Generator, where=None) -> np.ndarray:
     """One step of the noisy walk applied independently per coordinate.
 
@@ -84,18 +94,20 @@ def noisy_walk(g: SseGraph, eta: float, point, rng: np.random.Generator, where=N
     gets a fresh uniform vertex.  That is the vertex part of the lifted
     test's leakage fold, which walks only where the leak symbol is top.
     The flat adjacency index src * deg + slot, then the neighbour it reads,
-    are built in place in one array.
+    are built in place in one intp array.  The result has the dtype of
+    :func:`vertex_indices` of ``point``.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0,1]")
-    a = np.asarray(point, dtype=np.int64)
+    a = vertex_indices(point)
     shape = a.shape if where is None else np.shape(where)
-    out = rng.integers(0, g.n, size=shape)  # also the lazy step's uniform vertex
+    out = rng.integers(0, g.n, size=shape, dtype=a.dtype)  # also the lazy step's uniform vertex
     steps = np.arange(out.size) if where is None else np.flatnonzero(where)
     steps = steps[rng.random(steps.size) >= eta]
-    nbr = np.broadcast_to(a, shape).flat[steps]
+    # intp, as np.take indexes with it: an int32 index would be copied there
+    nbr = np.broadcast_to(a, shape).flat[steps].astype(np.intp, copy=False)
     nbr *= g.deg
-    nbr += rng.integers(0, g.deg, size=steps.size)
+    nbr += rng.integers(0, g.deg, size=steps.size, dtype=a.dtype)
     np.take(g.adj.reshape(-1), nbr, out=nbr)
     out.reshape(-1)[steps] = nbr
     return out

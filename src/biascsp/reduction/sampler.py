@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..csp import ConstraintHypergraph
+from ..harness.mc import BLOCK_ENTRIES
 from ..polynomial import _apply_axis
 from ..probspace import domain_points, pack_bits, product_measure
 from ..pseudodist import LocalDistributionFamily, _smooth_kernel, edge_block_probs
@@ -60,14 +61,33 @@ def letter_block(theta: LocalDistributionFamily, edge: tuple[str, ...], params: 
     return letters
 
 
+def bernoulli_bits(rng: np.random.Generator, p, shape: tuple[int, ...]) -> np.ndarray:
+    """int8 Bernoulli(p) bits of ``shape``; ``p`` is a scalar or holds one
+    value per row, broadcasting against ``shape`` with a last axis of 1.  The
+    uniforms are drawn in row blocks of ``BLOCK_ENTRIES`` into one buffer:
+    the same stream as one draw of the whole shape."""
+    out = np.empty(shape, dtype=np.int8)
+    width = shape[-1]
+    rows = out.reshape(-1, width)
+    p = np.broadcast_to(p, (*shape[:-1], 1)).reshape(-1, 1)
+    step = max(1, BLOCK_ENTRIES // width)
+    u = np.empty((min(step, len(rows)), width))
+    for lo in range(0, len(rows), step):
+        blk = u[: len(rows) - lo]
+        np.less(rng.random(out=blk), p[lo : lo + step], out=rows[lo : lo + step].view(bool))
+    return out
+
+
 def fold(graph: SseGraph, eta: float, a, x_tilde, z_prime, mu, rng: np.random.Generator):
     """The leakage fold of noised letters (x~, z') at source vertices ``a``,
     which broadcast against them: B' takes one noisy-walk step from a where z'
     is top and is a uniform vertex where it is bot; x' = x~ where z' is top
     and a fresh Bernoulli(mu) bit where it is bot.  The walk is drawn before
-    the fresh bits.  x~ and z' are 0/1 integers; x' is int8."""
-    b = noisy_walk(graph, eta, a, rng, where=z_prime)
-    x = (rng.random(np.shape(z_prime)) < mu).view(np.int8)
+    the fresh bits.  x~ and z' are 0/1 int8 arrays; ``mu`` broadcasts
+    against them with a last axis of 1; x' is int8."""
+    # z' read as bool: numpy finds a bool array's nonzeros faster
+    b = noisy_walk(graph, eta, a, rng, where=z_prime.view(bool))
+    x = bernoulli_bits(rng, mu, np.shape(z_prime))
     # where z' is 1, flip the fresh bit wherever it differs from x~
     flip = x ^ x_tilde
     flip &= z_prime
@@ -111,16 +131,47 @@ def sample_test_tuple(
     return TestSample(edge=gap.edges[edge_idx][0], parts=list(zip(b, x, z)), perms=list(perms), trace=trace)
 
 
+# Buckets of the letter lookup: a uniform u falls in bucket floor(u * LOOKUP).
+LOOKUP = 1 << 12
+
+
+class LetterLookup:
+    """``codes(u)`` is ``searchsorted(cdf, u, side="right")`` for uniforms u
+    in [0, 1), read mostly from a table of LOOKUP buckets.
+
+    The codes are constant on a bucket [b, b + 1) / LOOKUP that no CDF entry
+    splits, so those uniforms read ``base[b]``; the rest go to
+    ``searchsorted``.  The CDF is kept scaled by LOOKUP, a power of two, so
+    scaling u is exact and compares with it as u does with the CDF.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        edges = np.arange(LOOKUP + 1) / LOOKUP
+        base = np.searchsorted(cdf, edges[:-1], side="right")
+        self.split = np.searchsorted(cdf, edges[1:], side="left") != base
+        self.base = base.astype(np.min_scalar_type(cdf.size))
+        self.scaled_cdf = cdf * LOOKUP
+
+    def codes(self, u: np.ndarray) -> np.ndarray:
+        """The codes of ``u``, which is scaled in place."""
+        u *= LOOKUP
+        bucket = u.astype(np.int16)
+        out = self.base[bucket]
+        hard = np.flatnonzero(self.split[bucket])
+        out.flat[hard] = np.searchsorted(self.scaled_cdf, u.flat[hard], side="right")
+        return out
+
+
 def _letter_sampler(theta: LocalDistributionFamily, edge: tuple[str, ...], params: ReductionParams):
-    """One edge's letter CDF, whose ``searchsorted(cdf, u, side="right")`` is
-    the packed letter code of a uniform u; the (2, r, 4^r) int8 x~ and z' bits
+    """One edge's letter lookup, whose code of a uniform is the packed letter
+    code of :func:`letter_block`'s CDF; the (2, r, 4^r) int8 x~ and z' bits
     of each code per position; and the vertex means, shaped (r, 1, 1)."""
     cdf = np.cumsum(letter_block(theta, edge, params))
     cdf = cdf[:-1] / cdf[-1]  # exactly 1 from the last nonzero cell on
     r = len(edge)
     digits = domain_points(2 * r).T.astype(np.int8).reshape(r, 2, -1).swapaxes(0, 1)
     mus = np.array([theta.vertex_mean(v) for v in edge])[:, None, None]
-    return cdf, digits, mus
+    return LetterLookup(cdf), digits, mus
 
 
 class BatchTestSampler:
@@ -139,7 +190,8 @@ class BatchTestSampler:
         self.edge_weights = np.array([w for _, w in gap.edges])
         self.edge_weights = self.edge_weights / self.edge_weights.sum()
         # built per edge on first use, so that a single draw
-        # (sample_test_tuple) pays only for the edge it draws
+        # (sample_test_tuple) pays only for the edge it draws; a threaded
+        # caller builds them all first (acceptance_estimate)
         self.letters = functools.cache(lambda e: _letter_sampler(theta, gap.edges[e][0], params))
 
     def sample_parts(
@@ -158,10 +210,11 @@ class BatchTestSampler:
         walk), which is -1 where z' is bot: the fold refreshes those
         entries, so the walk is never drawn there.
         """
-        cdf, digits, mus = self.letters(edge_index)
+        lookup, digits, mus = self.letters(edge_index)
         shape = (m, self.params.R)
-        a = rng.integers(0, self.graph.n, size=shape)
-        x_tilde, z_prime = np.take(digits, np.searchsorted(cdf, rng.random(shape), side="right"), axis=2)
+        # int32 vertices: the same draws as int64 at half the memory
+        a = rng.integers(0, self.graph.n, size=shape, dtype=np.int32)
+        x_tilde, z_prime = np.take(digits, lookup.codes(rng.random(shape)), axis=2)
         b, x = fold(self.graph, self.params.eta, a, x_tilde, z_prime, mus, rng)
         if trace is not None:
             bot = z_prime == 0

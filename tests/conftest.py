@@ -3,6 +3,8 @@ import contextlib
 import tracemalloc
 from dataclasses import dataclass
 
+from biascsp.harness import mc
+
 
 @dataclass
 class TracedPeak:
@@ -24,3 +26,8 @@ def traced_peak():
     finally:
         peak.bytes = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+
+
+def cpus(monkeypatch, k: int) -> None:
+    """Let mc_run see k usable CPUs, whatever the host has."""
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(k)))

@@ -17,9 +17,9 @@ from biascsp.gaussian import (
     normal_cdf,
     normal_quantile,
 )
-from biascsp.harness import mc
 from biascsp.harness.mc import CHUNK, mc_run
 from biascsp.harness.rng import rng_for
+from conftest import cpus
 
 
 class TestCdfQuantile:
@@ -151,7 +151,7 @@ PARTIAL = 2 * CHUNK + 1234
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cpus(monkeypatch, 3)
 
 
 def orthant_oracle(rho, a, b):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from biascsp.harness import cli, mc, mc_run, rng_for
 from biascsp.harness.mc import CHUNK
 from biascsp.harness.pipeline import ConfigError, failed, parse_number, run_pipeline, stage
-from conftest import traced_peak
+from conftest import cpus, traced_peak
 
 
 class TestMcRun:
@@ -37,11 +37,6 @@ class TestMcRun:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             mc_run(lambda rng, n: rng.random(n), 0, 1)
-
-
-def cpus(monkeypatch, k: int) -> None:
-    """Let mc_run see k usable CPUs, whatever the host has."""
-    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
 def squares(rng, n):
@@ -265,6 +260,12 @@ class TestPipeline:
             # the dictator permutes exactly its fallback rows
             assert extra["permuted_rows"] == extra["dictator_fallbacks"] <= extra["dictator_queries"]
         assert acc["trials_per_s"] == pytest.approx(2000 / acc["elapsed_s"])
+
+    def test_acceptance_stage_reports_its_threads(self, tmp_path, monkeypatch):
+        # 2000 trials in chunks of 512 on two usable CPUs
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(mc, "CHUNK", 512)
+        assert self.reduction_stages(tmp_path)["reduction-acceptance"]["extra"]["threads"] == 2
 
     def test_mixing_default_is_the_checks_own(self, tmp_path, capsys):
         # without inner_samples in the config, the pipeline and `reduce mix`

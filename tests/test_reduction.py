@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
+from biascsp.harness import mc
 from biascsp.harness.mc import BLOCK_ENTRIES, CHUNK
 from biascsp.harness.rng import rng_for
+from biascsp.polynomial import _apply_axis
 from biascsp.probspace import (
     BiasedSpace,
     FunctionTable,
@@ -43,9 +46,9 @@ from biascsp.reduction import (
 from biascsp.reduction import analysis
 from biascsp.reduction.analysis import _leak_block, _pair_indices, coupled_product_expectation
 from biascsp.reduction.dictator import PlantedDictator
-from biascsp.reduction.sampler import BatchTestSampler, edge_block_probs, letter_block
+from biascsp.reduction.sampler import LOOKUP, BatchTestSampler, LetterLookup, edge_block_probs, letter_block
 
-from conftest import traced_peak
+from conftest import cpus, traced_peak
 
 
 def complete_graph(n):
@@ -201,6 +204,30 @@ class TestNoisyWalk:
         np.testing.assert_array_equal(got, want)
         assert got.dtype == np.int64
         assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_int32_point_walks_to_the_same_vertices(self, masked):
+        g = generate_sse("planted", 32, 6, 0.25, seed=17)
+        point = rng_for(7, "walk-point").integers(0, g.n, size=(7, 50))
+        where = rng_for(7, "walk-where").random((3, 7, 50)) < 0.4 if masked else None
+        wide, narrow = rng_for(8, "walk-int32"), rng_for(8, "walk-int32")
+        want = noisy_walk(g, 0.3, point, wide, where=where)
+        got = noisy_walk(g, 0.3, point.astype(np.int32), narrow, where=where)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.int32
+        assert narrow.random() == wide.random()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2 ** 31 - 1), size=st.integers(0, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_int32_draws_equal_int64(self, n, size, seed):
+        # what lets the sampler and the walk hold vertices as int32: the same
+        # values, and the generator left in the same state
+        wide, narrow = rng_for(seed, "int32-draws"), rng_for(seed, "int32-draws")
+        a = wide.integers(0, n, size=size)
+        b = narrow.integers(0, n, size=size, dtype=np.int32)
+        np.testing.assert_array_equal(a, b)
+        state = lambda r: json.dumps(r.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+        assert state(wide) == state(narrow)
 
     def test_transition_frequencies_match_matrix(self):
         g = generate_sse("random-regular", 6, 3, seed=4)
@@ -377,6 +404,35 @@ class TestFoldedKernel:
             # which is itself Bernoulli(mu): they differ at rate 2 mu (1 - mu)
             self.assert_rate(int(x_new[bot].sum()), int(bot.sum()), mu)
             self.assert_rate(int((x_new[bot] != x_tilde[bot]).sum()), int(bot.sum()), 2 * mu * (1 - mu))
+
+
+class TestLetterLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 6), min_size=0, max_size=40),
+        on_grid=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_codes_equal_searchsorted(self, weights, on_grid, seed):
+        # zero weights are zero-mass letters: repeated CDF entries
+        rng = np.random.default_rng(seed)
+        if on_grid:  # every entry on a bucket edge, 0 and 1 included
+            cdf = np.sort(rng.integers(0, LOOKUP + 1, size=len(weights))) / LOOKUP
+        else:  # as _letter_sampler builds it
+            cdf = np.cumsum(np.array([*weights, 1]) * rng.uniform(0.5, 1.5, size=len(weights) + 1))
+            cdf = cdf[:-1] / cdf[-1]
+        edges = np.arange(LOOKUP) / LOOKUP
+        inside = cdf[cdf < 1.0]
+        u = np.concatenate([
+            rng.random(2000),
+            edges,
+            np.nextafter(edges[1:], 0.0),
+            inside,
+            np.nextafter(inside, 0.0),
+            [np.nextafter(1.0, 0.0)],
+        ])
+        codes = LetterLookup(cdf).codes(u.copy())
+        np.testing.assert_array_equal(codes, np.searchsorted(cdf, u, side="right"))
 
 
 class TestDictator:
@@ -676,6 +732,58 @@ class TestAcceptance:
         assert f3.dictator.query_count == 0
 
 
+class TestParallelAcceptance:
+    """acceptance_estimate runs its chunks on every usable CPU.  On three
+    patched CPUs, with small chunks and a 1 us switch interval, the estimate,
+    its stderr and the assignment's counters equal the serial run's."""
+
+    @staticmethod
+    def assignment(kind, graph, params):
+        if kind == "dictator":
+            return dictator_assignment([0, 1], params, graph)
+        if kind == "table":
+            n, R = graph.n, params.R
+            values = np.random.default_rng(31).integers(0, 2, size=n ** R * 4 ** R)
+            return LongCodeAssignment.from_table(n, R, values)
+        return LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0] ^ z[:, 1] ^ (A[:, 2] % 2))
+
+    @pytest.mark.parametrize("kind", ["dictator", "table", "callback"])
+    def test_equals_the_serial_run(self, monkeypatch, kind):
+        # R = 3 on a 6-cycle: a row of three equal codes, the dictator's
+        # fallback, comes about once in 144 queries
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(30))
+        graph = cycle_sse(6)
+        params = desk_params(theta, R=3)
+        monkeypatch.setattr(mc, "CHUNK", 512)
+        trials = 40 * 512 + 7
+
+        def run(k):
+            cpus(monkeypatch, k)
+            f = self.assignment(kind, graph, params)
+            rep = acceptance_estimate(gap, theta, graph, params, f, trials, 32)
+            counts = [f.permuted_rows]
+            if f.dictator is not None:
+                counts += [f.dictator.query_count, f.dictator.fallback_count]
+            return rep, counts
+
+        serial, serial_counts = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par, par_counts = run(3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (serial.threads, par.threads) == (1, 3)
+        assert (par.estimate, par.stderr) == (serial.estimate, serial.stderr)
+        assert par_counts == serial_counts
+        if kind == "dictator":
+            assert serial_counts[1] == 2 * trials
+            assert 0 < serial_counts[2] == serial_counts[0]
+        else:
+            assert serial_counts == [2 * trials]
+
+
 class TestAveragedFunction:
     def test_constant_assignment(self):
         graph = cycle_sse(6)
@@ -963,36 +1071,54 @@ class TestWorkingMemory:
     units of one (rows, R) array of 8-byte entries."""
 
     def test_one_mixing_batch(self):
-        # 128 vertex-vectors x 512 inner draws: one batch of CHUNK rows.  The
-        # walk's output and its index temporaries take about two units.  A
-        # uniform buffer alive through the walk adds one more, and the
-        # dictator's codes over all rows, built as 2A + z, add two.
+        # 128 vertex-vectors x 512 inner draws: one batch of CHUNK rows, with
+        # a measured peak of 1.37 units.  The walk's int32 output takes half
+        # a unit and its intp index temporaries, over the fifth of entries
+        # where z is top, about half a unit more; the int8 x and z bits take
+        # a quarter.  Their uniforms and the dictator's codes come in row
+        # blocks of BLOCK_ENTRIES.  The bound leaves a quarter unit of margin.
         gap, theta, graph, params, f = reduce_mc_setup()
         with traced_peak() as peak:
             rep = mixing_check(gap, theta, graph, params, f, 2.0, 128, 44, inner_samples=512)
         assert rep.a_samples * rep.inner_samples == CHUNK
         unit = CHUNK * params.R * 8
-        assert peak.bytes < 2.5 * unit, peak.bytes / unit
+        assert peak.bytes < 1.6 * unit, peak.bytes / unit
 
     def test_one_acceptance_chunk(self):
         # CHUNK rows split over the 4 edges: each edge draws about CHUNK / 4
-        # rows, and its peak, in the fold's fresh bits, is about REPLACE
-        # units of those rows: the walk's int64 output over both positions
-        # (two), the (r, rows, R) uniforms of the fresh bits (two), the
-        # vertex points (one) and the int8 letters and bits.  One edge's
-        # parts alive while the next edge draws takes it past six and a half.
+        # rows, and its measured peak, in the fold's walk, is 3.25 units of
+        # those rows: the int32 vertex points (half), the int8 letters of
+        # both positions (half), the walk's int32 output over both positions
+        # (one) and its intp index temporaries (about one and a quarter).
+        # The fresh bits' uniforms come in row blocks of BLOCK_ENTRIES.  The
+        # bound leaves a quarter unit of margin.
         gap, theta, graph, params, f = reduce_mc_setup()
         sampler = BatchTestSampler(gap, theta, graph, params)
         with traced_peak() as peak:
             sampler.accept_indicators(f, CHUNK, rng_for(45, "accept-memory"))
         unit = CHUNK // 4 * params.R * 8
-        assert peak.bytes < 6.5 * unit, peak.bytes / unit
+        assert peak.bytes < 3.5 * unit, peak.bytes / unit
 
 
 class TestDecodeStat:
     @staticmethod
     def _graph():
         return generate_sse("planted", 8, 2, 0.25, seed=41, eps=0.05)
+
+    def test_walk_average_in_place(self):
+        # n = 64, R = 3: a 16 MiB family.  Contracting every axis with
+        # _apply_axis copies the transposed family per axis and peaks at
+        # three families; in place it is one family and a block.
+        n, R = 64, 3
+        walk = walk_matrix(generate_sse("planted", n, 6, 0.25, seed=44), 0.15)
+        tables = np.random.default_rng(44).random((n,) * R + (2 ** R,))
+        want = tables
+        for j in range(R):
+            want = _apply_axis(want, walk, j)
+        with traced_peak() as peak:
+            got = analysis._walk_average(tables, walk)
+        np.testing.assert_array_equal(got, want)
+        assert peak.bytes < 1.25 * tables.nbytes, peak.bytes / tables.nbytes
 
     @staticmethod
     def stacked(table, n, R):
