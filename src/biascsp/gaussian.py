@@ -45,30 +45,19 @@ class CorrelatedSampler:
         if self.dimension < 1 or self.copies < 1:
             raise ValueError("dimension and copies must be >= 1")
 
-    def sample(self, rng: np.random.Generator, n: int = 1):
-        """Draw n tuples; returns (g, copies) with shapes (n, R), (r, n, R)."""
-        g = rng.standard_normal((n, self.dimension))
-        h = np.empty((self.copies, n, self.dimension))
-        for _ in self._fill(rng, self.rho * g, h):
-            pass
-        return g, h
-
     def each_copy(self, rng: np.random.Generator, n: int):
         """Yield the r copies of n tuples one after another, each in the same
         (n, R) buffer, which the next copy overwrites.
 
-        The draws and float operations are those of ``sample``, so copy i
-        equals ``sample(rng, n)[1][i]`` bit for bit; the working set is two
-        (n, R) arrays, not r + 2.
+        The shared source g is drawn first, then each copy's zeta_i in turn:
+        the stream and float operations of drawing g and all r copies at
+        once, with a working set of two (n, R) arrays, not r + 2.
         """
         shared = rng.standard_normal((n, self.dimension))
         shared *= self.rho  # rho * g; g itself is not needed
-        return self._fill(rng, shared, [np.empty_like(shared)] * self.copies)
-
-    def _fill(self, rng, shared: np.ndarray, out):
-        """Draw each copy into out[i] in turn: sqrt(1-rho^2) * zeta_i + rho*g."""
         scale = math.sqrt(1.0 - self.rho * self.rho)
-        for h in out:
+        h = np.empty_like(shared)
+        for _ in range(self.copies):
             rng.standard_normal(out=h)
             h *= scale
             h += shared

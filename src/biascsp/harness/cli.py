@@ -118,22 +118,23 @@ def _cmd_gauss_borell(args) -> dict:
 
 def _cmd_round_run(args) -> dict:
     from ..pseudodist import vector_solution
-    from ..rounding import RoundingInput, round_with
+    from ..rounding import RoundingInput, round_run
 
     host = load_instance(args.infile)
     family = load_family(args.pd, host)
     tables = build_rounding_tables(args.functions, host, family, args.R)
     inp = RoundingInput(host, tables, vector_solution(family), eta=args.eta, family=family)
-    outcomes = []
-    for t in range(args.trials):
-        out = round_with(inp, rng_for(args.seed, "round-once", t), args.seed)
-        outcomes.append({"p": out.p, "sigma": out.sigma.labels, "bias": out.bias, "value": out.value,
-                         "seed": out.seed, "trial": t})
-    values = [o["value"] for o in outcomes]
+    p, sigma, values = round_run(inp, args.trials, args.seed)
+    bias = sigma @ host.vertex_weight_vector()
+    outcomes = [
+        {"p": dict(zip(host.vertices, p[t].tolist())), "sigma": dict(zip(host.vertices, sigma[t].tolist())),
+         "bias": float(bias[t]), "value": float(values[t]), "trial": t}
+        for t in range(min(args.trials, 32))
+    ]
     return stage(
         "round-run", None, value=float(np.mean(values)),
         stderr=float(np.std(values) / max(len(values), 1) ** 0.5),
-        seed=args.seed, samples=args.trials, outcomes=outcomes[:32],
+        seed=args.seed, samples=args.trials, outcomes=outcomes,
     )
 
 
@@ -181,7 +182,7 @@ def _cmd_reduce_dictator(args) -> dict:
 
     _, family, graph, params = _reduce_ctx(args)
     planted = [int(v) for v in args.set.split(",")] if args.set else graph.planted
-    f = dictator_assignment(planted, params, graph)
+    f = dictator_assignment(planted, graph)
     rng = rng_for(args.seed, "cli-dictator")
     pts = rng.integers(0, graph.n, size=(8, params.R))
     zs = (rng.random((8, params.R)) < params.beta).astype(int)
@@ -194,13 +195,13 @@ def _cmd_reduce_dictator(args) -> dict:
 
 def _cmd_reduce_accept(args) -> dict:
     host, family, graph, params = _reduce_ctx(args)
-    f = planted_dictator(graph, params, "acceptance check")
+    f = planted_dictator(graph, "acceptance check")
     return acceptance_stage("reduce-accept", host, family, graph, params, f, args.trials, args.seed)
 
 
 def _cmd_reduce_mix(args) -> dict:
     host, family, graph, params = _reduce_ctx(args)
-    f = planted_dictator(graph, params, "mixing check")
+    f = planted_dictator(graph, "mixing check")
     return mixing_stage("reduce-mix", host, family, graph, params, f, args.alpha, args.a_samples, args.seed)
 
 

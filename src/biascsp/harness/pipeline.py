@@ -17,9 +17,10 @@ from ..csp import Assignment, ConstraintHypergraph
 from ..probspace import BiasedSpace, FunctionTable, domain_points, product_measure
 from ..pseudodist import (
     _JOINT_CAP,
+    PSD_TOL,
+    VECTOR_TOL,
     LocalDistributionFamily,
     find_conditioning,
-    moment_matrix,
     vector_solution,
     verify_feasible,
 )
@@ -200,14 +201,14 @@ def _counted(f, run):
 
 def verify_stage(name: str, family, mu, seed=None) -> dict:
     """Feasibility of ``family`` at bias ``mu``: consistency and the moment
-    matrix's least eigenvalue against -1e-8."""
+    matrix's least eigenvalue against ``PSD_TOL``."""
     t0 = time.perf_counter()
     report = verify_feasible(family, mu)
     return stage(
         name,
         report.feasible,
         value=report.min_eigenvalue,
-        bound=-1e-8,
+        bound=PSD_TOL,
         seed=seed,
         objective=report.objective,
         bias=report.bias,
@@ -253,13 +254,13 @@ def condition_stage(name: str, family, target: float, budget: int, seed=None):
     return record, result.family
 
 
-def planted_dictator(graph, params, what: str):
+def planted_dictator(graph, what: str):
     """The dictator assignment of ``graph``'s planted set."""
     from ..reduction import dictator_assignment
 
     if not graph.planted:
         raise ConfigError(f"{what} needs a planted graph")
-    return dictator_assignment(graph.planted, params, graph)
+    return dictator_assignment(graph.planted, graph)
 
 
 def acceptance_stage(name: str, host, family, graph, params, f, trials: int, seed: int) -> dict:
@@ -355,10 +356,9 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
 
     enter("vector-solution")
     sol = vector_solution(family)
-    index, m2 = moment_matrix(family, order=2)
-    gram = np.vstack([sol.u_empty, sol.u]) @ np.vstack([sol.u_empty, sol.u]).T
-    resid = float(np.abs(gram - m2).max())
-    stages.append(stage("vector-solution", resid <= 1e-7, value=resid, bound=1e-7, seed=seed))
+    stages.append(
+        stage("vector-solution", sol.residual <= VECTOR_TOL, value=sol.residual, bound=VECTOR_TOL, seed=seed)
+    )
 
     enter("rounding")
     round_cfg = cfg.get("rounding")
@@ -434,7 +434,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
             R=int(pspec.get("R", 10)),
             eta=parse_number(pspec.get("eta", 0.01)),
         )
-        f = planted_dictator(graph, params, "reduction experiments")
+        f = planted_dictator(graph, "reduction experiments")
         trials = int(red_cfg.get("accept_trials", 100000))
         stages.append(acceptance_stage("reduction-acceptance", host, family, graph, params, f, trials, seed))
         stages.append(

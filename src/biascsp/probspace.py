@@ -246,9 +246,6 @@ class FourierTable:
         bits = np.concatenate([unpack_bits(m, self.space.r)[::-1] for m in masks])
         return float(self.coeffs[pack_bits(bits)])
 
-    def degrees(self) -> np.ndarray:
-        return _mask_degrees(_n_axes(self.space))
-
     def total_weight(self) -> float:
         return float(np.dot(self.coeffs, self.coeffs))
 

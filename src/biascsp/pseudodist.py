@@ -21,7 +21,8 @@ from .probspace import _mask_degrees, domain_points, pack_bits, subset_masks, un
 
 CONSISTENCY_TOL = 1e-9
 PSD_TOL = -1e-8
-VECTOR_TOL = 1e-7
+VECTOR_TOL = 1e-7  # bound on the vector solution's Gram residual
+MIN_EVENT_PROB = 1e-12  # greedy conditioning skips pins of smaller probability
 _JOINT_CAP = 20
 
 
@@ -276,7 +277,6 @@ def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
 class Statistics:
     vertices: list[str]
     means: np.ndarray
-    second_moments: np.ndarray
     cov: np.ndarray
     stdev: np.ndarray
     corr: np.ndarray
@@ -312,7 +312,6 @@ def compute_statistics(theta: LocalDistributionFamily) -> Statistics:
     return Statistics(
         vertices=list(verts),
         means=means,
-        second_moments=second,
         cov=cov,
         stdev=stdev,
         corr=corr,
@@ -344,26 +343,26 @@ def _subset(theta: LocalDistributionFamily, mask) -> tuple[str, ...]:
     return tuple(v for v, b in zip(verts, unpack_bits(mask, len(verts))) if b)
 
 
-def _moments(theta: LocalDistributionFamily, max_size: int, violations: list | None = None,
-             tol: float = CONSISTENCY_TOL):
+def _moments(theta: LocalDistributionFamily, max_size: int, violations: list | None = None):
     """Pseudo-moments y_S = P[x_v = 1 for every v in S] with |S| <= max_size.
 
     Returns (masks, y): the sorted subset masks (``probspace.subset_masks``,
     vertex 0 most significant) that some stored table covers, and their
     moments.  A table's superset-sum (zeta) transform holds the moments of
     the subsets of its key; where several tables give a moment, the first
-    stored one is read.  With ``violations``, each table is checked: its
-    negative mass >= -tol, its total within tol of 1, and the moments it
-    shares with other tables agree within tol ('marginal').
+    stored one is read.  With ``violations``, each table is checked, with
+    tol = CONSISTENCY_TOL: its negative mass >= -tol, its total within tol
+    of 1, and the moments it shares with other tables agree within tol
+    ('marginal').
     """
     n = len(theta.host.vertices)
     masks, values = [], []
     for key, table in theta._tables.items():
         if violations is not None:
             negative = float(table.sum(where=table < 0.0))
-            if negative < -tol:
+            if negative < -CONSISTENCY_TOL:
                 violations.append(("negative", key, negative))
-            if abs(table.sum() - 1.0) > tol:
+            if abs(table.sum() - 1.0) > CONSISTENCY_TOL:
                 violations.append(("normalization", key, float(table.sum())))
         z = table
         for axis in range(z.ndim):
@@ -379,13 +378,12 @@ def _moments(theta: LocalDistributionFamily, max_size: int, violations: list | N
     first = np.flatnonzero(np.r_[True, masks[1:] != masks[:-1]])
     if violations is not None:
         gap = np.maximum.reduceat(values, first) - np.minimum.reduceat(values, first)
-        for i in np.flatnonzero(gap > tol):
+        for i in np.flatnonzero(gap > CONSISTENCY_TOL):
             violations.append(("marginal", _subset(theta, masks[first[i]]), float(gap[i])))
     return masks[first], values[first]
 
 
-def _moment_entries(theta: LocalDistributionFamily, order: int, violations: list | None = None,
-                    tol: float = CONSISTENCY_TOL):
+def _moment_entries(theta: LocalDistributionFamily, order: int, violations: list | None = None):
     """Index subsets (size <= order/2), moment matrix and usable-row mask.
 
     Entry (a, b) is the pseudo-moment of a | b, one gather from
@@ -403,7 +401,7 @@ def _moment_entries(theta: LocalDistributionFamily, order: int, violations: list
             f"moment matrix at n={n}, order {order}: {size} index subsets, {size}^2 entries "
             f"exceed the work cap {ORACLE_CAP}"
         )
-    masks, y = _moments(theta, max(order, 2 * half), violations, tol)
+    masks, y = _moments(theta, max(order, 2 * half), violations)
     index: list[tuple[str, ...]] = [()]
     for k in range(1, half + 1):
         index.extend(itertools.combinations(verts, k))
@@ -429,16 +427,12 @@ def moment_matrix(theta: LocalDistributionFamily, order: int | None = None):
     return index, m
 
 
-def verify_feasible(
-    theta: LocalDistributionFamily,
-    mu: float | None = None,
-    tol: float = CONSISTENCY_TOL,
-) -> FeasibilityReport:
+def verify_feasible(theta: LocalDistributionFamily, mu: float | None = None) -> FeasibilityReport:
     """Check local consistency, moment-matrix PSDness, bias, and objective.
 
-    Every stored table has negative mass >= -tol (a lower bound on each of
-    its marginal entries) and a total within tol of 1, and tables agree
-    within tol on the pseudo-moments they share.
+    With tol = CONSISTENCY_TOL, every stored table has negative mass >= -tol
+    (a lower bound on each of its marginal entries) and a total within tol
+    of 1, and tables agree within tol on the pseudo-moments they share.
     """
     # missing edge locals are structural failures
     for vs, _ in theta.host.edges:
@@ -447,7 +441,7 @@ def verify_feasible(
         except StructuralError as exc:
             raise StructuralError(f"edge {vs} has no stored local") from exc
     violations = []
-    index, m, usable = _moment_entries(theta, theta.level, violations, tol)
+    index, m, usable = _moment_entries(theta, theta.level, violations)
     sub = m[np.ix_(usable, usable)]
     min_eig = float(np.linalg.eigvalsh(sub).min()) if usable.any() else 0.0
     bias = theta.bias()
@@ -473,6 +467,7 @@ class VectorSolution:
     u: np.ndarray  # (n, d)
     w: np.ndarray  # (n, d)
     mu: np.ndarray  # (n,)
+    residual: float  # max |Gram matrix of (u0, u) - degree-2 moment matrix|
 
     def w_for(self, v: str) -> np.ndarray:
         return self.w[self.vertices.index(v)]
@@ -494,7 +489,8 @@ def vector_solution(theta: LocalDistributionFamily) -> VectorSolution:
     its symmetric square root V diag(sqrt(lam)) V^T.  Unlike eigh's
     V diag(sqrt(lam)), they do not depend on eigenvector signs or on the
     basis of a repeated eigenvalue, so a roundoff-level change of the
-    moments moves them only a little."""
+    moments moves them only a little.  ``residual`` is the largest entry of
+    the Gram matrix's difference from the moment matrix."""
     verts = theta.host.vertices
     index, m2 = moment_matrix(theta, order=2)
     lam, vecs = np.linalg.eigh(m2)
@@ -506,6 +502,9 @@ def vector_solution(theta: LocalDistributionFamily) -> VectorSolution:
     u = factors[1 : 1 + len(verts)]
     mu = np.array([theta.vertex_mean(v) for v in verts])
     w = u - np.outer(mu, u_empty)
+    # factors @ factors.T of one buffer would run syrk, whose roundoff
+    # differs from the gemm that computed the benchmark's stored residuals
+    residual = float(np.abs(factors @ factors.copy().T - m2).max())
     return VectorSolution(
         vertices=list(verts),
         dimension=factors.shape[1],
@@ -513,6 +512,7 @@ def vector_solution(theta: LocalDistributionFamily) -> VectorSolution:
         u=u,
         w=w,
         mu=mu,
+        residual=residual,
     )
 
 
@@ -529,18 +529,14 @@ class ConditioningResult:
     trace: list[dict] = field(default_factory=list)
 
 
-def find_conditioning(
-    theta: LocalDistributionFamily,
-    target: float,
-    budget: int,
-    min_event_prob: float = 1e-12,
-) -> ConditioningResult:
+def find_conditioning(theta: LocalDistributionFamily, target: float, budget: int) -> ConditioningResult:
     """Greedy search for a small conditioning with low average |correlation|.
 
     One (vertex, value) pin per round, full scan, picking the candidate that
-    minimizes the resulting off-diagonal average absolute correlation.  Ties
-    break toward the lowest vertex index, then value 0.  Exhausting the budget
-    yields a failure report carrying the best family found.
+    minimizes the resulting off-diagonal average absolute correlation; pins
+    of probability <= MIN_EVENT_PROB are skipped.  Ties break toward the
+    lowest vertex index, then value 0.  Exhausting the budget yields a
+    failure report carrying the best family found.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -559,7 +555,7 @@ def find_conditioning(
             p1 = current.vertex_mean(v)
             for b in (0, 1):
                 p_event = p1 if b == 1 else 1.0 - p1
-                if p_event <= min_event_prob:
+                if p_event <= MIN_EVENT_PROB:
                     continue
                 cand = current.condition((v,), (b,))
                 cand_avg = cand.statistics().avg_abs_corr

@@ -228,12 +228,10 @@ def acceptance_estimate(
 
     The chunks run on every usable CPU (``mc_run(..., parallel=True)``), so
     ``f`` is called from several threads at once; the result is the serial
-    one bit for bit.  Every edge's letter sampler is built first, so no two
-    threads fill the sampler's cache.
+    one bit for bit.  The sampler is immutable once built, so the threads
+    share it.
     """
     sampler = BatchTestSampler(gap, theta, graph, params)
-    for e_idx in range(len(gap.edges)):
-        sampler.letters(e_idx)
     run = mc_run(
         lambda rng, m: sampler.accept_indicators(f, m, rng), trials, seed, tag="acceptance", parallel=True
     )
@@ -253,7 +251,6 @@ class DecouplingReport:
     product_term: float
     additive_term: float
     max_influence: float
-    budget: float
     holds: bool
     mode: str
     lhs_stderr: float  # Monte Carlo standard errors of the two sides; 0 when exact
@@ -287,7 +284,6 @@ def decoupling_check(
     block_probs: np.ndarray,
     params: ReductionParams,
     mode: str = "exact",
-    budget: float = 0.0,
     samples: int = 1 << 20,
     seed: int = 0,
 ) -> DecouplingReport:
@@ -352,8 +348,7 @@ def decoupling_check(
         product_term=product_term,
         additive_term=additive,
         max_influence=max_inf,
-        budget=budget,
-        holds=lhs <= rhs + budget,
+        holds=lhs <= rhs,
         mode=mode,
         lhs_stderr=lhs_se,
         product_stderr=product_se,

@@ -27,7 +27,6 @@ import numpy as np
 from ..harness.mc import BLOCK_ENTRIES
 from ..probspace import pack_bits
 from .graphs import SseGraph, vertex_indices
-from .params import ReductionParams
 
 
 def _as_batch(arr, dtype=None) -> np.ndarray:
@@ -126,7 +125,9 @@ class PlantedDictator:
 
 @dataclass
 class LongCodeAssignment:
-    """Boolean assignment on lifted vertices with a vectorized evaluator."""
+    """Boolean assignment on lifted vertices with a vectorized evaluator:
+    ``LongCodeAssignment(fn)`` reads ``fn(A, x, z)``, one bit per row of the
+    (m, R) arrays."""
 
     _eval: object = field(repr=False)
     dictator: PlantedDictator | None = None
@@ -164,10 +165,6 @@ class LongCodeAssignment:
         return np.asarray(vals, dtype=np.int8)
 
     @classmethod
-    def from_callback(cls, fn) -> "LongCodeAssignment":
-        return cls(fn)
-
-    @classmethod
     def from_table(cls, n: int, R: int, values) -> "LongCodeAssignment":
         """Explicit table over the full lifted vertex set (tiny R only)."""
         values = np.asarray(values, dtype=np.int8).reshape(-1)
@@ -181,7 +178,7 @@ class LongCodeAssignment:
         return cls(fn)
 
 
-def dictator_assignment(planted, params: ReductionParams | None = None, graph: SseGraph | None = None) -> LongCodeAssignment:
+def dictator_assignment(planted, graph: SseGraph | None = None) -> LongCodeAssignment:
     """Dictator assignment reading x at the planted-set-selected index.
 
     ``planted`` is a vertex list or a boolean mask; ``graph`` supplies the

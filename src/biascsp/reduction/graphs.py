@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class SseGraph:
     deg: int
     adj: np.ndarray
     planted: list[int] | None = None
-    planted_volume: float | None = field(default=None)
 
     def __post_init__(self):
         self.adj = np.asarray(self.adj, dtype=np.int64)
@@ -29,8 +28,11 @@ class SseGraph:
             raise ValueError("adjacency entries out of range")
         if self.planted is not None:
             self.planted = sorted(int(v) for v in self.planted)
-            if self.planted_volume is None:
-                self.planted_volume = len(self.planted) / self.n
+
+    @property
+    def planted_volume(self) -> float | None:
+        """Fraction of the vertices in the planted set."""
+        return None if self.planted is None else len(self.planted) / self.n
 
     def planted_mask(self) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)

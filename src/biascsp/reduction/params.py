@@ -50,8 +50,8 @@ class ReductionParams:
         return math.sqrt(self.rho_sq)
 
     @classmethod
-    def manual(cls, mu: float, r: int, beta: float, rho_sq: float, R: int, eta: float, **kw) -> "ReductionParams":
-        return cls(mu=mu, r=r, beta=beta, rho_sq=rho_sq, R=int(R), eta=eta, mode="manual", **kw)
+    def manual(cls, mu: float, r: int, beta: float, rho_sq: float, R: int, eta: float) -> "ReductionParams":
+        return cls(mu=mu, r=r, beta=beta, rho_sq=rho_sq, R=int(R), eta=eta, mode="manual")
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,6 @@ with an rng), not here.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +174,10 @@ def _letter_sampler(theta: LocalDistributionFamily, edge: tuple[str, ...], param
 
 
 class BatchTestSampler:
-    """Vectorized sampler for Monte Carlo estimates over the test distribution."""
+    """Vectorized sampler for Monte Carlo estimates over the test distribution.
+
+    Every edge's letter sampler is built here, so the sampler does not change
+    after construction and threads can share it."""
 
     def __init__(
         self,
@@ -189,10 +191,7 @@ class BatchTestSampler:
         self.params = params
         self.edge_weights = np.array([w for _, w in gap.edges])
         self.edge_weights = self.edge_weights / self.edge_weights.sum()
-        # built per edge on first use, so that a single draw
-        # (sample_test_tuple) pays only for the edge it draws; a threaded
-        # caller builds them all first (acceptance_estimate)
-        self.letters = functools.cache(lambda e: _letter_sampler(theta, gap.edges[e][0], params))
+        self.letters = [_letter_sampler(theta, edge, params) for edge, _ in gap.edges]
 
     def sample_parts(
         self, edge_index: int, m: int, rng: np.random.Generator, trace: dict | None = None
@@ -210,7 +209,7 @@ class BatchTestSampler:
         walk), which is -1 where z' is bot: the fold refreshes those
         entries, so the walk is never drawn there.
         """
-        lookup, digits, mus = self.letters(edge_index)
+        lookup, digits, mus = self.letters[edge_index]
         shape = (m, self.params.R)
         # int32 vertices: the same draws as int64 at half the memory
         a = rng.integers(0, self.graph.n, size=shape, dtype=np.int32)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csp import Assignment, ConstraintHypergraph, assignment_value, relative_weight
+from .csp import ConstraintHypergraph
 from .harness.mc import BLOCK_ENTRIES
 from .harness.rng import rng_for
 from .polynomial import _EVAL_CHUNK, MultilinearPolynomial
@@ -31,6 +31,11 @@ from .probspace import (
 from .pseudodist import LocalDistributionFamily, VectorSolution
 
 
+# The value guarantee's low-influence premise: every noised table has
+# max influence <= TAU.
+TAU = 0.1
+
+
 def clip(x):
     """Clamp to [0,1]: 0 below, identity inside, 1 above."""
     return np.clip(x, 0.0, 1.0)
@@ -44,7 +49,6 @@ class RoundingInput:
     g_tables: dict[str, FunctionTable]  # bounded tables over {0,1}^R at each vertex bias
     solution: VectorSolution
     eta: float = 0.01
-    tau: float = 0.1
     mu: float | None = None
     family: LocalDistributionFamily | None = None
     # derived
@@ -52,6 +56,9 @@ class RoundingInput:
     polys: dict[str, MultilinearPolynomial] = field(init=False)
 
     def __post_init__(self):
+        d = self.solution.dimension
+        if any(self.solution.w_for(v).shape[0] != d for v in self.host.vertices):
+            raise ValueError("vector solution dimension mismatch")
         self.noised = {}
         self.polys = {}
         for v, table in self.g_tables.items():
@@ -75,40 +82,6 @@ class RoundingInput:
 
     def max_influences(self) -> dict[str, float]:
         return {v: max_influence(fourier_expand(t)) for v, t in self.noised.items()}
-
-
-@dataclass
-class RoundingOutcome:
-    p: dict[str, float]
-    sigma: Assignment
-    bias: float
-    value: float
-    seed: int
-
-
-def round_once(inp: RoundingInput, seed: int) -> RoundingOutcome:
-    """One full round; a pure function of (input, seed)."""
-    return round_with(inp, rng_for(seed, "round-once"), seed)
-
-
-def round_with(inp: RoundingInput, rng: np.random.Generator, seed: int) -> RoundingOutcome:
-    """One full round drawn from ``rng``; ``seed`` is recorded in the outcome.
-
-    The round is the one-round case of :func:`_batch_p`, then one uniform per
-    vertex for the Bernoulli step."""
-    d = inp.solution.dimension
-    if any(inp.solution.w_for(v).shape[0] != d for v in inp.host.vertices):
-        raise ValueError("vector solution dimension mismatch")
-    p = dict(zip(inp.host.vertices, _batch_p(inp, 1, rng)[0].tolist()))
-    draws = rng.random(len(p))
-    sigma = Assignment({v: int(u < p[v]) for (v, u) in zip(p, draws)})
-    return RoundingOutcome(
-        p=p,
-        sigma=sigma,
-        bias=relative_weight(inp.host, sigma),
-        value=assignment_value(inp.host, sigma),
-        seed=seed,
-    )
 
 
 def _round_block(R: int, d: int) -> int:
@@ -138,6 +111,31 @@ def _batch_p(inp: RoundingInput, trials: int, rng: np.random.Generator) -> np.nd
             q = inp.solution.mu_for(v) + gmats @ inp.solution.w_for(v)  # (rounds, R)
             rows[:, k] = clip(inp.polys[v].evaluate(q))
     return out
+
+
+def _assign(host: ConstraintHypergraph, p: np.ndarray, rng: np.random.Generator):
+    """The Bernoulli step of rounds with acceptance probabilities ``p``
+    (rounds, n): the int8 assignments, one uniform per vertex and round in C
+    order, and each round's value."""
+    sigma = (rng.random(p.shape) < p).astype(np.int8)
+    vindex = {v: i for i, v in enumerate(host.vertices)}
+    table = host.predicate.table()
+    values = np.zeros(len(p))
+    for edge, w_e in host.edges:
+        values += w_e * table[pack_bits(sigma[:, vindex[v]] for v in edge)]
+    return sigma, values
+
+
+def round_run(inp: RoundingInput, trials: int, seed: int):
+    """``trials`` full rounds: ``(p, sigma, value)``, the (trials, n)
+    acceptance probabilities and int8 assignments and the (trials,) values.
+
+    The shared matrices come from ``rng_for(seed, "round-run")`` and the
+    Bernoulli uniforms from ``rng_for(seed, "round-run", "bernoulli")``.
+    Both fill in C order, so round t does not depend on ``trials``.
+    """
+    p = _batch_p(inp, trials, rng_for(seed, "round-run"))
+    return (p, *_assign(inp.host, p, rng_for(seed, "round-run", "bernoulli")))
 
 
 # ---- bias concentration ------------------------------------------------------
@@ -284,7 +282,7 @@ class ValueCheckReport:
     holds: bool
     trials: int
     seed: int
-    applicable: bool  # max_influence <= tau: the low-influence premise of the guarantee
+    applicable: bool  # max_influence <= TAU: the low-influence premise of the guarantee
     exact_elapsed_s: float
 
 
@@ -295,7 +293,7 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
     conditional edge-satisfaction probability of the Bernoulli step; a
     plain sampled-assignment average is reported alongside.  ``applicable``
     says whether the tables meet the guarantee's low-influence premise
-    (max influence <= ``inp.tau``); the verdict does not depend on it.
+    (max influence <= :data:`TAU`); the verdict does not depend on it.
     """
     p = _batch_p(inp, trials, rng_for(seed, "round-batch", "value"))
     verts = inp.host.vertices
@@ -310,12 +308,7 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
             cond += w_e * term
     mc_value = float(cond.mean())
     mc_se = float(cond.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    rng = rng_for(seed, "value-check-sigma")
-    sig = (rng.random(p.shape) < p).astype(np.int8)
-    table = inp.host.predicate.table()
-    sig_vals = np.zeros(trials)
-    for edge, w_e in inp.host.edges:
-        sig_vals += w_e * table[pack_bits(sig[:, vindex[v]] for v in edge)]
+    _, sig_vals = _assign(inp.host, p, rng_for(seed, "value-check-sigma"))
     t0 = time.perf_counter()
     exact = exact_test_value(inp)
     exact_elapsed = time.perf_counter() - t0
@@ -330,6 +323,6 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
         holds=mc_value >= exact - budget - 3.0 * mc_se,
         trials=trials,
         seed=seed,
-        applicable=max_inf <= inp.tau,
+        applicable=max_inf <= TAU,
         exact_elapsed_s=exact_elapsed,
     )

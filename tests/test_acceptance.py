@@ -493,7 +493,7 @@ def test_criterion_8_half_decoupling():
 def test_criterion_9_completeness():
     crit = Criterion(9, "planted completeness at the desk parameters", 300)
     gap, theta, graph, params = desk_completeness_setup()
-    f = dictator_assignment(graph.planted, params, graph)
+    f = dictator_assignment(graph.planted, graph)
     rep = acceptance_estimate(gap, theta, graph, params, f, 10 ** 6, 115, assert_bound=True)
     mus = {v: theta.vertex_mean(v) for v in gap.vertices}
     bias = analytic_bias(gap.vertex_weights, mus)
@@ -507,7 +507,7 @@ def test_criterion_9_completeness():
 def test_criterion_10_mixing():
     crit = Criterion(10, "restriction-mean concentration at the desk parameters", 300)
     gap, theta, graph, params = desk_completeness_setup()
-    f = dictator_assignment(graph.planted, params, graph)
+    f = dictator_assignment(graph.planted, graph)
     rep = mixing_check(
         gap, theta, graph, params, f, alpha=2.0, a_samples=10 ** 4, seed=116,
         inner_samples=512,
@@ -520,8 +520,8 @@ def test_criterion_11_determinism():
     gap, theta, graph, params = desk_completeness_setup()
     ok = True
     details = []
-    f1 = dictator_assignment(graph.planted, params, graph)
-    f2 = dictator_assignment(graph.planted, params, graph)
+    f1 = dictator_assignment(graph.planted, graph)
+    f2 = dictator_assignment(graph.planted, graph)
     a = acceptance_estimate(gap, theta, graph, params, f1, 10 ** 5, 117)
     b = acceptance_estimate(gap, theta, graph, params, f2, 10 ** 5, 117)
     if a.estimate != b.estimate:

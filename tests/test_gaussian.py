@@ -63,46 +63,45 @@ class TestCdfQuantile:
             assert normal_cdf(t + delta) <= 2 * d
 
 
+def copies(sampler, rng, n):
+    """Every copy each_copy yields, stacked: (r, n, R)."""
+    return np.stack([h.copy() for h in sampler.each_copy(rng, n)])
+
+
 class TestCorrelatedSampler:
     def test_independent_copies(self):
-        sampler = CorrelatedSampler(1, 0.0, 2)
-        _, h = sampler.sample(rng_for(0, "t-ind"), 200000)
+        h = copies(CorrelatedSampler(1, 0.0, 2), rng_for(0, "t-ind"), 200000)
         corr = np.corrcoef(h[0, :, 0], h[1, :, 0])[0, 1]
         assert abs(corr) < 3 / math.sqrt(200000)
 
     def test_identical_copies(self):
-        sampler = CorrelatedSampler(3, 1.0, 3)
-        g, h = sampler.sample(rng_for(0, "t-one"), 100)
+        h = copies(CorrelatedSampler(3, 1.0, 3), rng_for(0, "t-one"), 100)
+        g = rng_for(0, "t-one").standard_normal((100, 3))  # the shared source, drawn first
         for i in range(3):
             np.testing.assert_allclose(h[i], g, atol=1e-12)
 
     def test_sharing_structure(self):
         n = 400000
-        sampler = CorrelatedSampler(1, 0.6, 2)
-        g, h = sampler.sample(rng_for(0, "t-share"), n)
+        h = copies(CorrelatedSampler(1, 0.6, 2), rng_for(0, "t-share"), n)
+        g = rng_for(0, "t-share").standard_normal((n, 1))
         se = 3 / math.sqrt(n)
         assert np.corrcoef(g[:, 0], h[0, :, 0])[0, 1] == pytest.approx(0.6, abs=se)
         assert np.corrcoef(h[0, :, 0], h[1, :, 0])[0, 1] == pytest.approx(0.36, abs=2 * se)
 
     def test_marginals_standard(self):
-        sampler = CorrelatedSampler(2, 0.8, 2)
-        _, h = sampler.sample(rng_for(0, "t-marg"), 200000)
+        h = copies(CorrelatedSampler(2, 0.8, 2), rng_for(0, "t-marg"), 200000)
         assert h[0].mean() == pytest.approx(0.0, abs=0.01)
         assert h[0].std() == pytest.approx(1.0, abs=0.01)
 
     def test_single_tuple_shape(self):
-        g, h = CorrelatedSampler(5, 0.3, 4).sample(rng_for(0, "t-shape"), 1)
-        assert g.shape == (1, 5)
+        h = copies(CorrelatedSampler(5, 0.3, 4), rng_for(0, "t-shape"), 1)
         assert h.shape == (4, 1, 5)
 
     @pytest.mark.parametrize("dim, rho, r", [(1, 0.5, 3), (4, -0.3, 2), (2, 1.0, 2), (3, 0.0, 1)])
     def test_sample_and_each_copy_match_the_stacked_draw(self, dim, rho, r):
         sampler = CorrelatedSampler(dim, rho, r)
-        g_ref, h_ref = stacked_sample(sampler, rng_for(1, "t-stack"), 1001)
-        g, h = sampler.sample(rng_for(1, "t-stack"), 1001)
-        assert np.array_equal(g, g_ref) and np.array_equal(h, h_ref)
-        streamed = [copy.copy() for copy in sampler.each_copy(rng_for(1, "t-stack"), 1001)]
-        assert np.array_equal(np.stack(streamed), h_ref)
+        _, h_ref = stacked_sample(sampler, rng_for(1, "t-stack"), 1001)
+        assert np.array_equal(copies(sampler, rng_for(1, "t-stack"), 1001), h_ref)
 
 
 # ---- the stacked estimators the streaming ones replaced, kept as references ----

@@ -425,6 +425,21 @@ class TestCli:
         report = json.loads(proc.stdout)
         assert len(report["extra"]["outcomes"]) == 4
 
+    def test_round_run_trial_does_not_depend_on_the_trial_count(self, instance_file, pd_file):
+        # the Bernoulli uniforms have a stream of their own; read after the
+        # matrices in one stream, they would start elsewhere at --trials 40
+        def outcomes(trials):
+            proc = run_cli(
+                "round", "run", "--in", str(instance_file), "--pd", str(pd_file),
+                "--R", "3", "--trials", str(trials), "--seed", "5",
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)["extra"]["outcomes"]
+
+        first = outcomes(3)
+        assert first == outcomes(40)[:3]
+        assert sum(0.0 < p < 1.0 for o in first for p in o["p"].values()) >= 6
+
     def test_round_run_trials_have_own_streams(self, instance_file, tmp_path):
         # trial 1 at --seed 3 must not replay trial 0 at --seed 4
         pd = tmp_path / "mixture.json"

@@ -195,7 +195,7 @@ def lifted_config(n, R, r, kind, seed):
         # reads every part at weights that differ per coordinate, so it is
         # not symmetric under coordinate permutations
         wa, wx, wz = (rng.integers(0, 3, size=R) for _ in range(3))
-        f = LongCodeAssignment.from_callback(
+        f = LongCodeAssignment(
             lambda A, x, z: ((A @ wa + x @ wx + z @ wz + x[:, 0] * A[:, -1]) % 2).astype(np.int8)
         )
     else:
@@ -312,10 +312,10 @@ def test_planted_dictator_at_n32_r3_matches_estimate():
     theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.1, 0.3)
     graph = generate_sse("planted", 32, 6, 0.25, seed=17)
     params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.01)
-    f = dictator_assignment(graph.planted, params, graph)
+    f = dictator_assignment(graph.planted, graph)
     with traced_peak() as peak:
         exact = acceptance_exact(gap, theta, graph, params, f)
     assert peak.bytes < 128 << 20
     assert f.dictator.fallback_count > 0
-    mc = acceptance_estimate(gap, theta, graph, params, dictator_assignment(graph.planted, params, graph), 200000, 18)
+    mc = acceptance_estimate(gap, theta, graph, params, dictator_assignment(graph.planted, graph), 200000, 18)
     assert mc.estimate == pytest.approx(exact, abs=4 * mc.stderr)

@@ -279,40 +279,39 @@ class TestSampleTuple:
                 se = math.sqrt(law[c] * (1 - law[c]) / total)
                 assert abs(counts[c] - law[c]) <= 4 * se + 1e-12, (e_idx, c, counts[c], law[c])
 
+    @staticmethod
+    def agreement(gap, theta, params, rng):
+        """(z' agreements of the two positions, coordinates counted) over
+        4000 rows per edge, one sample_parts call per edge."""
+        sampler = BatchTestSampler(gap, theta, cycle_sse(6), params)
+        agree = total = 0
+        for e_idx in range(len(gap.edges)):
+            trace: dict = {}
+            sampler.sample_parts(e_idx, 4000, rng, trace)
+            z1, z2 = trace["z_prime"]
+            agree += int(np.count_nonzero(z1 == z2))
+            total += z1.size
+        return agree, total
+
     def test_independent_leaks_agreement_rate(self):
         gap = small_gap()
         theta = mixture_theta(gap, np.random.default_rng(8))
-        graph = cycle_sse(6)
         beta = 0.3
         params = ReductionParams.manual(
             mu=theta.bias(), r=2, beta=beta, rho_sq=1e-12, R=6, eta=1e-12
         )
-        rng = rng_for(3, "agree")
-        agree = total = 0
-        for _ in range(4000):
-            s = sample_test_tuple(gap, theta, graph, params, rng)
-            z1, z2 = s.trace["z_prime"]
-            agree += int((z1 == z2).sum())
-            total += params.R
-        rate = agree / total
+        agree, total = self.agreement(gap, theta, params, rng_for(3, "agree"))
         expect = beta ** 2 + (1 - beta) ** 2
-        assert rate == pytest.approx(expect, abs=4 * math.sqrt(expect * (1 - expect) / total))
+        assert agree / total == pytest.approx(expect, abs=4 * math.sqrt(expect * (1 - expect) / total))
 
     def test_coupled_agreement_rate(self):
         gap = small_gap()
         theta = mixture_theta(gap, np.random.default_rng(9))
-        graph = cycle_sse(6)
         beta, rho_sq = 0.3, 0.4
         params = ReductionParams.manual(
             mu=theta.bias(), r=2, beta=beta, rho_sq=rho_sq, R=6, eta=1e-12
         )
-        rng = rng_for(4, "agree2")
-        agree = total = 0
-        for _ in range(4000):
-            s = sample_test_tuple(gap, theta, graph, params, rng)
-            z1, z2 = s.trace["z_prime"]
-            agree += int((z1 == z2).sum())
-            total += params.R
+        agree, total = self.agreement(gap, theta, params, rng_for(4, "agree2"))
         iid = beta ** 2 + (1 - beta) ** 2
         expect = rho_sq + (1 - rho_sq) * iid
         assert agree / total == pytest.approx(expect, abs=4 * math.sqrt(expect * (1 - expect) / total))
@@ -481,7 +480,7 @@ class TestDictator:
 
     def test_permutation_respect_sampled(self):
         graph = generate_sse("planted", 32, 6, 0.25, seed=11)
-        f = dictator_assignment(graph.planted, None, graph)
+        f = dictator_assignment(graph.planted, graph)
         rng = rng_for(6, "perm-respect")
         n_pts, R = 10000, 10
         A = rng.integers(0, 32, size=(n_pts, R))
@@ -561,7 +560,7 @@ class TestPermutedEvaluation:
 
     def test_covariant_rows_read_unpermuted(self):
         graph = generate_sse("planted", 32, 6, 0.25, seed=11)
-        f = dictator_assignment(graph.planted, None, graph)
+        f = dictator_assignment(graph.planted, graph)
         rng = rng_for(8, "covariant")
         A = rng.integers(0, 32, size=(5000, 10))
         x = (rng.random((5000, 10)) < 0.3).astype(np.int8)
@@ -576,7 +575,7 @@ class TestPermutedEvaluation:
     def test_fallback_rows_read_at_a_permutation(self):
         # codes 7, 7, 10, 10: no unique code, so the row falls back to the
         # first 7 of the permuted row, coordinate 0 or 1 with probability 1/2
-        f = dictator_assignment([0, 1], None, cycle_sse(6))
+        f = dictator_assignment([0, 1], cycle_sse(6))
         m = 4000
         A = np.tile([3, 3, 5, 5], (m, 1))
         z = np.tile([1, 1, 0, 0], (m, 1))
@@ -587,7 +586,7 @@ class TestPermutedEvaluation:
 
     def test_row_blocks_read_one_stream(self):
         # more rows than two blocks, with fallback rows in each block
-        f = dictator_assignment([0], None, cycle_sse(4))
+        f = dictator_assignment([0], cycle_sse(4))
         rng = rng_for(13, "row-blocks")
         m, R = 80000, 8
         assert m > 2 * (BLOCK_ENTRIES // R)
@@ -606,7 +605,7 @@ class TestPermutedEvaluation:
         assert got_rng.random() == ref_rng.random()
 
     def test_other_assignments_permute_every_row(self):
-        f = LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0])
+        f = LongCodeAssignment(lambda A, x, z: x[:, 0])
         m = 4000
         x = np.tile([1, 0, 0, 0, 0], (m, 1))
         vals = f.evaluate_batch(np.zeros((m, 5), dtype=int), x, np.zeros((m, 5), dtype=int), rng_for(11, "perm-all"))
@@ -620,8 +619,8 @@ class TestAcceptance:
         theta = mixture_theta(gap, np.random.default_rng(12))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
-        zero = LongCodeAssignment.from_callback(lambda A, x, z: np.zeros(len(A), dtype=np.int8))
-        one = LongCodeAssignment.from_callback(lambda A, x, z: np.ones(len(A), dtype=np.int8))
+        zero = LongCodeAssignment(lambda A, x, z: np.zeros(len(A), dtype=np.int8))
+        one = LongCodeAssignment(lambda A, x, z: np.ones(len(A), dtype=np.int8))
         assert acceptance_estimate(gap, theta, graph, params, zero, 2000, 1).estimate == 0.0
         assert acceptance_estimate(gap, theta, graph, params, one, 2000, 1).estimate == 1.0
 
@@ -647,8 +646,8 @@ class TestAcceptance:
         theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.05, 0.5)
         graph = generate_sse("planted", 4, 2, 0.5, seed=13)
         params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.7, rho_sq=1.0, R=2, eta=0.02)
-        exact = acceptance_exact(gap, theta, graph, params, dictator_assignment(graph.planted, params, graph))
-        f = dictator_assignment(graph.planted, params, graph)
+        exact = acceptance_exact(gap, theta, graph, params, dictator_assignment(graph.planted, graph))
+        f = dictator_assignment(graph.planted, graph)
         mc = acceptance_estimate(gap, theta, graph, params, f, 200000, 21)
         assert f.dictator.fallback_count >= 0.05 * f.dictator.query_count
         assert f.permuted_rows == f.dictator.fallback_count
@@ -672,7 +671,7 @@ class TestAcceptance:
             mu = [np.array([1 - theta.vertex_mean(v), theta.vertex_mean(v)]) for v in edge]
             indep = np.outer(mu[0], mu[1]).reshape(-1)
             expect += w * float(table @ (indep + k / R * (probs - indep)))
-        f = LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0])
+        f = LongCodeAssignment(lambda A, x, z: x[:, 0])
         mc = acceptance_estimate(gap, theta, cycle_sse(6), params, f, 200000, 23)
         assert mc.estimate == pytest.approx(expect, abs=4 * mc.stderr)
 
@@ -681,9 +680,9 @@ class TestAcceptance:
         theta = mixture_theta(gap, np.random.default_rng(15))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
-        f = dictator_assignment([0, 1], params, graph)
+        f = dictator_assignment([0, 1], graph)
         a = acceptance_estimate(gap, theta, graph, params, f, 30000, 16)
-        f2 = dictator_assignment([0, 1], params, graph)
+        f2 = dictator_assignment([0, 1], graph)
         b = acceptance_estimate(gap, theta, graph, params, f2, 30000, 16)
         assert a.estimate == b.estimate
 
@@ -696,7 +695,7 @@ class TestAcceptance:
         theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.1, 0.3)
         graph = generate_sse("planted", 32, 6, 0.25, seed=17)
         params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=10, eta=0.01)
-        f = dictator_assignment(graph.planted, params, graph)
+        f = dictator_assignment(graph.planted, graph)
         rep = acceptance_estimate(gap, theta, graph, params, f, 200000, 18, assert_bound=True)
         assert rep.holds
         # the dictator beats the independent-bits background on this instance
@@ -713,12 +712,12 @@ class TestAcceptance:
         theta = mixture_theta(gap, np.random.default_rng(13))
         graph = generate_sse("planted", 4, 2, 0.5, seed=13)
         params = desk_params(theta, R=10)
-        f = dictator_assignment(graph.planted, params, graph)
+        f = dictator_assignment(graph.planted, graph)
         gap3 = ConstraintHypergraph({"a": 0.3, "b": 0.4, "c": 0.3}, [(("a", "b", "c"), 1.0)], Predicate.and_(3))
         theta3 = mixture_theta(gap3, np.random.default_rng(13))
         graph3 = cycle_sse(256)
         params3 = desk_params(theta3, r=3, R=1)
-        f3 = dictator_assignment([0, 1], params3, graph3)
+        f3 = dictator_assignment([0, 1], graph3)
         with traced_peak() as peak:
             with pytest.raises(ValueError, match="too large"):
                 acceptance_exact(gap, theta, graph, params, f)
@@ -740,12 +739,12 @@ class TestParallelAcceptance:
     @staticmethod
     def assignment(kind, graph, params):
         if kind == "dictator":
-            return dictator_assignment([0, 1], params, graph)
+            return dictator_assignment([0, 1], graph)
         if kind == "table":
             n, R = graph.n, params.R
             values = np.random.default_rng(31).integers(0, 2, size=n ** R * 4 ** R)
             return LongCodeAssignment.from_table(n, R, values)
-        return LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0] ^ z[:, 1] ^ (A[:, 2] % 2))
+        return LongCodeAssignment(lambda A, x, z: x[:, 0] ^ z[:, 1] ^ (A[:, 2] % 2))
 
     @pytest.mark.parametrize("kind", ["dictator", "table", "callback"])
     def test_equals_the_serial_run(self, monkeypatch, kind):
@@ -787,7 +786,7 @@ class TestParallelAcceptance:
 class TestAveragedFunction:
     def test_constant_assignment(self):
         graph = cycle_sse(6)
-        c = LongCodeAssignment.from_callback(
+        c = LongCodeAssignment(
             lambda A, x, z: np.full(len(A), 1, dtype=np.int8)
         )
         table = averaged_function(c, np.array([0, 1]), 0.4, 0.3, 0.2, graph)
@@ -797,7 +796,7 @@ class TestAveragedFunction:
         graph = cycle_sse(4)
         R = 2
         # assignment depending only on the vertex vector
-        f = LongCodeAssignment.from_callback(
+        f = LongCodeAssignment(
             lambda A, x, z: (A.sum(axis=1) % 2).astype(np.int8)
         )
         table = averaged_function(f, np.array([0, 0]), 0.5, 0.3, 1.0, graph)
@@ -958,7 +957,7 @@ class TestDecoupling:
         assert 0.0 < mc.lhs_stderr < 0.01 and 0.0 < mc.product_stderr < 0.01
         assert mc.lhs == pytest.approx(exact.lhs, abs=4 * mc.lhs_stderr)
         assert mc.product_term == pytest.approx(exact.product_term, abs=4 * mc.product_stderr)
-        assert mc.holds == (mc.lhs <= mc.rhs + mc.budget)
+        assert mc.holds == (mc.lhs <= mc.rhs)
 
     def test_mc_working_set_does_not_grow_with_samples(self):
         # both sides run one CHUNK of rows at a time through mc_run
@@ -985,7 +984,7 @@ class TestMixing:
         theta = mixture_theta(gap, np.random.default_rng(33))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
-        f = LongCodeAssignment.from_callback(lambda A, x, z: x[:, 0].astype(np.int8))
+        f = LongCodeAssignment(lambda A, x, z: x[:, 0].astype(np.int8))
         rep = mixing_check(gap, theta, graph, params, f, alpha=1.0, a_samples=300, seed=34, inner_samples=4096)
         assert rep.fraction == 0.0
         assert rep.holds
@@ -995,7 +994,7 @@ class TestMixing:
         theta = mixture_theta(gap, np.random.default_rng(35))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
-        f = dictator_assignment([0, 1], params, graph)
+        f = dictator_assignment([0, 1], graph)
         rep = mixing_check(gap, theta, graph, params, f, alpha=50.0, a_samples=200, seed=36)
         assert rep.fraction == 0.0 and rep.holds
 
@@ -1004,7 +1003,7 @@ class TestMixing:
         theta = mixture_theta(gap, np.random.default_rng(35))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
-        f = dictator_assignment([0, 1], params, graph)
+        f = dictator_assignment([0, 1], graph)
         # centre 0.3: no mean in [0,1] is 2*sqrt(0.3) ~ 1.10 away, but 0.2*sqrt(0.3) is reachable
         wide = mixing_check(gap, theta, graph, params, f, alpha=2.0, a_samples=50, seed=41, mu=0.3)
         narrow = mixing_check(gap, theta, graph, params, f, alpha=0.2, a_samples=50, seed=41, mu=0.3)
@@ -1016,7 +1015,7 @@ class TestMixing:
         theta = mixture_theta(gap, np.random.default_rng(37), smooth=(0.2, 0.3))
         graph = generate_sse("planted", 32, 6, 0.25, seed=38)
         params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=10, eta=0.01)
-        f = dictator_assignment(graph.planted, params, graph)
+        f = dictator_assignment(graph.planted, graph)
         rep = mixing_check(gap, theta, graph, params, f, alpha=2.0, a_samples=2000, seed=39, inner_samples=512)
         assert rep.holds
 
@@ -1027,7 +1026,7 @@ class TestMixing:
         graph = cycle_sse(4)
         params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.4, rho_sq=0.4, R=2, eta=0.2)
         marked = np.array([1, 0, 1, 0], dtype=bool)  # vertex membership flag
-        f = LongCodeAssignment.from_callback(
+        f = LongCodeAssignment(
             lambda A, x, z: (x[:, 0] & marked[A[:, 0]].astype(np.int8)).astype(np.int8)
         )
         verts = gap.vertices
@@ -1063,7 +1062,7 @@ def reduce_mc_setup():
     theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.1, 0.3)
     graph = generate_sse("planted", 32, 6, 0.25, seed=42)
     params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=40, eta=0.01)
-    return gap, theta, graph, params, dictator_assignment(graph.planted, params, graph)
+    return gap, theta, graph, params, dictator_assignment(graph.planted, graph)
 
 
 class TestWorkingMemory:

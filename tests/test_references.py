@@ -27,3 +27,12 @@ def test_full_size_run_matches_its_stored_reference(name, seed):
     prepared = workloads.build(name, seed, "full")
     stages = prepared.stages(prepared.call())
     assert run.check(stages, run.load_references(name, seed, "full")) == []
+
+
+def test_value_check_sampled_assignment_value_is_stored():
+    # value_check's sampled-assignment value of the round-exact workload at
+    # seed 3, full size; the references hold only the stage's value, so a
+    # change of its "value-check-sigma" stream shows here
+    prepared = workloads.build("round-exact", 3, "full")
+    stage = next(s for s in prepared.call()["stages"] if s["stage"] == "rounding-value")
+    assert stage["extra"]["sigma_value"] == 0.499325

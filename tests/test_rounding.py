@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from biascsp.csp import Assignment, ConstraintHypergraph, Predicate
+from biascsp.csp import Assignment, ConstraintHypergraph, Predicate, assignment_value
 from biascsp.probspace import BiasedSpace, FunctionTable, domain_points
 from biascsp.pseudodist import LocalDistributionFamily, vector_solution
 from biascsp.rounding import (
+    TAU,
     RoundingInput,
     bias_concentration_check,
     clip,
     covariance_bound_check,
     exact_test_value,
-    round_once,
+    round_run,
     value_check,
 )
 
@@ -96,15 +97,16 @@ class TestClip:
 
 
 class TestRoundOnce:
+    """Rounds of ``round_run``, the path of ``biascsp round run``."""
+
     def test_constant_tables_give_constant_p(self):
         g = host()
         fam = mixture_family(g, np.random.default_rng(0))
         sol = vector_solution(fam)
         inp = RoundingInput(g, constant_tables(g, fam, 3, c=0.35), sol, eta=0.05, family=fam)
         for seed in (1, 2, 3):
-            out = round_once(inp, seed)
-            for v in g.vertices:
-                assert out.p[v] == pytest.approx(0.35, abs=1e-9)
+            p, _, _ = round_run(inp, 1, seed)
+            np.testing.assert_allclose(p, 0.35, rtol=0, atol=1e-9)
 
     def test_zero_fluctuation_reads_noised_mean(self):
         g = host()
@@ -112,28 +114,37 @@ class TestRoundOnce:
         sol = vector_solution(fam)
         sol.w[:] = 0.0
         inp = RoundingInput(g, dictator_tables(g, fam, 3), sol, eta=0.2, family=fam)
-        out = round_once(inp, 7)
-        for v in g.vertices:
+        p, _, _ = round_run(inp, 1, 7)
+        for k, v in enumerate(g.vertices):
             # multilinearity at the mean: the table's expectation, exactly
-            assert out.p[v] == pytest.approx(inp.g_tables[v].expectation(), abs=1e-9)
+            assert p[0, k] == pytest.approx(inp.g_tables[v].expectation(), abs=1e-9)
 
     def test_pure_function_of_seed(self):
         g = host()
         fam = mixture_family(g, np.random.default_rng(2))
         sol = vector_solution(fam)
         inp = RoundingInput(g, dictator_tables(g, fam, 4), sol, family=fam)
-        a = round_once(inp, 11)
-        b = round_once(inp, 11)
-        assert a.p == b.p and a.sigma.labels == b.sigma.labels and a.value == b.value
+        a = round_run(inp, 3, 11)
+        b = round_run(inp, 3, 11)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_outcome_shape(self):
         g = host()
         fam = mixture_family(g, np.random.default_rng(3))
         inp = RoundingInput(g, dictator_tables(g, fam, 4), vector_solution(fam), family=fam)
-        out = round_once(inp, 5)
-        assert set(out.p) == set(g.vertices)
-        assert all(0.0 <= p <= 1.0 for p in out.p.values())
-        assert 0.0 <= out.bias <= 1.0 and 0.0 <= out.value <= 1.0
+        p, sigma, value = round_run(inp, 5, 5)
+        assert p.shape == sigma.shape == (5, len(g.vertices)) and value.shape == (5,)
+        assert np.all((0.0 <= p) & (p <= 1.0)) and set(np.unique(sigma)) <= {0, 1}
+        for labels, val in zip(sigma, value):
+            assert val == pytest.approx(assignment_value(g, Assignment(dict(zip(g.vertices, labels.tolist())))))
+
+    def test_solution_dimension_is_checked(self):
+        g = host()
+        fam = mixture_family(g, np.random.default_rng(4))
+        sol = vector_solution(fam)
+        sol.dimension += 1
+        with pytest.raises(ValueError, match="dimension"):
+            RoundingInput(g, dictator_tables(g, fam, 3), sol, family=fam)
 
     def test_polynomial_agrees_with_noised_table_on_corners(self):
         from biascsp.probspace import domain_points as dp
@@ -335,10 +346,10 @@ class TestValueCheck:
         dictators = RoundingInput(g, dictator_tables(g, fam, 3), sol, family=fam)
         constants = RoundingInput(g, constant_tables(g, fam, 3), sol, family=fam)
         rep = value_check(dictators, 300, 43)
-        assert rep.max_influence > dictators.tau and not rep.applicable
+        assert rep.max_influence > TAU and not rep.applicable
         assert rep.exact_elapsed_s >= 0.0
         rep = value_check(constants, 300, 43)
-        assert rep.max_influence <= constants.tau and rep.applicable
+        assert rep.max_influence <= TAU and rep.applicable
 
     def test_zero_variance_deterministic(self):
         g = host()
@@ -346,6 +357,6 @@ class TestValueCheck:
         sol = vector_solution(fam)
         sol.w[:] = 0.0
         inp = RoundingInput(g, dictator_tables(g, fam, 3), sol, family=fam)
-        p1 = round_once(inp, 1).p
-        p2 = round_once(inp, 2).p
-        assert p1 == p2  # acceptance probabilities no longer depend on the draw
+        p1, _, _ = round_run(inp, 1, 1)
+        p2, _, _ = round_run(inp, 1, 2)
+        assert np.array_equal(p1, p2)  # acceptance probabilities no longer depend on the draw
