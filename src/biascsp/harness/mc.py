@@ -1,9 +1,8 @@
-"""Managed Monte Carlo runs and the exact-enumeration cap."""
+"""Managed Monte Carlo runs, their chunk driver and the exact-enumeration cap."""
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -15,11 +14,8 @@ from .rng import rng_for
 ORACLE_CAP = 1 << 24
 CHUNK = 1 << 16
 # Entries (2 MiB of float64) in one working block of a Monte Carlo kernel: the
-# shared matrices of a block of rounding rounds, a row block of the dictator.
+# shared matrices of a chunk of rounding rounds, a row block of the dictator.
 BLOCK_ENTRIES = 1 << 18
-# Generators the calling thread makes ahead of each worker: enough to keep the
-# worker busy, and memory does not grow with the chunk count.
-_AHEAD = 2
 
 
 @dataclass
@@ -42,6 +38,56 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[list, int]:
+    """``[work(c, size) for each chunk c]`` and the number of threads that ran them.
+
+    ``total`` items are cut into chunks of ``chunk``, the last one shorter.
+    ``work`` must draw only from generators keyed by its chunk index
+    (``rng_for(seed, *tag, c)``), so each result depends on (c, size) alone.
+    With ``parallel`` the chunks run on one thread per usable CPU, capped at
+    the chunk count, the calling thread among them.  A free thread takes the
+    lowest chunk that no thread has taken and makes that chunk's generators
+    itself, so each thread holds one chunk's working set at a time.  The
+    results come back in chunk order whichever thread ran them; ``work``
+    must then be safe to call from several threads at once.  A chunk's error
+    stops the other threads from taking chunks and is re-raised here once
+    they have all ended.
+    """
+    if total < 1:
+        raise ValueError("need at least one sample")
+    sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
+    threads = min(_usable_cpus(), len(sizes)) if parallel else 1
+    if threads == 1:
+        return [work(c, n) for c, n in enumerate(sizes)], 1
+    results: list = [None] * len(sizes)
+    errors: list = []
+    jobs = iter(enumerate(sizes))
+    lock = threading.Lock()
+
+    def worker():
+        while not errors:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            try:
+                results[job[0]] = work(*job)
+            except BaseException as exc:  # re-raised by the calling thread
+                errors.append(exc)
+
+    workers = [threading.Thread(target=worker, daemon=True) for _ in range(threads - 1)]
+    for w in workers:
+        w.start()
+    try:
+        worker()
+    finally:
+        for w in workers:
+            w.join()
+    if errors:
+        raise errors[0]
+    return results, threads
+
+
 def _chunk_sums(estimator, rng, n: int) -> tuple[float, float]:
     vals = np.asarray(estimator(rng, n), dtype=float)
     if vals.size != n:
@@ -49,63 +95,19 @@ def _chunk_sums(estimator, rng, n: int) -> tuple[float, float]:
     return float(vals.sum()), float((vals ** 2).sum())
 
 
-def _threaded_sums(estimator, sizes: list[int], seed: int, tag: str, threads: int) -> list:
-    """Chunk c goes to stripe c % threads; the calling thread works stripe 0
-    and makes every generator, in chunk order, for the workers' inboxes."""
-    sums: list = [None] * len(sizes)
-    errors: list = []
-    inboxes = [queue.Queue(maxsize=_AHEAD) for _ in range(threads - 1)]
-
-    def work(inbox):
-        while (job := inbox.get()) is not None:
-            c, rng = job
-            if errors:
-                continue  # drain the inbox until the stop signal
-            try:
-                sums[c] = _chunk_sums(estimator, rng, sizes[c])
-            except BaseException as exc:  # re-raised by the calling thread
-                errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=(inbox,), daemon=True) for inbox in inboxes]
-    for w in workers:
-        w.start()
-    try:
-        for c, n in enumerate(sizes):
-            if errors:
-                break
-            rng = rng_for(seed, tag, c)
-            if c % threads:
-                inboxes[c % threads - 1].put((c, rng))
-            else:
-                sums[c] = _chunk_sums(estimator, rng, n)
-    finally:
-        for inbox in inboxes:
-            inbox.put(None)
-        for w in workers:
-            w.join()
-    if errors:
-        raise errors[0]
-    return sums
-
-
 def mc_run(estimator, samples: int, seed: int, tag: str = "estimate", *, parallel: bool = False) -> McRun:
     """Chunked Monte Carlo run of ``estimator(rng, n) -> array of n values``.
 
-    Chunk c draws from ``rng_for(seed, tag, c)`` and the chunk sums are
-    combined by index, so the result depends only on (seed, tag, samples).
-    With ``parallel`` the chunks run on one thread per usable CPU, the
-    calling thread among them, and the result is the serial one bit for bit;
-    the estimator must then be safe to call from several threads at once.
+    Chunk c of ``CHUNK`` samples draws from ``rng_for(seed, tag, c)`` and the
+    chunk sums are combined by index (:func:`run_chunks`), so the result
+    depends only on (seed, tag, samples).  With ``parallel`` the chunks run
+    on every usable CPU and the result is the serial one bit for bit; the
+    estimator must then be safe to call from several threads at once.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     t0 = time.perf_counter()
-    sizes = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
-    threads = min(_usable_cpus(), len(sizes)) if parallel else 1
-    if threads > 1:
-        parts = _threaded_sums(estimator, sizes, seed, tag, threads)
-    else:
-        parts = [_chunk_sums(estimator, rng_for(seed, tag, c), n) for c, n in enumerate(sizes)]
+    parts, threads = run_chunks(
+        lambda c, n: _chunk_sums(estimator, rng_for(seed, tag, c), n), samples, CHUNK, parallel=parallel
+    )
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     value = total / samples

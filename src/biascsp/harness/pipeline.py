@@ -388,6 +388,8 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 samples=trials,
                 deviation_fraction=conc.deviation_fraction,
                 deviation_bound=conc.deviation_bound,
+                trials_per_s=conc.trials_per_s,
+                threads=conc.threads,
             )
         )
         vtrials = int(round_cfg.get("value_trials", 20000))
@@ -405,6 +407,8 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 sigma_value=vc.mc_sigma_value,
                 max_influence=vc.max_influence,
                 exact_elapsed_s=vc.exact_elapsed_s,
+                trials_per_s=vc.trials_per_s,
+                threads=vc.threads,
             )
         )
 

@@ -21,12 +21,16 @@ def _apply_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
 _EVAL_CHUNK = 2048
 
 
-def _monomials(q: np.ndarray) -> np.ndarray:
-    """All monomials of the columns of ``q`` (m, n): shape (m, 2^n), column S
-    is prod_{j in S} q_j with variable 0 the most significant bit of S."""
-    out = np.ones((len(q), 1))
-    for j in range(q.shape[1]):
-        out = np.stack([out, out * q[:, j : j + 1]], axis=-1).reshape(len(q), -1)
+def _monomials(qt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """All monomials of the rows of ``qt`` (k, m), built in ``out`` (2^k, m):
+    row S is prod_{j in S} q_j, multiplied in increasing j, with variable 0
+    the most significant bit of S."""
+    out[0] = 1.0
+    for j, q in enumerate(qt):
+        # the monomials of variables < j sit at stride 2h; times q_j, they
+        # fill the rows halfway between
+        h = len(out) >> (j + 1)
+        np.multiply(out[:: 2 * h], q, out=out[h :: 2 * h])
     return out
 
 
@@ -61,9 +65,10 @@ class MultilinearPolynomial:
         """Evaluate at real points of shape (..., nvars).
 
         With the variables split into a first half ``a`` and a second half
-        ``b``, P(q) = rowsum((M_a(q) @ C) * M_b(q)), where ``C`` is the
-        coefficient tensor as a 2^|a| x 2^|b| matrix and ``M`` the monomial
-        matrix of a half; rows go through in chunks of ``_EVAL_CHUNK``.
+        ``b``, P(q) = colsum((C^T @ M_a(q)) * M_b(q)), where ``C`` is the
+        coefficient tensor as a 2^|a| x 2^|b| matrix and ``M`` the
+        (2^|half|, rows) monomial matrix of a half; rows go through in chunks
+        of ``_EVAL_CHUNK``, and one buffer per half holds a chunk's monomials.
         """
         q = np.asarray(points, dtype=float)
         if q.shape[-1:] != (self.nvars,) and self.nvars > 0:
@@ -71,14 +76,20 @@ class MultilinearPolynomial:
         if self.nvars == 0:
             return np.broadcast_to(self._tensor, q.shape[:-1]).copy()
         batch = q.shape[:-1]
-        flat = q.reshape(-1, self.nvars)
+        qt = q.reshape(-1, self.nvars).T.copy()  # (nvars, rows)
+        rows = qt.shape[1]
         half = self.nvars // 2
-        coeffs = self._tensor.reshape(2 ** half, -1)
-        out = np.empty(len(flat))
-        for start in range(0, len(flat), _EVAL_CHUNK):
-            rows = flat[start : start + _EVAL_CHUNK]
-            lo = _monomials(rows[:, :half]) @ coeffs
-            out[start : start + len(rows)] = np.einsum("ij,ij->i", lo, _monomials(rows[:, half:]))
+        coeffs_t = self._tensor.reshape(2 ** half, -1).T
+        width = min(rows, _EVAL_CHUNK)
+        mono_a = np.empty((2 ** half, width))
+        mono_b = np.empty((len(coeffs_t), width))
+        out = np.empty(rows)
+        for start in range(0, rows, _EVAL_CHUNK):
+            cols = qt[:, start : start + _EVAL_CHUNK]
+            m = cols.shape[1]
+            lo = coeffs_t @ _monomials(cols[:half], mono_a[:, :m])
+            lo *= _monomials(cols[half:], mono_b[:, :m])
+            lo.sum(axis=0, out=out[start : start + m])
         return out.reshape(batch)
 
     def __call__(self, points) -> np.ndarray:

@@ -114,16 +114,16 @@ def sample_test_tuple(
     """Draw one ordered constraint tuple from the lifted test distribution.
 
     The single-draw view of :meth:`BatchTestSampler.sample_parts`: pick the
-    edge by weight, draw one row with its trace, drop the row axis, and
-    permute each position's coordinates by an independent uniform
-    permutation, recorded in ``perms``.
+    edge by weight, build only its letter sampler, draw one row with its
+    trace, drop the row axis, and permute each position's coordinates by an
+    independent uniform permutation, recorded in ``perms``.
     """
     if params.R > 1 << 16:
         raise ValueError("lift dimension too large to sample explicitly")
-    sampler = BatchTestSampler(gap, theta, graph, params)
-    edge_idx = int(rng.choice(len(gap.edges), p=sampler.edge_weights))
+    edge_idx = int(rng.choice(len(gap.edges), p=_edge_weights(gap)))
     trace: dict = {}
-    rows = sampler.sample_parts(edge_idx, 1, rng, trace)
+    letters = _letter_sampler(theta, gap.edges[edge_idx][0], params)
+    rows = _sample_parts(letters, graph, params, 1, rng, trace)
     trace = {k: [a[0] for a in v] if isinstance(v, list) else v[0] for k, v in trace.items()}
     # one (positions, R) array per part: row i is position i's coordinates
     perms, (b, x, z) = permute_rows(rng, *(np.concatenate(a) for a in zip(*rows)))
@@ -173,6 +173,27 @@ def _letter_sampler(theta: LocalDistributionFamily, edge: tuple[str, ...], param
     return LetterLookup(cdf), digits, mus
 
 
+def _sample_parts(letters, graph: SseGraph, params: ReductionParams, m: int, rng, trace: dict | None):
+    """:meth:`BatchTestSampler.sample_parts` for the edge whose letter
+    sampler (:func:`_letter_sampler`) is ``letters``."""
+    lookup, digits, mus = letters
+    shape = (m, params.R)
+    # int32 vertices: the same draws as int64 at half the memory
+    a = rng.integers(0, graph.n, size=shape, dtype=np.int32)
+    x_tilde, z_prime = np.take(digits, lookup.codes(rng.random(shape)), axis=2)
+    b, x = fold(graph, params.eta, a, x_tilde, z_prime, mus, rng)
+    if trace is not None:
+        bot = z_prime == 0
+        trace.update(A=a, B=list(np.where(bot, -1, b)), x_tilde=list(x_tilde), z_prime=list(z_prime))
+    return [(b[pos], x[pos], z_prime[pos]) for pos in range(len(mus))]
+
+
+def _edge_weights(gap: ConstraintHypergraph) -> np.ndarray:
+    """The gap instance's edge weights, normalized to sum to 1."""
+    weights = np.array([w for _, w in gap.edges])
+    return weights / weights.sum()
+
+
 class BatchTestSampler:
     """Vectorized sampler for Monte Carlo estimates over the test distribution.
 
@@ -189,8 +210,7 @@ class BatchTestSampler:
         self.gap = gap
         self.graph = graph
         self.params = params
-        self.edge_weights = np.array([w for _, w in gap.edges])
-        self.edge_weights = self.edge_weights / self.edge_weights.sum()
+        self.edge_weights = _edge_weights(gap)
         self.letters = [_letter_sampler(theta, edge, params) for edge, _ in gap.edges]
 
     def sample_parts(
@@ -209,16 +229,7 @@ class BatchTestSampler:
         walk), which is -1 where z' is bot: the fold refreshes those
         entries, so the walk is never drawn there.
         """
-        lookup, digits, mus = self.letters[edge_index]
-        shape = (m, self.params.R)
-        # int32 vertices: the same draws as int64 at half the memory
-        a = rng.integers(0, self.graph.n, size=shape, dtype=np.int32)
-        x_tilde, z_prime = np.take(digits, lookup.codes(rng.random(shape)), axis=2)
-        b, x = fold(self.graph, self.params.eta, a, x_tilde, z_prime, mus, rng)
-        if trace is not None:
-            bot = z_prime == 0
-            trace.update(A=a, B=list(np.where(bot, -1, b)), x_tilde=list(x_tilde), z_prime=list(z_prime))
-        return [(b[pos], x[pos], z_prime[pos]) for pos in range(len(mus))]
+        return _sample_parts(self.letters[edge_index], self.graph, self.params, m, rng, trace)
 
     def accept_indicators(self, f, m: int, rng: np.random.Generator) -> np.ndarray:
         """m draws of the 0/1 acceptance indicator under assignment f."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import ConstraintHypergraph
-from .harness.mc import BLOCK_ENTRIES
+from .harness.mc import BLOCK_ENTRIES, run_chunks
 from .harness.rng import rng_for
 from .polynomial import _EVAL_CHUNK, MultilinearPolynomial
 from .probspace import (
@@ -85,31 +85,34 @@ class RoundingInput:
 
 
 def _round_block(R: int, d: int) -> int:
-    """Rounds per block of :func:`_batch_p`: about ``BLOCK_ENTRIES`` Gaussian
-    entries, in whole chunks of ``_EVAL_CHUNK`` rounds, so that each
-    polynomial evaluation sees the same row chunks as one unblocked call."""
+    """Rounds per chunk of the rounding checks: about ``BLOCK_ENTRIES``
+    Gaussian entries, in whole chunks of ``_EVAL_CHUNK`` rounds, so that the
+    polynomial evaluations see full row chunks."""
     return _EVAL_CHUNK * max(1, BLOCK_ENTRIES // (R * d * _EVAL_CHUNK))
 
 
-def _batch_p(inp: RoundingInput, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Acceptance probabilities for `trials` shared-matrix rounds, (trials, n).
+def _round_chunks(inp: RoundingInput, trials: int, work) -> tuple[list, int]:
+    """``work(c, rounds)`` over ``trials`` rounds cut into chunks of
+    :func:`_round_block` rounds, on every usable CPU: the results in chunk
+    order and the thread count (:func:`harness.mc.run_chunks`)."""
+    return run_chunks(work, trials, _round_block(inp.r_dim, inp.solution.dimension))
 
-    The shared matrices are drawn a block of rounds at a time from ``rng``.
-    ``standard_normal`` fills in C order, so the blocks read the same stream
-    as one (trials, R, d) draw, and the working memory is one block whatever
-    the trial count; only the (trials, n) result grows with it.
+
+def _batch_p(inp: RoundingInput, rounds: int, rng: np.random.Generator) -> np.ndarray:
+    """Acceptance probabilities of ``rounds`` shared-matrix rounds, (rounds, n).
+
+    One (rounds, R, d) draw of the matrices from ``rng``, held flat as
+    (rounds * R, d), so that each vertex's projection is one matrix-vector
+    product.
     """
     R = inp.r_dim
-    d = inp.solution.dimension
     verts = inp.host.vertices
-    out = np.empty((trials, len(verts)))
-    block = _round_block(R, d)
-    for start in range(0, trials, block):
-        gmats = rng.standard_normal((min(block, trials - start), R, d))
-        rows = out[start : start + len(gmats)]
-        for k, v in enumerate(verts):
-            q = inp.solution.mu_for(v) + gmats @ inp.solution.w_for(v)  # (rounds, R)
-            rows[:, k] = clip(inp.polys[v].evaluate(q))
+    gmats = rng.standard_normal((rounds * R, inp.solution.dimension))
+    out = np.empty((rounds, len(verts)))
+    for k, v in enumerate(verts):
+        q = (gmats @ inp.solution.w_for(v)).reshape(rounds, R)
+        q += inp.solution.mu_for(v)
+        out[:, k] = clip(inp.polys[v].evaluate(q))
     return out
 
 
@@ -130,12 +133,17 @@ def round_run(inp: RoundingInput, trials: int, seed: int):
     """``trials`` full rounds: ``(p, sigma, value)``, the (trials, n)
     acceptance probabilities and int8 assignments and the (trials,) values.
 
-    The shared matrices come from ``rng_for(seed, "round-run")`` and the
-    Bernoulli uniforms from ``rng_for(seed, "round-run", "bernoulli")``.
-    Both fill in C order, so round t does not depend on ``trials``.
+    Chunk c of the rounds draws its shared matrices from
+    ``rng_for(seed, "round-run", c)`` and its Bernoulli uniforms from
+    ``rng_for(seed, "round-run", "bernoulli", c)``.  Both fill in C order,
+    so round t does not depend on ``trials``.
     """
-    p = _batch_p(inp, trials, rng_for(seed, "round-run"))
-    return (p, *_assign(inp.host, p, rng_for(seed, "round-run", "bernoulli")))
+    def work(c, rounds):
+        p = _batch_p(inp, rounds, rng_for(seed, "round-run", c))
+        return (p, *_assign(inp.host, p, rng_for(seed, "round-run", "bernoulli", c)))
+
+    parts, _ = _round_chunks(inp, trials, work)
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 # ---- bias concentration ------------------------------------------------------
@@ -154,6 +162,8 @@ class BiasConcentrationReport:
     chebyshev_premise: bool  # gamma <= mu^4 regime for the fraction bound
     trials: int
     seed: int
+    threads: int  # the threads the rounds ran on
+    trials_per_s: float  # rounds per second of wall time
 
 
 def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> BiasConcentrationReport:
@@ -161,11 +171,17 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Bias
 
     Asserts the variance bound.  The deviation-window fraction is reported
     against its sqrt(gamma) reference but only meaningful in the small-gamma
-    regime, which desk-scale instances rarely reach.
+    regime, which desk-scale instances rarely reach.  Chunk c of the rounds
+    draws from ``rng_for(seed, "round-batch", "variance", c)`` and keeps only
+    each round's bias ``p @ w``.
     """
-    p = _batch_p(inp, trials, rng_for(seed, "round-batch", "variance"))
     wvec = inp.host.vertex_weight_vector()
-    m = p @ wvec
+    t0 = time.perf_counter()
+    parts, threads = _round_chunks(
+        inp, trials, lambda c, rounds: _batch_p(inp, rounds, rng_for(seed, "round-batch", "variance", c)) @ wvec
+    )
+    m = np.concatenate(parts)
+    elapsed = time.perf_counter() - t0
     mean = float(m.mean())
     centered = m - mean
     var = float((centered ** 2).mean())
@@ -190,6 +206,8 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Bias
         chebyshev_premise=gamma <= mu ** 4,
         trials=trials,
         seed=seed,
+        threads=threads,
+        trials_per_s=trials / elapsed,
     )
 
 
@@ -284,6 +302,23 @@ class ValueCheckReport:
     seed: int
     applicable: bool  # max_influence <= TAU: the low-influence premise of the guarantee
     exact_elapsed_s: float
+    threads: int  # the threads the rounds ran on
+    trials_per_s: float  # rounds per second of the Monte Carlo side's wall time
+
+
+def _conditional_value(host: ConstraintHypergraph, p: np.ndarray) -> np.ndarray:
+    """Each round's exact probability that the Bernoulli step with
+    acceptance probabilities ``p`` (rounds, n) satisfies the edges, weighted."""
+    vindex = {v: i for i, v in enumerate(host.vertices)}
+    cond = np.zeros(len(p))
+    for edge, w_e in host.edges:
+        for a in sorted(host.predicate.accepting):
+            term = np.ones(len(p))
+            for pos, v in enumerate(edge):
+                pv = p[:, vindex[v]]
+                term = term * (pv if a[pos] == 1 else 1.0 - pv)
+            cond += w_e * term
+    return cond
 
 
 def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02) -> ValueCheckReport:
@@ -291,24 +326,24 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
 
     The Monte Carlo side averages, over shared-matrix rounds, the exact
     conditional edge-satisfaction probability of the Bernoulli step; a
-    plain sampled-assignment average is reported alongside.  ``applicable``
-    says whether the tables meet the guarantee's low-influence premise
-    (max influence <= :data:`TAU`); the verdict does not depend on it.
+    plain sampled-assignment average is reported alongside.  Chunk c of the
+    rounds draws its matrices from ``rng_for(seed, "round-batch", "value", c)``
+    and its Bernoulli uniforms from ``rng_for(seed, "value-check-sigma", c)``,
+    and keeps only each round's two values.  ``applicable`` says whether the
+    tables meet the guarantee's low-influence premise (max influence <=
+    :data:`TAU`); the verdict does not depend on it.
     """
-    p = _batch_p(inp, trials, rng_for(seed, "round-batch", "value"))
-    verts = inp.host.vertices
-    vindex = {v: i for i, v in enumerate(verts)}
-    cond = np.zeros(trials)
-    for edge, w_e in inp.host.edges:
-        for a in sorted(inp.host.predicate.accepting):
-            term = np.ones(trials)
-            for pos, v in enumerate(edge):
-                pv = p[:, vindex[v]]
-                term = term * (pv if a[pos] == 1 else 1.0 - pv)
-            cond += w_e * term
+    def work(c, rounds):
+        p = _batch_p(inp, rounds, rng_for(seed, "round-batch", "value", c))
+        _, sampled = _assign(inp.host, p, rng_for(seed, "value-check-sigma", c))
+        return _conditional_value(inp.host, p), sampled
+
+    t0 = time.perf_counter()
+    parts, threads = _round_chunks(inp, trials, work)
+    cond, sig_vals = (np.concatenate(a) for a in zip(*parts))
+    elapsed = time.perf_counter() - t0
     mc_value = float(cond.mean())
     mc_se = float(cond.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    _, sig_vals = _assign(inp.host, p, rng_for(seed, "value-check-sigma"))
     t0 = time.perf_counter()
     exact = exact_test_value(inp)
     exact_elapsed = time.perf_counter() - t0
@@ -325,4 +360,6 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
         seed=seed,
         applicable=max_inf <= TAU,
         exact_elapsed_s=exact_elapsed,
+        threads=threads,
+        trials_per_s=trials / elapsed,
     )

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -64,18 +65,33 @@ class TestParallelMcRun:
             mc_run(short_off_main, 4 * CHUNK, 1, parallel=True)
         assert threading.active_count() == before  # every worker was joined
 
-    def test_generators_made_by_the_caller_in_chunk_order(self, monkeypatch):
+    def test_each_chunk_makes_its_own_generator(self, monkeypatch):
+        # whichever thread works chunk c makes rng_for(seed, tag, c), once
         cpus(monkeypatch, 3)
         made = []
 
         def recording_rng_for(seed, tag, c):
-            made.append((threading.get_ident(), c))
+            made.append(c)
             return rng_for(seed, tag, c)
 
         monkeypatch.setattr(mc, "rng_for", recording_rng_for)
         run = mc_run(squares, 7 * CHUNK + 1, 4, parallel=True)
         assert run.threads == 3
-        assert made == [(threading.get_ident(), c) for c in range(8)]
+        assert sorted(made) == list(range(8))
+
+    def test_results_come_back_in_chunk_order(self, monkeypatch):
+        # later chunks finish first; a result stored by finishing order, or
+        # a chunk lost or run twice, would show in the list
+        cpus(monkeypatch, 3)
+
+        def work(c, n):
+            time.sleep(0.002 * (10 - c))
+            return c, n, threading.get_ident()
+
+        results, threads = mc.run_chunks(work, 31, 3)
+        assert threads == 3
+        assert [r[:2] for r in results] == [(c, 3) for c in range(10)] + [(10, 1)]
+        assert len({r[2] for r in results}) > 1
 
     def test_one_cpu_runs_serially(self, monkeypatch):
         cpus(monkeypatch, 1)
@@ -260,6 +276,19 @@ class TestPipeline:
             # the dictator permutes exactly its fallback rows
             assert extra["permuted_rows"] == extra["dictator_fallbacks"] <= extra["dictator_queries"]
         assert acc["trials_per_s"] == pytest.approx(2000 / acc["elapsed_s"])
+
+    def test_rounding_stages_report_threads_and_throughput(self, tmp_path, monkeypatch):
+        # 4000 rounds in chunks of 2048 on two usable CPUs
+        import biascsp.rounding as rounding
+
+        cpus(monkeypatch, 2)
+        monkeypatch.setattr(rounding, "BLOCK_ENTRIES", 1)
+        rounding_cfg = {"enabled": True, "R": 3, "trials": 4000, "value_trials": 4000}
+        report = run_pipeline(str(product_config(tmp_path, rounding=rounding_cfg)))
+        for name in ("rounding-variance", "rounding-value"):
+            extra = next(s for s in report["stages"] if s["stage"] == name)["extra"]
+            assert extra["threads"] == 2
+            assert extra["trials_per_s"] > 0.0
 
     def test_acceptance_stage_reports_its_threads(self, tmp_path, monkeypatch):
         # 2000 trials in chunks of 512 on two usable CPUs

@@ -42,3 +42,33 @@ def test_matches_axis_loop(nvars, batch, seed):
     tol = 64 * np.finfo(float).eps * loop_evaluate(np.abs(tensor), np.abs(q))
     assert np.all(np.abs(got - want) <= tol)
 
+
+
+def brute_force(poly: MultilinearPolynomial, q: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """sum_S c_S prod_{j in S} q_j over every subset mask S; with
+    ``absolute``, the same sum of |c_S| prod |q_j|."""
+    total = np.zeros(q.shape[:-1])
+    for mask in range(2 ** poly.nvars):
+        term = np.full(q.shape[:-1], poly.coefficient(mask))
+        for j in range(poly.nvars):
+            if mask >> j & 1:
+                term = term * q[..., j]
+        total += np.abs(term) if absolute else term
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nvars=st.integers(0, 7),
+    batch=st.sampled_from([(_EVAL_CHUNK - 1,), (_EVAL_CHUNK,), (_EVAL_CHUNK + 1,), (3, _EVAL_CHUNK + 1)]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_matches_the_subset_sum(nvars, batch, seed):
+    rng = np.random.default_rng(seed)
+    poly = MultilinearPolynomial(rng.standard_normal((2,) * nvars))
+    q = 2.0 * rng.standard_normal(batch + (nvars,))
+    got = poly.evaluate(q)
+    assert got.shape == batch
+    # relative to the sum of the terms' magnitudes, which bounds the roundoff
+    scale = brute_force(poly, q, absolute=True)
+    assert np.all(np.abs(got - brute_force(poly, q)) <= 1e-12 * scale)

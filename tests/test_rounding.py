@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate, assignment_value
+from biascsp.harness.rng import rng_for
 from biascsp.probspace import BiasedSpace, FunctionTable, domain_points
 from biascsp.pseudodist import LocalDistributionFamily, vector_solution
 from biascsp.rounding import (
@@ -19,7 +20,7 @@ from biascsp.rounding import (
     value_check,
 )
 
-from conftest import traced_peak
+from conftest import cpus, traced_peak
 
 
 def host(n=4, predicate=None):
@@ -253,7 +254,7 @@ class TestBiasConcentration:
 
 
 class TestBatchRounds:
-    """The shared matrices are drawn a block of rounds at a time."""
+    """The rounds run in fixed chunks, each from its own stream."""
 
     @staticmethod
     def round_exact_input(rng):
@@ -270,35 +271,102 @@ class TestBatchRounds:
         }
         return RoundingInput(g, tables, vector_solution(fam), family=fam)
 
-    def test_blocks_read_one_stream(self):
-        # a trial count that ends inside a block and inside an evaluation chunk
+    def test_chunks_read_their_own_streams(self, monkeypatch):
+        # a trial count that ends inside a chunk and inside an evaluation
+        # chunk; chunk c draws its matrices and then its uniforms from the
+        # run's tags plus c, whichever thread works it
         import biascsp.rounding as rounding
 
+        cpus(monkeypatch, 3)
         inp = self.round_exact_input(np.random.default_rng(50))
-        R, d = inp.r_dim, inp.solution.dimension
-        trials = 2 * rounding._round_block(R, d) + 777
-        got = rounding._batch_p(inp, trials, np.random.default_rng(51))
-        gmats = np.random.default_rng(51).standard_normal((trials, R, d))
-        for k, v in enumerate(inp.host.vertices):
-            q = inp.solution.mu_for(v) + gmats @ inp.solution.w_for(v)
-            assert np.array_equal(got[:, k], clip(inp.polys[v].evaluate(q)))
+        R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
+        block = rounding._round_block(R, d)
+        trials = 2 * block + 777
+        p, sigma, values = round_run(inp, trials, 51)
+        assert p.shape == (trials, n) and sigma.shape == (trials, n) and values.shape == (trials,)
+        for c, start in enumerate(range(0, trials, block)):
+            rounds = min(block, trials - start)
+            gmats = rng_for(51, "round-run", c).standard_normal((rounds, R, d))
+            want = np.empty((rounds, n))
+            for k, v in enumerate(inp.host.vertices):
+                q = inp.solution.mu_for(v) + gmats.reshape(-1, d) @ inp.solution.w_for(v)
+                want[:, k] = clip(inp.polys[v].evaluate(q.reshape(rounds, R)))
+            assert np.array_equal(p[start : start + rounds], want)
+            u = rng_for(51, "round-run", "bernoulli", c).random((rounds, n))
+            assert np.array_equal(sigma[start : start + rounds], (u < want).astype(np.int8))
 
-    def test_working_memory_is_one_block(self):
-        # Ten times the trials may add one block of shared matrices and the
-        # larger (trials, n) result, nothing more.  Drawing every matrix at
-        # once would add 36000 x 81 float64 entries (22 MiB).
+    def test_checks_make_one_generator_per_chunk_and_tag(self, monkeypatch):
+        import biascsp.rounding as rounding
+
+        cpus(monkeypatch, 3)
+        made = []
+
+        def recording_rng_for(seed, *path):
+            made.append(path)
+            return rng_for(seed, *path)
+
+        monkeypatch.setattr(rounding, "rng_for", recording_rng_for)
+        inp = self.round_exact_input(np.random.default_rng(50))
+        trials = 2 * rounding._round_block(inp.r_dim, inp.solution.dimension) + 777
+        bias_concentration_check(inp, trials, 52)
+        value_check(inp, trials, 52)
+        tags = [("round-batch", "variance"), ("round-batch", "value"), ("value-check-sigma",)]
+        assert sorted(made) == sorted((*tag, c) for tag in tags for c in range(3))
+
+    def test_working_memory_is_one_block(self, monkeypatch):
+        # On one thread, ten times the trials may add only the per-round
+        # values: at most four float64 per added round (each check's one or
+        # two values, held per chunk and once joined).  Holding the (trials,
+        # n) acceptance probabilities or uniforms would add 36000 x 8
+        # float64 entries (2.3 MB) each, and drawing every matrix at once
+        # 36000 x 81 (23 MB).
+        cpus(monkeypatch, 1)
+        inp = self.round_exact_input(np.random.default_rng(52))
+        assert (inp.r_dim, inp.solution.dimension, len(inp.host.vertices)) == (9, 9, 8)
+        for check in (bias_concentration_check, value_check):
+            peaks = {}
+            for trials in (4000, 40000):
+                with traced_peak() as peak:
+                    check(inp, trials, 53)
+                peaks[trials] = peak.bytes
+            assert peaks[40000] - peaks[4000] <= 36000 * 4 * 8, (check.__name__, peaks)
+
+    def test_working_memory_is_one_block_per_thread(self, monkeypatch):
+        # each thread beyond the first adds at most one chunk's working set
         import biascsp.rounding as rounding
 
         inp = self.round_exact_input(np.random.default_rng(52))
-        R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
-        assert (R, d) == (9, 9)
+        block = rounding._round_block(inp.r_dim, inp.solution.dimension)
+        with traced_peak() as one_chunk:
+            rounding._batch_p(inp, block, np.random.default_rng(53))
         peaks = {}
-        for trials in (4000, 40000):
+        for k in (1, 3):
+            cpus(monkeypatch, k)
             with traced_peak() as peak:
-                rounding._batch_p(inp, trials, np.random.default_rng(53))
-            peaks[trials] = peak.bytes
-        block = 2 << 20  # a block is at most 2^18 Gaussian entries at R * d = 81
-        assert peaks[40000] - peaks[4000] <= block + 36000 * n * 8, peaks
+                value_check(inp, 40000, 53)
+            peaks[k] = peak.bytes
+        assert peaks[3] - peaks[1] <= 2 * one_chunk.bytes, (peaks, one_chunk.bytes)
+
+    @pytest.mark.parametrize("check", ["bias_concentration_check", "value_check", "round_run"])
+    def test_equal_on_one_and_on_three_cpus(self, monkeypatch, check):
+        # everything but the wall time and the thread count, bit for bit
+        import biascsp.rounding as rounding
+
+        inp = self.round_exact_input(np.random.default_rng(54))
+        trials = 2 * rounding._round_block(inp.r_dim, inp.solution.dimension) + 777
+        runs = []
+        for k in (1, 3):
+            cpus(monkeypatch, k)
+            result = getattr(rounding, check)(inp, trials, 55)
+            if check == "round_run":
+                runs.append([a.tobytes() for a in result])
+                continue
+            fields = dict(vars(result))
+            assert fields.pop("threads") == k
+            for timing in ("trials_per_s", "exact_elapsed_s"):
+                fields.pop(timing, None)
+            runs.append(fields)
+        assert runs[0] == runs[1]
 
 
 class TestValueCheck:

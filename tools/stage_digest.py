@@ -3,14 +3,29 @@
 Usage:
 
     python3 tools/stage_digest.py TREE SEEDS [--size smoke|full]
+        [--workload NAME ...] [--per-stage] [--check]
 
 TREE is a checkout of this repository; its ``src/`` and ``perfbench/`` are
 imported, the latter read-only, as ``tests/test_references.py`` does.  SEEDS
 is a seed (``3``), an inclusive range (``0-19``) or a comma list of either
-(``0-4,11``).  For each workload of ``perfbench/workloads.py`` and each seed
-the tool builds the inputs, runs the timed call once and prints
+(``0-4,11``).  For each workload of ``perfbench/workloads.py`` (or each
+``--workload`` given) and each seed the tool builds the inputs, runs the
+timed call once and prints
 
     <workload> <seed> <sha256 of the sorted stage JSON>
+
+With ``--per-stage`` it prints one line per stage instead,
+
+    <workload> <seed> <stage> <sha256 of the stage's sorted JSON>
+
+so a diff names the stages that moved.  With ``--check`` it also checks each
+run with ``perfbench/run.py``'s ``check`` against the stored references (at
+the full size; the smoke size has none, so only the verdicts count), prints
+
+    FAIL <workload> <seed> <failed stage or missing:key> ...
+
+for each failing run, and exits with status 1 if any failed.  The references
+hold input seeds 0-99.
 
 A refactor that must keep every stored value bit for bit is checked by
 running the tool on a copy of the parent commit and on the change, and
@@ -42,17 +57,32 @@ def main(argv=None) -> int:
     p.add_argument("tree", type=Path, help="checkout whose src/ and perfbench/ are run")
     p.add_argument("seeds", type=parse_seeds, help="seed, range A-B, or comma list of either")
     p.add_argument("--size", choices=("smoke", "full"), default="full")
+    p.add_argument("--workload", action="append", help="run only this workload (repeatable)")
+    p.add_argument("--per-stage", action="store_true", help="one digest per stage")
+    p.add_argument("--check", action="store_true", help="check each run against the stored references")
     args = p.parse_args(argv)
     tree = args.tree.resolve()
     sys.dont_write_bytecode = True  # leave the tree as it is
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import run
     import workloads
 
-    for name in workloads.NAMES:
+    failed = 0
+    for name in args.workload or workloads.NAMES:
         for seed in args.seeds:
             prepared = workloads.build(name, seed, args.size)
-            print(name, seed, digest(prepared.stages(prepared.call())), flush=True)
-    return 0
+            stages = prepared.stages(prepared.call())
+            if args.per_stage:
+                for s in stages:
+                    print(name, seed, s["stage"], digest(s), flush=True)
+            else:
+                print(name, seed, digest(stages), flush=True)
+            if args.check:
+                bad = run.check(stages, run.load_references(name, seed, args.size))
+                if bad:
+                    failed += 1
+                    print("FAIL", name, seed, *bad, flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
