@@ -304,6 +304,7 @@ def mixing_stage(name: str, host, family, graph, params, f, alpha, a_samples: in
         vacuous=mix.vacuous,
         threshold=mix.threshold,
         draws_per_s=mix.a_samples * mix.inner_samples / work["elapsed_s"],
+        threads=mix.threads,
         **work,
     )
 

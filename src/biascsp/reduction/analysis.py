@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..csp import ConstraintHypergraph
-from ..harness.mc import BLOCK_ENTRIES, CHUNK, ORACLE_CAP, mc_run
+from ..harness.mc import BLOCK_ENTRIES, CHUNK, ORACLE_CAP, mc_run, run_chunks
 from ..harness.rng import rng_for
 from ..polynomial import _apply_axis
 from ..probspace import (
@@ -371,6 +371,55 @@ class MixingReport:
     holds: bool
     seed: int
     vacuous: bool  # threshold > max(center, 1 - center): no mean in [0,1] reaches it
+    threads: int  # the threads the chunks ran on (run_chunks)
+
+
+# Rows (vertex-vectors x inner draws) in one chunk of mixing_check: a quarter
+# of CHUNK, so four threads in flight hold about one CHUNK of rows.
+_MIXING_ROWS = CHUNK // 4
+
+
+def _restriction_means(
+    gap: ConstraintHypergraph,
+    theta: LocalDistributionFamily,
+    graph: SseGraph,
+    params: ReductionParams,
+    f: LongCodeAssignment,
+    a_samples: int,
+    seed: int,
+    inner_samples: int,
+) -> tuple[np.ndarray, int]:
+    """Per-vertex-vector means of ``f`` under the mixing draw, and the thread count.
+
+    Chunk c covers ``max(1, _MIXING_ROWS // inner_samples)`` vertex-vectors
+    and draws from ``rng_for(seed, "mixing", c)`` alone, in this order: its
+    vertex-vectors A, the vertex indices, the x and z bits, the walk and the
+    dictator's fallback permutations.  The chunks run on every usable CPU
+    and are joined in chunk order (:func:`harness.mc.run_chunks`), so the
+    means do not depend on the thread count; ``f`` must then be safe to call
+    from several threads at once.
+    """
+    R = params.R
+    verts = gap.vertices
+    wvec = gap.vertex_weight_vector(verts)
+    mus = np.array([theta.vertex_mean(v) for v in verts])
+
+    def chunk(c: int, k: int) -> np.ndarray:
+        rng = rng_for(seed, "mixing", c)
+        # int32 vertices: the same draws as int64 at half the memory
+        a_blk = rng.integers(0, graph.n, size=(k, R), dtype=np.int32)
+        m = k * inner_samples
+        vert_idx = rng.choice(len(verts), size=m, p=wvec)
+        # x is already a Bernoulli(mu) draw, so the fold's refresh of x where
+        # z is bot would not change its law; only the vertex part is folded.
+        x = bernoulli_bits(rng, mus[vert_idx][:, None], (m, R))
+        z = bernoulli_bits(rng, params.beta, (m, R))
+        b = noisy_walk(graph, params.eta, a_blk[:, None, :], rng, where=z.reshape(k, inner_samples, R).view(bool))
+        vals = f.evaluate_batch(b.reshape(m, R), x, z, rng)
+        return vals.reshape(k, inner_samples).mean(axis=1)
+
+    parts, threads = run_chunks(chunk, a_samples, max(1, _MIXING_ROWS // inner_samples))
+    return np.concatenate(parts), threads
 
 
 def mixing_check(
@@ -388,35 +437,24 @@ def mixing_check(
     """Concentration of the per-vertex-vector mean of the averaged tables.
 
     Estimates the probability that the restriction mean deviates from its
-    center by alpha*sqrt(bias) and compares with |V_gap|*beta/alpha^2.
+    center by alpha*sqrt(bias) and compares with |V_gap|*beta/alpha^2.  The
+    means are drawn in chunks on every usable CPU
+    (:func:`_restriction_means`); the report is the same bit for bit on any
+    CPU count, except ``threads``.  ``a_samples < 1``, ``inner_samples < 1``
+    and ``alpha <= 0`` are refused before anything is drawn.
     """
-    R = params.R
-    n = graph.n
-    verts = gap.vertices
-    wvec = gap.vertex_weight_vector(verts)
-    mus = np.array([theta.vertex_mean(v) for v in verts])
-    rng = rng_for(seed, "mixing")
-    # int32 vertices: the same draws as int64 at half the memory
-    a_pts = rng.integers(0, n, size=(a_samples, R), dtype=np.int32)
-    mu_hat = np.empty(a_samples)
-    batch = max(1, CHUNK // max(inner_samples, 1))
-    for start in range(0, a_samples, batch):
-        a_blk = a_pts[start : start + batch]
-        k = len(a_blk)
-        m = k * inner_samples
-        vert_idx = rng.choice(len(verts), size=m, p=wvec)
-        # x is already a Bernoulli(mu) draw, so the fold's refresh of x where
-        # z is bot would not change its law; only the vertex part is folded.
-        x = bernoulli_bits(rng, mus[vert_idx][:, None], (m, R))
-        z = bernoulli_bits(rng, params.beta, (m, R))
-        b = noisy_walk(graph, params.eta, a_blk[:, None, :], rng, where=z.reshape(k, inner_samples, R).view(bool))
-        vals = f.evaluate_batch(b.reshape(m, R), x, z, rng)
-        mu_hat[start : start + k] = vals.reshape(k, inner_samples).mean(axis=1)
+    if a_samples < 1:
+        raise ValueError(f"a_samples must be at least 1, got {a_samples}")
+    if inner_samples < 1:
+        raise ValueError(f"inner_samples must be at least 1, got {inner_samples}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    mu_hat, threads = _restriction_means(gap, theta, graph, params, f, a_samples, seed, inner_samples)
     center = float(mu_hat.mean()) if mu is None else float(mu)
     threshold = alpha * math.sqrt(max(center, 1e-300))
     frac = float((np.abs(mu_hat - center) >= threshold).mean())
     se = math.sqrt(max(frac * (1 - frac), 0.0) / a_samples)
-    bound = len(verts) * params.beta / alpha ** 2
+    bound = len(gap.vertices) * params.beta / alpha ** 2
     return MixingReport(
         fraction=frac,
         fraction_stderr=se,
@@ -429,6 +467,7 @@ def mixing_check(
         holds=frac <= bound + 3.0 * se,
         seed=seed,
         vacuous=threshold > max(center, 1.0 - center),
+        threads=threads,
     )
 
 

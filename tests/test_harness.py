@@ -296,6 +296,14 @@ class TestPipeline:
         monkeypatch.setattr(mc, "CHUNK", 512)
         assert self.reduction_stages(tmp_path)["reduction-acceptance"]["extra"]["threads"] == 2
 
+    def test_mixing_stage_reports_its_threads(self, tmp_path, monkeypatch):
+        # 20 vertex-vectors of 16 draws in chunks of 4 on three usable CPUs
+        import biascsp.reduction.analysis as analysis
+
+        cpus(monkeypatch, 3)
+        monkeypatch.setattr(analysis, "_MIXING_ROWS", 4 * 16)
+        assert self.reduction_stages(tmp_path)["mixing"]["extra"]["threads"] == 3
+
     def test_mixing_default_is_the_checks_own(self, tmp_path, capsys):
         # without inner_samples in the config, the pipeline and `reduce mix`
         # both take mixing_check's default, so they agree on the same inputs

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -1046,6 +1047,110 @@ class TestMixing:
         frac = np.mean([abs(v - center) >= threshold for v in mu_a.values()])
         assert frac <= len(verts) * params.beta / alpha ** 2 + 1e-12
 
+    @staticmethod
+    def chunked_setup():
+        # three chunks of 64, 64 and 5 vertex-vectors, with dictator fallbacks
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(35))
+        graph = cycle_sse(6)
+        params = desk_params(theta, R=3)
+        inner = 256
+        return gap, theta, graph, params, inner, 2 * (analysis._MIXING_ROWS // inner) + 5
+
+    @staticmethod
+    def chunk_means(gap, theta, graph, params, f, seed, inner, a_samples):
+        """The per-vertex-vector means, chunk after chunk on this thread,
+        each drawn from rng_for(seed, "mixing", c) in the documented order:
+        A, vertex indices, x bits, z bits, walk, fallback permutations."""
+        R = params.R
+        verts = gap.vertices
+        wvec = gap.vertex_weight_vector(verts)
+        mus = np.array([theta.vertex_mean(v) for v in verts])
+        per_chunk = max(1, analysis._MIXING_ROWS // inner)
+        means = []
+        for c, start in enumerate(range(0, a_samples, per_chunk)):
+            k = min(per_chunk, a_samples - start)
+            m = k * inner
+            rng = rng_for(seed, "mixing", c)
+            a = rng.integers(0, graph.n, size=(k, R), dtype=np.int32)
+            idx = rng.choice(len(verts), size=m, p=wvec)
+            x = (rng.random((m, R)) < mus[idx][:, None]).astype(np.int8)
+            z = (rng.random((m, R)) < params.beta).astype(np.int8)
+            b = noisy_walk(graph, params.eta, a[:, None, :], rng, where=z.reshape(k, inner, R).astype(bool))
+            means.append(f.evaluate_batch(b.reshape(m, R), x, z, rng).reshape(k, inner).mean(axis=1))
+        return np.concatenate(means)
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"a_samples": 0}, "a_samples"),
+        ({"inner_samples": 0}, "inner_samples"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": -1.0}, "alpha"),
+    ], ids=["no-vertex-vectors", "no-inner-draws", "zero-alpha", "negative-alpha"])
+    def test_refuses_bad_input_before_drawing(self, monkeypatch, kw, name):
+        # no inner draws averaged empty rows into a pass, no vertex-vectors
+        # and alpha = 0 divided by zero, and alpha = -1 read fraction 1.0
+        made = []
+        monkeypatch.setattr(analysis, "rng_for", lambda *path: made.append(path))
+        gap = small_gap()
+        theta = mixture_theta(gap, np.random.default_rng(35))
+        graph = cycle_sse(6)
+        f = dictator_assignment([0, 1], graph)
+        args = {"alpha": 1.0, "a_samples": 10, "inner_samples": 16, **kw}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            mixing_check(gap, theta, graph, desk_params(theta, R=3), f, seed=1, **args)
+        assert made == []
+
+    def test_chunks_draw_from_their_own_streams(self, monkeypatch):
+        # chunk c makes rng_for(seed, "mixing", c) once, whichever thread
+        # works it; chunk 0 starts late, so on three threads it ends last,
+        # and the means still come back in chunk order
+        gap, theta, graph, params, inner, a_samples = self.chunked_setup()
+        made = []
+
+        def late_first_chunk(seed, *path):
+            made.append((seed, *path))
+            if path[-1] == 0:
+                time.sleep(0.3)
+            return rng_for(seed, *path)
+
+        cpus(monkeypatch, 3)
+        monkeypatch.setattr(analysis, "rng_for", late_first_chunk)
+        f = dictator_assignment([0, 1], graph)
+        means, threads = analysis._restriction_means(gap, theta, graph, params, f, a_samples, 57, inner)
+        assert threads == 3
+        assert sorted(made) == [(57, "mixing", c) for c in range(3)]
+        want = self.chunk_means(gap, theta, graph, params, dictator_assignment([0, 1], graph), 57, inner, a_samples)
+        assert np.array_equal(means, want)
+
+    def test_report_reads_the_joined_means(self):
+        # centre, threshold and fraction over all the means at once; the
+        # short last chunk makes a mean of chunk means differ
+        gap, theta, graph, params, inner, a_samples = self.chunked_setup()
+        rep = mixing_check(gap, theta, graph, params, dictator_assignment([0, 1], graph), 0.05, a_samples, 58,
+                           inner_samples=inner)
+        means = self.chunk_means(gap, theta, graph, params, dictator_assignment([0, 1], graph), 58, inner, a_samples)
+        center = float(means.mean())
+        threshold = 0.05 * math.sqrt(center)
+        assert (rep.center, rep.threshold) == (center, threshold)
+        assert rep.fraction == float((np.abs(means - center) >= threshold).mean())
+        assert 0.0 < rep.fraction < 1.0
+
+    def test_equal_on_one_and_on_three_cpus(self, monkeypatch):
+        # every report field but the thread count, and the dictator's
+        # counters, bit for bit
+        gap, theta, graph, params, inner, a_samples = self.chunked_setup()
+        runs = []
+        for k in (1, 3):
+            cpus(monkeypatch, k)
+            f = dictator_assignment([0, 1], graph)
+            fields = dict(vars(mixing_check(gap, theta, graph, params, f, 0.05, a_samples, 59, inner_samples=inner)))
+            assert fields.pop("threads") == k
+            runs.append((fields, f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows))
+        assert runs[0] == runs[1]
+        _, queries, fallbacks, permuted = runs[0]
+        assert queries == a_samples * inner
+        assert 0 < fallbacks == permuted
+
 
 def reduce_mc_setup():
     """The reduce-mc benchmark's lifted test: a 4-cycle AND gap, a 0.3/0.7
@@ -1069,19 +1174,36 @@ class TestWorkingMemory:
     """Traced peaks of the Monte Carlo kernels at the reduce-mc sizes, in
     units of one (rows, R) array of 8-byte entries."""
 
-    def test_one_mixing_batch(self):
-        # 128 vertex-vectors x 512 inner draws: one batch of CHUNK rows, with
-        # a measured peak of 1.37 units.  The walk's int32 output takes half
-        # a unit and its intp index temporaries, over the fifth of entries
-        # where z is top, about half a unit more; the int8 x and z bits take
-        # a quarter.  Their uniforms and the dictator's codes come in row
-        # blocks of BLOCK_ENTRIES.  The bound leaves a quarter unit of margin.
+    def test_one_mixing_batch(self, monkeypatch):
+        # one chunk on one thread: 32 vertex-vectors x 512 inner draws, a
+        # quarter of CHUNK rows, with a measured peak of 1.48 units.  The
+        # walk's int32 output takes half a unit and its intp index
+        # temporaries, over the fifth of entries where z is top, about half
+        # a unit more; the int8 x and z bits take a quarter.  Their uniforms
+        # and the dictator's codes come in row blocks of BLOCK_ENTRIES.
+        cpus(monkeypatch, 1)
         gap, theta, graph, params, f = reduce_mc_setup()
         with traced_peak() as peak:
-            rep = mixing_check(gap, theta, graph, params, f, 2.0, 128, 44, inner_samples=512)
-        assert rep.a_samples * rep.inner_samples == CHUNK
-        unit = CHUNK * params.R * 8
+            rep = mixing_check(gap, theta, graph, params, f, 2.0, analysis._MIXING_ROWS // 512, 44, inner_samples=512)
+        rows = rep.a_samples * rep.inner_samples
+        assert rows == analysis._MIXING_ROWS == CHUNK // 4
+        unit = rows * params.R * 8
         assert peak.bytes < 1.6 * unit, peak.bytes / unit
+
+    def test_mixing_threads_hold_one_chunk_each(self, monkeypatch):
+        # each thread beyond the first adds at most one chunk's working set
+        gap, theta, graph, params, f = reduce_mc_setup()
+        per_chunk = analysis._MIXING_ROWS // 512
+        cpus(monkeypatch, 1)
+        with traced_peak() as one_chunk:
+            mixing_check(gap, theta, graph, params, f, 2.0, per_chunk, 44, inner_samples=512)
+        peaks = {}
+        for k in (1, 3):
+            cpus(monkeypatch, k)
+            with traced_peak() as peak:
+                mixing_check(gap, theta, graph, params, f, 2.0, 6 * per_chunk, 44, inner_samples=512)
+            peaks[k] = peak.bytes
+        assert peaks[3] - peaks[1] <= 2 * one_chunk.bytes, (peaks, one_chunk.bytes)
 
     def test_one_acceptance_chunk(self):
         # CHUNK rows split over the 4 edges: each edge draws about CHUNK / 4
