@@ -51,10 +51,13 @@ def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[
     results come back in chunk order whichever thread ran them; ``work``
     must then be safe to call from several threads at once.  A chunk's error
     stops the other threads from taking chunks and is re-raised here once
-    they have all ended.
+    they have all ended.  ``total < 1`` and ``chunk < 1`` are refused before
+    ``work`` is called.
     """
     if total < 1:
         raise ValueError("need at least one sample")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
     threads = min(_usable_cpus(), len(sizes)) if parallel else 1
     if threads == 1:
@@ -95,18 +98,24 @@ def _chunk_sums(estimator, rng, n: int) -> tuple[float, float]:
     return float(vals.sum()), float((vals ** 2).sum())
 
 
-def mc_run(estimator, samples: int, seed: int, tag: str = "estimate", *, parallel: bool = False) -> McRun:
+def mc_run(
+    estimator, samples: int, seed: int, tag: str = "estimate", *, parallel: bool = False, chunk: int | None = None
+) -> McRun:
     """Chunked Monte Carlo run of ``estimator(rng, n) -> array of n values``.
 
-    Chunk c of ``CHUNK`` samples draws from ``rng_for(seed, tag, c)`` and the
-    chunk sums are combined by index (:func:`run_chunks`), so the result
-    depends only on (seed, tag, samples).  With ``parallel`` the chunks run
-    on every usable CPU and the result is the serial one bit for bit; the
-    estimator must then be safe to call from several threads at once.
+    Chunk c of ``chunk`` samples (``CHUNK`` when not given) draws from
+    ``rng_for(seed, tag, c)`` and the chunk sums are combined by index
+    (:func:`run_chunks`), so the result depends only on (seed, tag, samples,
+    chunk).  With ``parallel`` the chunks run on every usable CPU and the
+    result is the serial one bit for bit; the estimator must then be safe to
+    call from several threads at once.
     """
     t0 = time.perf_counter()
     parts, threads = run_chunks(
-        lambda c, n: _chunk_sums(estimator, rng_for(seed, tag, c), n), samples, CHUNK, parallel=parallel
+        lambda c, n: _chunk_sums(estimator, rng_for(seed, tag, c), n),
+        samples,
+        CHUNK if chunk is None else chunk,
+        parallel=parallel,
     )
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)

@@ -1,5 +1,5 @@
 from .graphs import SseGraph, expansion, generate_sse, noisy_walk, walk_matrix
-from .params import ReductionParams, derive_params
+from .params import DerivedSchedule, ReductionParams, derive_params
 from .sampler import TestSample, sample_test_tuple
 from .dictator import LongCodeAssignment, dictator_assignment
 from .analysis import (
@@ -18,6 +18,7 @@ __all__ = [
     "generate_sse",
     "noisy_walk",
     "walk_matrix",
+    "DerivedSchedule",
     "ReductionParams",
     "derive_params",
     "TestSample",

@@ -197,6 +197,11 @@ def acceptance_exact(
 
 # ---- Monte Carlo acceptance ---------------------------------------------------
 
+# Rows in one chunk of the lifted test's Monte Carlo runs (acceptance_estimate
+# and mixing_check): a quarter of CHUNK, so four threads in flight hold about
+# one CHUNK of rows.
+_LIFTED_ROWS = CHUNK // 4
+
 
 @dataclass
 class AcceptanceReport:
@@ -226,14 +231,19 @@ def acceptance_estimate(
     objective, minus :data:`COMPLETENESS_SLACK` times arity*noise; it is only
     asserted when requested (dictator assignments on planted instances).
 
-    The chunks run on every usable CPU (``mc_run(..., parallel=True)``), so
-    ``f`` is called from several threads at once; the result is the serial
-    one bit for bit.  The sampler is immutable once built, so the threads
-    share it.
+    The trials run in chunks of ``_LIFTED_ROWS`` on every usable CPU
+    (``mc_run(..., parallel=True)``), so ``f`` is called from several threads
+    at once; the result is the serial one bit for bit.  The sampler is
+    immutable once built, so the threads share it.
     """
     sampler = BatchTestSampler(gap, theta, graph, params)
     run = mc_run(
-        lambda rng, m: sampler.accept_indicators(f, m, rng), trials, seed, tag="acceptance", parallel=True
+        lambda rng, m: sampler.accept_indicators(f, m, rng),
+        trials,
+        seed,
+        tag="acceptance",
+        parallel=True,
+        chunk=_LIFTED_ROWS,
     )
     c = theta.objective()
     bound = math.exp(-6.0) * params.rho_sq / params.r * c - COMPLETENESS_SLACK * params.r * params.eta
@@ -374,11 +384,6 @@ class MixingReport:
     threads: int  # the threads the chunks ran on (run_chunks)
 
 
-# Rows (vertex-vectors x inner draws) in one chunk of mixing_check: a quarter
-# of CHUNK, so four threads in flight hold about one CHUNK of rows.
-_MIXING_ROWS = CHUNK // 4
-
-
 def _restriction_means(
     gap: ConstraintHypergraph,
     theta: LocalDistributionFamily,
@@ -391,7 +396,7 @@ def _restriction_means(
 ) -> tuple[np.ndarray, int]:
     """Per-vertex-vector means of ``f`` under the mixing draw, and the thread count.
 
-    Chunk c covers ``max(1, _MIXING_ROWS // inner_samples)`` vertex-vectors
+    Chunk c covers ``max(1, _LIFTED_ROWS // inner_samples)`` vertex-vectors
     and draws from ``rng_for(seed, "mixing", c)`` alone, in this order: its
     vertex-vectors A, the vertex indices, the x and z bits, the walk and the
     dictator's fallback permutations.  The chunks run on every usable CPU
@@ -418,7 +423,7 @@ def _restriction_means(
         vals = f.evaluate_batch(b.reshape(m, R), x, z, rng)
         return vals.reshape(k, inner_samples).mean(axis=1)
 
-    parts, threads = run_chunks(chunk, a_samples, max(1, _MIXING_ROWS // inner_samples))
+    parts, threads = run_chunks(chunk, a_samples, max(1, _LIFTED_ROWS // inner_samples))
     return np.concatenate(parts), threads
 
 

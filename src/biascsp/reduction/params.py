@@ -1,15 +1,19 @@
 """The reduction's parameter ledger.
 
-``derive_params`` evaluates the asymptotic parameter schedule, which at real
-problem scales produces astronomically extreme rates; log10 companions are
-kept for every quantity that can underflow, and a warning is recorded whenever
-the lift dimension exceeds anything samplable.  ``ReductionParams.manual`` is
-the desk-scale entry point used by experiments and the CLI.
+``ReductionParams`` holds the six desk parameters that the sampler and the
+verifiers read; ``ReductionParams.manual`` is the desk-scale entry point used
+by experiments and the CLI.  ``derive_params`` evaluates the asymptotic
+parameter schedule, which at real problem scales produces astronomically
+extreme rates, into a :class:`DerivedSchedule`: the desk parameters it
+implies beside the schedule's other rates.  log10 companions are kept for
+every quantity that can underflow, and a warning is recorded whenever the
+lift dimension exceeds anything samplable.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 SAMPLABLE_R_CAP = 1 << 20
 
@@ -22,25 +26,13 @@ class ReductionParams:
     rho_sq: float
     R: int
     eta: float
-    nu: float = 0.01
-    gamma: float = 1e-4
-    tau: float = 0.01
-    eps: float = 1e-3
-    M: float = 1e3
-    kappa: float = 1e-2
-    mode: str = "manual"
-    n_gap: int | None = None
-    delta: float | None = None
-    s: float | None = None
-    log10: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.R < 1:
             raise ValueError("lift dimension must be a positive integer")
         if not 0.0 < self.rho_sq <= 1.0:
             raise ValueError("coupling rate must lie in (0,1]")
-        for name in ("mu", "beta", "eta", "nu"):
+        for name in ("mu", "beta", "eta"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name}={v} must lie in (0,1)")
@@ -51,17 +43,40 @@ class ReductionParams:
 
     @classmethod
     def manual(cls, mu: float, r: int, beta: float, rho_sq: float, R: int, eta: float) -> "ReductionParams":
-        return cls(mu=mu, r=r, beta=beta, rho_sq=rho_sq, R=int(R), eta=eta, mode="manual")
+        return cls(mu=mu, r=r, beta=beta, rho_sq=rho_sq, R=int(R), eta=eta)
+
+
+@dataclass
+class DerivedSchedule:
+    """The asymptotic schedule of :func:`derive_params`: its desk parameters,
+    the other rates, its inputs (gap-instance size, planted volume and
+    soundness value), the log10 of the rates that can underflow, and its
+    warnings."""
+
+    mode: ClassVar[str] = "derived"
+    params: ReductionParams
+    nu: float
+    gamma: float
+    tau: float
+    eps: float
+    M: float
+    kappa: float
+    n_gap: int
+    delta: float
+    s: float
+    log10: dict
+    warnings: list
 
     def to_json(self) -> dict:
+        p = self.params
         return {
             "mode": self.mode,
-            "mu": self.mu,
-            "r": self.r,
-            "beta": self.beta,
-            "rho_sq": self.rho_sq,
-            "R": self.R,
-            "eta": self.eta,
+            "mu": p.mu,
+            "r": p.r,
+            "beta": p.beta,
+            "rho_sq": p.rho_sq,
+            "R": p.R,
+            "eta": p.eta,
             "nu": self.nu,
             "gamma": self.gamma,
             "tau": self.tau,
@@ -73,7 +88,7 @@ class ReductionParams:
         }
 
 
-def derive_params(mu: float, r: int, n_gap: int, delta: float, s: float) -> ReductionParams:
+def derive_params(mu: float, r: int, n_gap: int, delta: float, s: float) -> DerivedSchedule:
     """Derive every rate of the asymptotic schedule from its inputs.
 
     Inputs: target bias, predicate arity, gap-instance size, planted volume,
@@ -120,20 +135,14 @@ def derive_params(mu: float, r: int, n_gap: int, delta: float, s: float) -> Redu
         "eps": ln_eps / math.log(10.0),
         "M": ln_m / math.log(10.0),
     }
-    return ReductionParams(
-        mu=mu,
-        r=r,
-        beta=beta,
-        rho_sq=rho_sq,
-        R=R,
-        eta=eta,
+    return DerivedSchedule(
+        params=ReductionParams(mu=mu, r=r, beta=beta, rho_sq=rho_sq, R=R, eta=eta),
         nu=nu,
         gamma=gamma,
         tau=tau,
         eps=eps,
         M=m_val,
         kappa=kappa,
-        mode="derived",
         n_gap=n_gap,
         delta=delta,
         s=s,

@@ -2,13 +2,15 @@
 
 For a sampled gap edge, each output position carries a triple
 (vertex-vector, bit-vector, leak-vector).  The coordinates are i.i.d.; each
-is a uniform source vertex A shared by all positions, the noised letters
-2x~ + z' of all positions drawn at once from :func:`letter_block` (which
-``analysis.test_block_distribution`` folds exactly), and then the leakage
-:func:`fold`.  Each position is read at an independent uniform coordinate
-permutation; since the permutation is independent of everything else, it is
-applied where the assignment is evaluated (``LongCodeAssignment.evaluate_batch``
-with an rng), not here.
+is a uniform source vertex A shared by all positions, the letters 2x' + z'
+of all positions drawn at once from :func:`letter_block` with the bit half
+of the leakage fold applied (:func:`_bit_fold`), and then the vertex half,
+a noisy-walk step from A where z' is top (``analysis.test_block_distribution``
+folds :func:`letter_block` exactly, by its own kernel).  Each position is
+read at an independent uniform coordinate permutation; since the
+permutation is independent of everything else, it is applied where the
+assignment is evaluated (``LongCodeAssignment.evaluate_batch`` with an
+rng), not here.
 """
 from __future__ import annotations
 
@@ -77,21 +79,15 @@ def bernoulli_bits(rng: np.random.Generator, p, shape: tuple[int, ...]) -> np.nd
     return out
 
 
-def fold(graph: SseGraph, eta: float, a, x_tilde, z_prime, mu, rng: np.random.Generator):
-    """The leakage fold of noised letters (x~, z') at source vertices ``a``,
-    which broadcast against them: B' takes one noisy-walk step from a where z'
-    is top and is a uniform vertex where it is bot; x' = x~ where z' is top
-    and a fresh Bernoulli(mu) bit where it is bot.  The walk is drawn before
-    the fresh bits.  x~ and z' are 0/1 int8 arrays; ``mu`` broadcasts
-    against them with a last axis of 1; x' is int8."""
-    # z' read as bool: numpy finds a bool array's nonzeros faster
-    b = noisy_walk(graph, eta, a, rng, where=z_prime.view(bool))
-    x = bernoulli_bits(rng, mu, np.shape(z_prime))
-    # where z' is 1, flip the fresh bit wherever it differs from x~
-    flip = x ^ x_tilde
-    flip &= z_prime
-    x ^= flip
-    return b, x
+def _bit_fold(mu: float) -> np.ndarray:
+    """The bit half of the leakage fold on one position's letter 2x + z, as a
+    (new, old) kernel: where z is top x is kept, and where z is bot it is
+    replaced by a Bernoulli(mu) bit; z is kept."""
+    kernel = np.zeros((4, 4))
+    kernel[1, 1] = kernel[3, 3] = 1.0
+    kernel[0, ::2] = 1.0 - mu
+    kernel[2, ::2] = mu
+    return kernel
 
 
 @dataclass
@@ -162,30 +158,33 @@ class LetterLookup:
 
 
 def _letter_sampler(theta: LocalDistributionFamily, edge: tuple[str, ...], params: ReductionParams):
-    """One edge's letter lookup, whose code of a uniform is the packed letter
-    code of :func:`letter_block`'s CDF; the (2, r, 4^r) int8 x~ and z' bits
-    of each code per position; and the vertex means, shaped (r, 1, 1)."""
-    cdf = np.cumsum(letter_block(theta, edge, params))
+    """One edge's letter lookup, whose code of a uniform is a packed letter
+    code drawn from :func:`letter_block` with :func:`_bit_fold` of the
+    vertex's mean applied at each position, and the (2, r, 4^r) int8 x' and
+    z' bits of each code per position."""
+    letters = letter_block(theta, edge, params)
+    for pos, v in enumerate(edge):
+        letters = _apply_axis(letters, _bit_fold(theta.vertex_mean(v)), pos)
+    cdf = np.cumsum(letters)
     cdf = cdf[:-1] / cdf[-1]  # exactly 1 from the last nonzero cell on
     r = len(edge)
     digits = domain_points(2 * r).T.astype(np.int8).reshape(r, 2, -1).swapaxes(0, 1)
-    mus = np.array([theta.vertex_mean(v) for v in edge])[:, None, None]
-    return LetterLookup(cdf), digits, mus
+    return LetterLookup(cdf), digits
 
 
 def _sample_parts(letters, graph: SseGraph, params: ReductionParams, m: int, rng, trace: dict | None):
     """:meth:`BatchTestSampler.sample_parts` for the edge whose letter
     sampler (:func:`_letter_sampler`) is ``letters``."""
-    lookup, digits, mus = letters
+    lookup, digits = letters
     shape = (m, params.R)
     # int32 vertices: the same draws as int64 at half the memory
     a = rng.integers(0, graph.n, size=shape, dtype=np.int32)
-    x_tilde, z_prime = np.take(digits, lookup.codes(rng.random(shape)), axis=2)
-    b, x = fold(graph, params.eta, a, x_tilde, z_prime, mus, rng)
+    x, z = np.take(digits, lookup.codes(rng.random(shape)), axis=2)
+    # z' read as bool: numpy finds a bool array's nonzeros faster
+    b = noisy_walk(graph, params.eta, a, rng, where=z.view(bool))
     if trace is not None:
-        bot = z_prime == 0
-        trace.update(A=a, B=list(np.where(bot, -1, b)), x_tilde=list(x_tilde), z_prime=list(z_prime))
-    return [(b[pos], x[pos], z_prime[pos]) for pos in range(len(mus))]
+        trace.update(A=a, B=list(np.where(z == 0, -1, b)), x_prime=list(x), z_prime=list(z))
+    return [(b[pos], x[pos], z[pos]) for pos in range(len(z))]
 
 
 def _edge_weights(gap: ConstraintHypergraph) -> np.ndarray:
@@ -221,11 +220,12 @@ class BatchTestSampler:
         The parts are unpermuted: read them at a uniform coordinate
         permutation (``LongCodeAssignment.evaluate_batch`` with an rng).
         Per coordinate: the source vertex A, then one uniform mapped to the
-        letters of all positions through the CDF of :func:`letter_block`,
-        then :func:`fold`.
+        folded letters 2x' + z' of all positions (:func:`_letter_sampler`),
+        then the walk from A where z' is top; where z' is bot B' is a
+        uniform vertex (``noisy_walk`` with ``where``).
 
         When ``trace`` is given it receives the (m, R) draws: "A", and per
-        position the lists "x_tilde", "z_prime" (the letters) and "B" (the
+        position the lists "x_prime", "z_prime" (the letters) and "B" (the
         walk), which is -1 where z' is bot: the fold refreshes those
         entries, so the walk is never drawn there.
         """

@@ -2,6 +2,7 @@
 import inspect
 import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -92,6 +93,25 @@ class TestParallelMcRun:
         assert threads == 3
         assert [r[:2] for r in results] == [(c, 3) for c in range(10)] + [(10, 1)]
         assert len({r[2] for r in results}) > 1
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_bad_chunk_size_refused_before_work(self, chunk):
+        # chunk = 0 would fail inside range(); chunk = -1 would give no
+        # chunks at all, so mc_run would report 0.0 from zero samples
+        calls = []
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            mc.run_chunks(lambda c, n: calls.append(c), 10, chunk)
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            mc_run(lambda rng, n: calls.append(n) or rng.random(n), 10, 1, chunk=chunk)
+        assert calls == []
+
+    def test_chunk_size_keys_the_streams(self, monkeypatch):
+        # chunk c of a given size draws from rng_for(seed, tag, c)
+        cpus(monkeypatch, 3)
+        run = mc_run(squares, 2 * 100 + 7, 5, tag="sized", parallel=True, chunk=100)
+        draws = [squares(rng_for(5, "sized", c), n) for c, n in enumerate((100, 100, 7))]
+        assert run.threads == 3
+        assert run.value == math.fsum(float(d.sum()) for d in draws) / 207
 
     def test_one_cpu_runs_serially(self, monkeypatch):
         cpus(monkeypatch, 1)
@@ -292,8 +312,10 @@ class TestPipeline:
 
     def test_acceptance_stage_reports_its_threads(self, tmp_path, monkeypatch):
         # 2000 trials in chunks of 512 on two usable CPUs
+        import biascsp.reduction.analysis as analysis
+
         cpus(monkeypatch, 2)
-        monkeypatch.setattr(mc, "CHUNK", 512)
+        monkeypatch.setattr(analysis, "_LIFTED_ROWS", 512)
         assert self.reduction_stages(tmp_path)["reduction-acceptance"]["extra"]["threads"] == 2
 
     def test_mixing_stage_reports_its_threads(self, tmp_path, monkeypatch):
@@ -301,7 +323,7 @@ class TestPipeline:
         import biascsp.reduction.analysis as analysis
 
         cpus(monkeypatch, 3)
-        monkeypatch.setattr(analysis, "_MIXING_ROWS", 4 * 16)
+        monkeypatch.setattr(analysis, "_LIFTED_ROWS", 4 * 16)
         assert self.reduction_stages(tmp_path)["mixing"]["extra"]["threads"] == 3
 
     def test_mixing_default_is_the_checks_own(self, tmp_path, capsys):

@@ -102,20 +102,21 @@ class TestParams:
 
     def test_ledger_formulas(self):
         mu, r, n_gap, delta, s = 0.3, 2, 6, 0.25, 0.5
-        p = derive_params(mu, r, n_gap, delta, s)
+        d = derive_params(mu, r, n_gap, delta, s)
+        p = d.params
         assert p.beta == pytest.approx(mu ** (4 * r) / n_gap ** 4)
         assert p.rho_sq == pytest.approx((1.0 / (4 * r * r * math.log(1 / mu))) ** 2)
         assert p.R * r * p.beta * delta == pytest.approx(1.0, rel=1e-6)
-        assert p.nu == pytest.approx(s / 10 ** r)
-        assert p.eta == pytest.approx(min(p.beta ** 2 / r, p.nu))
-        ln_inv_gamma = 10 * p.R * math.log(2) - 2 * math.log(p.nu)
-        assert p.kappa == pytest.approx(p.beta / ln_inv_gamma)
-        assert p.log10["gamma"] == pytest.approx(-ln_inv_gamma / math.log(10))
+        assert d.nu == pytest.approx(s / 10 ** r)
+        assert p.eta == pytest.approx(min(p.beta ** 2 / r, d.nu))
+        ln_inv_gamma = 10 * p.R * math.log(2) - 2 * math.log(d.nu)
+        assert d.kappa == pytest.approx(p.beta / ln_inv_gamma)
+        assert d.log10["gamma"] == pytest.approx(-ln_inv_gamma / math.log(10))
 
     def test_eta_min_rule(self):
         for mu, s in [(0.2, 0.9), (0.4, 0.05)]:
-            p = derive_params(mu, 2, 4, 0.25, s)
-            assert p.eta == pytest.approx(min(p.beta ** 2 / 2, p.nu))
+            d = derive_params(mu, 2, 4, 0.25, s)
+            assert d.params.eta == pytest.approx(min(d.params.beta ** 2 / 2, d.nu))
 
     def test_extreme_regime_warns(self):
         p = derive_params(0.3, 2, 100, 0.01, 0.5)
@@ -259,9 +260,21 @@ class TestSampleTuple:
             # fully coupled leaks: both positions carry the same z'
             np.testing.assert_array_equal(s.trace["z_prime"][0], s.trace["z_prime"][1])
 
+    @staticmethod
+    def x_folded(law, mus):
+        """``letter_block``'s law with each position's x replaced by a
+        Bernoulli(mu) bit where its z is bot: the law of the letters
+        2x' + z' that the sampler draws."""
+        t = law.reshape((2, 2) * len(mus))
+        for pos, mu in enumerate(mus):
+            t = np.moveaxis(t, (2 * pos, 2 * pos + 1), (0, 1)).copy()
+            t[:, 0] = np.multiply.outer([1.0 - mu, mu], t[:, 0].sum(axis=0))
+            t = np.moveaxis(t, (0, 1), (2 * pos, 2 * pos + 1))
+        return t.reshape(-1)
+
     def test_letter_frequencies_match_letter_block(self):
-        # the sampler's letter pairs (2x~ + z' per position), pooled over
-        # the coordinates, against the law it draws them from
+        # the sampler's letter pairs (2x' + z' per position), pooled over
+        # the coordinates, against the x-folded law of letter_block
         gap = small_gap()
         rng_master = np.random.default_rng(7)
         theta = mixture_theta(gap, rng_master)
@@ -273,9 +286,9 @@ class TestSampleTuple:
         for e_idx, (edge, _) in enumerate(gap.edges):
             trace: dict = {}
             sampler.sample_parts(e_idx, m, rng_for(2, "letters", e_idx), trace)
-            (x0, x1), (z0, z1) = trace["x_tilde"], trace["z_prime"]
+            (x0, x1), (z0, z1) = trace["x_prime"], trace["z_prime"]
             counts = np.bincount(((2 * x0 + z0) * 4 + 2 * x1 + z1).reshape(-1), minlength=16) / total
-            law = letter_block(theta, edge, params).reshape(-1)
+            law = self.x_folded(letter_block(theta, edge, params), [theta.vertex_mean(v) for v in edge])
             for c in range(16):
                 se = math.sqrt(law[c] * (1 - law[c]) / total)
                 assert abs(counts[c] - law[c]) <= 4 * se + 1e-12, (e_idx, c, counts[c], law[c])
@@ -352,19 +365,19 @@ class TestKernelTrace:
             np.testing.assert_array_equal(z, s.trace["z_prime"][pos][perm])
             top = z == 1
             np.testing.assert_array_equal(b[top], s.trace["B"][pos][perm][top])
-            np.testing.assert_array_equal(x[top], s.trace["x_tilde"][pos][perm][top])
+            np.testing.assert_array_equal(x, s.trace["x_prime"][pos][perm])
 
 
 class TestFoldedKernel:
     """The leakage fold of the sampled letters: B' walks from A only where z'
     is top, with the lazy step, and is uniform where z' is bot; x' is the
-    noised bit x~ where z' is top and a fresh Bernoulli(mu) bit where z' is
+    noised bit where z' is top and a fresh Bernoulli(mu) bit where z' is
     bot.  The parts come back unpermuted, aligned with the trace."""
 
     @staticmethod
-    def draws(eta, seed, m=20000, R=4):
+    def draws(eta, seed, m=20000, R=4, theta=None):
         gap = small_gap()
-        theta = mixture_theta(gap, np.random.default_rng(10))
+        theta = theta or mixture_theta(gap, np.random.default_rng(10))
         params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.5, rho_sq=0.4, R=R, eta=eta)
         sampler = BatchTestSampler(gap, theta, cycle_sse(6), params)
         trace: dict = {}
@@ -394,16 +407,22 @@ class TestFoldedKernel:
             self.assert_rate(int((step[bot] == 0).sum()), int(bot.sum()), 1 / 6)
 
     def test_bit_fold(self):
-        eta = 0.5
-        parts, trace, mus = self.draws(eta, 2)
-        for pos, (_, x_new, z) in enumerate(parts):
-            x_tilde, mu = trace["x_tilde"][pos], mus[pos]
-            top, bot = z == 1, z == 0
-            np.testing.assert_array_equal(x_new[top], x_tilde[top])
-            # where z' is bot, x' is Bernoulli(mu) and independent of x~,
-            # which is itself Bernoulli(mu): they differ at rate 2 mu (1 - mu)
-            self.assert_rate(int(x_new[bot].sum()), int(bot.sum()), mu)
-            self.assert_rate(int((x_new[bot] != x_tilde[bot]).sum()), int(bot.sum()), 2 * mu * (1 - mu))
+        # a family whose two positions agree on every support point, lightly
+        # smoothed: the unfolded letters have x0 = x1 almost always, so
+        # x'0 = x'1 = 1 where both z' are bot comes at about mu, not mu0 mu1
+        gap = small_gap()
+        support = [(Assignment({v: 1 for v in gap.vertices}), 0.4), (Assignment({v: 0 for v in gap.vertices}), 0.6)]
+        theta = LocalDistributionFamily.from_distribution(support, 2, gap).smooth(0.05, 0.4)
+        parts, _, mus = self.draws(0.05, 2, theta=theta)
+        (_, x0, z0), (_, x1, z1) = parts
+        for x, z, mu in ((x0, z0, mus[0]), (x1, z1, mus[1])):
+            bot = z == 0
+            self.assert_rate(int(x[bot].sum()), int(bot.sum()), mu)
+        both = (z0 == 0) & (z1 == 0)
+        self.assert_rate(int((x0[both] & x1[both]).sum()), int(both.sum()), mus[0] * mus[1])
+        # where both z' are top, x' keeps the positions' agreement
+        tops = (z0 == 1) & (z1 == 1)
+        assert (x0[tops] == x1[tops]).mean() > 0.8
 
 
 class TestLetterLookup:
@@ -755,7 +774,7 @@ class TestParallelAcceptance:
         theta = mixture_theta(gap, np.random.default_rng(30))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
-        monkeypatch.setattr(mc, "CHUNK", 512)
+        monkeypatch.setattr(analysis, "_LIFTED_ROWS", 512)
         trials = 40 * 512 + 7
 
         def run(k):
@@ -1055,7 +1074,7 @@ class TestMixing:
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
         inner = 256
-        return gap, theta, graph, params, inner, 2 * (analysis._MIXING_ROWS // inner) + 5
+        return gap, theta, graph, params, inner, 2 * (analysis._LIFTED_ROWS // inner) + 5
 
     @staticmethod
     def chunk_means(gap, theta, graph, params, f, seed, inner, a_samples):
@@ -1066,7 +1085,7 @@ class TestMixing:
         verts = gap.vertices
         wvec = gap.vertex_weight_vector(verts)
         mus = np.array([theta.vertex_mean(v) for v in verts])
-        per_chunk = max(1, analysis._MIXING_ROWS // inner)
+        per_chunk = max(1, analysis._LIFTED_ROWS // inner)
         means = []
         for c, start in enumerate(range(0, a_samples, per_chunk)):
             k = min(per_chunk, a_samples - start)
@@ -1184,16 +1203,16 @@ class TestWorkingMemory:
         cpus(monkeypatch, 1)
         gap, theta, graph, params, f = reduce_mc_setup()
         with traced_peak() as peak:
-            rep = mixing_check(gap, theta, graph, params, f, 2.0, analysis._MIXING_ROWS // 512, 44, inner_samples=512)
+            rep = mixing_check(gap, theta, graph, params, f, 2.0, analysis._LIFTED_ROWS // 512, 44, inner_samples=512)
         rows = rep.a_samples * rep.inner_samples
-        assert rows == analysis._MIXING_ROWS == CHUNK // 4
+        assert rows == analysis._LIFTED_ROWS == CHUNK // 4
         unit = rows * params.R * 8
         assert peak.bytes < 1.6 * unit, peak.bytes / unit
 
     def test_mixing_threads_hold_one_chunk_each(self, monkeypatch):
         # each thread beyond the first adds at most one chunk's working set
         gap, theta, graph, params, f = reduce_mc_setup()
-        per_chunk = analysis._MIXING_ROWS // 512
+        per_chunk = analysis._LIFTED_ROWS // 512
         cpus(monkeypatch, 1)
         with traced_peak() as one_chunk:
             mixing_check(gap, theta, graph, params, f, 2.0, per_chunk, 44, inner_samples=512)
@@ -1206,19 +1225,35 @@ class TestWorkingMemory:
         assert peaks[3] - peaks[1] <= 2 * one_chunk.bytes, (peaks, one_chunk.bytes)
 
     def test_one_acceptance_chunk(self):
-        # CHUNK rows split over the 4 edges: each edge draws about CHUNK / 4
-        # rows, and its measured peak, in the fold's walk, is 3.25 units of
-        # those rows: the int32 vertex points (half), the int8 letters of
-        # both positions (half), the walk's int32 output over both positions
-        # (one) and its intp index temporaries (about one and a quarter).
-        # The fresh bits' uniforms come in row blocks of BLOCK_ENTRIES.  The
-        # bound leaves a quarter unit of margin.
+        # _LIFTED_ROWS rows split over the 4 edges: each edge draws about a
+        # quarter of them, and the measured peak is 3.35 units of those rows.
+        # The walk takes an edge to 3.2: the int32 vertex points (half), the
+        # folded int8 letters of both positions (half), the walk's int32
+        # output over both positions (one) and its intp index temporaries
+        # (about 1.2).  The dictator reads the held parts (1.5) in one row
+        # block, which at this size is as large as the walk's temporaries.
+        # With a fresh-bit block in the fold the peak was 4.0 units.
+        assert analysis._LIFTED_ROWS == CHUNK // 4
         gap, theta, graph, params, f = reduce_mc_setup()
         sampler = BatchTestSampler(gap, theta, graph, params)
         with traced_peak() as peak:
-            sampler.accept_indicators(f, CHUNK, rng_for(45, "accept-memory"))
-        unit = CHUNK // 4 * params.R * 8
-        assert peak.bytes < 3.5 * unit, peak.bytes / unit
+            sampler.accept_indicators(f, analysis._LIFTED_ROWS, rng_for(45, "accept-memory"))
+        unit = analysis._LIFTED_ROWS // 4 * params.R * 8
+        assert peak.bytes < 3.6 * unit, peak.bytes / unit
+
+    def test_acceptance_threads_hold_one_chunk_each(self, monkeypatch):
+        # each thread beyond the first adds at most one chunk's working set
+        gap, theta, graph, params, f = reduce_mc_setup()
+        cpus(monkeypatch, 1)
+        with traced_peak() as one_chunk:
+            acceptance_estimate(gap, theta, graph, params, f, analysis._LIFTED_ROWS, 46)
+        peaks = {}
+        for k in (1, 3):
+            cpus(monkeypatch, k)
+            with traced_peak() as peak:
+                acceptance_estimate(gap, theta, graph, params, f, 6 * analysis._LIFTED_ROWS, 46)
+            peaks[k] = peak.bytes
+        assert peaks[3] - peaks[1] <= 2 * one_chunk.bytes, (peaks, one_chunk.bytes)
 
 
 class TestDecodeStat:
