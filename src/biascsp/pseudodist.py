@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import Assignment, ConstraintHypergraph
-from .harness.mc import ORACLE_CAP
+from .harness.mc import BLOCK_ENTRIES, ORACLE_CAP
 from .polynomial import _apply_axis
 from .probspace import _mask_degrees, domain_points, pack_bits, subset_masks, unpack_bits
 
@@ -87,15 +87,22 @@ class LocalDistributionFamily:
                 raise KeyError(f"unknown vertex {v}")
         return tuple(sorted(vs, key=self._order.__getitem__))
 
-    def _cover(self, key: tuple[str, ...]) -> np.ndarray:
-        """Marginal on ``key`` of the first stored table whose subset covers it."""
+    def _source(self, key: tuple[str, ...]) -> tuple[str, ...]:
+        """Key of the stored table that ``local(key)`` reads: ``key`` itself if
+        it is stored, else the first stored subset that covers it."""
         if key in self._tables:
-            return self._tables[key]
+            return key
         need = set(key)
-        for skey, table in self._tables.items():
+        for skey in self._tables:
             if need <= set(skey):
-                return _marginal(table, skey, key)
+                return skey
         raise StructuralError(f"no stored local covers {key}")
+
+    def _cover(self, key: tuple[str, ...]) -> np.ndarray:
+        """Marginal on ``key`` of the stored table ``_source(key)``."""
+        skey = self._source(key)
+        table = self._tables[skey]
+        return table if skey == key else _marginal([table], skey, [key])[0][..., 0]
 
     def local(self, subset) -> np.ndarray:
         """Probability tensor of the local distribution on ``subset``."""
@@ -189,7 +196,7 @@ class LocalDistributionFamily:
             if mass <= 0.0:
                 raise ZeroProbabilityEvent(f"conditioning event {pin} has probability 0")
             t /= mass
-            tables[skey] = _marginal(t, union, skey)
+            tables[skey] = _marginal([t], union, [skey])[0][..., 0]
         return LocalDistributionFamily(self.host, new_level, tables)
 
     # ---- reporting -------------------------------------------------------
@@ -248,10 +255,49 @@ class LocalDistributionFamily:
         return cls(host, level, locals_)
 
 
-def _marginal(table: np.ndarray, key: tuple[str, ...], keep: tuple[str, ...]) -> np.ndarray:
-    """Sum ``table`` (axes follow ``key``) down to the vertices of ``keep``."""
-    drop = tuple(i for i, v in enumerate(key) if v not in keep)
-    return table.sum(axis=drop) if drop else table
+def _marginal(tables: list[np.ndarray], key: tuple[str, ...], keeps) -> list[np.ndarray]:
+    """Marginal of each of ``tables`` on each vertex subset in ``keeps``.
+
+    The tables share one memory layout, and their axes follow ``key``.  Each
+    marginal has its table axes in ``key``'s order and one last axis that
+    runs over ``tables``.
+
+    The entries are added in the order of numpy's ``table.sum(axis=dropped)``
+    on each table, so the two agree bit for bit.  That order takes the
+    table's axes in memory order (a smoothed table is a permuted view).  The
+    trailing run of dropped axes is summed pairwise, as one contiguous row
+    per entry of the rest.  Those row sums are then added one at a time into
+    each kept entry, in C order of the other dropped axes; with the tables'
+    row sums stacked on the innermost axis, each of those adds is one vector
+    add over the batch.  Keep sets with the same last kept axis share the
+    row sums, which are held for one last kept axis at a time.  A single
+    keep set of one table is numpy's sum itself, and one of every vertex
+    sums nothing; neither needs that bookkeeping.
+    """
+    if len(keeps) == 1 and (len(tables) == 1 or len(keeps[0]) == len(key)):
+        drop = tuple(i for i, v in enumerate(key) if v not in keeps[0])
+        parts = [t.sum(axis=drop) if drop else t for t in tables]
+        return [parts[0][..., None] if len(parts) == 1 else np.stack(parts, axis=-1)]
+    order = sorted(range(len(key)), key=lambda a: -tables[0].strides[a])  # outermost first
+    rows = [t.transpose(order) for t in tables]
+    at = {key[a]: k for k, a in enumerate(order)}  # vertex -> memory position
+    by_last: dict[int, list[int]] = {}  # last kept position -> keep sets
+    for k, keep in enumerate(keeps):
+        by_last.setdefault(max(at[v] for v in keep), []).append(k)
+    out: list = [None] * len(keeps)
+    for last, ks in by_last.items():
+        sums = rows if last == len(key) - 1 else [t.reshape(2 ** (last + 1), -1).sum(axis=-1) for t in rows]
+        head = sums[0][..., None] if len(sums) == 1 else np.stack(sums, axis=-1)
+        head = head.reshape((2,) * (last + 1) + (len(rows),))
+        del sums
+        for k in ks:
+            kept = sorted(at[v] for v in keeps[k])
+            dropped = tuple(p for p in range(last) if p not in kept)
+            s = head.sum(axis=dropped) if dropped else head
+            # s's axes: the kept memory positions in increasing order, then the batch
+            out[k] = s.transpose(*(kept.index(at[v]) for v in key if v in keeps[k]), len(kept))
+        del head
+    return out
 
 
 def edge_block_probs(theta: LocalDistributionFamily, edge: tuple[str, ...]):
@@ -286,39 +332,80 @@ class Statistics:
 
 
 def compute_statistics(theta: LocalDistributionFamily) -> Statistics:
+    return _batch_statistics([theta])[0]
+
+
+def _moment_reads(theta: LocalDistributionFamily) -> dict:
+    """Stored key -> [(subset, slot)]: the table ``local`` reads each vertex
+    (slot i) and each pair (slot (i, j), i < j) from, in that order."""
     verts = theta.host.vertices
+    reads: dict[tuple[str, ...], list] = {}
+    wanted = [((v,), i) for i, v in enumerate(verts)]
+    wanted += [((verts[i], verts[j]), (i, j)) for i, j in itertools.combinations(range(len(verts)), 2)]
+    for subset, slot in wanted:
+        reads.setdefault(theta._source(subset), []).append((subset, slot))
+    return reads
+
+
+def _batch_statistics(families: list[LocalDistributionFamily]) -> list[Statistics]:
+    """Statistics of families over one host, in one batched pass.
+
+    Families with the same stored keys and table layouts are scored
+    together: every mean and pair moment of the group comes from one
+    :func:`_marginal` call per table read, over that table of each family.  The arithmetic after that runs with a leading
+    family axis, elementwise or as one contiguous row sum per family, so
+    each family's statistics equal a batch of one bit for bit.
+    """
+    verts = families[0].host.vertices
     n = len(verts)
-    means = np.array([theta.vertex_mean(v) for v in verts])
-    second = np.outer(means, means)
-    for i in range(n):
-        second[i, i] = means[i]
-        for j in range(i + 1, n):
-            key = theta._key((verts[i], verts[j]))
-            second[i, j] = second[j, i] = float(theta.local(key)[1, 1])
-    cov = second - np.outer(means, means)
-    var = np.clip(np.diag(cov), 0.0, None)
+    means = np.empty((len(families), n))
+    second = np.empty((len(families), n, n))
+    groups: dict[tuple, list[int]] = {}  # stored keys and table strides -> families
+    for f, fam in enumerate(families):
+        groups.setdefault(tuple((key, t.strides) for key, t in fam._tables.items()), []).append(f)
+    for part in groups.values():
+        for skey, subsets in _moment_reads(families[part[0]]).items():
+            tables = [families[f]._tables[skey] for f in part]
+            for (_, slot), marg in zip(subsets, _marginal(tables, skey, [s for s, _ in subsets])):
+                if isinstance(slot, int):
+                    means[part, slot] = marg[1]
+                else:
+                    second[part, slot[0], slot[1]] = second[part, slot[1], slot[0]] = marg[1, 1]
+    diag = np.arange(n)
+    second[:, diag, diag] = means
+    cov = second - means[:, :, None] * means[:, None, :]
+    var = np.clip(cov[:, diag, diag], 0.0, None)
     stdev = np.sqrt(var)
     degenerate = stdev <= 1e-12
-    denom = np.outer(stdev, stdev)
+    denom = stdev[:, :, None] * stdev[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where(denom > 0, cov / np.where(denom > 0, denom, 1.0), 0.0)
-    np.fill_diagonal(corr, np.where(degenerate, 0.0, 1.0))
-    w = theta.host.vertex_weight_vector(verts)
+    corr[:, diag, diag] = np.where(degenerate, 0.0, 1.0)
+    w = families[0].host.vertex_weight_vector(verts)
     pair_w = np.outer(w, w)
     off = ~np.eye(n, dtype=bool)
     off_mass = pair_w[off].sum()
-    avg_off = float((pair_w * np.abs(corr))[off].sum() / off_mass) if off_mass > 0 else 0.0
-    avg_diag = float((pair_w * np.abs(corr)).sum())
-    return Statistics(
-        vertices=list(verts),
-        means=means,
-        cov=cov,
-        stdev=stdev,
-        corr=corr,
-        degenerate=degenerate,
-        avg_abs_corr=avg_off,
-        avg_abs_corr_with_diag=avg_diag,
-    )
+    weighted = pair_w * np.abs(corr)
+    # a masked gather over a leading axis is not C-contiguous, and a row sum
+    # of it would add sequentially instead of pairwise
+    if off_mass > 0:
+        avg_off = np.ascontiguousarray(weighted[:, off]).sum(axis=-1) / off_mass
+    else:
+        avg_off = np.zeros(len(families))
+    avg_diag = weighted.reshape(len(families), -1).sum(axis=-1)
+    return [
+        Statistics(
+            vertices=list(verts),
+            means=means[f],
+            cov=cov[f],
+            stdev=stdev[f],
+            corr=corr[f],
+            degenerate=degenerate[f],
+            avg_abs_corr=float(avg_off[f]),
+            avg_abs_corr_with_diag=float(avg_diag[f]),
+        )
+        for f in range(len(families))
+    ]
 
 
 # ---- feasibility -----------------------------------------------------------
@@ -529,6 +616,15 @@ class ConditioningResult:
     trace: list[dict] = field(default_factory=list)
 
 
+def _best_pin(current: LocalDistributionFamily, pins: list) -> tuple:
+    """(key, vertex, value, family, means) of the lowest-key pin of one block
+    of (vertex index, vertex, value) pins, each conditioned, then scored in
+    one batched pass; key = (avg_abs_corr, vertex index, value)."""
+    families = [current.condition((v,), (b,)) for _, v, b in pins]
+    scored = zip(pins, families, _batch_statistics(families))
+    return min((((st.avg_abs_corr, i, b), v, b, fam, st.means) for (i, v, b), fam, st in scored), key=lambda c: c[0])
+
+
 def find_conditioning(theta: LocalDistributionFamily, target: float, budget: int) -> ConditioningResult:
     """Greedy search for a small conditioning with low average |correlation|.
 
@@ -537,6 +633,11 @@ def find_conditioning(theta: LocalDistributionFamily, target: float, budget: int
     of probability <= MIN_EVENT_PROB are skipped.  Ties break toward the
     lowest vertex index, then value 0.  Exhausting the budget yields a
     failure report carrying the best family found.
+
+    A round conditions and scores its candidates in blocks of at most
+    ``BLOCK_ENTRIES`` table entries (one candidate at least), so only one
+    block and the best family so far are alive at a time.  Each trace row
+    counts the round's ``candidates`` and ``blocks``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -544,30 +645,29 @@ def find_conditioning(theta: LocalDistributionFamily, target: float, budget: int
     chosen: list[str] = []
     values: list[int] = []
     trace: list[dict] = []
-    avg = current.statistics().avg_abs_corr
+    stats = current.statistics()
+    avg, means = stats.avg_abs_corr, stats.means
     while avg > target and len(chosen) < budget:
         if current.level - 1 < 2:
             break
-        best = None
-        for v in current.host.vertices:
-            if v in chosen:
-                continue
-            p1 = current.vertex_mean(v)
-            for b in (0, 1):
-                p_event = p1 if b == 1 else 1.0 - p1
-                if p_event <= MIN_EVENT_PROB:
-                    continue
-                cand = current.condition((v,), (b,))
-                cand_avg = cand.statistics().avg_abs_corr
-                key = (cand_avg, current.host.vertices.index(v), b)
-                if best is None or key < best[0]:
-                    best = (key, v, b, cand)
-        if best is None:
+        pins = [
+            (i, v, b)
+            for i, v in enumerate(current.host.vertices)
+            if v not in chosen
+            for b in (0, 1)
+            if (means[i] if b == 1 else 1.0 - means[i]) > MIN_EVENT_PROB
+        ]
+        if not pins:
             break
-        _, v, b, cand = best
+        size = max(1, BLOCK_ENTRIES // sum(t.size for t in current._tables.values()))
+        blocks = [pins[k : k + size] for k in range(0, len(pins), size)]
+        best = min((_best_pin(current, block) for block in blocks), key=lambda c: c[0])
+        (cand_avg, _, _), v, b, current, means = best
         chosen.append(v)
         values.append(b)
-        trace.append({"vertex": v, "value": b, "avg_abs_corr": best[0][0], "before": avg})
-        current = cand
-        avg = best[0][0]
+        trace.append({
+            "vertex": v, "value": b, "avg_abs_corr": cand_avg, "before": avg,
+            "candidates": len(pins), "blocks": len(blocks),
+        })
+        avg = cand_avg
     return ConditioningResult(avg <= target, chosen, values, current, avg, trace)

@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/stage_digest.py TREE SEEDS [--size smoke|full]
-        [--workload NAME ...] [--per-stage] [--check]
+        [--workload NAME ...] [--per-stage | --json] [--check]
 
 TREE is a checkout of this repository; its ``src/`` and ``perfbench/`` are
 imported, the latter read-only, as ``tests/test_references.py`` does.  SEEDS
@@ -18,7 +18,12 @@ With ``--per-stage`` it prints one line per stage instead,
 
     <workload> <seed> <stage> <sha256 of the stage's sorted JSON>
 
-so a diff names the stages that moved.  With ``--check`` it also checks each
+so a diff names the stages that moved.  With ``--json`` it prints each run's
+stage list itself, one JSON object per line,
+
+    {"seed": <seed>, "stages": [...], "workload": <workload>}
+
+which ``tools/stage_diff.py`` reads.  With ``--check`` it also checks each
 run with ``perfbench/run.py``'s ``check`` against the stored references (at
 the full size; the smoke size has none, so only the verdicts count), prints
 
@@ -29,7 +34,8 @@ hold input seeds 0-99.
 
 A refactor that must keep every stored value bit for bit is checked by
 running the tool on a copy of the parent commit and on the change, and
-diffing the two outputs.
+diffing the two outputs, or with ``tools/stage_diff.py``, which also says
+how far each moved value went.
 """
 from __future__ import annotations
 
@@ -58,7 +64,9 @@ def main(argv=None) -> int:
     p.add_argument("seeds", type=parse_seeds, help="seed, range A-B, or comma list of either")
     p.add_argument("--size", choices=("smoke", "full"), default="full")
     p.add_argument("--workload", action="append", help="run only this workload (repeatable)")
-    p.add_argument("--per-stage", action="store_true", help="one digest per stage")
+    view = p.add_mutually_exclusive_group()
+    view.add_argument("--per-stage", action="store_true", help="one digest per stage")
+    view.add_argument("--json", action="store_true", help="each run's stage list as one JSON line")
     p.add_argument("--check", action="store_true", help="check each run against the stored references")
     args = p.parse_args(argv)
     tree = args.tree.resolve()
@@ -72,7 +80,9 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             prepared = workloads.build(name, seed, args.size)
             stages = prepared.stages(prepared.call())
-            if args.per_stage:
+            if args.json:
+                print(json.dumps({"workload": name, "seed": seed, "stages": stages}, sort_keys=True), flush=True)
+            elif args.per_stage:
                 for s in stages:
                     print(name, seed, s["stage"], digest(s), flush=True)
             else:
