@@ -3,7 +3,12 @@
 Every sampled object in the library draws from a generator derived from a
 (master seed, path label) pair, so that any run is reproducible from its
 master seed alone.  Labels are free-form strings/ints; the derivation hashes
-them into the key of a counter-based Philox generator.
+them into the entropy of a ``SeedSequence``, and each stream is SFC64 keyed
+by that ``SeedSequence`` of (seed, hashed path).  No stream jumps or
+advances, so each (seed, path) owns one stream that no other pair shares.
+Reports written before the streams moved from Philox to SFC64 do not
+reproduce bit for bit: their Monte Carlo values are fresh draws of the same
+estimators, and their exact values are unchanged.
 
 Splitting rule: a run over N samples is partitioned into fixed-size chunks,
 and chunk ``c`` of estimator ``tag`` uses ``rng_for(seed, tag, c)``; combining
@@ -26,5 +31,6 @@ def child_seed(master_seed: int, *path) -> np.random.SeedSequence:
 
 
 def rng_for(master_seed: int, *path) -> np.random.Generator:
-    """Counter-based generator for (master seed, path label)."""
-    return np.random.Generator(np.random.Philox(child_seed(master_seed, *path)))
+    """Generator for (master seed, path label): SFC64 keyed by a
+    ``SeedSequence`` of (seed, hashed path)."""
+    return np.random.Generator(np.random.SFC64(child_seed(master_seed, *path)))

@@ -77,6 +77,12 @@ class LocalDistributionFamily:
             table = np.asarray(table, dtype=float).reshape((2,) * len(key))
             # axis k of the stored table is the k-th vertex of the sorted key
             self._tables[key] = table.transpose([list(subset).index(v) for v in key])
+        # vertex -> the stored keys that hold it, in insertion order
+        self._holders: dict[str, list[tuple[str, ...]]] = {}
+        for key in self._tables:
+            for v in key:
+                self._holders.setdefault(v, []).append(key)
+        self._widest = max(map(len, self._tables), default=0)
 
     # ---- subset plumbing -------------------------------------------------
 
@@ -89,13 +95,19 @@ class LocalDistributionFamily:
 
     def _source(self, key: tuple[str, ...]) -> tuple[str, ...]:
         """Key of the stored table that ``local(key)`` reads: ``key`` itself if
-        it is stored, else the first stored subset that covers it."""
+        it is stored, else the first stored subset that covers it.
+
+        A covering subset holds every vertex of ``key``, so only the holders
+        of its rarest vertex are scanned, in insertion order, and none is
+        scanned when ``key`` is wider than every stored subset."""
         if key in self._tables:
             return key
         need = set(key)
-        for skey in self._tables:
-            if need <= set(skey):
-                return skey
+        if len(need) <= self._widest:
+            holders = min((self._holders.get(v, ()) for v in key), key=len, default=self._tables)
+            for skey in holders:
+                if need <= set(skey):
+                    return skey
         raise StructuralError(f"no stored local covers {key}")
 
     def _cover(self, key: tuple[str, ...]) -> np.ndarray:

@@ -155,6 +155,21 @@ class TestRngFamily:
     def test_same_path_same_stream(self):
         np.testing.assert_array_equal(rng_for(5, "x", 3).random(4), rng_for(5, "x", 3).random(4))
 
+    def test_streams_are_sfc64_with_a_pinned_first_draw(self):
+        # every Monte Carlo value in the library moves if this draw moves
+        rng = rng_for(0, "pin")
+        assert type(rng.bit_generator) is np.random.SFC64
+        assert rng.random() == 0.32236656487688076
+
+    def test_chunk_streams_are_uniform_and_uncorrelated(self):
+        size = 2 ** 14
+        draws = np.stack([rng_for(0, "chunks", c).random(size) for c in range(64)])
+        # U(0, 1) has variance 1/12: each chunk mean within 4 sigma of 1/2
+        assert np.abs(draws.mean(axis=1) - 0.5).max() <= 4.0 * math.sqrt(1.0 / 12.0 / size)
+        corr = np.corrcoef(draws)
+        neighbours = np.diagonal(corr, offset=1)
+        assert np.abs(neighbours).max() <= 4.0 / math.sqrt(size)
+
 
 def product_config(tmp_path, **overrides):
     instance = {

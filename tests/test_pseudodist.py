@@ -478,6 +478,25 @@ class TestSerialization:
             np.testing.assert_array_equal(back.local(key), fam.local(key))
         np.testing.assert_array_equal(LocalDistributionFamily(g, 8, {tuple(g.vertices): joint}).local(tuple(g.vertices)), joint)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 8), data=st.data())
+    def test_source_matches_linear_scan(self, n, data):
+        # the per-vertex index against the scan it replaced: the first stored
+        # key, in insertion order, that covers the subset, or StructuralError
+        g = host(n)
+        subset = lambda mask: [v for i, v in enumerate(g.vertices) if mask >> i & 1]
+        stored = map(subset, data.draw(st.lists(st.integers(1, 2 ** n - 1), min_size=1, max_size=12)))
+        obj = {"level": n, "locals": [{"subset": s, "probs": {"0" * len(s): 1.0}} for s in stored]}
+        fam = LocalDistributionFamily.from_json(obj, g)
+        for mask in data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=8)):
+            key = fam._key(subset(mask))
+            scan = key if key in fam._tables else next((s for s in fam._tables if set(key) <= set(s)), None)
+            if scan is None:
+                with pytest.raises(StructuralError):
+                    fam._source(key)
+            else:
+                assert fam._source(key) == scan
+
     def test_unknown_vertex_named(self):
         obj = {"level": 2, "locals": [{"subset": ["zz"], "probs": {"0": 1.0}}]}
         with pytest.raises(KeyError, match="unknown vertex zz"):

@@ -35,4 +35,4 @@ def test_value_check_sampled_assignment_value_is_stored():
     # change of its "value-check-sigma" stream shows here
     prepared = workloads.build("round-exact", 3, "full")
     stage = next(s for s in prepared.call()["stages"] if s["stage"] == "rounding-value")
-    assert stage["extra"]["sigma_value"] == 0.49924375
+    assert stage["extra"]["sigma_value"] == 0.49829375

@@ -19,9 +19,14 @@ differs; ``tol`` is what CHANGE's ``perfbench/run.py`` ``check`` allows
 between the two, ``EXACT_TOL`` for an exact value and ``MC_SIGMAS``
 combined standard errors for a Monte Carlo one.  A moved verdict or status
 prints ``<stage>.verdict`` or ``<stage>.status`` with both sides, and an
-entry only one side has prints ``missing`` (only PARENT) or ``new``.  The
-last line counts the values compared and moved; the exit status is 1 if
-anything moved.
+entry only one side has prints ``missing`` (only PARENT) or ``new``.  When
+a value moved, the line before the last names the largest move,
+
+    largest move <|d|/t> tol: <workload> <seed> <stage>.<key>
+
+(the first of equal ones; a NaN delta counts largest).  The last line
+counts the values compared and moved; the exit status is 1 if anything
+moved.
 """
 from __future__ import annotations
 
@@ -60,9 +65,11 @@ def same(a, b) -> bool:
     return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
 
 
-def compare(prefix: str, parent: list, change: list, check) -> tuple[int, list[str]]:
-    """(values compared, lines for what moved) between two stage lists."""
+def compare(prefix: str, parent: list, change: list, check) -> tuple[int, list[str], list[tuple[float, str]]]:
+    """(values compared, lines for what moved, (|delta| / tol, name) of each
+    moved value) between two stage lists."""
     lines = []
+    sizes = []
     compared = 0
     old = {s["stage"]: s for s in parent}
     new = {s["stage"]: s for s in change}
@@ -87,7 +94,14 @@ def compare(prefix: str, parent: list, change: list, check) -> tuple[int, list[s
             tol = tolerance(va, vb, check)
             moved = f"delta={delta:.3e} tol={tol:.3e} ({delta / tol:.3g} tol)"
             lines.append(f"{full} {va['value']!r} {vb['value']!r} {moved}")
-    return compared, lines
+            sizes.append((abs(delta / tol), full))
+    return compared, lines, sizes
+
+
+def largest(sizes: list[tuple[float, str]]) -> str:
+    """The line that names the largest of the (|delta| / tol, name) moves."""
+    size, name = max(sizes, key=lambda s: math.inf if math.isnan(s[0]) else s[0])
+    return f"largest move {size:.3g} tol: {name}"
 
 
 def stage_lists(tree: Path, args, out) -> subprocess.Popen:
@@ -119,13 +133,16 @@ def main(argv=None) -> int:
         procs = [stage_lists(parent, args, a), stage_lists(change, args, b)]
         old, new = runs(procs[0], a, parent), runs(procs[1], b, change)
     check = load_check(change)
-    compared, moved = 0, 0
+    compared, moved, sizes = 0, 0, []
     for run in dict.fromkeys([*old, *new]):
-        n, lines = compare(f"{run[0]} {run[1]}", old.get(run, []), new.get(run, []), check)
+        n, lines, run_sizes = compare(f"{run[0]} {run[1]}", old.get(run, []), new.get(run, []), check)
         compared += n
         moved += len(lines)
+        sizes += run_sizes
         for line in lines:
             print(line, flush=True)
+    if sizes:
+        print(largest(sizes))
     print(f"compared {compared} values over {len(old)} runs: {moved} moved")
     return 1 if moved else 0
 
