@@ -173,19 +173,25 @@ def relative_weight(g: ConstraintHypergraph, sigma: Assignment) -> float:
 
 
 def _all_values(g: ConstraintHypergraph):
-    """Vectorized (relative weight, value) over all 2^n assignments.
+    """Vectorized (relative weight, value) of all 2^n assignments, in blocks.
 
-    Returns ``(verts, hi_weights, lo_weights, values)``.  Assignment index i
-    labels vertex j with bit ``(i >> (n-1-j)) & 1``, so vertex 0 is the most
-    significant bit.  The index splits into high bits h (the first n-k
-    vertices) and low bits l (the last k = min(n, _SCAN_LOW_BITS)); ``values``
-    has C-order shape ``(2^(n-k), 2^k)``, so its flat index is i, and the
-    weight of i is ``hi_weights[h] + lo_weights[l]``.  An edge's
-    predicate index is ``idx_hi(h) | idx_lo(l)``; it is built over the
-    edge's own high bits and all l only, and the gathered slab of weighted
-    table entries is broadcast-added over the high bits the edge does not
-    read.  Edges are added in edge order, one float add per entry each, so
-    every entry gets the same sum as a per-assignment loop over ``g.edges``.
+    Returns ``(verts, blocks)``.  Assignment index i labels vertex j with bit
+    ``(i >> (n-1-j)) & 1``, so vertex 0 is the most significant bit.
+    ``blocks`` yields ``(start, weights, values)`` for each run of 2^b
+    consecutive indices from ``start``, b = min(n, 16), so that a block is
+    ``BLOCK_ENTRIES // 4`` entries.  ``weights`` and ``values`` are C-order
+    ``(2^(b-k), 2^k)`` arrays, k = min(n, _SCAN_LOW_BITS), whose flat index
+    is i - start; both are buffers that the next block overwrites.
+
+    The top n-b vertices are the block's prefix, fixed bits; the other
+    vertices' bits are arrays, one axis per high vertex of the block and
+    one over the low bits l (the last k vertices).  The weight of i is
+    ``hi_weights[h] + lo_weights[l]``, the dot products of the high bits h
+    (the first n-k vertices) and of l.  An edge's predicate index is built
+    over the bits the edge reads only, and the gathered slab of weighted
+    table entries is broadcast-added over the rest.  Edges are added in
+    edge order, one float add per entry each, so every entry gets the same
+    sum as a per-assignment loop over ``g.edges``.
     """
     verts = g.vertices
     n = len(verts)
@@ -193,18 +199,32 @@ def _all_values(g: ConstraintHypergraph):
         raise InstanceTooLargeError(f"{n} vertices exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     k = min(n, _SCAN_LOW_BITS)
     hi = n - k
+    top = max(0, n - ((BLOCK_ENTRIES // 4).bit_length() - 1))
+    mid = hi - top  # high vertices inside a block
     lo_bits = domain_points(k)
     vw = g.vertex_weight_vector(verts)
-    values = np.zeros((2 ** hi, 2 ** k))
-    axes = values.reshape((2,) * hi + (2 ** k,))  # one axis per high vertex
-    # vertex j's bit as an array that broadcasts against `axes`
-    bit = [np.arange(2).reshape((1,) * j + (2,) + (1,) * (hi - j)) for j in range(hi)]
-    bit += [lo_bits[:, j].reshape((1,) * hi + (-1,)) for j in range(k)]
+    hi_weights, lo_weights = domain_points(hi) @ vw[:hi], lo_bits @ vw[hi:]
     vindex = {v: i for i, v in enumerate(verts)}
     table = g.predicate.table()
-    for vs, w in g.edges:
-        axes += (w * table)[pack_bits(bit[vindex[v]] for v in vs)]
-    return verts, domain_points(hi) @ vw[:hi], lo_bits @ vw[hi:], values
+
+    def blocks():
+        weights = np.empty((2 ** mid, 2 ** k))
+        values = np.empty_like(weights)
+        axes = values.reshape((2,) * mid + (2 ** k,))  # one axis per high vertex
+        # vertex j's bit: a prefix bit, or an array that broadcasts against `axes`
+        bit = [0] * top
+        bit += [np.arange(2).reshape((1,) * j + (2,) + (1,) * (mid - j)) for j in range(mid)]
+        bit += [lo_bits[:, j].reshape((1,) * mid + (-1,)) for j in range(k)]
+        for prefix in range(2 ** top):
+            bit[:top] = unpack_bits(prefix, top).tolist()
+            rows = slice(prefix << mid, (prefix + 1) << mid)
+            np.add(hi_weights[rows, None], lo_weights, out=weights)
+            values.fill(0.0)
+            for vs, w in g.edges:
+                axes += (w * table)[pack_bits(bit[vindex[v]] for v in vs)]
+            yield prefix * values.size, weights, values
+
+    return verts, blocks()
 
 
 @dataclass(frozen=True)
@@ -230,28 +250,29 @@ class ScanResult:
 def _window_scan(g: ConstraintHypergraph, window) -> ScanResult:
     """Scan every assignment; ``window`` maps a block of weights to a mask.
 
-    The weights are built and tested in row blocks of ``BLOCK_ENTRIES``, never
-    as one 2^n array, and ``window`` may overwrite its block.  Values outside
-    the window are set to -inf in place.  Ties go to the first optimal index
-    (vertex 0 most significant).
+    ``window`` may overwrite its block of weights (:func:`_all_values`),
+    and the block's values outside the window are set to -inf in place;
+    nothing of 2^n entries is built.  A block's first optimal index
+    replaces the best so far only when strictly better, so ties go to the
+    first optimal index (vertex 0 most significant).
     """
-    verts, hi_weights, lo_weights, values = _all_values(g)
-    rows = max(1, BLOCK_ENTRIES // lo_weights.size)
-    in_window = 0
-    for start in range(0, len(values), rows):
-        ok = window(hi_weights[start : start + rows, None] + lo_weights)
-        in_window += int(np.count_nonzero(ok))
-        values[start : start + rows][~ok] = -np.inf
+    verts, blocks = _all_values(g)
+    in_window, best, best_index = 0, -np.inf, 0
+    for start, weights, values in blocks:
+        ok = window(weights)
+        count = int(np.count_nonzero(ok))
+        if not count:
+            continue
+        in_window += count
+        values[~ok] = -np.inf
+        j = int(np.argmax(values))
+        if values.flat[j] > best:
+            best, best_index = float(values.flat[j]), start + j
+    assignments = 2 ** len(verts)
     if not in_window:
-        return ScanResult(0.0, None, False, values.size, 0)
-    best = int(np.argmax(values))
-    return ScanResult(
-        float(values.flat[best]),
-        Assignment.from_bits(verts, unpack_bits(best, len(verts))),
-        True,
-        values.size,
-        in_window,
-    )
+        return ScanResult(0.0, None, False, assignments, 0)
+    witness = Assignment.from_bits(verts, unpack_bits(best_index, len(verts)))
+    return ScanResult(best, witness, True, assignments, in_window)
 
 
 def opt_constrained_scan(g: ConstraintHypergraph, mu: float, tol: float | None = None) -> ScanResult:

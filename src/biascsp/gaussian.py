@@ -11,7 +11,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .harness.mc import McRun, mc_run
+from .harness.mc import McRun, mc_run, scratch
 
 
 def normal_cdf(t: float) -> float:
@@ -51,12 +51,14 @@ class CorrelatedSampler:
 
         The shared source g is drawn first, then each copy's zeta_i in turn:
         the stream and float operations of drawing g and all r copies at
-        once, with a working set of two (n, R) arrays, not r + 2.
+        once, with a working set of two (n, R) arrays, not r + 2.  Both are
+        the running chunk's scratch (``harness.mc.scratch``), drawn into
+        with ``out=``: the same stream as drawing them fresh.
         """
-        shared = rng.standard_normal((n, self.dimension))
+        shared = rng.standard_normal(out=scratch("gaussian.shared", (n, self.dimension)))
         shared *= self.rho  # rho * g; g itself is not needed
         scale = math.sqrt(1.0 - self.rho * self.rho)
-        h = np.empty_like(shared)
+        h = scratch("gaussian.copy", shared.shape)
         for _ in range(self.copies):
             rng.standard_normal(out=h)
             h *= scale
@@ -193,8 +195,8 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
 
     joint = mc_run(joint_product, samples, seed, tag="borell-joint", parallel=True)
     means = [
-        mc_run(lambda rng, n, f=f: f(rng.standard_normal((n, dimension))), samples, seed,
-               tag=f"borell-mean-{i}", parallel=True)
+        mc_run(lambda rng, n, f=f: f(rng.standard_normal(out=scratch("gaussian.mean", (n, dimension)))),
+               samples, seed, tag=f"borell-mean-{i}", parallel=True)
         for i, f in enumerate(functions)
     ]
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]

@@ -19,8 +19,8 @@ import numpy as np
 from .mc import ORACLE_CAP
 from .pipeline import (
     ConfigError, StageError, acceptance_stage, build_rounding_tables, condition_stage, failed,
-    load_family, load_instance, mixing_stage, parse_number, planted_dictator, run_pipeline,
-    smooth_stage, stage, verify_stage,
+    load_family, load_instance, minor_faults, mixing_stage, parse_number, planted_dictator,
+    run_pipeline, smooth_stage, stage, verify_stage,
 )
 from .rng import rng_for
 
@@ -66,30 +66,39 @@ def _cmd_pd(args) -> dict:
     return record
 
 
-def _throughput(t0: float, samples: int, threads: int) -> dict:
-    """Wall time of a Monte Carlo check since ``t0``, the samples its runs
-    drew per second, together, and the threads each run used."""
-    elapsed = time.perf_counter() - t0
-    return {"elapsed_s": elapsed, "samples_per_s": samples / elapsed, "threads": threads}
+def _start() -> tuple[float, int]:
+    """The clock and the minor-fault count at the start of a check."""
+    return time.perf_counter(), minor_faults()
+
+
+def _throughput(start: tuple[float, int], samples: int, threads: int) -> dict:
+    """Wall time and minor faults of a Monte Carlo check since ``start``
+    (:func:`_start`), the samples its runs drew per second, together, and
+    the threads each run used."""
+    elapsed = time.perf_counter() - start[0]
+    return {
+        "elapsed_s": elapsed, "samples_per_s": samples / elapsed, "threads": threads,
+        "minor_faults": minor_faults() - start[1],
+    }
 
 
 def _cmd_gauss_lambda(args) -> dict:
     from ..gaussian import lambda_bound_check, lambda_estimate
 
     deltas = [parse_number(d) for d in args.deltas.split(",")]
-    t0 = time.perf_counter()
+    start = _start()
     if args.check_bound:
         rep = lambda_bound_check(args.rho, deltas, args.samples, args.seed, delta0=args.delta0)
         return stage(
             "gauss-lambda-bound", rep.holds, value=rep.estimate.value, bound=rep.bound,
             stderr=rep.estimate.stderr, seed=args.seed, samples=args.samples,
             applicable=rep.applicable, preconditions=rep.preconditions,
-            **_throughput(t0, rep.estimate.samples, rep.estimate.threads),
+            **_throughput(start, rep.estimate.samples, rep.estimate.threads),
         )
     est = lambda_estimate(args.rho, deltas, args.samples, args.seed)
     return stage(
         "gauss-lambda", None, value=est.value, stderr=est.stderr, seed=est.seed, samples=est.samples,
-        **_throughput(t0, est.samples, est.threads),
+        **_throughput(start, est.samples, est.threads),
     )
 
 
@@ -106,13 +115,13 @@ def _cmd_gauss_borell(args) -> dict:
         if item.get("kind") not in makers:
             raise ConfigError(f"unknown function kind {item.get('kind')!r}")
         fns.append(makers[item["kind"]](item))
-    t0 = time.perf_counter()
+    start = _start()
     rep = borell_check(fns, args.dim, args.rho, args.samples, args.seed)
     return stage(
         "gauss-borell", rep.holds, value=rep.joint.value, bound=rep.stability_bound.value,
         stderr=rep.sigma_total, seed=args.seed, samples=args.samples, means=rep.means,
         # the joint, each mean and the stability term: one run of `samples` each
-        **_throughput(t0, (len(fns) + 2) * args.samples, rep.joint.threads),
+        **_throughput(start, (len(fns) + 2) * args.samples, rep.joint.threads),
     )
 
 

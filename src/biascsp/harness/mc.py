@@ -38,6 +38,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# The calling thread's scratch buffers while it runs chunks, by (name, dtype).
+_worker = threading.local()
+
+
+def scratch(name: str, shape, dtype=float) -> np.ndarray:
+    """An uninitialised array of ``shape`` (an int or a tuple) for a chunk's
+    working data.
+
+    Inside a :func:`run_chunks` work call it is a view of the running
+    thread's own buffer ``name``, which that thread's later chunks get
+    again (grown when a chunk needs more), so a chunk-sized array is
+    faulted in once per thread, not once per chunk.  The view is valid
+    until the thread's next ``scratch(name)`` call: a work call must not
+    return it, nor hold two arrays of one name at once.  Outside a run it
+    is a fresh ``np.empty``.
+    """
+    buffers = getattr(_worker, "buffers", None)
+    if buffers is None:
+        return np.empty(shape, dtype)
+    key = (name, dtype)
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    buf = buffers.get(key)
+    if buf is None or buf.size < size:
+        buf = buffers[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _with_scratch(run):
+    """``run()`` with a scratch of its own on this thread; the thread's
+    previous scratch (if any) is back when it returns or raises."""
+    outer = getattr(_worker, "buffers", None)
+    _worker.buffers = {}
+    try:
+        return run()
+    finally:
+        _worker.buffers = outer
+
+
 def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[list, int]:
     """``[work(c, size) for each chunk c]`` and the number of threads that ran them.
 
@@ -52,7 +90,8 @@ def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[
     must then be safe to call from several threads at once.  A chunk's error
     stops the other threads from taking chunks and is re-raised here once
     they have all ended.  ``total < 1`` and ``chunk < 1`` are refused before
-    ``work`` is called.
+    ``work`` is called.  Each thread's :func:`scratch` lasts for the run:
+    it is dropped when this returns or raises.
     """
     if total < 1:
         raise ValueError("need at least one sample")
@@ -61,13 +100,13 @@ def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[
     sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
     threads = min(_usable_cpus(), len(sizes)) if parallel else 1
     if threads == 1:
-        return [work(c, n) for c, n in enumerate(sizes)], 1
+        return _with_scratch(lambda: [work(c, n) for c, n in enumerate(sizes)]), 1
     results: list = [None] * len(sizes)
     errors: list = []
     jobs = iter(enumerate(sizes))
     lock = threading.Lock()
 
-    def worker():
+    def take_chunks():
         while not errors:
             with lock:
                 job = next(jobs, None)
@@ -77,6 +116,9 @@ def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[
                 results[job[0]] = work(*job)
             except BaseException as exc:  # re-raised by the calling thread
                 errors.append(exc)
+
+    def worker():
+        _with_scratch(take_chunks)
 
     workers = [threading.Thread(target=worker, daemon=True) for _ in range(threads - 1)]
     for w in workers:

@@ -7,6 +7,7 @@ only through them and exit by :func:`failed`."""
 from __future__ import annotations
 
 import json
+import resource
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -179,20 +180,27 @@ def build_rounding_tables(source, host, family, r_dim: int) -> dict[str, Functio
     raise ConfigError("rounding functions: unknown kind")
 
 
+def minor_faults() -> int:
+    """Minor page faults of this process so far (``ru_minflt``); a Monte
+    Carlo stage record's ``minor_faults`` is their growth over the stage."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _counted(f, run):
-    """Run ``run()`` and return its result with the wall time and the work
-    the dictator ``f`` did in it: queries, fallbacks, and rows that had to
-    be read at an explicit coordinate permutation."""
+    """Run ``run()`` and return its result with the wall time, the minor
+    faults and the work the dictator ``f`` did in it: queries, fallbacks,
+    and rows that had to be read at an explicit coordinate permutation."""
     def counters():
         return f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows
 
-    before = counters()
+    before, faults = counters(), minor_faults()
     t0 = time.perf_counter()
     result = run()
     elapsed = time.perf_counter() - t0
     queries, fallbacks, permuted = (b - a for a, b in zip(before, counters()))
     return result, {
         "elapsed_s": elapsed,
+        "minor_faults": minor_faults() - faults,
         "dictator_queries": queries,
         "dictator_fallbacks": fallbacks,
         "permuted_rows": permuted,
@@ -377,7 +385,9 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
             family=family,
         )
         trials = int(round_cfg.get("trials", 2000))
+        faults = minor_faults()
         conc = bias_concentration_check(inp, trials, seed)
+        faults = minor_faults() - faults
         stages.append(
             stage(
                 "rounding-variance",
@@ -391,10 +401,13 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 deviation_bound=conc.deviation_bound,
                 trials_per_s=conc.trials_per_s,
                 threads=conc.threads,
+                minor_faults=faults,
             )
         )
         vtrials = int(round_cfg.get("value_trials", 20000))
+        faults = minor_faults()
         vc = value_check(inp, vtrials, seed, budget=parse_number(round_cfg.get("budget", 0.02)))
+        faults = minor_faults() - faults
         stages.append(
             stage(
                 "rounding-value",
@@ -410,6 +423,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 exact_elapsed_s=vc.exact_elapsed_s,
                 trials_per_s=vc.trials_per_s,
                 threads=vc.threads,
+                minor_faults=faults,
             )
         )
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .harness.mc import scratch
+
 
 def _apply_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     """Contract ``mat`` (shape (new, old), old the length of ``axis``) into
@@ -61,36 +63,46 @@ class MultilinearPolynomial:
         idx = tuple((mask >> j) & 1 for j in range(self.nvars))
         return float(self._tensor[idx])
 
-    def evaluate(self, points) -> np.ndarray:
-        """Evaluate at real points of shape (..., nvars).
+    def evaluate(self, points, out=None) -> np.ndarray:
+        """Evaluate at real points of shape (..., nvars), into ``out`` when
+        given (a float array of the points' batch shape).
 
         With the variables split into a first half ``a`` and a second half
         ``b``, P(q) = colsum((C^T @ M_a(q)) * M_b(q)), where ``C`` is the
         coefficient tensor as a 2^|a| x 2^|b| matrix and ``M`` the
         (2^|half|, rows) monomial matrix of a half; rows go through in chunks
         of ``_EVAL_CHUNK``, and one buffer per half holds a chunk's monomials.
+        The transposed points, the monomials and the product are scratch
+        (``harness.mc.scratch``): reused by a chunk driver's thread.
         """
         q = np.asarray(points, dtype=float)
         if q.shape[-1:] != (self.nvars,) and self.nvars > 0:
             raise ValueError(f"expected trailing dimension {self.nvars}")
-        if self.nvars == 0:
-            return np.broadcast_to(self._tensor, q.shape[:-1]).copy()
         batch = q.shape[:-1]
-        qt = q.reshape(-1, self.nvars).T.copy()  # (nvars, rows)
+        if out is None:
+            out = np.empty(batch)
+        elif out.shape != batch or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {batch}")
+        if self.nvars == 0:
+            out[...] = self._tensor
+            return out
+        flat = out.reshape(-1)  # a view of out
+        qt = scratch("polynomial.points", (self.nvars, flat.size))
+        qt[...] = q.reshape(-1, self.nvars).T
         rows = qt.shape[1]
         half = self.nvars // 2
         coeffs_t = self._tensor.reshape(2 ** half, -1).T
         width = min(rows, _EVAL_CHUNK)
-        mono_a = np.empty((2 ** half, width))
-        mono_b = np.empty((len(coeffs_t), width))
-        out = np.empty(rows)
+        mono_a = scratch("polynomial.mono_a", (2 ** half, width))
+        mono_b = scratch("polynomial.mono_b", (len(coeffs_t), width))
         for start in range(0, rows, _EVAL_CHUNK):
             cols = qt[:, start : start + _EVAL_CHUNK]
             m = cols.shape[1]
-            lo = coeffs_t @ _monomials(cols[:half], mono_a[:, :m])
+            lo = scratch("polynomial.product", (len(coeffs_t), m))
+            np.matmul(coeffs_t, _monomials(cols[:half], mono_a[:, :m]), out=lo)
             lo *= _monomials(cols[half:], mono_b[:, :m])
-            lo.sum(axis=0, out=out[start : start + m])
-        return out.reshape(batch)
+            lo.sum(axis=0, out=flat[start : start + m])
+        return out
 
     def __call__(self, points) -> np.ndarray:
         return self.evaluate(points)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import ConstraintHypergraph
-from .harness.mc import BLOCK_ENTRIES, run_chunks
+from .harness.mc import BLOCK_ENTRIES, run_chunks, scratch
 from .harness.rng import rng_for
 from .polynomial import _EVAL_CHUNK, MultilinearPolynomial
 from .probspace import (
@@ -103,24 +103,29 @@ def _batch_p(inp: RoundingInput, rounds: int, rng: np.random.Generator) -> np.nd
 
     One (rounds, R, d) draw of the matrices from ``rng``, held flat as
     (rounds * R, d), so that each vertex's projection is one matrix-vector
-    product.
+    product.  The matrices, the projections and the polynomial values go
+    into scratch (``harness.mc.scratch``) with ``out=``: the same stream and
+    floats as fresh arrays.
     """
     R = inp.r_dim
     verts = inp.host.vertices
-    gmats = rng.standard_normal((rounds * R, inp.solution.dimension))
+    gmats = rng.standard_normal(out=scratch("rounding.draws", (rounds * R, inp.solution.dimension)))
+    q = scratch("rounding.projection", (rounds, R))
+    p = scratch("rounding.p", rounds)
     out = np.empty((rounds, len(verts)))
     for k, v in enumerate(verts):
-        q = (gmats @ inp.solution.w_for(v)).reshape(rounds, R)
+        np.matmul(gmats, inp.solution.w_for(v), out=q.reshape(-1))
         q += inp.solution.mu_for(v)
-        out[:, k] = clip(inp.polys[v].evaluate(q))
+        out[:, k] = clip(inp.polys[v].evaluate(q, out=p))
     return out
 
 
 def _assign(host: ConstraintHypergraph, p: np.ndarray, rng: np.random.Generator):
     """The Bernoulli step of rounds with acceptance probabilities ``p``
     (rounds, n): the int8 assignments, one uniform per vertex and round in C
-    order, and each round's value."""
-    sigma = (rng.random(p.shape) < p).astype(np.int8)
+    order (drawn into scratch), and each round's value."""
+    # the buffer of _batch_p's matrices, which are done with by now
+    sigma = (rng.random(out=scratch("rounding.draws", p.shape)) < p).astype(np.int8)
     vindex = {v: i for i, v in enumerate(host.vertices)}
     table = host.predicate.table()
     values = np.zeros(len(p))

@@ -22,6 +22,7 @@ from biascsp.csp import (
     robust_opt,
     robust_opt_scan,
 )
+from biascsp.harness.mc import BLOCK_ENTRIES
 from biascsp.probspace import domain_points
 
 from conftest import traced_peak
@@ -305,6 +306,21 @@ def same_outcome(got, want):
         assert got[1].labels == want[1].labels
 
 
+def assembled_values(g):
+    """``_all_values`` with its blocks copied into two arrays of 2^n entries,
+    weights and values; an entry that no block fills stays NaN, which
+    equals nothing."""
+    verts, blocks = _all_values(g)
+    weights, values = np.full((2, 2 ** len(verts)), np.nan)
+    starts = []
+    for start, w, v in blocks:
+        starts.append(start)
+        weights[start : start + w.size] = w.reshape(-1)
+        values[start : start + v.size] = v.reshape(-1)
+    assert starts == sorted(starts)
+    return verts, weights, values
+
+
 @st.composite
 def instances(draw):
     """Random instances of 1-14 vertices: non-uniform vertex weights, a random
@@ -331,13 +347,12 @@ class TestSplitScan:
     @given(instances())
     def test_values_bit_identical(self, g):
         _, _, weights, values = reference_all_values(g)
-        verts, hi_weights, lo_weights, got_values = _all_values(g)
-        got_weights = hi_weights[:, None] + lo_weights[None, :]
+        verts, got_weights, got_values = assembled_values(g)
         assert verts == g.vertices
         assert got_values.size == 2 ** len(verts)
-        assert np.array_equal(got_values.reshape(-1), values)
+        assert np.array_equal(got_values, values)
         # a different summation order; far inside the window slack WEIGHT_TOL
-        assert np.max(np.abs(got_weights.reshape(-1) - weights)) <= 1e-15
+        assert np.max(np.abs(got_weights - weights)) <= 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(instances())
@@ -378,30 +393,123 @@ class TestSplitScan:
         assert (empty.assignments, empty.in_window, empty.feasible) == (8, 0, False)
 
     def test_peak_memory_at_n20(self):
-        n, m = 20, 60
-        rng = np.random.default_rng(5)
-        verts = {f"v{i}": 1.0 / n for i in range(n)}
-        pairs = [rng.choice(n, size=2, replace=False) for _ in range(m)]
-        g = ConstraintHypergraph(
-            verts, [((f"v{a}", f"v{b}"), 1.0 / m) for a, b in pairs], Predicate.xor(2)
-        )
+        g = random_xor(20, 60, 5)
         with traced_peak() as peak:
             _, _, feasible = opt_constrained(g, 0.5)
         assert feasible
         assert peak.bytes < 64 * 2 ** 20, f"peak traced allocation {peak.bytes / 2 ** 20:.1f} MiB"
 
     def test_window_is_tested_in_place(self):
-        # values are 8 MiB at n = 20; weights built as one 2^n array would add
-        # 8 MiB, and a window test that allocates (w - mu, then its abs) or a
-        # masked copy of the values 8 MiB more
-        n, m = 20, 60
-        rng = np.random.default_rng(5)
-        verts = {f"v{i}": 1.0 / n for i in range(n)}
-        pairs = [rng.choice(n, size=2, replace=False) for _ in range(m)]
-        g = ConstraintHypergraph(
-            verts, [((f"v{a}", f"v{b}"), 1.0 / m) for a, b in pairs], Predicate.xor(2)
-        )
+        # the bound once caught 2^n weights and a window test that allocated
+        # (w - mu, then its abs) beside 8 MiB of values; the scan now holds
+        # one block of each (test_scan_holds_one_block)
+        g = random_xor(20, 60, 5)
         with traced_peak() as peak:
             scan = opt_constrained_scan(g, 0.5)
         assert (scan.feasible, scan.in_window) == (True, 184756)  # C(20, 10) weights at 1/2
         assert peak.bytes < 14 * 2 ** 20, f"peak traced allocation {peak.bytes / 2 ** 20:.1f} MiB"
+
+
+def random_xor(n, m, seed):
+    """An XOR instance of ``m`` random vertex pairs, uniform weights."""
+    rng = np.random.default_rng(seed)
+    verts = {f"v{i}": 1.0 / n for i in range(n)}
+    pairs = [rng.choice(n, size=2, replace=False) for _ in range(m)]
+    return ConstraintHypergraph(verts, [((f"v{a}", f"v{b}"), 1.0 / m) for a, b in pairs], Predicate.xor(2))
+
+
+def random_instance(n, seed):
+    """``n`` vertices of weights 1-9, 40 edges of a random predicate of arity
+    1-3 that may repeat a vertex; the instances of ``instances``, past 14."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 4))
+    points = [tuple(int(b) for b in a) for a in domain_points(r)]
+    accepting = [a for a in points if rng.random() < 0.5] or points[:1]
+    vw = rng.integers(1, 10, size=n)
+    ew = rng.integers(1, 10, size=40)
+    edges = rng.integers(0, n, size=(40, r))
+    return ConstraintHypergraph(
+        {f"v{i}": w / vw.sum() for i, w in enumerate(vw)},
+        [(tuple(f"v{i}" for i in e), w / ew.sum()) for e, w in zip(edges, ew)],
+        Predicate(r, frozenset(accepting)),
+    )
+
+
+# Assignments per scan block; vertices before the last 16 are a block's prefix.
+SCAN_BLOCK = BLOCK_ENTRIES // 4
+
+
+class TestBlockScan:
+    """Instances of 17-18 vertices, which the scan takes in 2-4 blocks."""
+
+    @staticmethod
+    def reference_scan(ref, window):
+        """The outcome over the reference arrays, the in-window count and the
+        indices of every in-window optimum."""
+        verts, bits, weights, values = ref
+        ok = window(weights)
+        if not ok.any():
+            return (0.0, None, False), 0, []
+        masked = np.where(ok, values, -np.inf)
+        best = int(np.argmax(masked))
+        outcome = (float(values[best]), Assignment.from_bits(verts, bits[best]), True)
+        return outcome, int(ok.sum()), np.flatnonzero(masked == masked[best]).tolist()
+
+    def check(self, g, ref, scan, window):
+        want, in_window, optima = self.reference_scan(ref, window)
+        same_outcome(scan.outcome, want)
+        assert (scan.assignments, scan.in_window) == (2 ** len(g.vertices), in_window)
+        return optima
+
+    @pytest.mark.parametrize("n, seed", [(17, 0), (17, 1), (18, 2), (18, 3)])
+    def test_blocks_match_reference(self, n, seed):
+        g = random_instance(n, seed)
+        ref = reference_all_values(g)
+        _, weights, values = assembled_values(g)
+        assert np.array_equal(values, ref[3])
+        assert np.max(np.abs(weights - ref[2])) <= 1e-15
+        for mu in (0.0, 0.25, 0.5, 0.8):
+            for tol in (None, 0.0, 0.1):
+                t = 0.5 * min(g.vertex_weights.values()) if tol is None else tol
+                self.check(g, ref, opt_constrained_scan(g, mu, tol),
+                           lambda w: np.abs(w - mu) <= t + WEIGHT_TOL)
+            for gamma in (0.01, 0.25):
+                half = mu * np.sqrt(gamma)
+                self.check(g, ref, robust_opt_scan(g, mu, gamma),
+                           lambda w: (w >= mu - half - WEIGHT_TOL) & (w <= mu + half + WEIGHT_TOL))
+
+    def test_tie_across_blocks_goes_to_the_first(self):
+        # XOR on a 17-cycle: an assignment and its complement, which flips
+        # the prefix vertex v0 and so sits in the other block, tie
+        g = cycle_graph(17, Predicate.xor(2))
+        optima = self.check(g, reference_all_values(g), opt_constrained_scan(g, 0.5),
+                            lambda w: np.abs(w - 0.5) <= 0.5 / 17 + WEIGHT_TOL)
+        assert {i // SCAN_BLOCK for i in optima} == {0, 1}
+
+    def test_tie_in_later_blocks_goes_to_the_first(self):
+        # an OR edge (v0, v0) outweighs the rest, so every optimum has v0 = 1
+        # and lies in blocks 2-3; v1 is in no edge, so both of them hold one
+        n = 18
+        psi = Predicate.from_strings(2, ["01", "10", "11"])
+        verts = {f"v{i}": 1.0 / n for i in range(n)}
+        edges = [(("v0", "v0"), 0.5)] + [((f"v{i}", f"v{i + 1}"), 0.5 / 8) for i in range(2, 17, 2)]
+        g = ConstraintHypergraph(verts, edges, psi)
+        optima = self.check(g, reference_all_values(g), opt_constrained_scan(g, 0.5, 0.1),
+                            lambda w: np.abs(w - 0.5) <= 0.1 + WEIGHT_TOL)
+        assert {i // SCAN_BLOCK for i in optima} == {2, 3}
+
+    def test_empty_window(self):
+        g = cycle_graph(17, Predicate.xor(2))  # weights k/17, never 1/2
+        scan = opt_constrained_scan(g, 0.5, 0.0)
+        assert scan.outcome == (0.0, None, False)
+        assert (scan.assignments, scan.in_window) == (2 ** 17, 0)
+
+    @pytest.mark.parametrize("n", [20, 22])
+    def test_scan_holds_one_block(self, n):
+        # 2^n values were 10.5 MiB at n = 20 and 34.5 MiB at n = 22; a block's
+        # values, weights, mask and gathered slab take about 1.3 MiB
+        g = random_xor(n, 60, 5)
+        with traced_peak() as peak:
+            scan = opt_constrained_scan(g, 0.5)
+        assert scan.feasible
+        assert peak.bytes <= 2 * 2 ** 20, f"peak traced allocation {peak.bytes / 2 ** 20:.2f} MiB"

@@ -146,6 +146,91 @@ class TestParallelMcRun:
         assert out.stdout.strip() == "False"
 
 
+class TestScratch:
+    @staticmethod
+    def three_threads_take_chunks(work):
+        """``work`` run over 31 items in chunks of 3 on three CPUs; chunks 0-2
+        wait for one another when done, so each thread takes one of them and
+        all three threads are in a run at once."""
+        barrier = threading.Barrier(3)
+
+        def gated(c, n):
+            result = work(c, n)
+            if c < 3:
+                barrier.wait(timeout=30)
+            return result
+
+        results, threads = mc.run_chunks(gated, 31, 3)
+        assert threads == 3
+        return results
+
+    def test_each_worker_reuses_its_own_buffer(self, monkeypatch):
+        cpus(monkeypatch, 3)
+
+        def work(c, n):
+            a = mc.scratch("test.buffer", (n, 4))
+            return threading.get_ident(), a.ctypes.data, a.shape
+
+        results = self.three_threads_take_chunks(work)
+        assert [r[2] for r in results] == [(3, 4)] * 10 + [(1, 4)]
+        addresses: dict = {}
+        for ident, address, _ in results:
+            addresses.setdefault(ident, set()).add(address)
+        assert len(addresses) == 3
+        assert all(len(a) == 1 for a in addresses.values())  # 11 chunks: some thread took several
+        assert len(set.union(*addresses.values())) == 3
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_dropped_when_the_run_ends(self, monkeypatch, k, fail):
+        import gc
+        import weakref
+
+        cpus(monkeypatch, k)
+        buffers = []
+
+        def work(c, n):
+            a = mc.scratch("test.buffer", (n,))
+            buffers.append(weakref.ref(a.base))
+            del a
+            if fail and c == 5:
+                raise RuntimeError("chunk 5")
+            return c
+
+        if fail:
+            with pytest.raises(RuntimeError, match="chunk 5"):
+                mc.run_chunks(work, 31, 3)
+        else:
+            assert mc.run_chunks(work, 31, 3) == (list(range(11)), k)
+        gc.collect()
+        assert buffers and all(ref() is None for ref in buffers)
+        assert mc.scratch("test.buffer", (3,)).base is None  # back outside a run
+
+    def test_fresh_outside_a_run(self):
+        a = mc.scratch("test.buffer", (4, 4))
+        b = mc.scratch("test.buffer", (4, 4))
+        assert a.base is None and b.base is None
+        assert not np.shares_memory(a, b)
+
+    def test_evaluate_into_out_is_bit_identical(self, monkeypatch):
+        # 5000 points: two full evaluation chunks of 2048 rows and a short one
+        from biascsp.polynomial import MultilinearPolynomial
+
+        cpus(monkeypatch, 3)
+        poly = MultilinearPolynomial(np.random.default_rng(3).standard_normal((2,) * 7))
+        points = np.random.default_rng(4).standard_normal((5000, 7))
+        want = poly.evaluate(points)
+        out = np.empty(5000)
+        assert poly.evaluate(points, out=out) is out
+        assert np.array_equal(out, want)
+
+        def work(c, n):
+            got = poly.evaluate(points, out=mc.scratch("test.values", len(points)))
+            return bool(np.array_equal(got, want))
+
+        assert self.three_threads_take_chunks(work) == [True] * 11
+
+
 class TestRngFamily:
     def test_distinct_paths_distinct_streams(self):
         a = rng_for(5, "alpha").random(4)
@@ -308,6 +393,7 @@ class TestPipeline:
         assert mix["dictator_queries"] == 20 * 16
         for extra, rate in ((acc, "trials_per_s"), (mix, "draws_per_s")):
             assert extra["elapsed_s"] > 0.0 and extra[rate] > 0.0
+            assert extra["minor_faults"] >= 0
             # the dictator permutes exactly its fallback rows
             assert extra["permuted_rows"] == extra["dictator_fallbacks"] <= extra["dictator_queries"]
         assert acc["trials_per_s"] == pytest.approx(2000 / acc["elapsed_s"])
@@ -324,6 +410,7 @@ class TestPipeline:
             extra = next(s for s in report["stages"] if s["stage"] == name)["extra"]
             assert extra["threads"] == 2
             assert extra["trials_per_s"] > 0.0
+            assert extra["minor_faults"] >= 0
 
     def test_acceptance_stage_reports_its_threads(self, tmp_path, monkeypatch):
         # 2000 trials in chunks of 512 on two usable CPUs
@@ -747,6 +834,7 @@ class TestCliRecords:
         extra = record["extra"]
         assert extra["threads"] == 2
         assert extra["elapsed_s"] > 0
+        assert extra["minor_faults"] >= 0
         # the borell check draws its joint, two means and its stability term
         assert extra["samples_per_s"] == pytest.approx(runs * samples / extra["elapsed_s"])
 
