@@ -1,17 +1,19 @@
 """Correlated Gaussian sampling and joint-orthant stability estimation.
 
-All Monte Carlo assertions in this module use 3-sigma normal-approximation
-bands, and every report records its seed and sample count.
+The bound checks return a :class:`~biascsp.harness.verdict.Check`: the
+estimate against its bound within ``verdict.SIGMAS`` standard errors, with
+its seed, its sample count and the Monte Carlo runs behind it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .harness.mc import McRun, mc_run, scratch
+from .harness.verdict import Check
 
 
 def normal_cdf(t: float) -> float:
@@ -90,28 +92,19 @@ def lambda_estimate(rho: float, deltas, samples: int, seed: int) -> McRun:
     return _orthant_run(rho, deltas, samples, seed, "lambda")
 
 
-@dataclass
-class BoundCheckReport:
-    applicable: bool
-    holds: bool | None
-    estimate: McRun
-    bound: float
-    preconditions: dict
-    notes: list[str] = field(default_factory=list)
-
-
 def lambda_bound_check(
     rho: float,
     deltas,
     samples: int,
     seed: int,
     delta0: float = 1e-2,
-) -> BoundCheckReport:
-    """Check the small-correlation product bound on joint orthant mass.
+) -> Check:
+    """Check the small-correlation product bound on joint orthant mass:
+    estimate <= 2^r * prod(deltas) within 3 standard errors.
 
     Applies only when every delta_i <= delta0 and
-    rho <= 1/(4 r^2 ln(1/min delta)); otherwise the report is informational.
-    When applicable, asserts estimate <= 2^r * prod(deltas) + 3*stderr.
+    rho <= 1/(4 r^2 ln(1/min delta)); otherwise the check asserts nothing.
+    ``estimate`` is the Monte Carlo run.
     """
     deltas = [float(d) for d in deltas]
     r = len(deltas)
@@ -124,11 +117,11 @@ def lambda_bound_check(
         "delta0": delta0,
     }
     est = lambda_estimate(rho, deltas, samples, seed)
-    bound = (2.0 ** r) * math.prod(deltas)
-    applicable = pre["deltas_small"] and pre["rho_small"]
-    holds = est.value <= bound + 3.0 * est.stderr if applicable else None
-    notes = [] if applicable else ["preconditions not met; bound not asserted"]
-    return BoundCheckReport(applicable, holds, est, bound, pre, notes)
+    return Check(
+        est.value, (2.0 ** r) * math.prod(deltas), stderr=est.stderr, span=(0.0, 1.0), samples=samples,
+        seed=seed, applicable=pre["deltas_small"] and pre["rho_small"], counters={"preconditions": pre},
+        detail={"estimate": est},
+    )
 
 
 # ---- bounded-function stability (rearrangement upper bound) -----------------
@@ -164,24 +157,15 @@ def constant(c: float):
     return fn
 
 
-@dataclass
-class BorellReport:
-    joint: McRun
-    means: list[float]
-    mean_stderrs: list[float]
-    stability_bound: McRun
-    sigma_total: float
-    holds: bool
-
-
-def borell_check(functions, dimension: int, rho: float, samples: int, seed: int) -> BorellReport:
+def borell_check(functions, dimension: int, rho: float, samples: int, seed: int) -> Check:
     """Empirical check that the joint product expectation of [0,1]-valued
     functions of correlated copies is at most the stability of parallel
-    halfspaces with the same masses.
+    halfspaces with the same masses, within 3 combined standard errors.
 
     The joint expectation, each function's mean and the halfspace stability
     are independent runs with tags "borell-joint", "borell-mean-<i>" and
-    "borell-lambda".
+    "borell-lambda", kept as ``joint``, ``means`` (values) with
+    ``mean_stderrs``, and ``stability_bound``.
     """
     sampler = CorrelatedSampler(dimension, rho, len(functions))
 
@@ -202,6 +186,8 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
     lam = _orthant_run(rho, clipped, samples, seed, "borell-lambda")
     sigma_total = math.sqrt(joint.stderr ** 2 + lam.stderr ** 2 + sum(m.stderr ** 2 for m in means))
-    holds = joint.value <= lam.value + 3.0 * sigma_total
-    return BorellReport(joint, [m.value for m in means], [m.stderr for m in means],
-                        lam, sigma_total, holds)
+    return Check(
+        joint.value, lam.value, stderr=sigma_total, span=(0.0, 1.0), samples=samples, seed=seed,
+        counters={"means": [m.value for m in means]},
+        detail={"joint": joint, "stability_bound": lam, "mean_stderrs": [m.stderr for m in means]},
+    )

@@ -88,13 +88,8 @@ def _cmd_gauss_lambda(args) -> dict:
     deltas = [parse_number(d) for d in args.deltas.split(",")]
     start = _start()
     if args.check_bound:
-        rep = lambda_bound_check(args.rho, deltas, args.samples, args.seed, delta0=args.delta0)
-        return stage(
-            "gauss-lambda-bound", rep.holds, value=rep.estimate.value, bound=rep.bound,
-            stderr=rep.estimate.stderr, seed=args.seed, samples=args.samples,
-            applicable=rep.applicable, preconditions=rep.preconditions,
-            **_throughput(start, rep.estimate.samples, rep.estimate.threads),
-        )
+        check = lambda_bound_check(args.rho, deltas, args.samples, args.seed, delta0=args.delta0)
+        return stage("gauss-lambda-bound", check, **_throughput(start, check.samples, check.estimate.threads))
     est = lambda_estimate(args.rho, deltas, args.samples, args.seed)
     return stage(
         "gauss-lambda", None, value=est.value, stderr=est.stderr, seed=est.seed, samples=est.samples,
@@ -116,13 +111,9 @@ def _cmd_gauss_borell(args) -> dict:
             raise ConfigError(f"unknown function kind {item.get('kind')!r}")
         fns.append(makers[item["kind"]](item))
     start = _start()
-    rep = borell_check(fns, args.dim, args.rho, args.samples, args.seed)
-    return stage(
-        "gauss-borell", rep.holds, value=rep.joint.value, bound=rep.stability_bound.value,
-        stderr=rep.sigma_total, seed=args.seed, samples=args.samples, means=rep.means,
-        # the joint, each mean and the stability term: one run of `samples` each
-        **_throughput(start, (len(fns) + 2) * args.samples, rep.joint.threads),
-    )
+    check = borell_check(fns, args.dim, args.rho, args.samples, args.seed)
+    # the joint, each mean and the stability term: one run of `samples` each
+    return stage("gauss-borell", check, **_throughput(start, (len(fns) + 2) * args.samples, check.joint.threads))
 
 
 def _cmd_round_run(args) -> dict:
@@ -229,11 +220,7 @@ def _cmd_reduce_decouple(args) -> dict:
     tables = [FunctionTable(space, vals, bounded=True) for vals in noisy]
     # exact whenever the contraction's 4^((r-1)R) entries fit the cap
     mode = "exact" if 4 ** ((len(edge) - 1) * params.R) <= ORACLE_CAP else "mc"
-    rep = decoupling_check(tables, probs, params, mode=mode, seed=args.seed)
-    return stage(
-        "reduce-decouple", rep.holds, value=rep.lhs, bound=rep.rhs, stderr=rep.lhs_stderr, seed=args.seed,
-        max_influence=rep.max_influence, mode=rep.mode, product_stderr=rep.product_stderr,
-    )
+    return stage("reduce-decouple", decoupling_check(tables, probs, params, mode=mode, seed=args.seed))
 
 
 def _cmd_reduce_decode_stat(args) -> dict:
@@ -250,12 +237,8 @@ def _cmd_reduce_decode_stat(args) -> dict:
     dictators = domain_points(R).T.astype(float)[np.argmax(marked, axis=1)]
     tables = np.where(np.count_nonzero(marked, axis=1)[:, None] == 1, dictators, params.mu)
     space = BiasedSpace((params.mu,) * R, "bit")
-    rep = influence_decode_stat(tables, space, graph, params, args.tau, args.samples, args.seed)
-    return stage(
-        "reduce-decode-stat", rep.list_cap_holds, value=rep.match_prob, stderr=rep.stderr,
-        seed=args.seed, samples=rep.samples, baseline=rep.baseline, max_list_size=rep.max_list_size,
-        respect_violations=rep.respect_violations,
-    )
+    check = influence_decode_stat(tables, space, graph, params, args.tau, args.samples, args.seed)
+    return stage("reduce-decode-stat", check)
 
 
 # ---- the parser table ----------------------------------------------------------

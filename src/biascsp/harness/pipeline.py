@@ -3,7 +3,10 @@ optional rounding / lifted-test experiments, emitting one record per stage.
 
 This module owns the stage record (:func:`stage`) and the builders of the
 checks the pipeline and the CLI share (``*_stage``); both front ends emit
-only through them and exit by :func:`failed`."""
+only through them and exit by :func:`failed`.  A check that compares one
+value with one bound returns a :class:`~biascsp.harness.verdict.Check`,
+which derives its verdict, its vacuity and its status; :func:`stage`
+serializes it, and a builder adds only its timing and throughput."""
 from __future__ import annotations
 
 import json
@@ -25,6 +28,7 @@ from ..pseudodist import (
     vector_solution,
     verify_feasible,
 )
+from .verdict import Check, status
 
 
 class ConfigError(ValueError):
@@ -61,27 +65,26 @@ def stage(
     """The one report record of a check: the stable keys, the status and,
     when there is any, ``extra``.
 
-    The status is, by precedence: ``fail`` when the verdict is False;
-    ``not-applicable`` when there is no verdict or the check's premise is not
-    met; ``vacuous`` when the check cannot fail; ``pass`` otherwise.
-    ``applicable`` and ``vacuous`` are None for a check that has no such
-    flag; a flag that is given feeds the status and is kept in ``extra``.
+    ``verdict`` is a :class:`Check`, whose fields, flags and counters fill
+    the record (``extra`` adds to its counters), or a plain verdict: True,
+    False, or None for no verdict.  The status is
+    :func:`harness.verdict.status`.  ``applicable`` and ``vacuous`` are None
+    for a check that has no such flag; a flag that is given feeds the status
+    and is kept in ``extra``.
     """
+    if isinstance(verdict, Check):
+        c = verdict
+        return stage(
+            name, c.holds, value=c.value, bound=c.bound, stderr=c.stderr, seed=c.seed, samples=c.samples,
+            applicable=c.applicable, vacuous=c.vacuous, **c.counters, **extra,
+        )
     verdict = None if verdict is None else bool(verdict)
-    if verdict is False:
-        status = "fail"
-    elif verdict is None or (applicable is not None and not applicable):
-        status = "not-applicable"
-    elif vacuous:
-        status = "vacuous"
-    else:
-        status = "pass"
     flags = {"applicable": applicable, "vacuous": vacuous}
     extra.update((k, v) for k, v in flags.items() if v is not None)
     entry = {
         "stage": name,
         "verdict": verdict,
-        "status": status,
+        "status": status(verdict, applicable, vacuous),
         "value": value,
         "bound": bound,
         "stderr": stderr,
@@ -249,17 +252,11 @@ def condition_stage(name: str, family, target: float, budget: int, seed=None):
     """Greedy conditioning of ``family`` down to average |correlation|
     ``target`` within ``budget`` pins.  Returns ``(record, conditioned family)``."""
     result = find_conditioning(family, target, budget)
-    record = stage(
-        name,
-        result.success,
-        value=result.avg_abs_corr,
-        bound=target,
-        seed=seed,
-        trace=result.trace,
-        subset=result.subset,
-        values=result.values,
+    check = Check(
+        result.avg_abs_corr, target, span=(0.0, 1.0), seed=seed,
+        counters={"trace": result.trace, "subset": result.subset, "values": result.values},
     )
-    return record, result.family
+    return stage(name, check), result.family
 
 
 def planted_dictator(graph, what: str):
@@ -273,48 +270,20 @@ def planted_dictator(graph, what: str):
 
 def acceptance_stage(name: str, host, family, graph, params, f, trials: int, seed: int) -> dict:
     """Monte Carlo acceptance of the lifted test against the completeness
-    bound; a bound <= 0 passes every estimate, so the record is vacuous."""
+    bound (``acceptance_estimate``), with its work and throughput."""
     from ..reduction import acceptance_estimate
 
-    rep, work = _counted(
-        f, lambda: acceptance_estimate(host, family, graph, params, f, trials, seed, assert_bound=True)
-    )
-    return stage(
-        name,
-        rep.holds,
-        value=rep.estimate,
-        bound=rep.completeness_bound,
-        stderr=rep.stderr,
-        seed=seed,
-        samples=trials,
-        vacuous=rep.completeness_bound <= 0.0,
-        objective=rep.objective,
-        trials_per_s=trials / work["elapsed_s"],
-        threads=rep.threads,
-        **work,
-    )
+    check, work = _counted(f, lambda: acceptance_estimate(host, family, graph, params, f, trials, seed))
+    return stage(name, check, trials_per_s=trials / work["elapsed_s"], **work)
 
 
 def mixing_stage(name: str, host, family, graph, params, f, alpha, a_samples: int, seed: int, **kw) -> dict:
     """Concentration of the restriction means (``mixing_check``; ``kw`` goes
-    to it); vacuous when no mean in [0, 1] can reach the threshold."""
+    to it), with its work and throughput."""
     from ..reduction import mixing_check
 
-    mix, work = _counted(f, lambda: mixing_check(host, family, graph, params, f, alpha, a_samples, seed, **kw))
-    return stage(
-        name,
-        mix.holds,
-        value=mix.fraction,
-        bound=mix.bound,
-        stderr=mix.fraction_stderr,
-        seed=seed,
-        samples=mix.a_samples,
-        vacuous=mix.vacuous,
-        threshold=mix.threshold,
-        draws_per_s=mix.a_samples * mix.inner_samples / work["elapsed_s"],
-        threads=mix.threads,
-        **work,
-    )
+    check, work = _counted(f, lambda: mixing_check(host, family, graph, params, f, alpha, a_samples, seed, **kw))
+    return stage(name, check, draws_per_s=check.samples * check.inner_samples / work["elapsed_s"], **work)
 
 
 def run_pipeline(config) -> dict:
@@ -365,9 +334,7 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
 
     enter("vector-solution")
     sol = vector_solution(family)
-    stages.append(
-        stage("vector-solution", sol.residual <= VECTOR_TOL, value=sol.residual, bound=VECTOR_TOL, seed=seed)
-    )
+    stages.append(stage("vector-solution", Check(sol.residual, VECTOR_TOL, seed=seed)))
 
     enter("rounding")
     round_cfg = cfg.get("rounding")
@@ -384,48 +351,14 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
             mu=mu_target,
             family=family,
         )
-        trials = int(round_cfg.get("trials", 2000))
-        faults = minor_faults()
-        conc = bias_concentration_check(inp, trials, seed)
-        faults = minor_faults() - faults
-        stages.append(
-            stage(
-                "rounding-variance",
-                conc.variance_holds,
-                value=conc.variance,
-                bound=conc.variance_bound,
-                stderr=conc.variance_stderr,
-                seed=seed,
-                samples=trials,
-                deviation_fraction=conc.deviation_fraction,
-                deviation_bound=conc.deviation_bound,
-                trials_per_s=conc.trials_per_s,
-                threads=conc.threads,
-                minor_faults=faults,
-            )
-        )
-        vtrials = int(round_cfg.get("value_trials", 20000))
-        faults = minor_faults()
-        vc = value_check(inp, vtrials, seed, budget=parse_number(round_cfg.get("budget", 0.02)))
-        faults = minor_faults() - faults
-        stages.append(
-            stage(
-                "rounding-value",
-                vc.holds,
-                value=vc.mc_value,
-                bound=vc.exact_value,
-                stderr=vc.mc_stderr,
-                seed=seed,
-                samples=vtrials,
-                applicable=vc.applicable,
-                sigma_value=vc.mc_sigma_value,
-                max_influence=vc.max_influence,
-                exact_elapsed_s=vc.exact_elapsed_s,
-                trials_per_s=vc.trials_per_s,
-                threads=vc.threads,
-                minor_faults=faults,
-            )
-        )
+        budget = parse_number(round_cfg.get("budget", 0.02))
+        for name, run in (
+            ("rounding-variance", lambda: bias_concentration_check(inp, int(round_cfg.get("trials", 2000)), seed)),
+            ("rounding-value", lambda: value_check(inp, int(round_cfg.get("value_trials", 20000)), seed, budget)),
+        ):
+            faults = minor_faults()
+            check = run()
+            stages.append(stage(name, check, minor_faults=minor_faults() - faults))
 
     enter("reduction")
     red_cfg = cfg.get("reduction")

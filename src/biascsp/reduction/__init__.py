@@ -3,7 +3,6 @@ from .params import DerivedSchedule, ReductionParams, derive_params
 from .sampler import TestSample, sample_test_tuple
 from .dictator import LongCodeAssignment, dictator_assignment
 from .analysis import (
-    AcceptanceReport,
     acceptance_estimate,
     acceptance_exact,
     averaged_function,
@@ -25,7 +24,6 @@ __all__ = [
     "sample_test_tuple",
     "LongCodeAssignment",
     "dictator_assignment",
-    "AcceptanceReport",
     "acceptance_estimate",
     "acceptance_exact",
     "averaged_function",

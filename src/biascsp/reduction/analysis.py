@@ -4,13 +4,13 @@ influence-decoding statistics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..csp import ConstraintHypergraph
 from ..harness.mc import BLOCK_ENTRIES, CHUNK, ORACLE_CAP, mc_run, run_chunks
 from ..harness.rng import rng_for
+from ..harness.verdict import Check
 from ..polynomial import _apply_axis
 from ..probspace import (
     TOL,
@@ -203,18 +203,6 @@ def acceptance_exact(
 _LIFTED_ROWS = CHUNK // 4
 
 
-@dataclass
-class AcceptanceReport:
-    estimate: float
-    stderr: float
-    trials: int
-    seed: int
-    objective: float
-    completeness_bound: float
-    holds: bool | None
-    threads: int  # the threads the Monte Carlo run used (McRun.threads)
-
-
 def acceptance_estimate(
     gap: ConstraintHypergraph,
     theta: LocalDistributionFamily,
@@ -223,13 +211,14 @@ def acceptance_estimate(
     f: LongCodeAssignment,
     trials: int,
     seed: int,
-    assert_bound: bool = False,
-) -> AcceptanceReport:
-    """Monte Carlo acceptance probability of an assignment under the test.
+) -> Check:
+    """Monte Carlo acceptance probability of an assignment under the test,
+    checked against the completeness reference within 3 standard errors.
 
-    The completeness reference is exp(-6)*coupling/arity times the family's
-    objective, minus :data:`COMPLETENESS_SLACK` times arity*noise; it is only
-    asserted when requested (dictator assignments on planted instances).
+    The reference is exp(-6)*coupling/arity times the family's objective,
+    minus :data:`COMPLETENESS_SLACK` times arity*noise; it speaks for
+    dictator assignments on planted instances, and a reference <= 0 is
+    vacuous.
 
     The trials run in chunks of ``_LIFTED_ROWS`` on every usable CPU
     (``mc_run(..., parallel=True)``), so ``f`` is called from several threads
@@ -247,24 +236,13 @@ def acceptance_estimate(
     )
     c = theta.objective()
     bound = math.exp(-6.0) * params.rho_sq / params.r * c - COMPLETENESS_SLACK * params.r * params.eta
-    holds = run.value >= bound - 3.0 * run.stderr if assert_bound else None
-    return AcceptanceReport(run.value, run.stderr, trials, seed, c, bound, holds, run.threads)
+    return Check(
+        run.value, bound, ">=", stderr=run.stderr, span=(0.0, 1.0), samples=trials, seed=seed,
+        counters={"objective": c, "threads": run.threads}, detail={"trials": trials},
+    )
 
 
 # ---- leak-variable decoupling --------------------------------------------------
-
-
-@dataclass
-class DecouplingReport:
-    lhs: float
-    rhs: float
-    product_term: float
-    additive_term: float
-    max_influence: float
-    holds: bool
-    mode: str
-    lhs_stderr: float  # Monte Carlo standard errors of the two sides; 0 when exact
-    product_stderr: float
 
 
 def _pair_indices(outcomes: np.ndarray, r: int, R: int) -> list[np.ndarray]:
@@ -296,15 +274,17 @@ def decoupling_check(
     mode: str = "exact",
     samples: int = 1 << 20,
     seed: int = 0,
-) -> DecouplingReport:
-    """Coupled product expectation against its decoupled upper bound.
+) -> Check:
+    """Coupled product expectation against its decoupled upper bound,
+    lhs <= rhs, within 3 standard errors of lhs in Monte Carlo mode.
 
     LHS draws the full coupled tuple; RHS is 2^r times the product expectation
     of the leak-averaged tables under the edge distribution, plus bias^arity.
     Exact mode computes both sides by per-coordinate contraction.  Monte
     Carlo mode runs each side through ``mc_run`` (tags ``decoupling-lhs`` and
     ``decoupling-product``), so its working set is one CHUNK of rows
-    whatever ``samples`` is.
+    whatever ``samples`` is.  LHS is a mean of [0, 1] products, so rhs >= 1
+    is vacuous.
     """
     r = len(h_tables)
     space = h_tables[0].space
@@ -349,39 +329,16 @@ def decoupling_check(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    additive = params.mu ** r
-    rhs = 2 ** r * product_term + additive
+    rhs = 2 ** r * product_term + params.mu ** r
     max_inf = max(max_influence(fourier_expand(t)) for t in h_tables)
-    return DecouplingReport(
-        lhs=lhs,
-        rhs=rhs,
-        product_term=product_term,
-        additive_term=additive,
-        max_influence=max_inf,
-        holds=lhs <= rhs,
-        mode=mode,
-        lhs_stderr=lhs_se,
-        product_stderr=product_se,
+    return Check(
+        lhs, rhs, stderr=lhs_se, span=(0.0, 1.0), samples=samples if mode == "mc" else None, seed=seed,
+        counters={"max_influence": max_inf, "mode": mode, "product_stderr": product_se},
+        detail={"lhs": lhs, "rhs": rhs, "product_term": product_term},
     )
 
 
 # ---- long-code mixing -----------------------------------------------------------
-
-
-@dataclass
-class MixingReport:
-    fraction: float
-    fraction_stderr: float
-    bound: float
-    threshold: float
-    alpha: float
-    center: float
-    a_samples: int
-    inner_samples: int
-    holds: bool
-    seed: int
-    vacuous: bool  # threshold > max(center, 1 - center): no mean in [0,1] reaches it
-    threads: int  # the threads the chunks ran on (run_chunks)
 
 
 def _restriction_means(
@@ -438,11 +395,13 @@ def mixing_check(
     seed: int,
     inner_samples: int = 1024,
     mu: float | None = None,
-) -> MixingReport:
+) -> Check:
     """Concentration of the per-vertex-vector mean of the averaged tables.
 
     Estimates the probability that the restriction mean deviates from its
     center by alpha*sqrt(bias) and compares with |V_gap|*beta/alpha^2.  The
+    fraction lies in [0, 1], and is 0 when the threshold exceeds
+    max(center, 1 - center), which no mean in [0, 1] reaches.  The
     means are drawn in chunks on every usable CPU
     (:func:`_restriction_means`); the report is the same bit for bit on any
     CPU count, except ``threads``.  ``a_samples < 1``, ``inner_samples < 1``
@@ -460,19 +419,11 @@ def mixing_check(
     frac = float((np.abs(mu_hat - center) >= threshold).mean())
     se = math.sqrt(max(frac * (1 - frac), 0.0) / a_samples)
     bound = len(gap.vertices) * params.beta / alpha ** 2
-    return MixingReport(
-        fraction=frac,
-        fraction_stderr=se,
-        bound=bound,
-        threshold=threshold,
-        alpha=alpha,
-        center=center,
-        a_samples=a_samples,
-        inner_samples=inner_samples,
-        holds=frac <= bound + 3.0 * se,
-        seed=seed,
-        vacuous=threshold > max(center, 1.0 - center),
-        threads=threads,
+    span = (0.0, 0.0) if threshold > max(center, 1.0 - center) else (0.0, 1.0)
+    return Check(
+        frac, bound, stderr=se, span=span, samples=a_samples, seed=seed,
+        counters={"threshold": threshold, "threads": threads},
+        detail={"a_samples": a_samples, "inner_samples": inner_samples, "center": center},
     )
 
 
@@ -496,19 +447,6 @@ def _walk_average(tables: np.ndarray, walk: np.ndarray) -> np.ndarray:
         for lo in range(0, len(v), step):
             v[lo : lo + step] = walk @ v[lo : lo + step]
     return out
-
-
-@dataclass
-class DecodeStatReport:
-    match_prob: float
-    stderr: float
-    baseline: float
-    max_list_size: int
-    list_size_cap: float
-    list_cap_holds: bool
-    respect_violations: int
-    samples: int
-    seed: int
 
 
 def _respect_violations(tables: np.ndarray, R: int) -> int:
@@ -561,9 +499,10 @@ def influence_decode_stat(
     tau: float,
     samples: int,
     seed: int,
-) -> DecodeStatReport:
+) -> Check:
     """Candidate-coordinate matching statistic for a permutation-respecting
-    table family indexed by vertex-vectors.
+    table family indexed by vertex-vectors, and the check that every
+    candidate list has at most 2/(eta*tau) entries.
 
     ``tables`` holds the family's [0, 1] values on the bit space ``space``,
     one row per vertex-vector A in ``np.ndindex((n,)*R)`` order; its
@@ -574,7 +513,9 @@ def influence_decode_stat(
     uniform entry of it; coordinate 0 if it is empty), before the walk is
     drawn.  The statistic is the probability that both endpoints of a
     noisy-walk step, each read at an independent uniform coordinate
-    permutation, decode to a common unpermuted coordinate.
+    permutation, decode to a common unpermuted coordinate; it is reported
+    as ``match_prob`` with ``match_stderr``, next to the ``baseline`` 1/R.
+    A list has at most R entries, so a cap of R or more is vacuous.
     """
     R = params.R
     n = graph.n
@@ -612,15 +553,8 @@ def influence_decode_stat(
     match_prob = float(np.mean(ends[0] == ends[1]))
     se = math.sqrt(max(match_prob * (1 - match_prob), 0.0) / samples)
     max_list = int(np.count_nonzero(lists, axis=2).max())
-    cap = 2.0 / (eta * tau)
-    return DecodeStatReport(
-        match_prob=match_prob,
-        stderr=se,
-        baseline=1.0 / R,
-        max_list_size=max_list,
-        list_size_cap=cap,
-        list_cap_holds=max_list <= cap,
-        respect_violations=violations,
-        samples=samples,
-        seed=seed,
+    return Check(
+        max_list, 2.0 / (eta * tau), span=(0.0, float(R)), samples=samples, seed=seed,
+        counters={"match_prob": match_prob, "baseline": 1.0 / R, "respect_violations": violations},
+        detail={"match_stderr": se},
     )

@@ -163,8 +163,10 @@ def generate_sse(
 
     ``planted`` embeds a near-isolated community of exactly delta*n vertices:
     both sides are built regular, then edge pairs are swapped to create at
-    most eps*deg*|S| crossing endpoints, preserving all degrees.
-    ``random-regular`` is the plain permutation-union construction.
+    most eps*deg*|S| crossing endpoints, preserving all degrees.  It makes
+    int(eps*deg*|S|/2) swaps; when that is 0 no edge leaves the planted set,
+    and a warning says so.  ``random-regular`` is the plain
+    permutation-union construction.
     """
     from ..harness.rng import rng_for
 
@@ -185,6 +187,12 @@ def generate_sse(
     in_edges = _regular_edges_on(inside, deg, rng)
     out_edges = _regular_edges_on(outside, deg, rng)
     swaps = min(int(eps * deg * k / 2), len(in_edges) - 1, len(out_edges) - 1)
+    if swaps < 1:
+        warnings.warn(
+            f"planted graph at n = {n}, deg = {deg}, delta = {delta}, eps = {eps} makes no crossing swap: "
+            f"no edge leaves its {k} planted vertices",
+            stacklevel=2,
+        )
     cross: list[tuple[int, int]] = []
     for _ in range(max(swaps, 0)):
         a, b = in_edges.pop(int(rng.integers(len(in_edges))))

@@ -17,6 +17,7 @@ import numpy as np
 from .csp import ConstraintHypergraph
 from .harness.mc import BLOCK_ENTRIES, run_chunks, scratch
 from .harness.rng import rng_for
+from .harness.verdict import Check
 from .polynomial import _EVAL_CHUNK, MultilinearPolynomial
 from .probspace import (
     FunctionTable,
@@ -154,31 +155,17 @@ def round_run(inp: RoundingInput, trials: int, seed: int):
 # ---- bias concentration ------------------------------------------------------
 
 
-@dataclass
-class BiasConcentrationReport:
-    variance: float
-    variance_stderr: float
-    variance_bound: float  # avg |corr| over iid vertex pairs, diagonal included
-    variance_holds: bool
-    mean_bias: float
-    deviation_threshold: float
-    deviation_fraction: float
-    deviation_bound: float
-    chebyshev_premise: bool  # gamma <= mu^4 regime for the fraction bound
-    trials: int
-    seed: int
-    threads: int  # the threads the rounds ran on
-    trials_per_s: float  # rounds per second of wall time
-
-
-def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> BiasConcentrationReport:
+def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Check:
     """Variance of the per-round expected bias against the correlation average.
 
-    Asserts the variance bound.  The deviation-window fraction is reported
-    against its sqrt(gamma) reference but only meaningful in the small-gamma
-    regime, which desk-scale instances rarely reach.  Chunk c of the rounds
-    draws from ``rng_for(seed, "round-batch", "variance", c)`` and keeps only
-    each round's bias ``p @ w``.
+    The check is variance <= avg |corr| over iid vertex pairs (diagonal
+    included).  A round's bias lies in [0, 1], so its variance lies in
+    [0, 1/4], and a bound of 1/4 or more is vacuous.  The deviation-window
+    fraction is reported against its sqrt(gamma) reference but only
+    meaningful in the small-gamma regime, which desk-scale instances rarely
+    reach.  Chunk c of the rounds draws from
+    ``rng_for(seed, "round-batch", "variance", c)`` and keeps only each
+    round's bias ``p @ w``.
     """
     wvec = inp.host.vertex_weight_vector()
     t0 = time.perf_counter()
@@ -198,40 +185,23 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Bias
     mu = inp.mu if inp.mu is not None else mean
     threshold = mu * math.sqrt(gamma)
     frac = float((np.abs(m - mean) >= threshold).mean()) if threshold > 0 else 1.0
-    frac_bound = math.sqrt(gamma)
-    return BiasConcentrationReport(
-        variance=var,
-        variance_stderr=var_se,
-        variance_bound=bound,
-        variance_holds=var <= bound + 3.0 * var_se,
-        mean_bias=mean,
-        deviation_threshold=threshold,
-        deviation_fraction=frac,
-        deviation_bound=frac_bound,
-        chebyshev_premise=gamma <= mu ** 4,
-        trials=trials,
-        seed=seed,
-        threads=threads,
-        trials_per_s=trials / elapsed,
+    return Check(
+        var, bound, stderr=var_se, span=(0.0, 0.25), samples=trials, seed=seed,
+        counters={
+            "deviation_fraction": frac, "deviation_bound": math.sqrt(gamma),
+            "trials_per_s": trials / elapsed, "threads": threads,
+        },
+        detail={"trials": trials},
     )
 
 
 # ---- pairwise covariance bound ----------------------------------------------
 
 
-@dataclass
-class CovarianceBoundReport:
-    covariance: float
-    bound: float
-    sigma_total: float
-    holds: bool
-    samples: int
-    seed: int
-
-
-def covariance_bound_check(f_i, f_j, rho_ij: float, dimension: int, samples: int, seed: int) -> CovarianceBoundReport:
-    """|cov(F_i(z_i), F_j(z_j))| <= |rho| + 3 sigma for [0,1]-valued functions
-    of per-coordinate rho-correlated standard Gaussian inputs."""
+def covariance_bound_check(f_i, f_j, rho_ij: float, dimension: int, samples: int, seed: int) -> Check:
+    """|cov(F_i(z_i), F_j(z_j))| <= |rho| within 3 sigma for [0,1]-valued
+    functions of per-coordinate rho-correlated standard Gaussian inputs.
+    Such a covariance lies in [-1/4, 1/4], so |rho| >= 1/4 is vacuous."""
     if not -1.0 <= rho_ij <= 1.0:
         raise ValueError("correlation must lie in [-1,1]")
     rng = rng_for(seed, "cov-bound")
@@ -245,14 +215,7 @@ def covariance_bound_check(f_i, f_j, rho_ij: float, dimension: int, samples: int
     se = math.sqrt(
         prod.var() / samples + mb ** 2 * a.var() / samples + ma ** 2 * b.var() / samples
     )
-    return CovarianceBoundReport(
-        covariance=cov,
-        bound=abs(rho_ij),
-        sigma_total=se,
-        holds=abs(cov) <= abs(rho_ij) + 3.0 * se,
-        samples=samples,
-        seed=seed,
-    )
+    return Check(abs(cov), abs(rho_ij), stderr=se, span=(0.0, 0.25), samples=samples, seed=seed)
 
 
 # ---- value guarantee ----------------------------------------------------------
@@ -294,23 +257,6 @@ def exact_test_value(inp: RoundingInput) -> float:
     return total
 
 
-@dataclass
-class ValueCheckReport:
-    mc_value: float
-    mc_stderr: float
-    mc_sigma_value: float
-    exact_value: float
-    budget: float
-    max_influence: float
-    holds: bool
-    trials: int
-    seed: int
-    applicable: bool  # max_influence <= TAU: the low-influence premise of the guarantee
-    exact_elapsed_s: float
-    threads: int  # the threads the rounds ran on
-    trials_per_s: float  # rounds per second of the Monte Carlo side's wall time
-
-
 def _conditional_value(host: ConstraintHypergraph, p: np.ndarray) -> np.ndarray:
     """Each round's exact probability that the Bernoulli step with
     acceptance probabilities ``p`` (rounds, n) satisfies the edges, weighted."""
@@ -326,17 +272,18 @@ def _conditional_value(host: ConstraintHypergraph, p: np.ndarray) -> np.ndarray:
     return cond
 
 
-def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02) -> ValueCheckReport:
-    """Monte Carlo rounded value against the exact test value.
+def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02) -> Check:
+    """Monte Carlo rounded value against the exact test value, down to
+    ``budget`` below it.
 
     The Monte Carlo side averages, over shared-matrix rounds, the exact
     conditional edge-satisfaction probability of the Bernoulli step; a
     plain sampled-assignment average is reported alongside.  Chunk c of the
     rounds draws its matrices from ``rng_for(seed, "round-batch", "value", c)``
     and its Bernoulli uniforms from ``rng_for(seed, "value-check-sigma", c)``,
-    and keeps only each round's two values.  ``applicable`` says whether the
+    and keeps only each round's two values.  The check applies when the
     tables meet the guarantee's low-influence premise (max influence <=
-    :data:`TAU`); the verdict does not depend on it.
+    :data:`TAU`); otherwise it asserts nothing.
     """
     def work(c, rounds):
         p = _batch_p(inp, rounds, rng_for(seed, "round-batch", "value", c))
@@ -353,18 +300,12 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
     exact = exact_test_value(inp)
     exact_elapsed = time.perf_counter() - t0
     max_inf = max(inp.max_influences().values())
-    return ValueCheckReport(
-        mc_value=mc_value,
-        mc_stderr=mc_se,
-        mc_sigma_value=float(sig_vals.mean()),
-        exact_value=exact,
-        budget=budget,
-        max_influence=max_inf,
-        holds=mc_value >= exact - budget - 3.0 * mc_se,
-        trials=trials,
-        seed=seed,
+    return Check(
+        mc_value, exact, ">=", stderr=mc_se, slack=budget, span=(0.0, 1.0), samples=trials, seed=seed,
         applicable=max_inf <= TAU,
-        exact_elapsed_s=exact_elapsed,
-        threads=threads,
-        trials_per_s=trials / elapsed,
+        counters={
+            "sigma_value": float(sig_vals.mean()), "max_influence": max_inf, "exact_elapsed_s": exact_elapsed,
+            "trials_per_s": trials / elapsed, "threads": threads,
+        },
+        detail={"trials": trials},
     )

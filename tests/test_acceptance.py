@@ -319,7 +319,7 @@ def test_criterion_5_gaussian_stability():
     masses = (0.35, 0.55)
     fns = [halfspace([1.0, 0.0], normal_quantile(m)) for m in masses]
     brep = borell_check(fns, 2, 0.5, n1, 109)
-    if abs(brep.joint.value - brep.stability_bound.value) > 3 * brep.sigma_total:
+    if abs(brep.joint.value - brep.stability_bound.value) > 3 * brep.stderr:
         ok = False
         details.append("halfspace equality")
     if not brep.holds:
@@ -374,7 +374,7 @@ def test_criterion_6_rounding():
         sol = vector_solution(fam)
         inp = RoundingInput(g, _dictator_tables(g, fam, 3), sol, eta=0.05, family=fam)
         rep = bias_concentration_check(inp, 2000, 1200 + t)
-        if not rep.variance_holds:
+        if not rep.holds:
             ok = False
             details.append(f"variance bound pipeline {t}")
             break
@@ -385,10 +385,10 @@ def test_criterion_6_rounding():
         g, _dictator_tables(g, fam, 4), vector_solution(fam), eta=0.01, family=fam
     )
     vrep = value_check(inp, 10 ** 5, 113)
-    if abs(vrep.mc_value - vrep.exact_value) > 3 * vrep.mc_stderr + 0.02:
+    if abs(vrep.value - vrep.bound) > 3 * vrep.stderr + 0.02:
         ok = False
         details.append(
-            f"value gap {abs(vrep.mc_value - vrep.exact_value):.4f}"
+            f"value gap {abs(vrep.value - vrep.bound):.4f}"
         )
     crit.finish(ok, "; ".join(details))
 
@@ -494,13 +494,13 @@ def test_criterion_9_completeness():
     crit = Criterion(9, "planted completeness at the desk parameters", 300)
     gap, theta, graph, params = desk_completeness_setup()
     f = dictator_assignment(graph.planted, graph)
-    rep = acceptance_estimate(gap, theta, graph, params, f, 10 ** 6, 115, assert_bound=True)
+    rep = acceptance_estimate(gap, theta, graph, params, f, 10 ** 6, 115)
     mus = {v: theta.vertex_mean(v) for v in gap.vertices}
     bias = analytic_bias(gap.vertex_weights, mus)
     ok = bool(rep.holds) and abs(bias - params.mu) <= 1e-12
     crit.finish(
         ok,
-        f"estimate {rep.estimate:.4f} >= bound {rep.completeness_bound:.4f}; bias {bias:.4f}",
+        f"estimate {rep.value:.4f} >= bound {rep.bound:.4f}; bias {bias:.4f}",
     )
 
 
@@ -512,7 +512,7 @@ def test_criterion_10_mixing():
         gap, theta, graph, params, f, alpha=2.0, a_samples=10 ** 4, seed=116,
         inner_samples=512,
     )
-    crit.finish(rep.holds, f"fraction {rep.fraction:.4f} <= bound {rep.bound:.4f}")
+    crit.finish(rep.holds, f"fraction {rep.value:.4f} <= bound {rep.bound:.4f}")
 
 
 def test_criterion_11_determinism():
@@ -524,7 +524,7 @@ def test_criterion_11_determinism():
     f2 = dictator_assignment(graph.planted, graph)
     a = acceptance_estimate(gap, theta, graph, params, f1, 10 ** 5, 117)
     b = acceptance_estimate(gap, theta, graph, params, f2, 10 ** 5, 117)
-    if a.estimate != b.estimate:
+    if a.value != b.value:
         ok = False
         details.append("acceptance estimate")
     la = lambda_estimate(0.5, (0.5, 0.5), 10 ** 5, 118)

@@ -210,7 +210,7 @@ class TestLambdaBound:
         rep = lambda_bound_check(0.9, (0.01, 0.01), 10 ** 5, 12)
         assert not rep.applicable
         assert rep.holds is None
-        assert rep.notes
+        assert rep.status == "not-applicable"
 
 
 class TestBorell:
@@ -220,7 +220,7 @@ class TestBorell:
         rep = borell_check(fns, 2, 0.5, 400000, 13)
         assert rep.holds
         # rearranged halfspaces achieve the bound with equality
-        assert rep.joint.value == pytest.approx(rep.stability_bound.value, abs=3 * rep.sigma_total)
+        assert rep.joint.value == pytest.approx(rep.stability_bound.value, abs=3 * rep.stderr)
 
     def test_random_boxes(self):
         rng = rng_for(14, "boxes")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from biascsp.harness import cli, mc, mc_run, rng_for
 from biascsp.harness.mc import CHUNK
 from biascsp.harness.pipeline import ConfigError, failed, parse_number, run_pipeline, stage
+from biascsp.harness.verdict import SIGMAS, Check
 from conftest import cpus, traced_peak
 
 
@@ -278,26 +279,59 @@ def product_config(tmp_path, **overrides):
     return path
 
 
+def expected_status(verdict, applicable, vacuous) -> str:
+    """fail > not-applicable > vacuous > pass."""
+    if verdict is None:
+        return "not-applicable"
+    if not verdict:
+        return "fail"
+    if applicable is not None and not applicable:
+        return "not-applicable"
+    return "vacuous" if vacuous else "pass"
+
+
 class TestStageRecord:
     FLAG = st.sampled_from([True, False, None, np.True_, np.False_])
+    NUM = st.floats(-2.0, 2.0, allow_nan=False)
+    UNIT = st.floats(0.0, 1.0)
 
-    @given(verdict=FLAG, applicable=FLAG, vacuous=FLAG)
-    def test_status_precedence(self, verdict, applicable, vacuous):
+    @given(
+        verdict=FLAG, applicable=FLAG, vacuous=FLAG, value=NUM, bound=NUM, side=st.sampled_from(["<=", ">="]),
+        stderr=st.none() | UNIT, slack=UNIT, span=st.none() | st.tuples(NUM, NUM).map(lambda t: tuple(sorted(t))),
+        inside=UNIT, centre=UNIT, threshold=st.floats(0.0, 2.0, exclude_min=True),
+    )
+    def test_status_precedence(
+        self, verdict, applicable, vacuous, value, bound, side, stderr, slack, span, inside, centre, threshold
+    ):
         record = stage("s", verdict, value=0.5, applicable=applicable, vacuous=vacuous)
-        if verdict is None:
-            expected = "not-applicable"
-        elif not verdict:
-            expected = "fail"
-        elif applicable is not None and not applicable:
-            expected = "not-applicable"
-        else:
-            expected = "vacuous" if vacuous else "pass"
+        expected = expected_status(verdict, applicable, vacuous)
         assert record["status"] == expected
         assert record["verdict"] is (None if verdict is None else bool(verdict))
         assert failed([record]) is (expected == "fail")
         # a flag that is given is recorded next to the status; None means no such flag
         flags = {"applicable": applicable, "vacuous": vacuous}
         assert record.get("extra", {}) == {k: v for k, v in flags.items() if v is not None}
+
+        # a Check derives its verdict, its vacuity and its status by the same precedence
+        fields = dict(bound=bound, side=side, stderr=stderr, slack=slack, span=span, applicable=applicable)
+        check = Check(value, **fields)
+        band = slack + SIGMAS * (stderr or 0.0)
+        meets = value <= bound + band if side == "<=" else value >= bound - band
+        assert check.holds is (None if applicable is not None and not applicable else meets)
+        assert check.status == stage("s", check)["status"] == expected_status(check.holds, applicable, check.vacuous)
+        if check.vacuous:
+            # every value the check can take passes, wherever it applies
+            lo, hi = span
+            for v in (lo, hi, min(max(lo + inside * (hi - lo), lo), hi)):
+                assert Check(v, **{**fields, "applicable": None}).holds
+        # acceptance: a probability against a lower bound is vacuous exactly when the
+        # bound is <= 0, whatever its band
+        assert Check(inside, bound, ">=", stderr, slack, span=(0.0, 1.0)).vacuous is (bound <= 0.0)
+        # mixing: a fraction, 0 when no mean in [0, 1] reaches the threshold; below a
+        # bound of 1 it is vacuous exactly then
+        unreached = threshold > max(centre, 1.0 - centre)
+        mixing = Check(0.0, inside * 0.999, span=(0.0, 0.0) if unreached else (0.0, 1.0))
+        assert mixing.vacuous is unreached
 
     def test_stable_keys(self):
         record = stage("s", True, value=1.0, seed=3, elapsed_s=0.1)
@@ -474,6 +508,26 @@ class TestPipeline:
         assert by_stage["condition"]["extra"]["trace"]
         assert by_stage["condition"]["verdict"]
         assert by_stage["condition"]["value"] <= 0.05
+
+    def test_variance_and_conditioning_report_vacuous(self, tmp_path):
+        # halfway smoothing keeps |corr| 1/4 between the vertices of the all-or-none
+        # mixture: the variance bound is (4 + 12/4) / 16 = 7/16, above the 1/4 that a
+        # bias in [0, 1] can reach, and target 1.0 is above every avg |corr|
+        mixture = {
+            "kind": "mixture",
+            "level": 8,
+            "support": [
+                {"labels": {f"v{i}": 1 for i in range(4)}, "prob": 0.5},
+                {"labels": {f"v{i}": 0 for i in range(4)}, "prob": 0.5},
+            ],
+        }
+        path = product_config(tmp_path, pseudodistribution=mixture, condition={"target": 1.0, "budget": 0})
+        by_stage = {s["stage"]: s for s in run_pipeline(str(path))["stages"]}
+        variance = by_stage["rounding-variance"]
+        assert variance["bound"] == pytest.approx(7 / 16)
+        assert (variance["verdict"], variance["status"], variance["extra"]["vacuous"]) == (True, "vacuous", True)
+        assert by_stage["condition"]["status"] == "vacuous"
+        assert by_stage["vector-solution"]["status"] == "pass"
 
     def test_malformed_input_raises_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -838,6 +892,25 @@ class TestCliRecords:
         # the borell check draws its joint, two means and its stability term
         assert extra["samples_per_s"] == pytest.approx(runs * samples / extra["elapsed_s"])
 
+    def test_decode_stat_checks_the_list_cap(self, instance_file, pd_file, tmp_path, capsys):
+        from biascsp.reduction import generate_sse
+
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(generate_sse("planted", 8, 2, 0.25, seed=3, eps=0.5).to_json()))
+        argv = ("reduce", "decode-stat", "--instance", instance_file, "--pd", pd_file, "--graph", graph,
+                "--R", 3, "--samples", 200)
+        # the default cap 2/(eta*tau) = 20000 is above the R = 3 entries a list can have
+        code, record = run_main(capsys, *argv)
+        assert (code, record["verdict"], record["status"]) == (0, True, "vacuous")
+        assert record["bound"] == pytest.approx(20000.0)
+        assert 0 <= record["value"] <= 3
+        assert {"match_prob", "baseline", "respect_violations"} <= set(record["extra"])
+        # a cap of 2/0.81 ~ 2.47 below R = 3: the check can fail
+        code, record = run_main(capsys, *argv, "--eta", 0.9, "--tau", 0.9)
+        assert record["bound"] == pytest.approx(2 / 0.81)
+        assert record["status"] in ("pass", "fail") and record["extra"]["vacuous"] is False
+        assert record["verdict"] is (record["value"] <= record["bound"])
+
     def test_infeasible_family_fails(self, instance_file, tmp_path, capsys):
         # each vertex's marginal reads 0.5 alone and 0.6 inside its edges
         singles = [{"subset": [f"v{i}"], "probs": {"0": 0.5, "1": 0.5}} for i in range(4)]
@@ -937,3 +1010,108 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         if argv[:2] == ["reduce", "gen"]:
             graph = Path(argv[argv.index("--out") + 1])
             graph.write_text(json.dumps(json.loads(graph.read_text())["extra"]["graph"]))
+
+
+# ---- the record keys of every front end ------------------------------------------
+
+# The top-level keys of every stage record below.
+RECORD_KEYS = {"stage", "verdict", "status", "value", "bound", "stderr", "seed", "samples", "extra"}
+# The ``extra`` keys of each record, by stage name.  Every record built from
+# a ``Check`` carries its derived ``vacuous`` flag.
+EXTRA_KEYS = {
+    "csp-opt": "assignments elapsed_s in_window mu witness",
+    "pd-verify": "bias elapsed_s moment_size objective violations",
+    "pd-smooth": "bias eta family",
+    "pd-condition": "family subset trace vacuous values",
+    "gauss-lambda": "elapsed_s minor_faults samples_per_s threads",
+    "gauss-lambda-bound": "applicable elapsed_s minor_faults preconditions samples_per_s threads vacuous",
+    "gauss-borell": "elapsed_s means minor_faults samples_per_s threads vacuous",
+    "round-run": "outcomes",
+    "reduce-gen": "graph",
+    "reduce-params": "params",
+    "reduce-sample": "edge parts perms",
+    "reduce-dictator": "analytic_bias sample_values",
+    "reduce-accept": (
+        "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows threads"
+        " trials_per_s vacuous"
+    ),
+    "reduce-decouple": "max_influence mode product_stderr vacuous",
+    "reduce-mix": (
+        "dictator_fallbacks dictator_queries draws_per_s elapsed_s minor_faults permuted_rows threads"
+        " threshold vacuous"
+    ),
+    "reduce-decode-stat": "baseline match_prob respect_violations vacuous",
+    "verify-input": "bias elapsed_s moment_size objective violations",
+    "smooth": "bias eta",
+    "condition": "subset trace vacuous values",
+    "vector-solution": "vacuous",
+    "rounding-variance": "deviation_bound deviation_fraction minor_faults threads trials_per_s vacuous",
+    "rounding-value": (
+        "applicable exact_elapsed_s max_influence minor_faults sigma_value threads trials_per_s vacuous"
+    ),
+    "reduction-acceptance": (
+        "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows threads"
+        " trials_per_s vacuous"
+    ),
+    "mixing": (
+        "dictator_fallbacks dictator_queries draws_per_s elapsed_s minor_faults permuted_rows threads"
+        " threshold vacuous"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def every_record(tmp_path_factory) -> list[dict]:
+    """One record of every CLI subcommand and every stage of one pipeline
+    run with rounding and reduction on, all at small sizes."""
+    tmp = tmp_path_factory.mktemp("records")
+    instance, pd, graph = tmp / "instance.json", tmp / "pd.json", tmp / "graph.json"
+    instance.write_text(json.dumps(cycle_instance(4)))
+    pd.write_text(json.dumps({"kind": "product", "mu": 0.5, "level": 6}))
+
+    def run(*argv) -> dict:
+        out = tmp / "record.json"
+        assert cli.main([str(a) for a in argv] + ["--out", str(out)]) in (0, 1), argv
+        return json.loads(out.read_text())
+
+    gen = run("reduce", "gen", "--kind", "planted", "--n", 16, "--deg", 4, "--delta", 0.25, "--seed", 3)
+    graph.write_text(json.dumps(gen["extra"]["graph"]))
+    fam = ("--in", pd, "--instance", instance)
+    ctx = ("--instance", instance, "--pd", pd, "--graph", graph)
+    functions = '[{"kind":"constant","value":0.4},{"kind":"box","lo":[-1,-1],"hi":[1,1]}]'
+    records = [gen] + [run(*argv) for argv in (
+        ("csp", "opt", "--mu", "1/2", "--tol", 0, "--in", instance),
+        ("pd", "verify", *fam, "--mu", 0.5),
+        ("pd", "smooth", "--eta", 0.2, *fam),
+        ("pd", "condition", "--target", 0.05, "--budget", 6, *fam),
+        ("gauss", "lambda", "--rho", 0.5, "--deltas", "0.5,0.5", "--samples", 20000),
+        ("gauss", "lambda", "--rho", 0.01357, "--deltas", "0.01,0.01", "--samples", 20000, "--check-bound"),
+        ("gauss", "borell", "--rho", 0.5, "--functions", functions, "--samples", 20000),
+        ("round", "run", "--in", instance, "--pd", pd, "--R", 3, "--trials", 8),
+        ("reduce", "params", "--mu", 0.3, "--r", 2, "--n-gap", 6, "--delta", 0.25, "--s", 0.5),
+        ("reduce", "sample", *ctx, "--R", 4),
+        ("reduce", "dictator", *ctx, "--R", 4),
+        ("reduce", "accept", *ctx, "--R", 4, "--trials", 2000),
+        ("reduce", "decouple", *ctx, "--R", 2),
+        ("reduce", "mix", *ctx, "--R", 4, "--a-samples", 20),
+        ("reduce", "decode-stat", *ctx, "--R", 3, "--samples", 500),
+    )]
+    reduction = {
+        "graph": str(graph), "params": {"R": 4}, "accept_trials": 2000, "a_samples": 20, "inner_samples": 16,
+    }
+    rounding = {"enabled": True, "R": 3, "trials": 200, "value_trials": 500}
+    config = product_config(tmp, rounding=rounding, reduction=reduction)
+    return records + run("pipeline", "--config", config)["stages"]
+
+
+class TestRecordKeys:
+    def test_every_front_end_is_covered(self, every_record):
+        names = [r["stage"] for r in every_record]
+        assert sorted(names) == sorted(EXTRA_KEYS)
+        commands = {"-".join(c[0]) for c in cli.COMMANDS} - {"pipeline"}
+        assert commands <= {n.removesuffix("-bound") for n in names}
+
+    def test_each_record_keeps_its_keys(self, every_record):
+        for record in every_record:
+            assert set(record) == RECORD_KEYS, record["stage"]
+            assert set(record["extra"]) == set(EXTRA_KEYS[record["stage"]].split()), record["stage"]

@@ -318,4 +318,4 @@ def test_planted_dictator_at_n32_r3_matches_estimate():
     assert peak.bytes < 128 << 20
     assert f.dictator.fallback_count > 0
     mc = acceptance_estimate(gap, theta, graph, params, dictator_assignment(graph.planted, graph), 200000, 18)
-    assert mc.estimate == pytest.approx(exact, abs=4 * mc.stderr)
+    assert mc.value == pytest.approx(exact, abs=4 * mc.stderr)

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestGenerate:
         assert g.planted_volume == pytest.approx(0.25)
         assert g.adj.shape == (32, 6)
         assert expansion(g, g.planted) <= 0.05
+
+    def test_planted_graph_without_a_crossing_swap_warns(self):
+        # int(0.05 * 6 * 6 / 2) = 0 swaps at n = 24: no edge leaves the planted set
+        with pytest.warns(UserWarning, match="no crossing swap"):
+            g = generate_sse("planted", 24, 6, 0.25, seed=1, eps=0.05)
+        assert expansion(g, g.planted) == 0.0
+        # int(0.05 * 6 * 8 / 2) = 1 swap at n = 32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = generate_sse("planted", 32, 6, 0.25, seed=1, eps=0.05)
+        assert expansion(g, g.planted) > 0.0
 
     def test_random_regular_degrees(self):
         for n, deg in [(20, 4), (15, 2), (16, 5)]:
@@ -641,8 +653,8 @@ class TestAcceptance:
         params = desk_params(theta, R=3)
         zero = LongCodeAssignment(lambda A, x, z: np.zeros(len(A), dtype=np.int8))
         one = LongCodeAssignment(lambda A, x, z: np.ones(len(A), dtype=np.int8))
-        assert acceptance_estimate(gap, theta, graph, params, zero, 2000, 1).estimate == 0.0
-        assert acceptance_estimate(gap, theta, graph, params, one, 2000, 1).estimate == 1.0
+        assert acceptance_estimate(gap, theta, graph, params, zero, 2000, 1).value == 0.0
+        assert acceptance_estimate(gap, theta, graph, params, one, 2000, 1).value == 1.0
 
     def test_estimate_matches_exact_enumeration(self):
         rng = np.random.default_rng(13)
@@ -654,7 +666,7 @@ class TestAcceptance:
         f = LongCodeAssignment.from_table(4, 2, fvals)
         exact = acceptance_exact(gap, theta, graph, params, f)
         mc = acceptance_estimate(gap, theta, graph, params, f, 200000, 14)
-        assert mc.estimate == pytest.approx(exact, abs=4 * mc.stderr)
+        assert mc.value == pytest.approx(exact, abs=4 * mc.stderr)
 
     def test_dictator_estimate_matches_exact_with_fallbacks(self):
         # n = 4, R = 2: equal codes are common, so the fallback rows, the only
@@ -671,7 +683,7 @@ class TestAcceptance:
         mc = acceptance_estimate(gap, theta, graph, params, f, 200000, 21)
         assert f.dictator.fallback_count >= 0.05 * f.dictator.query_count
         assert f.permuted_rows == f.dictator.fallback_count
-        assert mc.estimate == pytest.approx(exact, abs=4 * mc.stderr)
+        assert mc.value == pytest.approx(exact, abs=4 * mc.stderr)
 
     def test_coordinate_reader_closed_form(self):
         # f reads x at coordinate 0 of the permuted row, i.e. at a uniform
@@ -693,7 +705,7 @@ class TestAcceptance:
             expect += w * float(table @ (indep + k / R * (probs - indep)))
         f = LongCodeAssignment(lambda A, x, z: x[:, 0])
         mc = acceptance_estimate(gap, theta, cycle_sse(6), params, f, 200000, 23)
-        assert mc.estimate == pytest.approx(expect, abs=4 * mc.stderr)
+        assert mc.value == pytest.approx(expect, abs=4 * mc.stderr)
 
     def test_deterministic_per_seed(self):
         gap = small_gap()
@@ -704,7 +716,7 @@ class TestAcceptance:
         a = acceptance_estimate(gap, theta, graph, params, f, 30000, 16)
         f2 = dictator_assignment([0, 1], graph)
         b = acceptance_estimate(gap, theta, graph, params, f2, 30000, 16)
-        assert a.estimate == b.estimate
+        assert a.value == b.value
 
     def test_dictator_clears_planted_bound(self):
         gap = small_gap(Predicate.and_(2))
@@ -716,10 +728,10 @@ class TestAcceptance:
         graph = generate_sse("planted", 32, 6, 0.25, seed=17)
         params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=10, eta=0.01)
         f = dictator_assignment(graph.planted, graph)
-        rep = acceptance_estimate(gap, theta, graph, params, f, 200000, 18, assert_bound=True)
+        rep = acceptance_estimate(gap, theta, graph, params, f, 200000, 18)
         assert rep.holds
         # the dictator beats the independent-bits background on this instance
-        assert rep.estimate > theta.bias() ** 2 + 3 * rep.stderr
+        assert rep.value > theta.bias() ** 2 + 3 * rep.stderr
 
 
     def test_refuses_before_enumerating(self):
@@ -794,7 +806,7 @@ class TestParallelAcceptance:
         finally:
             sys.setswitchinterval(interval)
         assert (serial.threads, par.threads) == (1, 3)
-        assert (par.estimate, par.stderr) == (serial.estimate, serial.stderr)
+        assert (par.value, par.stderr) == (serial.value, serial.stderr)
         assert par_counts == serial_counts
         if kind == "dictator":
             assert serial_counts[1] == 2 * trials
@@ -973,9 +985,9 @@ class TestDecoupling:
         tables = [self.random_low_influence(rng, space, scale=0.15) for _ in range(2)]
         exact = decoupling_check(tables, probs, params, mode="exact")
         mc = decoupling_check(tables, probs, params, mode="mc", samples=100_000, seed=49)
-        assert (exact.lhs_stderr, exact.product_stderr) == (0.0, 0.0)
-        assert 0.0 < mc.lhs_stderr < 0.01 and 0.0 < mc.product_stderr < 0.01
-        assert mc.lhs == pytest.approx(exact.lhs, abs=4 * mc.lhs_stderr)
+        assert (exact.stderr, exact.product_stderr) == (0.0, 0.0)
+        assert 0.0 < mc.stderr < 0.01 and 0.0 < mc.product_stderr < 0.01
+        assert mc.lhs == pytest.approx(exact.lhs, abs=4 * mc.stderr)
         assert mc.product_term == pytest.approx(exact.product_term, abs=4 * mc.product_stderr)
         assert mc.holds == (mc.lhs <= mc.rhs)
 
@@ -1006,7 +1018,7 @@ class TestMixing:
         params = desk_params(theta, R=3)
         f = LongCodeAssignment(lambda A, x, z: x[:, 0].astype(np.int8))
         rep = mixing_check(gap, theta, graph, params, f, alpha=1.0, a_samples=300, seed=34, inner_samples=4096)
-        assert rep.fraction == 0.0
+        assert rep.value == 0.0
         assert rep.holds
 
     def test_huge_alpha_zero_fraction(self):
@@ -1016,7 +1028,7 @@ class TestMixing:
         params = desk_params(theta, R=3)
         f = dictator_assignment([0, 1], graph)
         rep = mixing_check(gap, theta, graph, params, f, alpha=50.0, a_samples=200, seed=36)
-        assert rep.fraction == 0.0 and rep.holds
+        assert rep.value == 0.0 and rep.holds
 
     def test_vacuous_when_threshold_exceeds_every_deviation(self):
         gap = small_gap()
@@ -1028,7 +1040,10 @@ class TestMixing:
         wide = mixing_check(gap, theta, graph, params, f, alpha=2.0, a_samples=50, seed=41, mu=0.3)
         narrow = mixing_check(gap, theta, graph, params, f, alpha=0.2, a_samples=50, seed=41, mu=0.3)
         assert wide.center == narrow.center == 0.3
-        assert wide.vacuous and not narrow.vacuous
+        assert (wide.span, narrow.span) == ((0.0, 0.0), (0.0, 1.0))
+        # narrow's bound 3 * 0.3 / 0.2^2 = 22.5 exceeds every fraction, so it is vacuous too
+        assert narrow.bound > 1.0
+        assert wide.vacuous and narrow.vacuous
 
     def test_dictator_at_desk_parameters(self):
         gap = small_gap(Predicate.and_(2))
@@ -1151,8 +1166,8 @@ class TestMixing:
         center = float(means.mean())
         threshold = 0.05 * math.sqrt(center)
         assert (rep.center, rep.threshold) == (center, threshold)
-        assert rep.fraction == float((np.abs(means - center) >= threshold).mean())
-        assert 0.0 < rep.fraction < 1.0
+        assert rep.value == float((np.abs(means - center) >= threshold).mean())
+        assert 0.0 < rep.value < 1.0
 
     def test_equal_on_one_and_on_three_cpus(self, monkeypatch):
         # every report field but the thread count, and the dictator's
@@ -1163,7 +1178,8 @@ class TestMixing:
             cpus(monkeypatch, k)
             f = dictator_assignment([0, 1], graph)
             fields = dict(vars(mixing_check(gap, theta, graph, params, f, 0.05, a_samples, 59, inner_samples=inner)))
-            assert fields.pop("threads") == k
+            counters = fields["counters"] = dict(fields["counters"])
+            assert counters.pop("threads") == k
             runs.append((fields, f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows))
         assert runs[0] == runs[1]
         _, queries, fallbacks, permuted = runs[0]
@@ -1288,9 +1304,9 @@ class TestDecodeStat:
         space = BiasedSpace((0.3,) * 3, "bit")
         tables = np.full((8 ** 3, 8), 0.3)
         rep = influence_decode_stat(tables, space, graph, params, tau=0.01, samples=2000, seed=42)
-        assert rep.max_list_size == 0
+        assert rep.value == 0
         assert rep.respect_violations == 0
-        assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.stderr)
+        assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.match_stderr)
 
     def test_planted_covariant_dictators_signal(self):
         graph = self._graph()
@@ -1310,9 +1326,9 @@ class TestDecodeStat:
         tau = 0.05
         rep = influence_decode_stat(self.stacked(table, 8, R), space, graph, params, tau=tau, samples=3000, seed=43)
         assert rep.respect_violations == 0
-        assert rep.list_cap_holds
+        assert rep.holds
         assert rep.match_prob >= params.eta ** 2 * tau ** 2 / 16
-        assert rep.match_prob > rep.baseline + 5 * rep.stderr
+        assert rep.match_prob > rep.baseline + 5 * rep.match_stderr
 
     def test_low_influence_tables_baseline(self):
         graph = self._graph()
@@ -1330,8 +1346,8 @@ class TestDecodeStat:
             return np.full(8, cache[key])
 
         rep = influence_decode_stat(self.stacked(table, 8, R), space, graph, params, tau=0.05, samples=2500, seed=45)
-        assert rep.max_list_size == 0
-        assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.stderr)
+        assert rep.value == 0
+        assert rep.match_prob == pytest.approx(rep.baseline, abs=4 * rep.match_stderr)
 
     def test_single_broken_entry_is_a_respect_violation(self):
         graph = self._graph()
@@ -1415,7 +1431,7 @@ class TestDecodeStat:
         tables = np.full((16, 4), 0.3)
         tables[np.ravel_multi_index((3, 3), (4, 4))] = [0.0, 0.0, 1.0, 1.0]
         rep = influence_decode_stat(tables, space, graph, params, tau=0.05, samples=1, seed=47)
-        assert rep.max_list_size == 1
+        assert rep.value == 1
 
     def test_cli_family_is_the_planted_dictator(self, tmp_path):
         # the CLI's numpy-built family, against one table per vertex-vector
@@ -1444,8 +1460,8 @@ class TestDecodeStat:
         params = ReductionParams.manual(mu=0.3, r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.15)
         rep = influence_decode_stat(self.stacked(table, 8, 3), BiasedSpace((0.3,) * 3, "bit"), graph, params,
                                     tau=0.05, samples=500, seed=9)
-        assert record["value"] == rep.match_prob
-        assert record["extra"]["max_list_size"] == rep.max_list_size
+        assert record["extra"]["match_prob"] == rep.match_prob
+        assert record["value"] == rep.value
         assert record["extra"]["respect_violations"] == rep.respect_violations == 0
 
 
@@ -1465,7 +1481,7 @@ class TestDecodeStat:
             rep = influence_decode_stat(tables, BiasedSpace((0.3,) * R, "bit"), graph, params,
                                         tau=0.05, samples=4000, seed=9)
         assert peak.bytes < 5 * tables.nbytes, f"peak traced allocation {peak.bytes / 2 ** 20:.1f} MiB"
-        assert (rep.match_prob, rep.stderr, rep.max_list_size, rep.respect_violations) == (
+        assert (rep.match_prob, rep.match_stderr, rep.value, rep.respect_violations) == (
             0.562, 0.007844679725775934, 1, 1985420
         )
 

@@ -178,14 +178,14 @@ class TestCovarianceBound:
         rng = np.random.default_rng(4)
         f, gfun = random_clipped_poly(rng, 3), random_clipped_poly(rng, 3)
         rep = covariance_bound_check(f, gfun, 0.0, 3, 300000, 21)
-        assert abs(rep.covariance) <= 3 * rep.sigma_total
+        assert rep.value <= 3 * rep.stderr
         assert rep.holds
 
     def test_identical_inputs_variance(self):
         rng = np.random.default_rng(5)
         f = random_clipped_poly(rng, 3)
         rep = covariance_bound_check(f, f, 1.0, 3, 200000, 22)
-        assert rep.covariance <= 0.25 + 3 * rep.sigma_total
+        assert rep.value <= 0.25 + 3 * rep.stderr
         assert rep.holds
 
     def test_intermediate_correlation(self):
@@ -203,8 +203,8 @@ class TestBiasConcentration:
         sol = vector_solution(fam)
         inp = RoundingInput(g, constant_tables(g, fam, 3, c=0.4), sol, family=fam)
         rep = bias_concentration_check(inp, 400, 31)
-        assert rep.variance == pytest.approx(0.0, abs=1e-18)
-        assert rep.variance_holds
+        assert rep.value == pytest.approx(0.0, abs=1e-18)
+        assert rep.holds
 
     def test_variance_bound_random_pipelines(self):
         rng = np.random.default_rng(8)
@@ -214,7 +214,7 @@ class TestBiasConcentration:
             sol = vector_solution(fam)
             inp = RoundingInput(g, dictator_tables(g, fam, 3), sol, family=fam)
             rep = bias_concentration_check(inp, 1500, 200 + trial)
-            assert rep.variance_holds, (rep.variance, rep.variance_bound)
+            assert rep.holds, (rep.value, rep.bound)
 
     def test_planted_correlated_pair(self):
         g = host(2)
@@ -229,8 +229,10 @@ class TestBiasConcentration:
         sol = vector_solution(fam)
         inp = RoundingInput(g, dictator_tables(g, fam, 3), sol, family=fam)
         rep = bias_concentration_check(inp, 3000, 33)
-        assert rep.variance_bound == pytest.approx(1.0, abs=0.1)  # near-perfect correlation
-        assert rep.variance_holds
+        assert rep.bound == pytest.approx(1.0, abs=0.1)  # near-perfect correlation
+        assert rep.holds
+        # a bias in [0, 1] has variance at most 1/4, so a bound near 1 cannot fail
+        assert rep.status == "vacuous"
 
 
     def test_checks_draw_their_own_rounds(self, monkeypatch):
@@ -362,10 +364,11 @@ class TestBatchRounds:
                 runs.append([a.tobytes() for a in result])
                 continue
             fields = dict(vars(result))
-            assert fields.pop("threads") == k
+            counters = dict(fields.pop("counters"))
+            assert counters.pop("threads") == k
             for timing in ("trials_per_s", "exact_elapsed_s"):
-                fields.pop(timing, None)
-            runs.append(fields)
+                counters.pop(timing, None)
+            runs.append((fields, counters))
         assert runs[0] == runs[1]
 
 
@@ -386,7 +389,7 @@ class TestValueCheck:
         inp = RoundingInput(g, constant_tables(g, fam, r_dim, c=c), vector_solution(fam), family=fam)
         assert exact_test_value(inp) == pytest.approx(c ** 2, abs=1e-10)
         rep = value_check(inp, 300, 41)
-        assert rep.mc_value == pytest.approx(c ** 2, abs=1e-9)
+        assert rep.value == pytest.approx(c ** 2, abs=1e-9)
 
     def test_dictator_true_distribution(self):
         # pre-processed family: near-symmetric biases and low correlations keep
@@ -401,8 +404,9 @@ class TestValueCheck:
             g, dictator_tables(g, fam, 4), vector_solution(fam), eta=0.01, family=fam
         )
         rep = value_check(inp, 40000, 42)
-        assert abs(rep.mc_value - rep.exact_value) <= 3 * rep.mc_stderr + 0.02
-        assert rep.holds
+        assert abs(rep.value - rep.bound) <= 3 * rep.stderr + 0.02
+        # dictators miss the low-influence premise, so the check asserts nothing
+        assert (rep.applicable, rep.holds, rep.status) == (False, None, "not-applicable")
 
     def test_applicable_only_below_tau(self):
         # dictators have influence p(1-p)(1-eta)^2 >= 0.16 * 0.99^2 > tau = 0.1

@@ -1,5 +1,6 @@
 """``tools/stage_digest.py``: one digest per workload and seed, reproducible."""
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,21 @@ def test_check_passes_the_stored_references():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+def test_records_name_each_library_record_and_its_status():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), "0", "--size", "smoke", "--records",
+         "--workload", "round-exact", "--workload", "oracles"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    stages = ["verify-input", "smooth", "condition", "vector-solution", "rounding-variance", "rounding-value"]
+    # the oracle workload returns no library records
+    assert [(r["workload"], r["seed"], r["stage"]) for r in records] == [("round-exact", 0, s) for s in stages]
+    for r in records:
+        assert set(r) == {"workload", "seed", "stage", "verdict", "status", "extra"}
+        assert r["extra"] == sorted(r["extra"])
+    # the conditioning target 1.0 is above every average |correlation|
+    assert records[2]["status"] == "vacuous"

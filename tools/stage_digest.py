@@ -3,7 +3,7 @@
 Usage:
 
     python3 tools/stage_digest.py TREE SEEDS [--size smoke|full]
-        [--workload NAME ...] [--per-stage | --json] [--check]
+        [--workload NAME ...] [--per-stage | --json | --records] [--check]
 
 TREE is a checkout of this repository; its ``src/`` and ``perfbench/`` are
 imported, the latter read-only, as ``tests/test_references.py`` does.  SEEDS
@@ -23,7 +23,17 @@ stage list itself, one JSON object per line,
 
     {"seed": <seed>, "stages": [...], "workload": <workload>}
 
-which ``tools/stage_diff.py`` reads.  With ``--check`` it also checks each
+which ``tools/stage_diff.py`` reads.  With ``--records`` it prints, for each
+run of a pipeline workload, the library's own stage records without their
+values and timings, one JSON object per line,
+
+    {"extra": [<sorted extra keys>], "seed": <seed>, "stage": <stage>,
+     "status": <status>, "verdict": <verdict>, "workload": <workload>}
+
+so that a diff of two trees shows every status that moved; the benchmark's
+stage view cannot, as it derives each status from the verdict again.  The
+oracle workload returns no records and prints nothing.  With ``--check`` it
+also checks each
 run with ``perfbench/run.py``'s ``check`` against the stored references (at
 the full size; the smoke size has none, so only the verdicts count), prints
 
@@ -67,6 +77,7 @@ def main(argv=None) -> int:
     view = p.add_mutually_exclusive_group()
     view.add_argument("--per-stage", action="store_true", help="one digest per stage")
     view.add_argument("--json", action="store_true", help="each run's stage list as one JSON line")
+    view.add_argument("--records", action="store_true", help="the library's records: stage, verdict, status, extra keys")
     p.add_argument("--check", action="store_true", help="check each run against the stored references")
     args = p.parse_args(argv)
     tree = args.tree.resolve()
@@ -79,8 +90,14 @@ def main(argv=None) -> int:
     for name in args.workload or workloads.NAMES:
         for seed in args.seeds:
             prepared = workloads.build(name, seed, args.size)
-            stages = prepared.stages(prepared.call())
-            if args.json:
+            result = prepared.call()
+            stages = prepared.stages(result)
+            if args.records:
+                for r in result["stages"] if isinstance(result, dict) else []:
+                    record = {k: r[k] for k in ("stage", "verdict", "status")}
+                    record.update(workload=name, seed=seed, extra=sorted(r.get("extra", {})))
+                    print(json.dumps(record, sort_keys=True), flush=True)
+            elif args.json:
                 print(json.dumps({"workload": name, "seed": seed, "stages": stages}, sort_keys=True), flush=True)
             elif args.per_stage:
                 for s in stages:
