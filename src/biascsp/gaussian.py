@@ -16,11 +16,6 @@ from .harness.mc import McRun, mc_run, scratch
 from .harness.verdict import Check
 
 
-def normal_cdf(t: float) -> float:
-    """Standard normal CDF via erfc; absolute error well under 1e-12."""
-    return 0.5 * math.erfc(-float(t) / math.sqrt(2.0))
-
-
 def normal_quantile(delta: float) -> float:
     """Inverse CDF on (0,1), the standard library's
     ``NormalDist().inv_cdf``: |cdf(result) - delta| is at roundoff level."""
@@ -47,39 +42,69 @@ class CorrelatedSampler:
         if self.dimension < 1 or self.copies < 1:
             raise ValueError("dimension and copies must be >= 1")
 
-    def each_copy(self, rng: np.random.Generator, n: int):
-        """Yield the r copies of n tuples one after another, each in the same
-        (n, R) buffer, which the next copy overwrites.
+    def product(self, rng: np.random.Generator, n: int, fns) -> np.ndarray:
+        """prod_i fns[i](h_i) over n tuples of copies, as n floats.
 
-        The shared source g is drawn first, then each copy's zeta_i in turn:
-        the stream and float operations of drawing g and all r copies at
-        once, with a working set of two (n, R) arrays, not r + 2.  Both are
-        the running chunk's scratch (``harness.mc.scratch``), drawn into
-        with ``out=``: the same stream as drawing them fresh.
+        The copies are drawn in this order, with s = sqrt(1 - rho^2):
+        - h_1 ~ N(0, I) on all n rows;
+        - then g | h_1 ~ N(rho*h_1, s^2 I), kept as rho*g = rho^2*h_1 + rho*s*xi;
+        - then each later h_i = rho*g + s*zeta_i.
+        (g, h_1, ..., h_r) has the law of the shared-source construction, at
+        rho = +-1 and 0 too.  g and each later copy are drawn only on the rows
+        whose running product is still nonzero: a row at 0 stays 0 whatever
+        its later copies are, so its value is that of drawing them all.
+
+        Each ``fns[i]`` maps an (m, dimension) array of copies to m values in
+        [0, 1] and must be row-wise: a row's value depends on that row alone,
+        since a function sees only the rows still alive, compacted.  It must
+        not keep the array, whose buffer is reused.  The working set is two
+        (n, dimension) arrays, the running chunk's scratch
+        (``harness.mc.scratch``): g's rows are gathered out of the first
+        copy's buffer, which then takes the later copies, and the two swap
+        whenever g's rows are compacted.
         """
-        shared = rng.standard_normal(out=scratch("gaussian.shared", (n, self.dimension)))
-        shared *= self.rho  # rho * g; g itself is not needed
-        scale = math.sqrt(1.0 - self.rho * self.rho)
-        h = scratch("gaussian.copy", shared.shape)
-        for _ in range(self.copies):
-            rng.standard_normal(out=h)
-            h *= scale
-            h += shared
-            yield h
+        if len(fns) != self.copies:
+            raise ValueError(f"need one function per copy: {len(fns)} for {self.copies} copies")
+        rho, s = self.rho, math.sqrt(1.0 - self.rho * self.rho)
+        h = rng.standard_normal(out=scratch("gaussian.copy", (n, self.dimension)))
+        running = np.array(fns[0](h), dtype=float)  # a copy: fns[0] may return a view of h
+        # running is the product on the live rows (all n while rows is None);
+        # g holds h_1 until rho*g is formed in place, and spare takes each copy
+        rows, g, spare = None, h, scratch("gaussian.shared", h.shape)
+        for i, f in enumerate(fns[1:]):
+            live = np.flatnonzero(running != 0)
+            if not live.size:
+                break
+            if live.size < running.size:
+                g, spare = np.take(g, live, axis=0, out=spare[: live.size]), g
+                rows = live if rows is None else rows[live]
+                running = running[live]
+            h = spare[: live.size]
+            if i == 0:
+                g *= rho * rho
+                rng.standard_normal(out=h)  # xi
+                h *= rho * s
+                g += h
+            rng.standard_normal(out=h)  # zeta_i
+            h *= s
+            h += g
+            running *= f(h)
+        if rows is None:
+            return running
+        product = np.zeros(n)
+        product[rows] = running
+        return product
 
 
 def _orthant_run(rho: float, deltas, samples: int, seed: int, tag: str) -> McRun:
-    """Pr[forall i: h_i <= quantile(delta_i)] over shared-source copies."""
-    thresholds = [normal_quantile(d) for d in deltas]
+    """Pr[forall i: h_i <= quantile(delta_i)] over shared-source copies.
+
+    The thresholds go in ascending order, so the first copy settles the most
+    rows; the copies are exchangeable, so the order leaves the law as it is.
+    """
     sampler = CorrelatedSampler(1, rho, len(deltas))
-
-    def below(rng, n):
-        inside = np.ones(n, dtype=bool)
-        for h, t in zip(sampler.each_copy(rng, n), thresholds):
-            inside &= h[:, 0] <= t
-        return inside
-
-    return mc_run(below, samples, seed, tag=tag, parallel=True)
+    below = [lambda h, t=t: h[:, 0] <= t for t in sorted(normal_quantile(d) for d in deltas)]
+    return mc_run(lambda rng, n: sampler.product(rng, n, below), samples, seed, tag=tag, parallel=True)
 
 
 def lambda_estimate(rho: float, deltas, samples: int, seed: int) -> McRun:
@@ -143,7 +168,13 @@ def box(lo, hi):
     hi = np.asarray(hi, dtype=float)
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return np.logical_and(pts >= lo, pts <= hi).all(axis=-1).astype(float)
+        # a coordinate at a time: all() over a short last axis is several times slower
+        d = pts.shape[-1]
+        inside = np.ones(pts.shape[:-1], dtype=bool)
+        for x, a, b in zip(np.moveaxis(pts, -1, 0), np.broadcast_to(lo, d), np.broadcast_to(hi, d)):
+            inside &= x >= a
+            inside &= x <= b
+        return inside.astype(float)
 
     return fn
 
@@ -168,16 +199,8 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
     ``mean_stderrs``, and ``stability_bound``.
     """
     sampler = CorrelatedSampler(dimension, rho, len(functions))
-
-    def joint_product(rng, n):
-        product = None
-        for f, h in zip(functions, sampler.each_copy(rng, n)):
-            value = np.asarray(f(h))
-            # a copy first: f may return a view of the reused buffer
-            product = value.copy() if product is None else product * value
-        return product
-
-    joint = mc_run(joint_product, samples, seed, tag="borell-joint", parallel=True)
+    joint = mc_run(lambda rng, n: sampler.product(rng, n, functions), samples, seed, tag="borell-joint",
+                   parallel=True)
     means = [
         mc_run(lambda rng, n, f=f: f(rng.standard_normal(out=scratch("gaussian.mean", (n, dimension)))),
                samples, seed, tag=f"borell-mean-{i}", parallel=True)

@@ -134,10 +134,13 @@ def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[
 
 
 def _chunk_sums(estimator, rng, n: int) -> tuple[float, float]:
+    """The sum and the sum of squares of one chunk's values; the squares go
+    into the running thread's scratch, the floats of ``vals ** 2``."""
     vals = np.asarray(estimator(rng, n), dtype=float)
     if vals.size != n:
         raise ValueError("estimator returned wrong sample count")
-    return float(vals.sum()), float((vals ** 2).sum())
+    squares = np.square(vals, out=scratch("mc.squares", vals.shape))
+    return float(vals.sum()), float(squares.sum())
 
 
 def mc_run(

@@ -231,6 +231,27 @@ class TestScratch:
 
         assert self.three_threads_take_chunks(work) == [True] * 11
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_chunk_sums_square_into_scratch_bit_for_bit(self, monkeypatch, k):
+        # values over six decades, so a different summation would show in the last bits
+        cpus(monkeypatch, k)
+        views = [
+            lambda x: x[:, 1],  # a strided column
+            lambda x: x[:, :1],  # (n, 1)
+            lambda x: x[:, 2] > 0,  # bool
+            lambda x: np.ascontiguousarray(x[:, 0]),
+        ]
+
+        def work(c, n):
+            x = rng_for(5, "t-sums", c).standard_normal((n, 3)) * np.logspace(-3, 3, n)[:, None]
+            sums = [mc._chunk_sums(lambda rng, m: view(x), None, n) for view in views]
+            fresh = [np.asarray(view(x), dtype=float) for view in views]
+            assert ("mc.squares", float) in mc._worker.buffers
+            return sums == [(float(v.sum()), float((v ** 2).sum())) for v in fresh]
+
+        results, threads = mc.run_chunks(work, 10_000, 3000)
+        assert (results, threads) == ([True] * 4, k)
+
 
 class TestRngFamily:
     def test_distinct_paths_distinct_streams(self):

@@ -56,8 +56,16 @@ def test_a_planted_change_is_named_with_its_size(tmp_path):
     proc = diff(ROOT, change, "0-1", "--workload", "round-exact")
     assert proc.returncode == 1, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split()[:3] for line in lines[:-2]] == [["round-exact", s, "smooth.value"] for s in ("0", "1")]
-    assert all(line.endswith("(1e+03 tol)") and "tol=1.000e-09" in line for line in lines[:-2])
+    moved, summary = lines[:2], lines[2:-2]
+    assert [line.split()[:3] for line in moved] == [["round-exact", s, "smooth.value"] for s in ("0", "1")]
+    assert all(line.endswith("(1e+03 tol)") and "tol=1.000e-09" in line for line in moved)
+    # one line per value key of the workload: only smooth.value moved, in both runs
+    assert len(summary) == 8
+    smooth = "round-exact smooth.value: moved in 2 of 2 runs, largest 1e+03 tol"
+    assert smooth in summary
+    others = [line for line in summary if line != smooth]
+    assert len(others) == 7
+    assert all(line.startswith("round-exact ") and line.endswith(": moved in 0 of 2 runs") for line in others)
     # objective + 1e-6 rounds differently at each seed, so either may be the largest
     assert lines[-2].split()[:5] == ["largest", "move", "1e+03", "tol:", "round-exact"]
     assert lines[-2].endswith(" smooth.value")
@@ -78,13 +86,13 @@ def test_compare_counts_every_kind_of_move():
         stage("d", {"value": exact(2.0)}),
     ]
     compared, lines, sizes = tool.compare("w 7", parent, change, check)
-    assert compared == 2
+    assert compared == ["a.value", "b.value"]
     assert lines[:2] == ["w 7 a.gone missing", "w 7 a.added new"]
     assert lines[2:4] == ["w 7 b.verdict True False", "w 7 b.status pass fail"]
     # Monte Carlo: 4 combined standard errors, 4 * hypot(0.01, 0.01)
     assert lines[4].startswith("w 7 b.value 0.5 0.53 delta=3.000e-02 tol=5.657e-02 (0.53 tol)")
     assert lines[5:] == ["w 7 c missing", "w 7 d new"]
-    assert sizes == [(pytest.approx(0.03 / (4 * 0.01 * 2 ** 0.5)), "w 7 b.value")]
+    assert sizes == {"b.value": pytest.approx(0.03 / (4 * 0.01 * 2 ** 0.5))}
 
 
 def test_largest_move_is_named_across_runs():
@@ -92,11 +100,19 @@ def test_largest_move_is_named_across_runs():
     check = tool.load_check(ROOT)
     sizes = []
     for seed, (a, b) in enumerate([(0.5, 0.625), (0.5, 0.25), (0.5, 0.75), (0.5, float("nan"))]):
-        sizes += tool.compare(f"w {seed}", [stage("s", {"v": mc(a, 0.01, 100)})],
-                              [stage("s", {"v": mc(b, 0.01, 100)})], check)[2]
+        moved = tool.compare(f"w {seed}", [stage("s", {"v": mc(a, 0.01, 100)})],
+                             [stage("s", {"v": mc(b, 0.01, 100)})], check)[2]
+        sizes += [(size, f"w {seed} {key}") for key, size in moved.items()]
     # seeds 1 and 2 tie at 0.25 / (4 * hypot(0.01, 0.01)): the first is named
     assert tool.largest(sizes[:3]) == "largest move 4.42 tol: w 1 s.v"
     assert tool.largest(sizes) == "largest move nan tol: w 3 s.v"
+
+
+def test_key_summary_counts_the_runs_that_moved_a_key():
+    tool = load_tool()
+    assert tool.key_summary("w s.v", 4, []) == "w s.v: moved in 0 of 4 runs"
+    assert tool.key_summary("w s.v", 4, [0.25, 0.598, 0.1]) == "w s.v: moved in 3 of 4 runs, largest 0.598 tol"
+    assert tool.key_summary("w s.v", 2, [0.25, float("nan")]) == "w s.v: moved in 2 of 2 runs, largest nan tol"
 
 
 @pytest.mark.parametrize("field, other", [("stderr", 0.02), ("samples", 200)])
@@ -105,4 +121,4 @@ def test_a_moved_error_bar_counts_as_moved(field, other):
     a = mc(0.5, 0.01, 100)
     compared, lines, _ = tool.compare("w 0", [stage("s", {"value": a})], [stage("s", {"value": {**a, field: other}})],
                                       tool.load_check(ROOT))
-    assert compared == 1 and len(lines) == 1 and "delta=0.000e+00" in lines[0]
+    assert compared == ["s.value"] and len(lines) == 1 and "delta=0.000e+00" in lines[0]

@@ -20,7 +20,12 @@ between the two, ``EXACT_TOL`` for an exact value and ``MC_SIGMAS``
 combined standard errors for a Monte Carlo one.  A moved verdict or status
 prints ``<stage>.verdict`` or ``<stage>.status`` with both sides, and an
 entry only one side has prints ``missing`` (only PARENT) or ``new``.  When
-a value moved, the line before the last names the largest move,
+a value moved, one line follows for each stage value key of each workload
+that both sides have,
+
+    <workload> <stage>.<key>: moved in <k> of <runs> runs[, largest <|d|/t> tol]
+
+and then one line names the largest move,
 
     largest move <|d|/t> tol: <workload> <seed> <stage>.<key>
 
@@ -65,12 +70,13 @@ def same(a, b) -> bool:
     return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
 
 
-def compare(prefix: str, parent: list, change: list, check) -> tuple[int, list[str], list[tuple[float, str]]]:
-    """(values compared, lines for what moved, (|delta| / tol, name) of each
-    moved value) between two stage lists."""
+def compare(prefix: str, parent: list, change: list, check) -> tuple[list[str], list[str], dict[str, float]]:
+    """(the ``<stage>.<key>`` of each value compared, lines for what moved,
+    |delta| / tol of each moved value by its ``<stage>.<key>``) between two
+    stage lists."""
     lines = []
-    sizes = []
-    compared = 0
+    sizes = {}
+    compared = []
     old = {s["stage"]: s for s in parent}
     new = {s["stage"]: s for s in change}
     for name in dict.fromkeys([*old, *new]):
@@ -87,21 +93,33 @@ def compare(prefix: str, parent: list, change: list, check) -> tuple[int, list[s
                 lines.append(f"{full} {'missing' if key not in b['values'] else 'new'}")
                 continue
             va, vb = a["values"][key], b["values"][key]
-            compared += 1
+            compared.append(f"{name}.{key}")
             if all(same(va[f], vb[f]) for f in va.keys() | vb.keys()):
                 continue
             delta = vb["value"] - va["value"]
             tol = tolerance(va, vb, check)
             moved = f"delta={delta:.3e} tol={tol:.3e} ({delta / tol:.3g} tol)"
             lines.append(f"{full} {va['value']!r} {vb['value']!r} {moved}")
-            sizes.append((abs(delta / tol), full))
+            sizes[f"{name}.{key}"] = abs(delta / tol)
     return compared, lines, sizes
+
+
+def _size_order(size: float) -> float:
+    return math.inf if math.isnan(size) else size
 
 
 def largest(sizes: list[tuple[float, str]]) -> str:
     """The line that names the largest of the (|delta| / tol, name) moves."""
-    size, name = max(sizes, key=lambda s: math.inf if math.isnan(s[0]) else s[0])
+    size, name = max(sizes, key=lambda s: _size_order(s[0]))
     return f"largest move {size:.3g} tol: {name}"
+
+
+def key_summary(name: str, runs: int, sizes: list[float]) -> str:
+    """The line for one stage value key: in how many of the ``runs`` that
+    compared it it moved, and its largest move (of the |delta| / tol
+    ``sizes``) when it moved at all."""
+    line = f"{name}: moved in {len(sizes)} of {runs} runs"
+    return f"{line}, largest {max(sizes, key=_size_order):.3g} tol" if sizes else line
 
 
 def stage_lists(tree: Path, args, out) -> subprocess.Popen:
@@ -134,14 +152,23 @@ def main(argv=None) -> int:
         old, new = runs(procs[0], a, parent), runs(procs[1], b, change)
     check = load_check(change)
     compared, moved, sizes = 0, 0, []
+    keys = {}  # "<workload> <stage>.<key>" -> [runs that compared it, its moves]
     for run in dict.fromkeys([*old, *new]):
-        n, lines, run_sizes = compare(f"{run[0]} {run[1]}", old.get(run, []), new.get(run, []), check)
-        compared += n
+        prefix = f"{run[0]} {run[1]}"
+        names, lines, run_sizes = compare(prefix, old.get(run, []), new.get(run, []), check)
+        compared += len(names)
         moved += len(lines)
-        sizes += run_sizes
+        for name in names:
+            entry = keys.setdefault(f"{run[0]} {name}", [0, []])
+            entry[0] += 1
+            if name in run_sizes:
+                entry[1].append(run_sizes[name])
+                sizes.append((run_sizes[name], f"{prefix} {name}"))
         for line in lines:
             print(line, flush=True)
     if sizes:
+        for name, (count, key_sizes) in keys.items():
+            print(key_summary(name, count, key_sizes))
         print(largest(sizes))
     print(f"compared {compared} values over {len(old)} runs: {moved} moved")
     return 1 if moved else 0
