@@ -59,6 +59,20 @@ class Predicate:
         out[[pack_bits(a) for a in self.accepting]] = 1
         return out
 
+    def settled(self) -> list[np.ndarray]:
+        """Per prefix length: entry i, indexed by the packed bits of the
+        first i + 1 arguments (the first most significant, as in
+        :meth:`table`), is the predicate's value once those bits are read,
+        or -1 where the later bits can still change it.  The last entry is
+        :meth:`table`."""
+        table = self.table()
+        out = []
+        for i in range(1, self.arity + 1):
+            rows = table.reshape(2 ** i, -1)
+            lo, hi = rows.min(axis=1), rows.max(axis=1)
+            out.append(np.where(lo == hi, lo, -1).astype(np.int8))
+        return out
+
     @classmethod
     def from_strings(cls, arity: int, strings) -> "Predicate":
         return cls(arity, frozenset(_as_bits(s) for s in strings))

@@ -196,16 +196,21 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
     The joint expectation, each function's mean and the halfspace stability
     are independent runs with tags "borell-joint", "borell-mean-<i>" and
     "borell-lambda", kept as ``joint``, ``means`` (values) with
-    ``mean_stderrs``, and ``stability_bound``.
+    ``mean_stderrs``, and ``stability_bound``.  The means run first, and
+    the joint takes the functions in ascending order of their estimated
+    means (a stable sort): the copies are exchangeable, so the order leaves
+    the joint's law as it is, and the least mass first leaves the fewest
+    rows for the later copies.
     """
     sampler = CorrelatedSampler(dimension, rho, len(functions))
-    joint = mc_run(lambda rng, n: sampler.product(rng, n, functions), samples, seed, tag="borell-joint",
-                   parallel=True)
     means = [
         mc_run(lambda rng, n, f=f: f(rng.standard_normal(out=scratch("gaussian.mean", (n, dimension)))),
                samples, seed, tag=f"borell-mean-{i}", parallel=True)
         for i, f in enumerate(functions)
     ]
+    ordered = [functions[i] for i in sorted(range(len(functions)), key=lambda i: means[i].value)]
+    joint = mc_run(lambda rng, n: sampler.product(rng, n, ordered), samples, seed, tag="borell-joint",
+                   parallel=True)
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
     lam = _orthant_run(rho, clipped, samples, seed, "borell-lambda")
     sigma_total = math.sqrt(joint.stderr ** 2 + lam.stderr ** 2 + sum(m.stderr ** 2 for m in means))

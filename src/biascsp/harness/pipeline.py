@@ -270,11 +270,16 @@ def planted_dictator(graph, what: str):
 
 def acceptance_stage(name: str, host, family, graph, params, f, trials: int, seed: int) -> dict:
     """Monte Carlo acceptance of the lifted test against the completeness
-    bound (``acceptance_estimate``), with its work and throughput."""
+    bound (``acceptance_estimate``), with its work and throughput.
+    ``positions_per_trial`` is the dictator queries per trial: the arity
+    when no row settles early, fewer as the predicate settles rows."""
     from ..reduction import acceptance_estimate
 
     check, work = _counted(f, lambda: acceptance_estimate(host, family, graph, params, f, trials, seed))
-    return stage(name, check, trials_per_s=trials / work["elapsed_s"], **work)
+    return stage(
+        name, check, trials_per_s=trials / work["elapsed_s"],
+        positions_per_trial=work["dictator_queries"] / trials, **work,
+    )
 
 
 def mixing_stage(name: str, host, family, graph, params, f, alpha, a_samples: int, seed: int, **kw) -> dict:

@@ -96,8 +96,10 @@ def noisy_walk(g: SseGraph, eta: float, point, rng: np.random.Generator, where=N
     gets a fresh uniform vertex.  That is the vertex part of the lifted
     test's leakage fold, which walks only where the leak symbol is top.
     The flat adjacency index src * deg + slot, then the neighbour it reads,
-    are built in place in one intp array.  The result has the dtype of
-    :func:`vertex_indices` of ``point``.
+    are built in place in one intp array.  The sources are gathered by
+    ``np.take`` when ``point`` has the shape of the step, and through a
+    broadcast ``flatiter`` otherwise, which forms no index of its own.  The
+    result has the dtype of :func:`vertex_indices` of ``point``.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0,1]")
@@ -107,7 +109,9 @@ def noisy_walk(g: SseGraph, eta: float, point, rng: np.random.Generator, where=N
     steps = np.arange(out.size) if where is None else np.flatnonzero(where)
     steps = steps[rng.random(steps.size) >= eta]
     # intp, as np.take indexes with it: an int32 index would be copied there
-    nbr = np.broadcast_to(a, shape).flat[steps].astype(np.intp, copy=False)
+    src = np.take(a, steps) if a.shape == shape else np.broadcast_to(a, shape).flat[steps]
+    nbr = src.astype(np.intp, copy=False)
+    del src  # an int32 gather is not held through the rest of the step
     nbr *= g.deg
     nbr += rng.integers(0, g.deg, size=steps.size, dtype=a.dtype)
     np.take(g.adj.reshape(-1), nbr, out=nbr)

@@ -5,8 +5,9 @@ For a sampled gap edge, each output position carries a triple
 is a uniform source vertex A shared by all positions, the letters 2x' + z'
 of all positions drawn at once from :func:`letter_block` with the bit half
 of the leakage fold applied (:func:`_bit_fold`), and then the vertex half,
-a noisy-walk step from A where z' is top (``analysis.test_block_distribution``
-folds :func:`letter_block` exactly, by its own kernel).  Each position is
+a noisy-walk step from A where z' is top, walked one position at a time
+(``analysis.test_block_distribution`` folds :func:`letter_block` exactly,
+by its own kernel).  Each position is
 read at an independent uniform coordinate permutation; since the
 permutation is independent of everything else, it is applied where the
 assignment is evaluated (``LongCodeAssignment.evaluate_batch`` with an
@@ -172,19 +173,47 @@ def _letter_sampler(theta: LocalDistributionFamily, edge: tuple[str, ...], param
     return LetterLookup(cdf), digits
 
 
-def _sample_parts(letters, graph: SseGraph, params: ReductionParams, m: int, rng, trace: dict | None):
-    """:meth:`BatchTestSampler.sample_parts` for the edge whose letter
-    sampler (:func:`_letter_sampler`) is ``letters``."""
+def _walk_positions(letters, graph: SseGraph, params: ReductionParams, m: int, rng, visit) -> np.ndarray:
+    """The lifted sampler's kernel for m rows of the edge whose letter
+    sampler (:func:`_letter_sampler`) is ``letters``; returns A.
+
+    A and the folded letters x', z' of every position are drawn once, as
+    packed letter codes.  Then, position by position, that position's x'
+    and z' are decoded and B' is walked from A on the rows still live
+    (every row at first), and they are handed on as ``visit(b, x, z,
+    rows)``: the live rows' (B', x', z') of that position and their row
+    indices, or None for all m.  ``visit`` returns the mask of those rows
+    that stay live, or None to keep them all; once no row is live, no later
+    position is decoded or walked.
+    """
     lookup, digits = letters
     shape = (m, params.R)
     # int32 vertices: the same draws as int64 at half the memory
     a = rng.integers(0, graph.n, size=shape, dtype=np.int32)
-    x, z = np.take(digits, lookup.codes(rng.random(shape)), axis=2)
-    # z' read as bool: numpy finds a bool array's nonzeros faster
-    b = noisy_walk(graph, params.eta, a, rng, where=z.view(bool))
+    codes = lookup.codes(rng.random(shape))
+    rows = None
+    for pos in range(digits.shape[1]):
+        ap, cp = (a, codes) if rows is None else (a[rows], codes[rows])
+        xp, zp = np.take(digits[:, pos], cp, axis=1)
+        # z' read as bool: numpy finds a bool array's nonzeros faster
+        keep = visit(noisy_walk(graph, params.eta, ap, rng, where=zp.view(bool)), xp, zp, rows)
+        if keep is not None and not keep.all():
+            rows = np.flatnonzero(keep) if rows is None else rows[keep]
+            if rows.size == 0:
+                break
+    return a
+
+
+def _sample_parts(letters, graph: SseGraph, params: ReductionParams, m: int, rng, trace: dict | None):
+    """:meth:`BatchTestSampler.sample_parts` for the edge whose letter
+    sampler (:func:`_letter_sampler`) is ``letters``: the kernel with every
+    row live at every position."""
+    parts: list = []
+    a = _walk_positions(letters, graph, params, m, rng, lambda b, x, z, rows: parts.append((b, x, z)))
     if trace is not None:
-        trace.update(A=a, B=list(np.where(z == 0, -1, b)), x_prime=list(x), z_prime=list(z))
-    return [(b[pos], x[pos], z[pos]) for pos in range(len(z))]
+        b, x, z = zip(*parts)
+        trace.update(A=a, B=[np.where(zp == 0, -1, bp) for bp, zp in zip(b, z)], x_prime=list(x), z_prime=list(z))
+    return parts
 
 
 def _edge_weights(gap: ConstraintHypergraph) -> np.ndarray:
@@ -210,6 +239,7 @@ class BatchTestSampler:
         self.graph = graph
         self.params = params
         self.edge_weights = _edge_weights(gap)
+        self.settled = gap.predicate.settled()
         self.letters = [_letter_sampler(theta, edge, params) for edge, _ in gap.edges]
 
     def sample_parts(
@@ -221,8 +251,9 @@ class BatchTestSampler:
         permutation (``LongCodeAssignment.evaluate_batch`` with an rng).
         Per coordinate: the source vertex A, then one uniform mapped to the
         folded letters 2x' + z' of all positions (:func:`_letter_sampler`),
-        then the walk from A where z' is top; where z' is bot B' is a
-        uniform vertex (``noisy_walk`` with ``where``).
+        then, one position after another, the walk from A where z' is top;
+        where z' is bot B' is a uniform vertex (``noisy_walk`` with
+        ``where``).  That is :func:`_walk_positions` with every row live.
 
         When ``trace`` is given it receives the (m, R) draws: "A", and per
         position the lists "x_prime", "z_prime" (the letters) and "B" (the
@@ -232,17 +263,32 @@ class BatchTestSampler:
         return _sample_parts(self.letters[edge_index], self.graph, self.params, m, rng, trace)
 
     def accept_indicators(self, f, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m draws of the 0/1 acceptance indicator under assignment f."""
+        """m draws of the 0/1 acceptance indicator under assignment f.
+
+        Each edge's rows go through the sampler's kernel position by
+        position: f is read on the rows still live, and a row leaves once
+        the predicate's settled table (``Predicate.settled``) at its bits so
+        far fixes its value.  That value does not depend on the positions
+        the row skips, so the indicator has the law of reading every
+        position."""
         counts = rng.multinomial(m, self.edge_weights)
-        table = self.gap.predicate.table()
         out = np.empty(m, dtype=np.int8)
         offset = 0
         for e_idx, cnt in enumerate(counts):
             if cnt == 0:
                 continue
-            # parts inline, so that an edge's parts are gone before the next
-            # edge draws its own
-            idx = pack_bits(f.evaluate_batch(b, x, z, rng) for b, x, z in self.sample_parts(e_idx, cnt, rng))
-            out[offset : offset + cnt] = table[idx]
+            bits, tables = [], iter(self.settled)
+
+            def visit(b, x, z, rows, block=out[offset : offset + cnt]):
+                nonlocal bits
+                bits.append(f.evaluate_batch(b, x, z, rng))
+                value = next(tables)[pack_bits(bits)]
+                live = value < 0
+                done = ~live
+                block[done if rows is None else rows[done]] = value[done]
+                bits = [c[live] for c in bits]
+                return live
+
+            _walk_positions(self.letters[e_idx], self.graph, self.params, cnt, rng, visit)
             offset += cnt
         return out

@@ -208,13 +208,15 @@ def reference_orthant(rho, deltas, samples, seed, tag):
 
 
 def reference_borell(functions, dimension, rho, samples, seed):
-    """The joint, mean and stability runs of borell_check."""
+    """The joint, mean and stability runs of borell_check; the joint takes
+    the functions in ascending order of their estimated means."""
     sampler = CorrelatedSampler(dimension, rho, len(functions))
-    joint = mc_run(lambda rng, n: reference_product(sampler, rng, n, functions), samples, seed, tag="borell-joint")
     means = [
         mc_run(lambda rng, n, f=f: f(rng.standard_normal((n, dimension))), samples, seed, tag=f"borell-mean-{i}")
         for i, f in enumerate(functions)
     ]
+    ordered = [f for _, f in sorted(zip([m.value for m in means], functions), key=lambda t: t[0])]
+    joint = mc_run(lambda rng, n: reference_product(sampler, rng, n, ordered), samples, seed, tag="borell-joint")
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
     return joint, means, reference_orthant(rho, clipped, samples, seed, "borell-lambda")
 

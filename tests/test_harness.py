@@ -443,8 +443,10 @@ class TestPipeline:
     def test_reduction_stages_report_work(self, tmp_path):
         by_stage = self.reduction_stages(tmp_path)
         acc, mix = by_stage["reduction-acceptance"]["extra"], by_stage["mixing"]["extra"]
-        # one dictator query per position of each trial, one per mixing draw
+        # one dictator query per position of each trial (XOR settles no row
+        # early), one per mixing draw
         assert acc["dictator_queries"] == 2 * 2000
+        assert acc["positions_per_trial"] == 2.0
         assert mix["dictator_queries"] == 20 * 16
         for extra, rate in ((acc, "trials_per_s"), (mix, "draws_per_s")):
             assert extra["elapsed_s"] > 0.0 and extra[rate] > 0.0
@@ -709,6 +711,9 @@ class TestCli:
             "--graph", str(graph_file), "--R", "6", "--trials", "20000", "--seed", "5",
         )
         assert proc.returncode == 0, proc.stderr
+        extra = json.loads(proc.stdout)["extra"]
+        # XOR: every trial reads both positions
+        assert extra["positions_per_trial"] == extra["dictator_queries"] / 20000 == 2.0
 
     def test_reduce_sample(self, instance_file, pd_file, tmp_path):
         graph_file = tmp_path / "graph.json"
@@ -1053,8 +1058,8 @@ EXTRA_KEYS = {
     "reduce-sample": "edge parts perms",
     "reduce-dictator": "analytic_bias sample_values",
     "reduce-accept": (
-        "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows threads"
-        " trials_per_s vacuous"
+        "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows"
+        " positions_per_trial threads trials_per_s vacuous"
     ),
     "reduce-decouple": "max_influence mode product_stderr vacuous",
     "reduce-mix": (
@@ -1071,8 +1076,8 @@ EXTRA_KEYS = {
         "applicable exact_elapsed_s max_influence minor_faults sigma_value threads trials_per_s vacuous"
     ),
     "reduction-acceptance": (
-        "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows threads"
-        " trials_per_s vacuous"
+        "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows"
+        " positions_per_trial threads trials_per_s vacuous"
     ),
     "mixing": (
         "dictator_fallbacks dictator_queries draws_per_s elapsed_s minor_faults permuted_rows threads"

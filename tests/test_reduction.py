@@ -201,12 +201,14 @@ class TestNoisyWalk:
         assert (out == 1).all()
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("masked", [False, True, "pointwise"])
     def test_in_place_step_reads_one_stream(self, eta, masked):
-        # the step as a formula of fresh arrays, in the walk's draw order
+        # the step as a formula of fresh arrays, in the walk's draw order; a
+        # mask is broadcast over (3, 7, 50) or has the point's own shape
         g = generate_sse("planted", 32, 6, 0.25, seed=17)
         point = rng_for(5, "walk-point").integers(0, g.n, size=(7, 50))
-        where = rng_for(5, "walk-where").random((3, 7, 50)) < 0.4 if masked else None
+        mask_shape = (7, 50) if masked == "pointwise" else (3, 7, 50)
+        where = rng_for(5, "walk-where").random(mask_shape) < 0.4 if masked else None
         rng, ref_rng = rng_for(6, "walk-in-place"), rng_for(6, "walk-in-place")
         got = noisy_walk(g, eta, point, rng, where=where)
         shape = point.shape if where is None else where.shape
@@ -645,6 +647,25 @@ class TestPermutedEvaluation:
         assert f.permuted_rows == m
 
 
+class TestSettledTable:
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_every_predicate_against_its_completions(self, arity):
+        # every accepting set of every arity up to 3; the entry for a prefix
+        # is the value all its completions share, or -1 where they differ
+        points = list(itertools.product((0, 1), repeat=arity))
+        for code in range(2 ** 2 ** arity):
+            psi = Predicate(arity, frozenset(p for j, p in enumerate(points) if code >> j & 1))
+            settled = psi.settled()
+            assert len(settled) == arity
+            np.testing.assert_array_equal(settled[-1], psi.table())
+            for i, tab in enumerate(settled):
+                assert tab.dtype == np.int8 and tab.shape == (2 ** (i + 1),)
+                for prefix in itertools.product((0, 1), repeat=i + 1):
+                    values = {psi(prefix + rest) for rest in itertools.product((0, 1), repeat=arity - i - 1)}
+                    want = values.pop() if len(values) == 1 else -1
+                    assert tab[int("".join(map(str, prefix)), 2)] == want, (psi.accepting, prefix)
+
+
 class TestAcceptance:
     def test_constant_assignments(self):
         gap = small_gap(Predicate.and_(2))
@@ -733,6 +754,52 @@ class TestAcceptance:
         # the dictator beats the independent-bits background on this instance
         assert rep.value > theta.bias() ** 2 + 3 * rep.stderr
 
+    def test_asymmetric_predicate_matches_exact(self):
+        # x1 and not x2: position 0 settles the rows that read 0, and the
+        # packed prefix must keep position 0 as its most significant bit.
+        # The family puts a at 1 and b at 0 together, so the vertex means
+        # differ and reading the positions in the other order shows.
+        gap = small_gap(Predicate.from_strings(2, ["10"]))
+        support = [(Assignment({"a": 1, "b": 0, "c": 1}), 0.6), (Assignment({"a": 0, "b": 1, "c": 0}), 0.4)]
+        theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.1, 0.5)
+        graph = cycle_sse(6)
+        params = desk_params(theta, R=2)
+        exact = acceptance_exact(gap, theta, graph, params, dictator_assignment([0, 1], graph))
+        f = dictator_assignment([0, 1], graph)
+        mc = acceptance_estimate(gap, theta, graph, params, f, 200000, 24)
+        assert mc.value == pytest.approx(exact, abs=3 * mc.stderr)
+        assert 200000 < f.dictator.query_count < 2 * 200000
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("kind", ["xor", "and", "or"])
+    def test_queries_stop_where_the_predicate_settles(self, kind, r):
+        # XOR never settles before the last position: every trial reads all
+        # r positions.  AND settles on a 0 and OR on a 1; at arity 2 the
+        # dictator reads x' at a coordinate its selection picks without
+        # looking at x', so position 0 reads 1 with its vertex's mean and
+        # the second reads come at the edge-weighted rate of that bit.
+        accepting = {
+            "xor": [a for a in itertools.product((0, 1), repeat=r) if sum(a) % 2],
+            "and": [(1,) * r],
+            "or": [a for a in itertools.product((0, 1), repeat=r) if any(a)],
+        }[kind]
+        names = "abcd"[: r + 1]
+        edges = [(tuple(names[:r]), 0.6), (tuple(names[1:]), 0.4)]
+        gap = ConstraintHypergraph({v: 1 / len(names) for v in names}, edges, Predicate(r, frozenset(accepting)))
+        theta = mixture_theta(gap, np.random.default_rng(25))
+        graph = cycle_sse(6)
+        trials = 20000
+        f = dictator_assignment([0, 1], graph)
+        acceptance_estimate(gap, theta, graph, desk_params(theta, r=r, R=3), f, trials, 26)
+        if kind == "xor":
+            assert f.dictator.query_count == r * trials
+            return
+        assert trials < f.dictator.query_count < r * trials
+        if r == 2:
+            ones = sum(w * theta.vertex_mean(e[0]) for e, w in edges)
+            second = ones if kind == "and" else 1.0 - ones
+            se = math.sqrt(second * (1 - second) / trials)
+            assert f.dictator.query_count / trials - 1 == pytest.approx(second, abs=4 * se)
 
     def test_refuses_before_enumerating(self):
         """The work cap is checked before any permutation or combo is built.
@@ -770,7 +837,7 @@ class TestParallelAcceptance:
 
     @staticmethod
     def assignment(kind, graph, params):
-        if kind == "dictator":
+        if kind in ("dictator", "settling"):
             return dictator_assignment([0, 1], graph)
         if kind == "table":
             n, R = graph.n, params.R
@@ -778,11 +845,12 @@ class TestParallelAcceptance:
             return LongCodeAssignment.from_table(n, R, values)
         return LongCodeAssignment(lambda A, x, z: x[:, 0] ^ z[:, 1] ^ (A[:, 2] % 2))
 
-    @pytest.mark.parametrize("kind", ["dictator", "table", "callback"])
+    @pytest.mark.parametrize("kind", ["dictator", "table", "callback", "settling"])
     def test_equals_the_serial_run(self, monkeypatch, kind):
         # R = 3 on a 6-cycle: a row of three equal codes, the dictator's
-        # fallback, comes about once in 144 queries
-        gap = small_gap()
+        # fallback, comes about once in 144 queries.  "settling" is the
+        # dictator under AND, whose rows with a first bit of 0 settle there.
+        gap = small_gap(Predicate.and_(2) if kind == "settling" else None)
         theta = mixture_theta(gap, np.random.default_rng(30))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
@@ -810,6 +878,9 @@ class TestParallelAcceptance:
         assert par_counts == serial_counts
         if kind == "dictator":
             assert serial_counts[1] == 2 * trials
+            assert 0 < serial_counts[2] == serial_counts[0]
+        elif kind == "settling":
+            assert trials < serial_counts[1] < 2 * trials
             assert 0 < serial_counts[2] == serial_counts[0]
         else:
             assert serial_counts == [2 * trials]
@@ -1242,13 +1313,17 @@ class TestWorkingMemory:
 
     def test_one_acceptance_chunk(self):
         # _LIFTED_ROWS rows split over the 4 edges: each edge draws about a
-        # quarter of them, and the measured peak is 3.35 units of those rows.
-        # The walk takes an edge to 3.2: the int32 vertex points (half), the
-        # folded int8 letters of both positions (half), the walk's int32
-        # output over both positions (one) and its intp index temporaries
-        # (about 1.2).  The dictator reads the held parts (1.5) in one row
-        # block, which at this size is as large as the walk's temporaries.
-        # With a fresh-bit block in the fold the peak was 4.0 units.
+        # quarter of them, and the measured peak is 3.16 units of those rows.
+        # It comes at position 0's dictator read over all of an edge's rows:
+        # the int32 vertex points (half), the uint8 letter codes (an
+        # eighth), position 0's decoded int8 letters (a quarter) and its
+        # int32 walk (half) are held, and the dictator's selection over
+        # them, one row block at this size, adds about 1.8.  Position 0's
+        # walk peaks lower, at 2.0 with its intp index temporaries (0.6).
+        # Position 1 decodes, walks and reads only the rows whose first bit
+        # leaves the AND open, about 30 %, and peaks at 1.65.  Decoding both
+        # positions' letters and walking both before reading either peaked
+        # at 3.33; with a fresh-bit block in the fold the peak was 4.0 units.
         assert analysis._LIFTED_ROWS == CHUNK // 4
         gap, theta, graph, params, f = reduce_mc_setup()
         sampler = BatchTestSampler(gap, theta, graph, params)
