@@ -197,9 +197,8 @@ def acceptance_exact(
 
 # ---- Monte Carlo acceptance ---------------------------------------------------
 
-# Rows in one chunk of the lifted test's Monte Carlo runs (acceptance_estimate
-# and mixing_check): a quarter of CHUNK, so four threads in flight hold about
-# one CHUNK of rows.
+# Rows in one chunk of acceptance_estimate's Monte Carlo run: a quarter of
+# CHUNK, so four threads in flight hold about one CHUNK of rows.
 _LIFTED_ROWS = CHUNK // 4
 
 
@@ -341,6 +340,14 @@ def decoupling_check(
 # ---- long-code mixing -----------------------------------------------------------
 
 
+def _mixing_block(R: int, inner_samples: int) -> int:
+    """Vertex-vectors per chunk of the mixing check: at most one
+    ``BLOCK_ENTRIES`` block of lifted entries (``inner_samples`` rows of R
+    per vertex-vector), one at least, so a chunk's x and z uniforms and its
+    dictator read are one block each whatever R is."""
+    return max(1, BLOCK_ENTRIES // (R * inner_samples))
+
+
 def _restriction_means(
     gap: ConstraintHypergraph,
     theta: LocalDistributionFamily,
@@ -353,10 +360,10 @@ def _restriction_means(
 ) -> tuple[np.ndarray, int]:
     """Per-vertex-vector means of ``f`` under the mixing draw, and the thread count.
 
-    Chunk c covers ``max(1, _LIFTED_ROWS // inner_samples)`` vertex-vectors
-    and draws from ``rng_for(seed, "mixing", c)`` alone, in this order: its
-    vertex-vectors A, the vertex indices, the x and z bits, the walk and the
-    dictator's fallback permutations.  The chunks run on every usable CPU
+    Chunk c covers :func:`_mixing_block` vertex-vectors and draws from
+    ``rng_for(seed, "mixing", c)`` alone, in this order: its vertex-vectors
+    A, the vertex indices, the x and z bits, the walk and the dictator's
+    fallback permutations.  The chunks run on every usable CPU
     and are joined in chunk order (:func:`harness.mc.run_chunks`), so the
     means do not depend on the thread count; ``f`` must then be safe to call
     from several threads at once.
@@ -380,7 +387,7 @@ def _restriction_means(
         vals = f.evaluate_batch(b.reshape(m, R), x, z, rng)
         return vals.reshape(k, inner_samples).mean(axis=1)
 
-    parts, threads = run_chunks(chunk, a_samples, max(1, _LIFTED_ROWS // inner_samples))
+    parts, threads = run_chunks(chunk, a_samples, _mixing_block(R, inner_samples))
     return np.concatenate(parts), threads
 
 

@@ -52,9 +52,6 @@ class PlantedDictator:
         self.mask = np.asarray(planted_mask, dtype=bool)
         if not self.mask.any():
             raise ValueError("planted set must be nonempty")
-        # code 2A + z is marked iff A is planted and z is top
-        self._marked = np.zeros(2 * self.mask.size, dtype=bool)
-        self._marked[1::2] = self.mask
         # the counters are read as plain attributes and updated under the
         # lock, since the lifted test evaluates on several threads
         self._lock = threading.Lock()
@@ -62,19 +59,26 @@ class PlantedDictator:
         self.query_count = 0
 
     def _select(self, A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Selected index per row and the fallback rows; counts both."""
-        code = A * 2
-        code += z
-        marked = self._marked[code]
+        """Selected index per row and the fallback rows; counts both.
+
+        A coordinate is marked where A is planted and z is top; the codes
+        2A + z are built only for the rows without exactly one marked
+        coordinate, the ones :meth:`_tie_break` reads."""
+        marked = self.mask[A]
+        np.logical_and(marked, z, out=marked)
         single = np.count_nonzero(marked, axis=1) == 1
         out = np.argmax(marked, axis=1)
-        fallback = np.zeros(len(code), dtype=bool)
+        del marked  # not held through the tie-break
+        fallback = np.zeros(len(A), dtype=bool)
         rest = np.flatnonzero(~single)
         if rest.size:
-            out[rest], fallback[rest] = self._tie_break(code[rest])
+            code = A[rest]
+            code *= 2
+            code += z[rest]
+            out[rest], fallback[rest] = self._tie_break(code)
         fallbacks = int(fallback.sum())
         with self._lock:
-            self.query_count += len(code)
+            self.query_count += len(A)
             self.fallback_count += fallbacks
         return out, fallback
 

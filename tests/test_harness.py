@@ -478,11 +478,13 @@ class TestPipeline:
         assert self.reduction_stages(tmp_path)["reduction-acceptance"]["extra"]["threads"] == 2
 
     def test_mixing_stage_reports_its_threads(self, tmp_path, monkeypatch):
-        # 20 vertex-vectors of 16 draws in chunks of 4 on three usable CPUs
+        # 20 vertex-vectors of 16 draws at R = 4 in chunks of 4 on three
+        # usable CPUs: a block of 4 * 16 * 4 lifted entries
         import biascsp.reduction.analysis as analysis
 
         cpus(monkeypatch, 3)
-        monkeypatch.setattr(analysis, "_LIFTED_ROWS", 4 * 16)
+        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", 4 * 16 * 4)
+        assert analysis._mixing_block(4, 16) == 4
         assert self.reduction_stages(tmp_path)["mixing"]["extra"]["threads"] == 3
 
     def test_mixing_default_is_the_checks_own(self, tmp_path, capsys):

@@ -201,13 +201,16 @@ class TestNoisyWalk:
         assert (out == 1).all()
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
-    @pytest.mark.parametrize("masked", [False, True, "pointwise"])
+    @pytest.mark.parametrize("masked", [False, True, "pointwise", "middle"])
     def test_in_place_step_reads_one_stream(self, eta, masked):
         # the step as a formula of fresh arrays, in the walk's draw order; a
-        # mask is broadcast over (3, 7, 50) or has the point's own shape
+        # mask is broadcast over (3, 7, 50), has the point's own shape, or
+        # repeats each row of a (7, 1, 50) point 3 times, as the mixing walk's
         g = generate_sse("planted", 32, 6, 0.25, seed=17)
         point = rng_for(5, "walk-point").integers(0, g.n, size=(7, 50))
-        mask_shape = (7, 50) if masked == "pointwise" else (3, 7, 50)
+        mask_shape = {"pointwise": (7, 50), "middle": (7, 3, 50)}.get(masked, (3, 7, 50))
+        if masked == "middle":
+            point = point[:, None, :]
         where = rng_for(5, "walk-where").random(mask_shape) < 0.4 if masked else None
         rng, ref_rng = rng_for(6, "walk-in-place"), rng_for(6, "walk-in-place")
         got = noisy_walk(g, eta, point, rng, where=where)
@@ -560,7 +563,57 @@ def tie_break_by_sort(code):
     return np.argmax(code == target[:, None], axis=1), ~has_uniq
 
 
+def select_by_codes(mask, A, z):
+    """The planted dictator's selection read off the codes 2A + z of every
+    row, kept as the reference: (selected index, fallback rows).  A code is
+    marked iff A is planted and z is top; a row with exactly one marked code
+    selects it, and every other row goes to the sort-based tie-break."""
+    marked_codes = np.zeros(2 * len(mask), dtype=bool)
+    marked_codes[1::2] = mask
+    code = 2 * A.astype(np.int64) + z
+    marked = marked_codes[code]
+    single = np.count_nonzero(marked, axis=1) == 1
+    idx, fallback = tie_break_by_sort(code)
+    return np.where(single, np.argmax(marked, axis=1), idx), fallback & ~single
+
+
 class TestPermutedEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 32]),
+        R=st.integers(2, 40),
+        m=st.integers(0, 12),
+        a_dtype=st.sampled_from([np.int32, np.int64]),
+        z_dtype=st.sampled_from([np.int8, np.int32, np.int64]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_select_matches_the_codes(self, n, R, m, a_dtype, z_dtype, seed):
+        # the marked mask from the planted mask and z, codes only for the
+        # rows the tie-break reads: rows with 0, 1 and 2 or more marked
+        # coordinates and a row with no unique code lead m random rows
+        rng = np.random.default_rng(seed)
+        mask = rng.random(n) < 0.5
+        mask[rng.integers(n)] = True
+        planted = np.flatnonzero(mask)
+        A = rng.integers(0, n, size=(4 + m, R))
+        z = (rng.random((4 + m, R)) < rng.random()).astype(np.int64)
+        z[0] = 0  # no marked coordinate
+        z[1] = 0
+        z[1, 0], A[1, 0] = 1, rng.choice(planted)  # exactly one
+        z[2, :2], A[2, :2] = 1, rng.choice(planted, size=2)  # two or more
+        half = R // 2  # every code at least twice: no unique code
+        A[3, half:2 * half], z[3, half:2 * half] = A[3, :half], z[3, :half]
+        A[3, 2 * half:], z[3, 2 * half:] = A[3, 0], z[3, 0]
+        A, z = A.astype(a_dtype), z.astype(z_dtype)
+        d = PlantedDictator(mask)
+        idx, fallback = d._select(A, z)
+        ref_idx, ref_fallback = select_by_codes(mask, A, z)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(fallback, ref_fallback)
+        marked = np.count_nonzero(mask[A] & (z == 1), axis=1)
+        assert marked[0] == 0 and marked[1] == 1 and marked[2] >= 2 and ref_fallback[3]
+        assert (d.query_count, d.fallback_count) == (4 + m, int(ref_fallback.sum()))
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.sampled_from([2, 4, 32]),
@@ -1154,13 +1207,13 @@ class TestMixing:
 
     @staticmethod
     def chunked_setup():
-        # three chunks of 64, 64 and 5 vertex-vectors, with dictator fallbacks
+        # three chunks of 341, 341 and 5 vertex-vectors, with dictator fallbacks
         gap = small_gap()
         theta = mixture_theta(gap, np.random.default_rng(35))
         graph = cycle_sse(6)
         params = desk_params(theta, R=3)
         inner = 256
-        return gap, theta, graph, params, inner, 2 * (analysis._LIFTED_ROWS // inner) + 5
+        return gap, theta, graph, params, inner, 2 * analysis._mixing_block(params.R, inner) + 5
 
     @staticmethod
     def chunk_means(gap, theta, graph, params, f, seed, inner, a_samples):
@@ -1171,7 +1224,7 @@ class TestMixing:
         verts = gap.vertices
         wvec = gap.vertex_weight_vector(verts)
         mus = np.array([theta.vertex_mean(v) for v in verts])
-        per_chunk = max(1, analysis._LIFTED_ROWS // inner)
+        per_chunk = analysis._mixing_block(R, inner)
         means = []
         for c, start in enumerate(range(0, a_samples, per_chunk)):
             k = min(per_chunk, a_samples - start)
@@ -1204,6 +1257,15 @@ class TestMixing:
         with pytest.raises(ValueError, match=f"^{name} "):
             mixing_check(gap, theta, graph, desk_params(theta, R=3), f, seed=1, **args)
         assert made == []
+
+    @pytest.mark.parametrize("R, inner, per_chunk", [
+        (40, 512, 12), (160, 512, 3), (3, 256, 341), (40, 1 << 13, 1), (1, 1, BLOCK_ENTRIES),
+    ])
+    def test_chunks_hold_one_block_of_lifted_entries(self, R, inner, per_chunk):
+        # the most vertex-vectors whose R * inner lifted entries fit in one
+        # block, and one when a single vertex-vector does not fit
+        assert analysis._mixing_block(R, inner) == per_chunk
+        assert per_chunk == 1 or per_chunk * R * inner <= BLOCK_ENTRIES < (per_chunk + 1) * R * inner
 
     def test_chunks_draw_from_their_own_streams(self, monkeypatch):
         # chunk c makes rng_for(seed, "mixing", c) once, whichever thread
@@ -1258,9 +1320,10 @@ class TestMixing:
         assert 0 < fallbacks == permuted
 
 
-def reduce_mc_setup():
+def reduce_mc_setup(R=40):
     """The reduce-mc benchmark's lifted test: a 4-cycle AND gap, a 0.3/0.7
-    mixture smoothed toward 0.3, a planted graph on 32 vertices, R = 40."""
+    mixture smoothed toward 0.3, a planted graph on 32 vertices, at lift
+    dimension R (the benchmark's is 40)."""
     gap = ConstraintHypergraph(
         {f"v{i}": 0.25 for i in range(4)},
         [((f"v{i}", f"v{(i + 1) % 4}"), 0.25) for i in range(4)],
@@ -1272,7 +1335,7 @@ def reduce_mc_setup():
     ]
     theta = LocalDistributionFamily.from_distribution(support, 6, gap).smooth(0.1, 0.3)
     graph = generate_sse("planted", 32, 6, 0.25, seed=42)
-    params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=40, eta=0.01)
+    params = ReductionParams.manual(mu=theta.bias(), r=2, beta=0.2, rho_sq=0.25, R=R, eta=0.01)
     return gap, theta, graph, params, dictator_assignment(graph.planted, graph)
 
 
@@ -1281,25 +1344,41 @@ class TestWorkingMemory:
     units of one (rows, R) array of 8-byte entries."""
 
     def test_one_mixing_batch(self, monkeypatch):
-        # one chunk on one thread: 32 vertex-vectors x 512 inner draws, a
-        # quarter of CHUNK rows, with a measured peak of 1.48 units.  The
-        # walk's int32 output takes half a unit and its intp index
-        # temporaries, over the fifth of entries where z is top, about half
-        # a unit more; the int8 x and z bits take a quarter.  Their uniforms
-        # and the dictator's codes come in row blocks of BLOCK_ENTRIES.
+        # one chunk on one thread: 12 vertex-vectors x 512 inner draws, one
+        # block of lifted entries, with a measured peak of 1.84 units of its
+        # rows (3.45 MiB).  It comes at the dictator read: the int32 walk
+        # (half a unit) and the int8 x and z bits (a quarter) are held, and
+        # the selection adds about 1.1, mostly the codes and their sorted
+        # copy on the 73 % of rows that go to the tie-break.  A chunk of a
+        # quarter of CHUNK rows (32 vertex-vectors) peaked at 7.4 MiB, under
+        # a bound of 1.6 of its 16,384-row units (8.0 MiB).
         cpus(monkeypatch, 1)
         gap, theta, graph, params, f = reduce_mc_setup()
+        per_chunk = analysis._mixing_block(params.R, 512)
         with traced_peak() as peak:
-            rep = mixing_check(gap, theta, graph, params, f, 2.0, analysis._LIFTED_ROWS // 512, 44, inner_samples=512)
+            rep = mixing_check(gap, theta, graph, params, f, 2.0, per_chunk, 44, inner_samples=512)
         rows = rep.a_samples * rep.inner_samples
-        assert rows == analysis._LIFTED_ROWS == CHUNK // 4
+        assert rows == 12 * 512 and rows * params.R <= BLOCK_ENTRIES
         unit = rows * params.R * 8
-        assert peak.bytes < 1.6 * unit, peak.bytes / unit
+        assert peak.bytes < 2.0 * unit, peak.bytes / unit
+
+    def test_mixing_chunk_peak_is_flat_in_R(self, monkeypatch):
+        # a chunk holds one block of lifted entries whatever R is: at R = 160
+        # it is 3 vertex-vectors, and its peak is 1.18 times R = 40's (a
+        # chunk of a fixed 32 vertex-vectors peaked at 3.7 times)
+        cpus(monkeypatch, 1)
+        peaks = {}
+        for R in (40, 160):
+            gap, theta, graph, params, f = reduce_mc_setup(R)
+            with traced_peak() as peak:
+                mixing_check(gap, theta, graph, params, f, 2.0, analysis._mixing_block(R, 512), 44, inner_samples=512)
+            peaks[R] = peak.bytes
+        assert peaks[160] <= 1.3 * peaks[40], peaks
 
     def test_mixing_threads_hold_one_chunk_each(self, monkeypatch):
         # each thread beyond the first adds at most one chunk's working set
         gap, theta, graph, params, f = reduce_mc_setup()
-        per_chunk = analysis._LIFTED_ROWS // 512
+        per_chunk = analysis._mixing_block(params.R, 512)
         cpus(monkeypatch, 1)
         with traced_peak() as one_chunk:
             mixing_check(gap, theta, graph, params, f, 2.0, per_chunk, 44, inner_samples=512)
@@ -1313,15 +1392,17 @@ class TestWorkingMemory:
 
     def test_one_acceptance_chunk(self):
         # _LIFTED_ROWS rows split over the 4 edges: each edge draws about a
-        # quarter of them, and the measured peak is 3.16 units of those rows.
+        # quarter of them, and the measured peak is 2.53 units of those rows.
         # It comes at position 0's dictator read over all of an edge's rows:
         # the int32 vertex points (half), the uint8 letter codes (an
         # eighth), position 0's decoded int8 letters (a quarter) and its
         # int32 walk (half) are held, and the dictator's selection over
-        # them, one row block at this size, adds about 1.8.  Position 0's
-        # walk peaks lower, at 2.0 with its intp index temporaries (0.6).
+        # them, one row block at this size, adds about 1.1; building the
+        # codes 2A + z of every row, not only the tie-break's, it added 1.8
+        # and the peak was 3.16.  Position 0's walk peaks lower, at 2.0
+        # with its intp index temporaries (0.6).
         # Position 1 decodes, walks and reads only the rows whose first bit
-        # leaves the AND open, about 30 %, and peaks at 1.65.  Decoding both
+        # leaves the AND open, about 30 %, and peaks at 1.44.  Decoding both
         # positions' letters and walking both before reading either peaked
         # at 3.33; with a fresh-bit block in the fold the peak was 4.0 units.
         assert analysis._LIFTED_ROWS == CHUNK // 4
@@ -1330,7 +1411,7 @@ class TestWorkingMemory:
         with traced_peak() as peak:
             sampler.accept_indicators(f, analysis._LIFTED_ROWS, rng_for(45, "accept-memory"))
         unit = analysis._LIFTED_ROWS // 4 * params.R * 8
-        assert peak.bytes < 3.6 * unit, peak.bytes / unit
+        assert peak.bytes < 2.9 * unit, peak.bytes / unit
 
     def test_acceptance_threads_hold_one_chunk_each(self, monkeypatch):
         # each thread beyond the first adds at most one chunk's working set
