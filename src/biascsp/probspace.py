@@ -253,14 +253,50 @@ class FourierTable:
         return self.total_weight() - self.coefficient(0, 0 if isinstance(self.space, PairedSpace) else None) ** 2
 
 
-def _character_transform(t: np.ndarray, biases, first_axis: int = 0) -> np.ndarray:
-    """Coefficients of ``t`` in the orthonormal character basis along the
-    axes ``first_axis``, ``first_axis + 1``, ..., one per bias; leading axes
-    index a stack of tables transformed at once."""
-    for axis, p in enumerate(biases, start=first_axis):
-        w = np.array([1.0 - p, p])
-        phi = character(p, np.array([0.0, 1.0]))
-        mat = np.stack([w, w * phi])  # row s: E-weight against phi^s
+def _basis_mats(biases, basis: str = "fourier", rho: float = 1.0) -> np.ndarray:
+    """The per-axis 2 x 2 maps of the character calculus, one per bias:
+    shape ``np.shape(biases) + (2, 2)``, row = output index.
+
+    ``"fourier"`` takes the values at the points 0, 1 to the coefficients of
+    1 and the character phi; ``"values"`` takes coefficients back to values
+    and ``"monomials"`` to the coefficients of 1 and x.  Each scales the
+    phi-coefficient by ``rho``, the noise operator's factor per axis, and
+    ``"noise"`` is that scaling alone.
+    """
+    p = np.asarray(biases, dtype=float)
+    if np.any((p <= 0.0) | (p >= 1.0)):
+        raise DegenerateBiasError(f"biases {p} not strictly inside (0,1)")
+    sigma = np.sqrt(p * (1.0 - p))
+    phi0, phi1 = (0.0 - p) / sigma, (1.0 - p) / sigma  # phi at the points 0, 1
+    one, zero = np.ones_like(p), np.zeros_like(p)
+    if basis == "fourier":  # row s: E-weight against phi^s
+        rows = ((1.0 - p, p), (rho * ((1.0 - p) * phi0), rho * (p * phi1)))
+    elif basis == "values":  # row b: (1, phi(b))
+        rows = ((one, rho * phi0), (one, rho * phi1))
+    elif basis == "monomials":  # c0*1 + c1*phi -> c0 - c1*p/sigma + (c1/sigma)*x
+        rows = ((one, rho * phi0), (zero, rho / sigma))
+    elif basis == "noise":
+        rows = ((one, zero), (zero, rho * one))
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
+
+
+def _character_transform(
+    t: np.ndarray, biases, first_axis: int = 0, basis: str = "fourier", rho: float = 1.0
+) -> np.ndarray:
+    """``t`` mapped by :func:`_basis_mats` ``(biases, basis, rho)`` along
+    the axes ``first_axis``, ``first_axis + 1``, ..., one axis pass per bias.
+
+    Axes before ``first_axis`` index a stack of tables.  With one bias per
+    axis every table gets the same maps; with ``biases`` of shape (k, axes),
+    one row per table, axis 0 of ``t`` is the stack of k tables and each
+    pass is one batched matmul of the k tables' own maps.
+    """
+    mats = _basis_mats(biases, basis, rho)
+    if mats.ndim == 4:
+        mats = mats.swapaxes(0, 1)  # per axis, the k tables' maps
+    for axis, mat in enumerate(mats, start=first_axis):
         t = _apply_axis(t, mat, axis)
     return t
 
@@ -273,23 +309,28 @@ def fourier_expand(f: FunctionTable) -> FourierTable:
 
 def evaluate(fh: FourierTable) -> FunctionTable:
     """Inverse of :func:`fourier_expand`; exact on every domain point."""
-    t = fh.tensor.astype(float)
-    for axis, p in enumerate(_axis_biases(fh.space)):
-        phi = character(p, np.array([0.0, 1.0]))
-        mat = np.stack([np.ones(2), phi]).T  # row b: (1, phi(b))
-        t = _apply_axis(t, mat, axis)
+    t = _character_transform(fh.tensor.astype(float), _axis_biases(fh.space), basis="values")
     return FunctionTable(fh.space, t.reshape(-1))
 
 
-def _axis_weight_sum(fh: FourierTable, axes: list[int]) -> float:
-    """Sum of squared coefficients whose index is nonzero on any given axis."""
-    t = fh.tensor ** 2
-    n = _n_axes(fh.space)
-    keep = t
+def _axis_weight_sum(sq: np.ndarray, axes: list[int], first_axis: int = 0) -> np.ndarray:
+    """Sum of the squared coefficients ``sq`` whose index is nonzero on any
+    given axis, counted from ``first_axis``; the axes before it index a
+    stack of tables, one sum each."""
+    keep = sq
     for a in sorted(axes, reverse=True):
-        keep = np.take(keep, 0, axis=a)
+        keep = np.take(keep, 0, axis=first_axis + a)
     # total minus the part supported entirely away from the axes
-    return float(t.sum() - keep.sum())
+    total = sq.sum(axis=tuple(range(first_axis, sq.ndim)))
+    return total - keep.sum(axis=tuple(range(first_axis, keep.ndim)))
+
+
+def influences(coeffs: np.ndarray, r: int) -> np.ndarray:
+    """The influence of each of the ``r`` coordinates of a stack of bit-space
+    tables' Fourier coefficients (..., 2^r): shape (..., r)."""
+    sq = np.square(coeffs).reshape(coeffs.shape[:-1] + (2,) * r)
+    first = coeffs.ndim - 1
+    return np.stack([_axis_weight_sum(sq, [j], first) for j in range(r)], axis=-1)
 
 
 def influence(fh: FourierTable, j: int) -> float:
@@ -302,10 +343,10 @@ def influence(fh: FourierTable, j: int) -> float:
         r = fh.space.r
         if not 0 <= j < r:
             raise IndexError(f"coordinate {j} out of range")
-        return _axis_weight_sum(fh, [j, r + j])
+        return float(_axis_weight_sum(fh.tensor ** 2, [j, r + j]))
     if not 0 <= j < fh.space.r:
         raise IndexError(f"coordinate {j} out of range")
-    return _axis_weight_sum(fh, [j])
+    return float(_axis_weight_sum(fh.tensor ** 2, [j]))
 
 
 def split_influences(fh: FourierTable, j: int) -> tuple[float, float]:
@@ -315,7 +356,8 @@ def split_influences(fh: FourierTable, j: int) -> tuple[float, float]:
     r = fh.space.r
     if not 0 <= j < r:
         raise IndexError(f"coordinate {j} out of range")
-    return _axis_weight_sum(fh, [j]), _axis_weight_sum(fh, [r + j])
+    sq = fh.tensor ** 2
+    return float(_axis_weight_sum(sq, [j])), float(_axis_weight_sum(sq, [r + j]))
 
 
 def max_influence(fh: FourierTable) -> float:
@@ -332,8 +374,8 @@ def noise_apply(fh: FourierTable, rho: float) -> FourierTable:
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0,1]")
-    deg = _mask_degrees(_n_axes(fh.space))
-    return FourierTable(fh.space, fh.coeffs * rho ** deg)
+    t = _character_transform(fh.tensor.astype(float), _axis_biases(fh.space), basis="noise", rho=rho)
+    return FourierTable(fh.space, t.reshape(-1))
 
 
 def high_degree_variance(fh: FourierTable, d: int) -> float:
@@ -392,10 +434,5 @@ def multilinear_extend(fh: FourierTable) -> MultilinearPolynomial:
     """
     if not isinstance(fh.space, BiasedSpace) or fh.space.alphabet != "bit":
         raise TypeError("multilinear extension is defined on bit spaces")
-    t = fh.tensor.astype(float)
-    for axis, p in enumerate(fh.space.biases):
-        sigma = math.sqrt(p * (1.0 - p))
-        # change of basis per coordinate: c0*1 + c1*phi -> monomials {1, x}
-        mat = np.array([[1.0, -p / sigma], [0.0, 1.0 / sigma]])
-        t = _apply_axis(t, mat, axis)
+    t = _character_transform(fh.tensor.astype(float), fh.space.biases, basis="monomials")
     return MultilinearPolynomial(t)

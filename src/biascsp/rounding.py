@@ -20,13 +20,11 @@ from .harness.rng import rng_for
 from .harness.verdict import Check
 from .polynomial import _EVAL_CHUNK, MultilinearPolynomial
 from .probspace import (
+    BiasedSpace,
     FunctionTable,
-    evaluate,
-    fourier_expand,
+    _character_transform,
     iid_product_expectation,
-    max_influence,
-    multilinear_extend,
-    noise_apply,
+    influences,
     pack_bits,
 )
 from .pseudodist import LocalDistributionFamily, VectorSolution
@@ -42,9 +40,32 @@ def clip(x):
     return np.clip(x, 0.0, 1.0)
 
 
+def _noised_stack(values: np.ndarray, biases: np.ndarray, eta: float):
+    """Tables ``values`` (k, 2^R) at per-table biases ``biases`` (k, R)
+    under the noise operator T_{1-eta}: their Fourier coefficients, their
+    values and their monomial coefficients, each (k,) + (2,)*R.  Each is R
+    batched axis passes of :func:`probspace._character_transform`, the
+    noise folded into the Fourier pass; the values and the monomials come
+    from the coefficients."""
+    k, R = biases.shape
+    coeffs = _character_transform(values.reshape((k,) + (2,) * R), biases, 1, rho=1.0 - eta)
+    return (
+        coeffs,
+        _character_transform(coeffs, biases, 1, "values"),
+        _character_transform(coeffs, biases, 1, "monomials"),
+    )
+
+
 @dataclass
 class RoundingInput:
-    """Host instance, per-vertex rounding tables, and the vector solution."""
+    """Host instance, per-vertex rounding tables, and the vector solution.
+
+    The tables of the host's vertices are stacked in vertex order and
+    transformed together (:func:`_noised_stack`).  ``noised_coeffs`` holds
+    the noised Fourier coefficients (n, 2^R), ``stacked`` every vertex's
+    noised polynomial as one stack, and ``noised`` and ``polys`` are
+    per-vertex views of those stacks.
+    """
 
     host: ConstraintHypergraph
     g_tables: dict[str, FunctionTable]  # bounded tables over {0,1}^R at each vertex bias
@@ -55,25 +76,36 @@ class RoundingInput:
     # derived
     noised: dict[str, FunctionTable] = field(init=False)
     polys: dict[str, MultilinearPolynomial] = field(init=False)
+    stacked: MultilinearPolynomial = field(init=False)
+    noised_coeffs: np.ndarray = field(init=False)  # (n, 2^R), vertex order
 
     def __post_init__(self):
         d = self.solution.dimension
         if any(self.solution.w_for(v).shape[0] != d for v in self.host.vertices):
             raise ValueError("vector solution dimension mismatch")
-        self.noised = {}
-        self.polys = {}
-        for v, table in self.g_tables.items():
-            if table.values.min() < -1e-12 or table.values.max() > 1.0 + 1e-12:
-                raise ValueError(f"rounding table at {v} not [0,1]-valued")
-            fh = noise_apply(fourier_expand(table), 1.0 - self.eta)
-            self.noised[v] = evaluate(fh)
-            self.polys[v] = multilinear_extend(fh)
+        verts = self.host.vertices
+        tables = [self.g_tables[v] for v in verts]
+        spaces = [t.space for t in tables]
+        if any(not isinstance(s, BiasedSpace) or s.alphabet != "bit" for s in spaces):
+            raise TypeError("rounding tables live on bit spaces")
+        if len({s.r for s in spaces}) != 1:
+            raise ValueError("rounding tables must share R")
+        values = np.stack([t.values for t in tables])
+        bad = (values.min(axis=1) < -1e-12) | (values.max(axis=1) > 1.0 + 1e-12)
+        if bad.any():
+            raise ValueError(f"rounding table at {verts[int(np.argmax(bad))]} not [0,1]-valued")
+        biases = np.array([s.biases for s in spaces])
+        coeffs, noised, monomials = _noised_stack(values, biases, self.eta)
+        self.noised_coeffs = coeffs.reshape(len(verts), -1)
+        self.stacked = MultilinearPolynomial.stack(MultilinearPolynomial(m) for m in monomials)
+        self.noised = {v: FunctionTable(s, t.reshape(-1)) for v, s, t in zip(verts, spaces, noised)}
+        self.polys = {v: MultilinearPolynomial(m) for v, m in zip(verts, self.stacked.tensor)}
         if self.mu is None:
             self.mu = self.functional_bias()
 
     @property
     def r_dim(self) -> int:
-        return next(iter(self.g_tables.values())).space.r
+        return self.stacked.nvars
 
     def functional_bias(self) -> float:
         """Vertex-weighted mean of the rounding tables."""
@@ -82,7 +114,9 @@ class RoundingInput:
         )
 
     def max_influences(self) -> dict[str, float]:
-        return {v: max_influence(fourier_expand(t)) for v, t in self.noised.items()}
+        """Each vertex's largest coordinate influence in its noised table."""
+        per_vertex = influences(self.noised_coeffs, self.r_dim).max(axis=1)
+        return dict(zip(self.host.vertices, per_vertex.tolist()))
 
 
 def _round_block(R: int, d: int) -> int:
@@ -90,6 +124,20 @@ def _round_block(R: int, d: int) -> int:
     Gaussian entries, in whole chunks of ``_EVAL_CHUNK`` rounds, so that the
     polynomial evaluations see full row chunks."""
     return _EVAL_CHUNK * max(1, BLOCK_ENTRIES // (R * d * _EVAL_CHUNK))
+
+
+def _eval_block(R: int, d: int, n: int) -> int:
+    """Rounds per evaluation block of :func:`_batch_p`: the largest power of
+    two up to ``_EVAL_CHUNK`` (so it divides every chunk) whose block holds
+    at most ``BLOCK_ENTRIES`` working entries.  Per round those are the
+    draws (R d), the projections (R n), each vertex's monomials and product
+    (n (2^ceil(R/2) + 2^floor(R/2))) and its value (n): 256 rounds at
+    R = d = 9, n = 8."""
+    per_round = R * d + R * n + n * (2 ** (R - R // 2) + 2 ** (R // 2) + 1)
+    w = _EVAL_CHUNK
+    while w > 1 and w * per_round > BLOCK_ENTRIES:
+        w //= 2
+    return w
 
 
 def _round_chunks(inp: RoundingInput, trials: int, work) -> tuple[list, int]:
@@ -102,22 +150,34 @@ def _round_chunks(inp: RoundingInput, trials: int, work) -> tuple[list, int]:
 def _batch_p(inp: RoundingInput, rounds: int, rng: np.random.Generator) -> np.ndarray:
     """Acceptance probabilities of ``rounds`` shared-matrix rounds, (rounds, n).
 
-    One (rounds, R, d) draw of the matrices from ``rng``, held flat as
-    (rounds * R, d), so that each vertex's projection is one matrix-vector
-    product.  The matrices, the projections and the polynomial values go
-    into scratch (``harness.mc.scratch``) with ``out=``: the same stream and
-    floats as fresh arrays.
+    The rounds go through in evaluation blocks of :func:`_eval_block`
+    rounds (all of them when fewer).  A block draws its (rounds, R, d)
+    matrices from ``rng``: the chunk's one (rounds, R, d) draw in C order,
+    taken a block at a time.  One batched GEMM projects them onto every
+    vertex's fluctuation vector, variable-major (R, n, rounds), and one
+    call of the stacked polynomial evaluates every vertex at its
+    projection.  A chunk's last, shorter block is zero-padded and
+    evaluated at full width, so round t's value does not depend on how
+    many rounds follow it.  The matrices, the projections and the values
+    go into scratch (``harness.mc.scratch``).
     """
-    R = inp.r_dim
-    verts = inp.host.vertices
-    gmats = rng.standard_normal(out=scratch("rounding.draws", (rounds * R, inp.solution.dimension)))
-    q = scratch("rounding.projection", (rounds, R))
-    p = scratch("rounding.p", rounds)
-    out = np.empty((rounds, len(verts)))
-    for k, v in enumerate(verts):
-        np.matmul(gmats, inp.solution.w_for(v), out=q.reshape(-1))
-        q += inp.solution.mu_for(v)
-        out[:, k] = clip(inp.polys[v].evaluate(q, out=p))
+    R, d = inp.r_dim, inp.solution.dimension
+    n = len(inp.host.vertices)
+    idx = [inp.solution.vertices.index(v) for v in inp.host.vertices]
+    w_t, mu = inp.solution.w[idx], inp.solution.mu[idx, None]  # (n, d), (n, 1)
+    width = min(_eval_block(R, d, n), rounds)
+    draws = scratch("rounding.draws", (width, R, d))
+    proj = scratch("rounding.projection", (R, n, width))
+    p = scratch("rounding.p", (width, n))
+    out = np.empty((rounds, n))
+    for start in range(0, rounds, width):
+        m = min(width, rounds - start)
+        rng.standard_normal(out=draws[:m])
+        draws[m:] = 0.0
+        np.matmul(w_t, draws.transpose(1, 2, 0), out=proj)
+        proj += mu
+        inp.stacked.evaluate(proj.transpose(2, 1, 0), out=p)
+        np.clip(p[:m], 0.0, 1.0, out=out[start : start + m])
     return out
 
 
@@ -133,6 +193,14 @@ def _assign(host: ConstraintHypergraph, p: np.ndarray, rng: np.random.Generator)
     for edge, w_e in host.edges:
         values += w_e * table[pack_bits(sigma[:, vindex[v]] for v in edge)]
     return sigma, values
+
+
+def _throughput(inp: RoundingInput, trials: int, elapsed: float) -> dict:
+    """The rounding checks' kernel counters: ``eval_block``, the rounds per
+    evaluation block of a full chunk, and ``points_per_s``, the polynomial
+    points (rounds times vertices) per second of the rounds."""
+    R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
+    return {"eval_block": _eval_block(R, d, n), "points_per_s": trials * n / elapsed}
 
 
 def round_run(inp: RoundingInput, trials: int, seed: int):
@@ -189,7 +257,7 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Chec
         var, bound, stderr=var_se, span=(0.0, 0.25), samples=trials, seed=seed,
         counters={
             "deviation_fraction": frac, "deviation_bound": math.sqrt(gamma),
-            "trials_per_s": trials / elapsed, "threads": threads,
+            "trials_per_s": trials / elapsed, "threads": threads, **_throughput(inp, trials, elapsed),
         },
         detail={"trials": trials},
     )
@@ -305,7 +373,7 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
         applicable=max_inf <= TAU,
         counters={
             "sigma_value": float(sig_vals.mean()), "max_influence": max_inf, "exact_elapsed_s": exact_elapsed,
-            "trials_per_s": trials / elapsed, "threads": threads,
+            "trials_per_s": trials / elapsed, "threads": threads, **_throughput(inp, trials, elapsed),
         },
         detail={"trials": trials},
     )

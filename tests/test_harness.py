@@ -1073,9 +1073,12 @@ EXTRA_KEYS = {
     "smooth": "bias eta",
     "condition": "subset trace vacuous values",
     "vector-solution": "vacuous",
-    "rounding-variance": "deviation_bound deviation_fraction minor_faults threads trials_per_s vacuous",
+    "rounding-variance": (
+        "deviation_bound deviation_fraction eval_block minor_faults points_per_s threads trials_per_s vacuous"
+    ),
     "rounding-value": (
-        "applicable exact_elapsed_s max_influence minor_faults sigma_value threads trials_per_s vacuous"
+        "applicable eval_block exact_elapsed_s max_influence minor_faults points_per_s sigma_value threads"
+        " trials_per_s vacuous"
     ),
     "reduction-acceptance": (
         "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows"

@@ -1,6 +1,7 @@
 """Chunked matmul evaluation of multilinear polynomials against the
 axis-by-axis contraction it replaced."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,3 +73,33 @@ def test_matches_the_subset_sum(nvars, batch, seed):
     # relative to the sum of the terms' magnitudes, which bounds the roundoff
     scale = brute_force(poly, q, absolute=True)
     assert np.all(np.abs(got - brute_force(poly, q)) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    nvars=st.integers(0, 10),
+    rows=st.sampled_from([1, 5, 256, _EVAL_CHUNK + 1]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_a_stack_evaluates_each_polynomial(k, nvars, rows, seed):
+    # N(0, 4) points lie off [0, 1], as the rounding's projections do
+    rng = np.random.default_rng(seed)
+    polys = [MultilinearPolynomial(rng.standard_normal((2,) * nvars)) for _ in range(k)]
+    stack = MultilinearPolynomial.stack(polys)
+    assert stack.nvars == nvars
+    q = 2.0 * rng.standard_normal((rows, k, nvars))
+    got = stack.evaluate(q)
+    assert got.shape == (rows, k)
+    for i, poly in enumerate(polys):
+        # relative to the sum of the terms' magnitudes, as above
+        scale = MultilinearPolynomial(np.abs(poly.tensor)).evaluate(np.abs(q[:, i]))
+        assert np.all(np.abs(got[:, i] - poly.evaluate(q[:, i])) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("polys", [[], [MultilinearPolynomial.zero(1), MultilinearPolynomial.zero(2)], "stack"])
+def test_a_stack_needs_single_polynomials_in_the_same_variables(polys):
+    if polys == "stack":
+        polys = [MultilinearPolynomial.stack([MultilinearPolynomial.zero(1)])]
+    with pytest.raises(ValueError, match="single polynomials"):
+        MultilinearPolynomial.stack(polys)

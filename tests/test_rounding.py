@@ -1,17 +1,31 @@
 """Gaussian-projection rounding: determinism, covariance/variance bounds, value."""
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate, assignment_value
 from biascsp.harness.rng import rng_for
-from biascsp.probspace import BiasedSpace, FunctionTable, domain_points
+from biascsp.probspace import (
+    BiasedSpace,
+    FunctionTable,
+    domain_points,
+    evaluate,
+    fourier_expand,
+    influences,
+    max_influence,
+    multilinear_extend,
+    noise_apply,
+)
 from biascsp.pseudodist import LocalDistributionFamily, vector_solution
 from biascsp.rounding import (
     TAU,
     RoundingInput,
+    _noised_stack,
     bias_concentration_check,
     clip,
     covariance_bound_check,
@@ -21,6 +35,21 @@ from biascsp.rounding import (
 )
 
 from conftest import cpus, traced_peak
+
+
+class RecordingGenerator:
+    """A generator that keeps a copy of each of its standard-normal draws."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._rng.standard_normal(*args, **kwargs)
+        self._log.append(out.copy())
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 def host(n=4, predicate=None):
@@ -255,6 +284,40 @@ class TestBiasConcentration:
         assert len(seen) == 2 and not np.array_equal(seen[0], seen[1])
 
 
+class TestStackedTables:
+    """RoundingInput's one stacked transform against the per-table path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12), R=st.integers(1, 10), eta=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32 - 1)
+    )
+    def test_matches_the_per_table_transforms(self, n, R, eta, seed):
+        # per-coordinate biases, a different one on every axis of every table
+        rng = np.random.default_rng(seed)
+        biases = rng.uniform(0.05, 0.95, (n, R))
+        values = rng.uniform(0.0, 1.0, (n, 2 ** R))
+        coeffs, noised, monomials = _noised_stack(values, biases, eta)
+        most = influences(coeffs.reshape(n, -1), R).max(axis=1)
+        for i in range(n):
+            table = FunctionTable(BiasedSpace(tuple(biases[i])), values[i])
+            fh = noise_apply(fourier_expand(table), 1.0 - eta)
+            np.testing.assert_allclose(coeffs[i].reshape(-1), fh.coeffs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(noised[i].reshape(-1), evaluate(fh).values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(monomials[i], multilinear_extend(fh).tensor, rtol=0, atol=1e-12)
+            assert most[i] == pytest.approx(max_influence(fh), abs=1e-12)
+
+    def test_input_holds_views_of_the_stacks(self):
+        g = host()
+        fam = mixture_family(g, np.random.default_rng(14))
+        inp = RoundingInput(g, dictator_tables(g, fam, 3), vector_solution(fam), eta=0.2, family=fam)
+        assert inp.stacked.nvars == inp.r_dim == 3
+        most = inp.max_influences()
+        for k, v in enumerate(g.vertices):
+            assert np.array_equal(inp.polys[v].tensor, inp.stacked.tensor[k])
+            fh = noise_apply(fourier_expand(inp.g_tables[v]), 0.8)
+            assert most[v] == pytest.approx(max_influence(fh), abs=1e-12)
+
+
 class TestBatchRounds:
     """The rounds run in fixed chunks, each from its own stream."""
 
@@ -275,11 +338,18 @@ class TestBatchRounds:
 
     def test_chunks_read_their_own_streams(self, monkeypatch):
         # a trial count that ends inside a chunk and inside an evaluation
-        # chunk; chunk c draws its matrices and then its uniforms from the
-        # run's tags plus c, whichever thread works it
+        # block; chunk c draws its matrices and then its uniforms from the
+        # run's tags plus c, whichever thread works it.  The draws and the
+        # assignments are compared bit for bit.  p is compared with the
+        # per-vertex projection and evaluation within roundoff, since the
+        # one GEMM and the stacked polynomial sum in another order.
         import biascsp.rounding as rounding
 
         cpus(monkeypatch, 3)
+        drawn = defaultdict(list)
+        monkeypatch.setattr(
+            rounding, "rng_for", lambda seed, *path: RecordingGenerator(rng_for(seed, *path), drawn[path])
+        )
         inp = self.round_exact_input(np.random.default_rng(50))
         R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
         block = rounding._round_block(R, d)
@@ -289,13 +359,28 @@ class TestBatchRounds:
         for c, start in enumerate(range(0, trials, block)):
             rounds = min(block, trials - start)
             gmats = rng_for(51, "round-run", c).standard_normal((rounds, R, d))
+            assert np.array_equal(np.concatenate(drawn[("round-run", c)]), gmats)
             want = np.empty((rounds, n))
             for k, v in enumerate(inp.host.vertices):
                 q = inp.solution.mu_for(v) + gmats.reshape(-1, d) @ inp.solution.w_for(v)
                 want[:, k] = clip(inp.polys[v].evaluate(q.reshape(rounds, R)))
-            assert np.array_equal(p[start : start + rounds], want)
             u = rng_for(51, "round-run", "bernoulli", c).random((rounds, n))
-            assert np.array_equal(sigma[start : start + rounds], (u < want).astype(np.int8))
+            got = p[start : start + rounds]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert np.array_equal(sigma[start : start + rounds], (u < got).astype(np.int8))
+
+    def test_round_t_does_not_depend_on_the_trial_count(self, monkeypatch):
+        # the last chunk ends 9 rounds into an evaluation block, which is
+        # evaluated at full width as in the run that fills it
+        import biascsp.rounding as rounding
+
+        cpus(monkeypatch, 2)
+        inp = self.round_exact_input(np.random.default_rng(50))
+        R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
+        block = rounding._round_block(R, d)
+        assert 777 % rounding._eval_block(R, d, n) == 9
+        short, full = round_run(inp, 2 * block + 777, 57), round_run(inp, 3 * block, 57)
+        assert all(np.array_equal(a, b[: len(a)]) for a, b in zip(short, full))
 
     def test_checks_make_one_generator_per_chunk_and_tag(self, monkeypatch):
         import biascsp.rounding as rounding
@@ -349,6 +434,20 @@ class TestBatchRounds:
             peaks[k] = peak.bytes
         assert peaks[3] - peaks[1] <= 2 * one_chunk.bytes, (peaks, one_chunk.bytes)
 
+    def test_one_chunk_holds_one_evaluation_block(self):
+        # a 2048-round chunk at the round-exact sizes: its (2048, n) values
+        # and one 256-round block of draws, projections, monomials and
+        # products; drawing the whole chunk's matrices at once took 3.1 MiB
+        import biascsp.rounding as rounding
+
+        inp = self.round_exact_input(np.random.default_rng(52))
+        R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
+        assert (R, d, n) == (9, 9, 8) and rounding._round_block(R, d) == 2048
+        assert rounding._eval_block(R, d, n) == 256
+        with traced_peak() as peak:
+            rounding._batch_p(inp, 2048, np.random.default_rng(53))
+        assert peak.bytes <= 1.6 * 2 ** 20, peak.bytes
+
     @pytest.mark.parametrize("check", ["bias_concentration_check", "value_check", "round_run"])
     def test_equal_on_one_and_on_three_cpus(self, monkeypatch, check):
         # everything but the wall time and the thread count, bit for bit
@@ -366,7 +465,7 @@ class TestBatchRounds:
             fields = dict(vars(result))
             counters = dict(fields.pop("counters"))
             assert counters.pop("threads") == k
-            for timing in ("trials_per_s", "exact_elapsed_s"):
+            for timing in ("trials_per_s", "points_per_s", "exact_elapsed_s"):
                 counters.pop(timing, None)
             runs.append((fields, counters))
         assert runs[0] == runs[1]
