@@ -104,7 +104,7 @@ def _orthant_run(rho: float, deltas, samples: int, seed: int, tag: str) -> McRun
     """
     sampler = CorrelatedSampler(1, rho, len(deltas))
     below = [lambda h, t=t: h[:, 0] <= t for t in sorted(normal_quantile(d) for d in deltas)]
-    return mc_run(lambda rng, n: sampler.product(rng, n, below), samples, seed, tag=tag, parallel=True)
+    return mc_run(lambda rng, n: sampler.product(rng, n, below), samples, seed, tag=tag)
 
 
 def lambda_estimate(rho: float, deltas, samples: int, seed: int) -> McRun:
@@ -144,7 +144,8 @@ def lambda_bound_check(
     est = lambda_estimate(rho, deltas, samples, seed)
     return Check(
         est.value, (2.0 ** r) * math.prod(deltas), stderr=est.stderr, span=(0.0, 1.0), samples=samples,
-        seed=seed, applicable=pre["deltas_small"] and pre["rho_small"], counters={"preconditions": pre},
+        seed=seed, applicable=pre["deltas_small"] and pre["rho_small"],
+        counters={"preconditions": pre, "threads": est.threads},
         detail={"estimate": est},
     )
 
@@ -205,17 +206,16 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
     sampler = CorrelatedSampler(dimension, rho, len(functions))
     means = [
         mc_run(lambda rng, n, f=f: f(rng.standard_normal(out=scratch("gaussian.mean", (n, dimension)))),
-               samples, seed, tag=f"borell-mean-{i}", parallel=True)
+               samples, seed, tag=f"borell-mean-{i}")
         for i, f in enumerate(functions)
     ]
     ordered = [functions[i] for i in sorted(range(len(functions)), key=lambda i: means[i].value)]
-    joint = mc_run(lambda rng, n: sampler.product(rng, n, ordered), samples, seed, tag="borell-joint",
-                   parallel=True)
+    joint = mc_run(lambda rng, n: sampler.product(rng, n, ordered), samples, seed, tag="borell-joint")
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
     lam = _orthant_run(rho, clipped, samples, seed, "borell-lambda")
     sigma_total = math.sqrt(joint.stderr ** 2 + lam.stderr ** 2 + sum(m.stderr ** 2 for m in means))
     return Check(
         joint.value, lam.value, stderr=sigma_total, span=(0.0, 1.0), samples=samples, seed=seed,
-        counters={"means": [m.value for m in means]},
+        counters={"means": [m.value for m in means], "threads": joint.threads},
         detail={"joint": joint, "stability_bound": lam, "mean_stderrs": [m.stderr for m in means]},
     )

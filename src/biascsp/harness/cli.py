@@ -12,14 +12,13 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 
 import numpy as np
 
 from .mc import ORACLE_CAP
 from .pipeline import (
     ConfigError, StageError, acceptance_stage, build_rounding_tables, condition_stage, failed,
-    load_family, load_instance, minor_faults, mixing_stage, parse_number, planted_dictator,
+    load_family, load_instance, meter, mixing_stage, parse_number, planted_dictator,
     run_pipeline, smooth_stage, stage, verify_stage,
 )
 from .rng import rng_for
@@ -44,13 +43,12 @@ def _cmd_csp_opt(args) -> dict:
     from ..csp import opt_constrained_scan, robust_opt_scan
 
     g = load_instance(args.infile)
-    t0 = time.perf_counter()
     robust = args.gamma is not None
     scan = robust_opt_scan(g, args.mu, args.gamma) if robust else opt_constrained_scan(g, args.mu, args.tol)
-    elapsed, witness = time.perf_counter() - t0, scan.witness.labels if scan.witness else None
+    witness = scan.witness.labels if scan.witness else None
     return stage(
         "csp-opt", scan.feasible, value=scan.value, mu=args.mu, witness=witness,
-        assignments=scan.assignments, in_window=scan.in_window, elapsed_s=elapsed,
+        assignments=scan.assignments, in_window=scan.in_window,
     )
 
 
@@ -66,34 +64,16 @@ def _cmd_pd(args) -> dict:
     return record
 
 
-def _start() -> tuple[float, int]:
-    """The clock and the minor-fault count at the start of a check."""
-    return time.perf_counter(), minor_faults()
-
-
-def _throughput(start: tuple[float, int], samples: int, threads: int) -> dict:
-    """Wall time and minor faults of a Monte Carlo check since ``start``
-    (:func:`_start`), the samples its runs drew per second, together, and
-    the threads each run used."""
-    elapsed = time.perf_counter() - start[0]
-    return {
-        "elapsed_s": elapsed, "samples_per_s": samples / elapsed, "threads": threads,
-        "minor_faults": minor_faults() - start[1],
-    }
-
-
 def _cmd_gauss_lambda(args) -> dict:
     from ..gaussian import lambda_bound_check, lambda_estimate
 
     deltas = [parse_number(d) for d in args.deltas.split(",")]
-    start = _start()
     if args.check_bound:
-        check = lambda_bound_check(args.rho, deltas, args.samples, args.seed, delta0=args.delta0)
-        return stage("gauss-lambda-bound", check, **_throughput(start, check.samples, check.estimate.threads))
+        return stage("gauss-lambda-bound", lambda_bound_check(args.rho, deltas, args.samples, args.seed, args.delta0))
     est = lambda_estimate(args.rho, deltas, args.samples, args.seed)
     return stage(
         "gauss-lambda", None, value=est.value, stderr=est.stderr, seed=est.seed, samples=est.samples,
-        **_throughput(start, est.samples, est.threads),
+        threads=est.threads,
     )
 
 
@@ -110,10 +90,7 @@ def _cmd_gauss_borell(args) -> dict:
         if item.get("kind") not in makers:
             raise ConfigError(f"unknown function kind {item.get('kind')!r}")
         fns.append(makers[item["kind"]](item))
-    start = _start()
-    check = borell_check(fns, args.dim, args.rho, args.samples, args.seed)
-    # the joint, each mean and the stability term: one run of `samples` each
-    return stage("gauss-borell", check, **_throughput(start, (len(fns) + 2) * args.samples, check.joint.threads))
+    return stage("gauss-borell", borell_check(fns, args.dim, args.rho, args.samples, args.seed))
 
 
 def _cmd_round_run(args) -> dict:
@@ -272,7 +249,8 @@ GROUPS = {
     "reduce": "lifted-test experiments",
 }
 # (subcommand path, handler, help or None, flags).  A handler returns one
-# stage record, or the pipeline's report.
+# stage record, which main() meters, or the pipeline's report, whose
+# stages the pipeline has metered.
 COMMANDS = [
     (("csp", "opt"), _cmd_csp_opt, "exhaustive constrained optimum", [
         _opt("--mu", type=_num, required=True), _opt("--tol", type=_num, default=None),
@@ -348,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        stamp = meter()
         report = args.func(args)
+        if "stages" not in report:
+            stamp(report)
         text = json.dumps(report, indent=2, default=_json_default)
         if args.out:
             with open(args.out, "w") as fh:

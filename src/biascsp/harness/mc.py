@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ class McRun:
     seed: int
     tag: str
     ci95: tuple[float, float]
-    wall_time: float
     threads: int
 
 
@@ -76,18 +74,18 @@ def _with_scratch(run):
         _worker.buffers = outer
 
 
-def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[list, int]:
+def run_chunks(work, total: int, chunk: int) -> tuple[list, int]:
     """``[work(c, size) for each chunk c]`` and the number of threads that ran them.
 
     ``total`` items are cut into chunks of ``chunk``, the last one shorter.
     ``work`` must draw only from generators keyed by its chunk index
     (``rng_for(seed, *tag, c)``), so each result depends on (c, size) alone.
-    With ``parallel`` the chunks run on one thread per usable CPU, capped at
-    the chunk count, the calling thread among them.  A free thread takes the
-    lowest chunk that no thread has taken and makes that chunk's generators
-    itself, so each thread holds one chunk's working set at a time.  The
-    results come back in chunk order whichever thread ran them; ``work``
-    must then be safe to call from several threads at once.  A chunk's error
+    The chunks run on one thread per usable CPU, capped at the chunk count,
+    the calling thread among them.  A free thread takes the lowest chunk
+    that no thread has taken and makes that chunk's generators itself, so
+    each thread holds one chunk's working set at a time.  The results come
+    back in chunk order whichever thread ran them, so they are the serial
+    ones; ``work`` must be safe to call from several threads at once.  A chunk's error
     stops the other threads from taking chunks and is re-raised here once
     they have all ended.  ``total < 1`` and ``chunk < 1`` are refused before
     ``work`` is called.  Each thread's :func:`scratch` lasts for the run:
@@ -98,7 +96,7 @@ def run_chunks(work, total: int, chunk: int, *, parallel: bool = True) -> tuple[
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
-    threads = min(_usable_cpus(), len(sizes)) if parallel else 1
+    threads = min(_usable_cpus(), len(sizes))
     if threads == 1:
         return _with_scratch(lambda: [work(c, n) for c, n in enumerate(sizes)]), 1
     results: list = [None] * len(sizes)
@@ -143,24 +141,18 @@ def _chunk_sums(estimator, rng, n: int) -> tuple[float, float]:
     return float(vals.sum()), float(squares.sum())
 
 
-def mc_run(
-    estimator, samples: int, seed: int, tag: str = "estimate", *, parallel: bool = False, chunk: int | None = None
-) -> McRun:
+def mc_run(estimator, samples: int, seed: int, tag: str = "estimate", *, chunk: int | None = None) -> McRun:
     """Chunked Monte Carlo run of ``estimator(rng, n) -> array of n values``.
 
     Chunk c of ``chunk`` samples (``CHUNK`` when not given) draws from
     ``rng_for(seed, tag, c)`` and the chunk sums are combined by index
     (:func:`run_chunks`), so the result depends only on (seed, tag, samples,
-    chunk).  With ``parallel`` the chunks run on every usable CPU and the
-    result is the serial one bit for bit; the estimator must then be safe to
-    call from several threads at once.
+    chunk): the chunks run on every usable CPU and the result is the serial
+    one bit for bit.  The estimator must be safe to call from several
+    threads at once.
     """
-    t0 = time.perf_counter()
     parts, threads = run_chunks(
-        lambda c, n: _chunk_sums(estimator, rng_for(seed, tag, c), n),
-        samples,
-        CHUNK if chunk is None else chunk,
-        parallel=parallel,
+        lambda c, n: _chunk_sums(estimator, rng_for(seed, tag, c), n), samples, CHUNK if chunk is None else chunk
     )
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
@@ -174,6 +166,5 @@ def mc_run(
         seed=seed,
         tag=tag,
         ci95=(value - 1.96 * stderr, value + 1.96 * stderr),
-        wall_time=time.perf_counter() - t0,
         threads=threads,
     )

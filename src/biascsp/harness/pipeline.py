@@ -1,12 +1,16 @@
 """End-to-end run management: smoothing, conditioning, vector solution, and
 optional rounding / lifted-test experiments, emitting one record per stage.
 
-This module owns the stage record (:func:`stage`) and the builders of the
-checks the pipeline and the CLI share (``*_stage``); both front ends emit
-only through them and exit by :func:`failed`.  A check that compares one
-value with one bound returns a :class:`~biascsp.harness.verdict.Check`,
-which derives its verdict, its vacuity and its status; :func:`stage`
-serializes it, and a builder adds only its timing and throughput."""
+This module owns the stage record (:func:`stage`), its meter
+(:func:`meter`) and the builders of the checks the pipeline and the CLI
+share (``*_stage``); both front ends emit only through them and exit by
+:func:`failed`.  A check that compares one value with one bound returns a
+:class:`~biascsp.harness.verdict.Check`, which derives its verdict, its
+vacuity and its status; :func:`stage` serializes it.  No check or builder
+times itself: the pipeline meters each stage from its ``enter`` to its
+record, and the CLI meters a command's whole handler, so every record
+carries ``elapsed_s``, ``minor_faults`` and, when it has samples,
+``samples_per_s``."""
 from __future__ import annotations
 
 import json
@@ -183,37 +187,44 @@ def build_rounding_tables(source, host, family, r_dim: int) -> dict[str, Functio
     raise ConfigError("rounding functions: unknown kind")
 
 
-def minor_faults() -> int:
-    """Minor page faults of this process so far (``ru_minflt``); a Monte
-    Carlo stage record's ``minor_faults`` is their growth over the stage."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def meter():
+    """Start measuring a stage; the returned ``stamp(record)`` stamps the
+    record's ``extra`` with the wall time since this call (``elapsed_s``),
+    the minor page faults of the process since then (``minor_faults``,
+    the growth of ``ru_minflt``) and, when the record has samples, their
+    rate ``samples_per_s = samples / elapsed_s``, and returns the record."""
+    def faults() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    t0, faults0 = time.perf_counter(), faults()
+
+    def stamp(record: dict) -> dict:
+        elapsed = time.perf_counter() - t0
+        extra = record.setdefault("extra", {})
+        extra.update(elapsed_s=elapsed, minor_faults=faults() - faults0)
+        if record["samples"] is not None:
+            extra["samples_per_s"] = record["samples"] / elapsed
+        return record
+
+    return stamp
 
 
 def _counted(f, run):
-    """Run ``run()`` and return its result with the wall time, the minor
-    faults and the work the dictator ``f`` did in it: queries, fallbacks,
-    and rows that had to be read at an explicit coordinate permutation."""
+    """Run ``run()`` and return its result with the work the dictator ``f``
+    did in it: queries, fallbacks, and rows that had to be read at an
+    explicit coordinate permutation."""
     def counters():
         return f.dictator.query_count, f.dictator.fallback_count, f.permuted_rows
 
-    before, faults = counters(), minor_faults()
-    t0 = time.perf_counter()
+    before = counters()
     result = run()
-    elapsed = time.perf_counter() - t0
     queries, fallbacks, permuted = (b - a for a, b in zip(before, counters()))
-    return result, {
-        "elapsed_s": elapsed,
-        "minor_faults": minor_faults() - faults,
-        "dictator_queries": queries,
-        "dictator_fallbacks": fallbacks,
-        "permuted_rows": permuted,
-    }
+    return result, {"dictator_queries": queries, "dictator_fallbacks": fallbacks, "permuted_rows": permuted}
 
 
 def verify_stage(name: str, family, mu, seed=None) -> dict:
     """Feasibility of ``family`` at bias ``mu``: consistency and the moment
     matrix's least eigenvalue against ``PSD_TOL``."""
-    t0 = time.perf_counter()
     report = verify_feasible(family, mu)
     return stage(
         name,
@@ -225,7 +236,6 @@ def verify_stage(name: str, family, mu, seed=None) -> dict:
         bias=report.bias,
         violations=len(report.consistency_violations),
         moment_size=report.moment_size,
-        elapsed_s=time.perf_counter() - t0,
     )
 
 
@@ -270,76 +280,77 @@ def planted_dictator(graph, what: str):
 
 def acceptance_stage(name: str, host, family, graph, params, f, trials: int, seed: int) -> dict:
     """Monte Carlo acceptance of the lifted test against the completeness
-    bound (``acceptance_estimate``), with its work and throughput.
+    bound (``acceptance_estimate``), with the dictator's work.
     ``positions_per_trial`` is the dictator queries per trial: the arity
     when no row settles early, fewer as the predicate settles rows."""
     from ..reduction import acceptance_estimate
 
     check, work = _counted(f, lambda: acceptance_estimate(host, family, graph, params, f, trials, seed))
-    return stage(
-        name, check, trials_per_s=trials / work["elapsed_s"],
-        positions_per_trial=work["dictator_queries"] / trials, **work,
-    )
+    return stage(name, check, positions_per_trial=work["dictator_queries"] / trials, **work)
 
 
 def mixing_stage(name: str, host, family, graph, params, f, alpha, a_samples: int, seed: int, **kw) -> dict:
     """Concentration of the restriction means (``mixing_check``; ``kw`` goes
-    to it), with its work and throughput."""
+    to it), with the dictator's work."""
     from ..reduction import mixing_check
 
     check, work = _counted(f, lambda: mixing_check(host, family, graph, params, f, alpha, a_samples, seed, **kw))
-    return stage(name, check, draws_per_s=check.samples * check.inner_samples / work["elapsed_s"], **work)
+    return stage(name, check, **work)
 
 
 def run_pipeline(config) -> dict:
     """Smooth, condition, factor, then run the configured experiments.
 
     Returns {"stages": [...], "ok": bool}; every stage is a :func:`stage`
-    record, and ``ok`` is False exactly when some status is ``fail``.
-    Stage failures propagate as :class:`StageError` tagged with the stage.
+    record, metered from its ``enter`` to its record (:func:`meter`), and
+    ``ok`` is False exactly when some status is ``fail``.  Stage failures
+    propagate as :class:`StageError` tagged with the stage entered last.
     """
     cfg = _load_obj(config, "config")
     seed = int(cfg.get("seed", 0))
     stages: list[dict] = []
-    current_stage = "load"
+    current_stage, stamp = "load", meter()
 
     def enter(name: str) -> None:
-        nonlocal current_stage
-        current_stage = name
+        nonlocal current_stage, stamp
+        current_stage, stamp = name, meter()
+
+    def emit(record: dict) -> None:
+        stages.append(stamp(record))
 
     try:
-        return _run_pipeline_stages(cfg, seed, stages, enter)
+        _run_pipeline_stages(cfg, seed, enter, emit)
     except (ConfigError, StageError):
         raise
     except Exception as exc:
         raise StageError(f"[stage {current_stage}] {type(exc).__name__}: {exc}") from exc
+    return {"stages": stages, "ok": not failed(stages)}
 
 
-def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
-    enter("load")
+def _run_pipeline_stages(cfg, seed, enter, emit) -> None:
     host = load_instance(cfg.get("instance"))
     family = load_family(cfg.get("pseudodistribution"), host)
     mu_target = parse_number(cfg.get("mu", family.bias()))
 
     enter("verify-input")
-    stages.append(verify_stage("verify-input", family, mu_target, seed))
+    emit(verify_stage("verify-input", family, mu_target, seed))
 
     enter("smooth")
     smooth_cfg = cfg.get("smooth", {})
     eta_s = parse_number(smooth_cfg.get("eta", 0.1))
     resample_mu = parse_number(smooth_cfg["mu"]) if "mu" in smooth_cfg else None
     record, family = smooth_stage("smooth", family, eta_s, resample_mu, seed)
-    stages.append(record)
+    emit(record)
 
     enter("condition")
     cond_cfg = cfg.get("condition", {})
     target = parse_number(cond_cfg.get("target", 0.05))
     record, family = condition_stage("condition", family, target, int(cond_cfg.get("budget", 6)), seed)
-    stages.append(record)
+    emit(record)
 
     enter("vector-solution")
     sol = vector_solution(family)
-    stages.append(stage("vector-solution", Check(sol.residual, VECTOR_TOL, seed=seed)))
+    emit(stage("vector-solution", Check(sol.residual, VECTOR_TOL, seed=seed)))
 
     enter("rounding")
     round_cfg = cfg.get("rounding")
@@ -357,13 +368,10 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
             family=family,
         )
         budget = parse_number(round_cfg.get("budget", 0.02))
-        for name, run in (
-            ("rounding-variance", lambda: bias_concentration_check(inp, int(round_cfg.get("trials", 2000)), seed)),
-            ("rounding-value", lambda: value_check(inp, int(round_cfg.get("value_trials", 20000)), seed, budget)),
-        ):
-            faults = minor_faults()
-            check = run()
-            stages.append(stage(name, check, minor_faults=minor_faults() - faults))
+        enter("rounding-variance")
+        emit(stage("rounding-variance", bias_concentration_check(inp, int(round_cfg.get("trials", 2000)), seed)))
+        enter("rounding-value")
+        emit(stage("rounding-value", value_check(inp, int(round_cfg.get("value_trials", 20000)), seed, budget)))
 
     enter("reduction")
     red_cfg = cfg.get("reduction")
@@ -393,8 +401,10 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
         )
         f = planted_dictator(graph, "reduction experiments")
         trials = int(red_cfg.get("accept_trials", 100000))
-        stages.append(acceptance_stage("reduction-acceptance", host, family, graph, params, f, trials, seed))
-        stages.append(
+        enter("reduction-acceptance")
+        emit(acceptance_stage("reduction-acceptance", host, family, graph, params, f, trials, seed))
+        enter("mixing")
+        emit(
             mixing_stage(
                 "mixing",
                 host,
@@ -408,5 +418,3 @@ def _run_pipeline_stages(cfg, seed, stages, enter) -> dict:
                 **({"inner_samples": int(red_cfg["inner_samples"])} if "inner_samples" in red_cfg else {}),
             )
         )
-
-    return {"stages": stages, "ok": not failed(stages)}

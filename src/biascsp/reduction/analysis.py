@@ -220,19 +220,12 @@ def acceptance_estimate(
     vacuous.
 
     The trials run in chunks of ``_LIFTED_ROWS`` on every usable CPU
-    (``mc_run(..., parallel=True)``), so ``f`` is called from several threads
-    at once; the result is the serial one bit for bit.  The sampler is
-    immutable once built, so the threads share it.
+    (``mc_run``), so ``f`` is called from several threads at once; the
+    result is the serial one bit for bit.  The sampler is immutable once
+    built, so the threads share it.
     """
     sampler = BatchTestSampler(gap, theta, graph, params)
-    run = mc_run(
-        lambda rng, m: sampler.accept_indicators(f, m, rng),
-        trials,
-        seed,
-        tag="acceptance",
-        parallel=True,
-        chunk=_LIFTED_ROWS,
-    )
+    run = mc_run(lambda rng, m: sampler.accept_indicators(f, m, rng), trials, seed, "acceptance", chunk=_LIFTED_ROWS)
     c = theta.objective()
     bound = math.exp(-6.0) * params.rho_sq / params.r * c - COMPLETENESS_SLACK * params.r * params.eta
     return Check(
@@ -266,6 +259,27 @@ def coupled_product_expectation(
     )
 
 
+# Entries of one draw block of Monte Carlo decoupling: about 128 KiB of codes.
+_DRAW_ENTRIES = BLOCK_ENTRIES // 16
+
+
+def _drawn_in_blocks(product, probs: np.ndarray, R: int):
+    """An ``mc_run`` estimator: ``product(codes)`` of (rows, R) i.i.d. codes
+    drawn from ``probs``, ``_DRAW_ENTRIES // R`` rows at a time.  The blocks
+    read the chunk's generator in row order, so the codes are those of one
+    draw of the whole chunk, and a thread holds its chunk's values and one
+    block of codes whatever the chunk size."""
+    rows = max(1, _DRAW_ENTRIES // R)
+
+    def estimator(rng, m):
+        out = np.empty(m)
+        for lo in range(0, m, rows):
+            out[lo:lo + rows] = product(rng.choice(probs.size, size=(min(rows, m - lo), R), p=probs))
+        return out
+
+    return estimator
+
+
 def decoupling_check(
     h_tables: list[FunctionTable],
     block_probs: np.ndarray,
@@ -281,9 +295,10 @@ def decoupling_check(
     of the leak-averaged tables under the edge distribution, plus bias^arity.
     Exact mode computes both sides by per-coordinate contraction.  Monte
     Carlo mode runs each side through ``mc_run`` (tags ``decoupling-lhs`` and
-    ``decoupling-product``), so its working set is one CHUNK of rows
-    whatever ``samples`` is.  LHS is a mean of [0, 1] products, so rhs >= 1
-    is vacuous.
+    ``decoupling-product``) on every usable CPU and draws each chunk in
+    blocks (:func:`_drawn_in_blocks`), so a thread holds one chunk's values
+    and one block of codes whatever ``samples`` is; its counters carry the
+    thread count.  LHS is a mean of [0, 1] products, so rhs >= 1 is vacuous.
     """
     r = len(h_tables)
     space = h_tables[0].space
@@ -303,28 +318,28 @@ def decoupling_check(
         lhs = coupled_product_expectation([t.values for t in h_tables], flat, r, R)
         product_term = iid_product_expectation(hbars, np.reshape(block_probs, (2,) * r))
         lhs_se = product_se = 0.0
+        threads = {}
     elif mode == "mc":
 
-        def coupled(rng, m):
-            draws = rng.choice(flat.size, size=(m, R), p=flat)
-            prod = np.ones(m)
+        def coupled(draws):
+            prod = np.ones(len(draws))
             for pos, idx in enumerate(_pair_indices(draws, r, R)):
                 prod *= h_tables[pos].values[idx]
             return prod
 
         outcome_bits = domain_points(r).astype(np.int8)
 
-        def decoupled(rng, m):
-            draws = rng.choice(block_probs.size, size=(m, R), p=block_probs)
-            prod = np.ones(m)
+        def decoupled(draws):
+            prod = np.ones(len(draws))
             for pos in range(r):
                 prod *= hbars[pos][pack_bits(outcome_bits[draws, pos].T)]
             return prod
 
-        lhs_run = mc_run(coupled, samples, seed, tag="decoupling-lhs")
-        product_run = mc_run(decoupled, samples, seed, tag="decoupling-product")
+        lhs_run = mc_run(_drawn_in_blocks(coupled, flat, R), samples, seed, tag="decoupling-lhs")
+        product_run = mc_run(_drawn_in_blocks(decoupled, block_probs, R), samples, seed, tag="decoupling-product")
         lhs, lhs_se = lhs_run.value, lhs_run.stderr
         product_term, product_se = product_run.value, product_run.stderr
+        threads = {"threads": lhs_run.threads}
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -332,7 +347,7 @@ def decoupling_check(
     max_inf = max(max_influence(fourier_expand(t)) for t in h_tables)
     return Check(
         lhs, rhs, stderr=lhs_se, span=(0.0, 1.0), samples=samples if mode == "mc" else None, seed=seed,
-        counters={"max_influence": max_inf, "mode": mode, "product_stderr": product_se},
+        counters={"max_influence": max_inf, "mode": mode, "product_stderr": product_se, **threads},
         detail={"lhs": lhs, "rhs": rhs, "product_term": product_term},
     )
 
@@ -429,8 +444,8 @@ def mixing_check(
     span = (0.0, 0.0) if threshold > max(center, 1.0 - center) else (0.0, 1.0)
     return Check(
         frac, bound, stderr=se, span=span, samples=a_samples, seed=seed,
-        counters={"threshold": threshold, "threads": threads},
-        detail={"a_samples": a_samples, "inner_samples": inner_samples, "center": center},
+        counters={"threshold": threshold, "threads": threads, "inner_samples": inner_samples},
+        detail={"a_samples": a_samples, "center": center},
     )
 
 

@@ -170,7 +170,11 @@ class LongCodeAssignment:
 
     @classmethod
     def from_table(cls, n: int, R: int, values) -> "LongCodeAssignment":
-        """Explicit table over the full lifted vertex set (tiny R only)."""
+        """An assignment given by its explicit table over the full lifted
+        vertex set: ``values`` holds n^R * 4^R entries in C order over
+        (A, x, z).  No pipeline stage or command builds one; it is the tests'
+        oracle at tiny n and R, an arbitrary assignment against which the
+        exact and Monte Carlo lifted-test paths are compared."""
         values = np.asarray(values, dtype=np.int8).reshape(-1)
         if values.size != n ** R * 4 ** R:
             raise ValueError("table size must be n^R * 4^R")

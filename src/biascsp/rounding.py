@@ -63,8 +63,8 @@ class RoundingInput:
     The tables of the host's vertices are stacked in vertex order and
     transformed together (:func:`_noised_stack`).  ``noised_coeffs`` holds
     the noised Fourier coefficients (n, 2^R), ``stacked`` every vertex's
-    noised polynomial as one stack, and ``noised`` and ``polys`` are
-    per-vertex views of those stacks.
+    noised polynomial as one stack (row k: vertex k), and ``noised`` the
+    per-vertex noised tables, views of their stack.
     """
 
     host: ConstraintHypergraph
@@ -75,7 +75,6 @@ class RoundingInput:
     family: LocalDistributionFamily | None = None
     # derived
     noised: dict[str, FunctionTable] = field(init=False)
-    polys: dict[str, MultilinearPolynomial] = field(init=False)
     stacked: MultilinearPolynomial = field(init=False)
     noised_coeffs: np.ndarray = field(init=False)  # (n, 2^R), vertex order
 
@@ -99,7 +98,6 @@ class RoundingInput:
         self.noised_coeffs = coeffs.reshape(len(verts), -1)
         self.stacked = MultilinearPolynomial.stack(MultilinearPolynomial(m) for m in monomials)
         self.noised = {v: FunctionTable(s, t.reshape(-1)) for v, s, t in zip(verts, spaces, noised)}
-        self.polys = {v: MultilinearPolynomial(m) for v, m in zip(verts, self.stacked.tensor)}
         if self.mu is None:
             self.mu = self.functional_bias()
 
@@ -195,12 +193,11 @@ def _assign(host: ConstraintHypergraph, p: np.ndarray, rng: np.random.Generator)
     return sigma, values
 
 
-def _throughput(inp: RoundingInput, trials: int, elapsed: float) -> dict:
-    """The rounding checks' kernel counters: ``eval_block``, the rounds per
-    evaluation block of a full chunk, and ``points_per_s``, the polynomial
-    points (rounds times vertices) per second of the rounds."""
-    R, d, n = inp.r_dim, inp.solution.dimension, len(inp.host.vertices)
-    return {"eval_block": _eval_block(R, d, n), "points_per_s": trials * n / elapsed}
+def _counters(inp: RoundingInput, threads: int) -> dict:
+    """The rounding checks' kernel counters: the ``threads`` that ran the
+    rounds and ``eval_block``, the rounds per evaluation block of a full
+    chunk."""
+    return {"threads": threads, "eval_block": _eval_block(inp.r_dim, inp.solution.dimension, len(inp.host.vertices))}
 
 
 def round_run(inp: RoundingInput, trials: int, seed: int):
@@ -236,12 +233,10 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Chec
     round's bias ``p @ w``.
     """
     wvec = inp.host.vertex_weight_vector()
-    t0 = time.perf_counter()
     parts, threads = _round_chunks(
         inp, trials, lambda c, rounds: _batch_p(inp, rounds, rng_for(seed, "round-batch", "variance", c)) @ wvec
     )
     m = np.concatenate(parts)
-    elapsed = time.perf_counter() - t0
     mean = float(m.mean())
     centered = m - mean
     var = float((centered ** 2).mean())
@@ -255,10 +250,7 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Chec
     frac = float((np.abs(m - mean) >= threshold).mean()) if threshold > 0 else 1.0
     return Check(
         var, bound, stderr=var_se, span=(0.0, 0.25), samples=trials, seed=seed,
-        counters={
-            "deviation_fraction": frac, "deviation_bound": math.sqrt(gamma),
-            "trials_per_s": trials / elapsed, "threads": threads, **_throughput(inp, trials, elapsed),
-        },
+        counters={"deviation_fraction": frac, "deviation_bound": math.sqrt(gamma), **_counters(inp, threads)},
         detail={"trials": trials},
     )
 
@@ -358,10 +350,8 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
         _, sampled = _assign(inp.host, p, rng_for(seed, "value-check-sigma", c))
         return _conditional_value(inp.host, p), sampled
 
-    t0 = time.perf_counter()
     parts, threads = _round_chunks(inp, trials, work)
     cond, sig_vals = (np.concatenate(a) for a in zip(*parts))
-    elapsed = time.perf_counter() - t0
     mc_value = float(cond.mean())
     mc_se = float(cond.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     t0 = time.perf_counter()
@@ -373,7 +363,7 @@ def value_check(inp: RoundingInput, trials: int, seed: int, budget: float = 0.02
         applicable=max_inf <= TAU,
         counters={
             "sigma_value": float(sig_vals.mean()), "max_influence": max_inf, "exact_elapsed_s": exact_elapsed,
-            "trials_per_s": trials / elapsed, "threads": threads, **_throughput(inp, trials, elapsed),
+            **_counters(inp, threads),
         },
         detail={"trials": trials},
     )

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from biascsp.harness import cli, mc, mc_run, rng_for
 from biascsp.harness.mc import CHUNK
-from biascsp.harness.pipeline import ConfigError, failed, parse_number, run_pipeline, stage
+from biascsp.harness.pipeline import ConfigError, StageError, failed, meter, parse_number, run_pipeline, stage
 from biascsp.harness.verdict import SIGMAS, Check
 from conftest import cpus, traced_peak
 
@@ -49,9 +49,10 @@ def squares(rng, n):
 class TestParallelMcRun:
     @pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 5])
     def test_equals_the_serial_run(self, monkeypatch, samples):
-        cpus(monkeypatch, 3)
+        cpus(monkeypatch, 1)
         serial = mc_run(squares, samples, 21, tag="par")
-        par = mc_run(squares, samples, 21, tag="par", parallel=True)
+        cpus(monkeypatch, 3)
+        par = mc_run(squares, samples, 21, tag="par")
         assert (par.value, par.stderr, par.ci95, par.samples) == (serial.value, serial.stderr, serial.ci95, samples)
         assert (serial.threads, par.threads) == (1, min(3, -(-samples // CHUNK)))
 
@@ -64,7 +65,7 @@ class TestParallelMcRun:
 
         before = threading.active_count()
         with pytest.raises(ValueError, match="estimator returned wrong sample count"):
-            mc_run(short_off_main, 4 * CHUNK, 1, parallel=True)
+            mc_run(short_off_main, 4 * CHUNK, 1)
         assert threading.active_count() == before  # every worker was joined
 
     def test_each_chunk_makes_its_own_generator(self, monkeypatch):
@@ -77,7 +78,7 @@ class TestParallelMcRun:
             return rng_for(seed, tag, c)
 
         monkeypatch.setattr(mc, "rng_for", recording_rng_for)
-        run = mc_run(squares, 7 * CHUNK + 1, 4, parallel=True)
+        run = mc_run(squares, 7 * CHUNK + 1, 4)
         assert run.threads == 3
         assert sorted(made) == list(range(8))
 
@@ -109,32 +110,35 @@ class TestParallelMcRun:
     def test_chunk_size_keys_the_streams(self, monkeypatch):
         # chunk c of a given size draws from rng_for(seed, tag, c)
         cpus(monkeypatch, 3)
-        run = mc_run(squares, 2 * 100 + 7, 5, tag="sized", parallel=True, chunk=100)
+        run = mc_run(squares, 2 * 100 + 7, 5, tag="sized", chunk=100)
         draws = [squares(rng_for(5, "sized", c), n) for c, n in enumerate((100, 100, 7))]
         assert run.threads == 3
         assert run.value == math.fsum(float(d.sum()) for d in draws) / 207
 
     def test_one_cpu_runs_serially(self, monkeypatch):
+        cpus(monkeypatch, 3)
+        threaded = mc_run(squares, 5 * CHUNK, 6)
         cpus(monkeypatch, 1)
 
         def no_thread(*args, **kwargs):
             raise AssertionError("started a thread on one CPU")
 
         monkeypatch.setattr(mc.threading, "Thread", no_thread)
-        run = mc_run(squares, 5 * CHUNK, 6, parallel=True)
+        run = mc_run(squares, 5 * CHUNK, 6)
         assert run.threads == 1
-        assert run.value == mc_run(squares, 5 * CHUNK, 6).value
+        assert run.value == threaded.value
 
     def test_many_threads_on_tiny_chunks(self, monkeypatch):
         # more workers than cores and a short switch interval: a lost or
         # misplaced chunk sum would change the value or leave a None behind
-        cpus(monkeypatch, 8)
         monkeypatch.setattr(mc, "CHUNK", 16)
+        cpus(monkeypatch, 1)
         serial = mc_run(squares, 16 * 200 + 3, 8)
+        cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [mc_run(squares, 16 * 200 + 3, 8, parallel=True) for _ in range(5)]
+            runs = [mc_run(squares, 16 * 200 + 3, 8) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         assert {(r.value, r.stderr, r.threads) for r in runs} == {(serial.value, serial.stderr, 8)}
@@ -447,13 +451,13 @@ class TestPipeline:
         # early), one per mixing draw
         assert acc["dictator_queries"] == 2 * 2000
         assert acc["positions_per_trial"] == 2.0
-        assert mix["dictator_queries"] == 20 * 16
-        for extra, rate in ((acc, "trials_per_s"), (mix, "draws_per_s")):
-            assert extra["elapsed_s"] > 0.0 and extra[rate] > 0.0
+        assert mix["dictator_queries"] == 20 * mix["inner_samples"] == 20 * 16
+        for extra in (acc, mix):
+            assert extra["elapsed_s"] > 0.0 and extra["samples_per_s"] > 0.0
             assert extra["minor_faults"] >= 0
             # the dictator permutes exactly its fallback rows
             assert extra["permuted_rows"] == extra["dictator_fallbacks"] <= extra["dictator_queries"]
-        assert acc["trials_per_s"] == pytest.approx(2000 / acc["elapsed_s"])
+        assert acc["samples_per_s"] == 2000 / acc["elapsed_s"]
 
     def test_rounding_stages_report_threads_and_throughput(self, tmp_path, monkeypatch):
         # 4000 rounds in chunks of 2048 on two usable CPUs
@@ -466,7 +470,7 @@ class TestPipeline:
         for name in ("rounding-variance", "rounding-value"):
             extra = next(s for s in report["stages"] if s["stage"] == name)["extra"]
             assert extra["threads"] == 2
-            assert extra["trials_per_s"] > 0.0
+            assert extra["samples_per_s"] > 0.0
             assert extra["minor_faults"] >= 0
 
     def test_acceptance_stage_reports_its_threads(self, tmp_path, monkeypatch):
@@ -553,6 +557,29 @@ class TestPipeline:
         assert (variance["verdict"], variance["status"], variance["extra"]["vacuous"]) == (True, "vacuous", True)
         assert by_stage["condition"]["status"] == "vacuous"
         assert by_stage["vector-solution"]["status"] == "pass"
+
+    @pytest.mark.parametrize("section, knobs, tag", [
+        ("rounding", {"functions": {"tables": {f"v{i}": [0.5] * 7 + [1.5 - i // 3] for i in range(4)}}}, "rounding"),
+        ("rounding", {"trials": 0}, "rounding-variance"),
+        ("rounding", {"value_trials": 0}, "rounding-value"),
+        ("reduction", {"params": {"R": 0}}, "reduction"),
+        ("reduction", {"accept_trials": 0}, "reduction-acceptance"),
+        ("reduction", {"a_samples": 0}, "mixing"),
+    ])
+    def test_failure_names_its_stage(self, tmp_path, section, knobs, tag):
+        # a table above 1 at v0-v2, R = 0, and zero trials or samples each
+        # fail inside the stage that reads them, and the error names it
+        configs = {
+            "rounding": {"enabled": True, "R": 3, "trials": 40, "value_trials": 40},
+            "reduction": {
+                "graph": {"kind": "planted", "n": 16, "deg": 4, "delta": 0.25, "seed": 3},
+                "params": {"R": 4}, "accept_trials": 40, "a_samples": 4, "inner_samples": 4,
+            },
+        }
+        configs[section].update(knobs)
+        path = product_config(tmp_path, **configs)
+        with pytest.raises(StageError, match=rf"^\[stage {tag}\] ValueError"):
+            run_pipeline(str(path))
 
     def test_malformed_input_raises_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -903,13 +930,13 @@ class TestCliRecords:
         assert (code, record["verdict"], record["status"]) == (0, None, "not-applicable")
         assert record["extra"]["applicable"] is False
 
-    @pytest.mark.parametrize("argv, runs", [
-        (("gauss", "lambda", "--rho", "0.5", "--deltas", "0.3,0.4"), 1),
-        (("gauss", "lambda", "--rho", "0.01", "--deltas", "0.01,0.01", "--check-bound"), 1),
-        (("gauss", "borell", "--rho", "0.5", "--functions",
-          '[{"kind":"box","lo":[-1,-1],"hi":[1,1]},{"kind":"constant","value":0.5}]'), 4),
+    @pytest.mark.parametrize("argv", [
+        ("gauss", "lambda", "--rho", "0.5", "--deltas", "0.3,0.4"),
+        ("gauss", "lambda", "--rho", "0.01", "--deltas", "0.01,0.01", "--check-bound"),
+        ("gauss", "borell", "--rho", "0.5", "--functions",
+         '[{"kind":"box","lo":[-1,-1],"hi":[1,1]},{"kind":"constant","value":0.5}]'),
     ], ids=["lambda", "lambda-bound", "borell"])
-    def test_gauss_records_carry_throughput(self, monkeypatch, capsys, argv, runs):
+    def test_gauss_records_carry_throughput(self, monkeypatch, capsys, argv):
         cpus(monkeypatch, 2)
         samples = 2 * CHUNK + 1
         _, record = run_main(capsys, *argv, "--samples", samples)
@@ -917,8 +944,9 @@ class TestCliRecords:
         assert extra["threads"] == 2
         assert extra["elapsed_s"] > 0
         assert extra["minor_faults"] >= 0
-        # the borell check draws its joint, two means and its stability term
-        assert extra["samples_per_s"] == pytest.approx(runs * samples / extra["elapsed_s"])
+        # the record's samples per second, also where the check makes several runs
+        assert record["samples"] == samples
+        assert extra["samples_per_s"] == samples / extra["elapsed_s"]
 
     def test_decode_stat_checks_the_list_cap(self, instance_file, pd_file, tmp_path, capsys):
         from biascsp.reduction import generate_sse
@@ -1047,46 +1075,46 @@ RECORD_KEYS = {"stage", "verdict", "status", "value", "bound", "stderr", "seed",
 # The ``extra`` keys of each record, by stage name.  Every record built from
 # a ``Check`` carries its derived ``vacuous`` flag.
 EXTRA_KEYS = {
-    "csp-opt": "assignments elapsed_s in_window mu witness",
-    "pd-verify": "bias elapsed_s moment_size objective violations",
-    "pd-smooth": "bias eta family",
-    "pd-condition": "family subset trace vacuous values",
+    "csp-opt": "assignments elapsed_s in_window minor_faults mu witness",
+    "pd-verify": "bias elapsed_s minor_faults moment_size objective violations",
+    "pd-smooth": "bias elapsed_s eta family minor_faults",
+    "pd-condition": "elapsed_s family minor_faults subset trace vacuous values",
     "gauss-lambda": "elapsed_s minor_faults samples_per_s threads",
     "gauss-lambda-bound": "applicable elapsed_s minor_faults preconditions samples_per_s threads vacuous",
     "gauss-borell": "elapsed_s means minor_faults samples_per_s threads vacuous",
-    "round-run": "outcomes",
-    "reduce-gen": "graph",
-    "reduce-params": "params",
-    "reduce-sample": "edge parts perms",
-    "reduce-dictator": "analytic_bias sample_values",
+    "round-run": "elapsed_s minor_faults outcomes samples_per_s",
+    "reduce-gen": "elapsed_s graph minor_faults",
+    "reduce-params": "elapsed_s minor_faults params",
+    "reduce-sample": "edge elapsed_s minor_faults parts perms",
+    "reduce-dictator": "analytic_bias elapsed_s minor_faults sample_values",
     "reduce-accept": (
         "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows"
-        " positions_per_trial threads trials_per_s vacuous"
+        " positions_per_trial samples_per_s threads vacuous"
     ),
-    "reduce-decouple": "max_influence mode product_stderr vacuous",
+    "reduce-decouple": "elapsed_s max_influence minor_faults mode product_stderr vacuous",
     "reduce-mix": (
-        "dictator_fallbacks dictator_queries draws_per_s elapsed_s minor_faults permuted_rows threads"
-        " threshold vacuous"
+        "dictator_fallbacks dictator_queries elapsed_s inner_samples minor_faults permuted_rows samples_per_s"
+        " threads threshold vacuous"
     ),
-    "reduce-decode-stat": "baseline match_prob respect_violations vacuous",
-    "verify-input": "bias elapsed_s moment_size objective violations",
-    "smooth": "bias eta",
-    "condition": "subset trace vacuous values",
-    "vector-solution": "vacuous",
+    "reduce-decode-stat": "baseline elapsed_s match_prob minor_faults respect_violations samples_per_s vacuous",
+    "verify-input": "bias elapsed_s minor_faults moment_size objective violations",
+    "smooth": "bias elapsed_s eta minor_faults",
+    "condition": "elapsed_s minor_faults subset trace vacuous values",
+    "vector-solution": "elapsed_s minor_faults vacuous",
     "rounding-variance": (
-        "deviation_bound deviation_fraction eval_block minor_faults points_per_s threads trials_per_s vacuous"
+        "deviation_bound deviation_fraction elapsed_s eval_block minor_faults samples_per_s threads vacuous"
     ),
     "rounding-value": (
-        "applicable eval_block exact_elapsed_s max_influence minor_faults points_per_s sigma_value threads"
-        " trials_per_s vacuous"
+        "applicable elapsed_s eval_block exact_elapsed_s max_influence minor_faults samples_per_s sigma_value"
+        " threads vacuous"
     ),
     "reduction-acceptance": (
         "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows"
-        " positions_per_trial threads trials_per_s vacuous"
+        " positions_per_trial samples_per_s threads vacuous"
     ),
     "mixing": (
-        "dictator_fallbacks dictator_queries draws_per_s elapsed_s minor_faults permuted_rows threads"
-        " threshold vacuous"
+        "dictator_fallbacks dictator_queries elapsed_s inner_samples minor_faults permuted_rows samples_per_s"
+        " threads threshold vacuous"
     ),
 }
 
@@ -1146,3 +1174,30 @@ class TestRecordKeys:
         for record in every_record:
             assert set(record) == RECORD_KEYS, record["stage"]
             assert set(record["extra"]) == set(EXTRA_KEYS[record["stage"]].split()), record["stage"]
+
+    def test_mc_decoupling_record_adds_samples_and_threads(self):
+        # the CLI's reduce decouple is exact at every size its oracle cap
+        # lets it build; in Monte Carlo mode the record gains the rate and
+        # the thread count
+        from biascsp.probspace import BiasedSpace, FunctionTable, PairedSpace
+        from biascsp.reduction import ReductionParams, decoupling_check
+
+        space = PairedSpace(BiasedSpace((0.4,) * 2, "bit"), BiasedSpace((0.2,) * 2, "leak"))
+        rng = np.random.default_rng(5)
+        tables = [FunctionTable(space, rng.random(space.size), bounded=True) for _ in range(2)]
+        params = ReductionParams.manual(mu=0.4, r=2, beta=0.2, rho_sq=0.25, R=2, eta=0.01)
+        check = decoupling_check(tables, np.array([0.4, 0.2, 0.2, 0.2]), params, mode="mc", samples=4096, seed=6)
+        record = meter()(stage("reduce-decouple", check))
+        assert set(record["extra"]) == set(EXTRA_KEYS["reduce-decouple"].split()) | {"samples_per_s", "threads"}
+        assert record["extra"]["mode"] == "mc" and record["extra"]["threads"] >= 1
+
+    def test_every_record_is_metered(self, every_record):
+        # one meter stamps every record: its wall time, its minor faults and,
+        # exactly when it has samples, their rate
+        for record in every_record:
+            extra, name = record["extra"], record["stage"]
+            assert extra["elapsed_s"] >= 0.0 and extra["minor_faults"] >= 0, name
+            if record["samples"] is None:
+                assert "samples_per_s" not in extra, name
+            else:
+                assert extra["samples_per_s"] == record["samples"] / extra["elapsed_s"], name

@@ -1115,23 +1115,65 @@ class TestDecoupling:
         assert mc.product_term == pytest.approx(exact.product_term, abs=4 * mc.product_stderr)
         assert mc.holds == (mc.lhs <= mc.rhs)
 
-    def test_mc_working_set_does_not_grow_with_samples(self):
-        # both sides run one CHUNK of rows at a time through mc_run
+    def test_mc_working_set_does_not_grow_with_samples(self, monkeypatch):
+        # both sides run one CHUNK of rows at a time through mc_run, one chunk
+        # per thread, and each chunk draws its codes a block at a time: a
+        # thread holds its chunk's values, their squares and one block
         R = 6
         space = self.paired_space(R, 0.4, 0.2)
         rng = np.random.default_rng(50)
         tables = [self.random_low_influence(rng, space) for _ in range(2)]
         params = ReductionParams.manual(mu=0.4, r=2, beta=0.2, rho_sq=0.25, R=R, eta=0.01)
         probs = np.array([0.4, 0.2, 0.2, 0.2])
-        peaks = []
-        for samples in (1 << 18, 1 << 20):
-            with traced_peak() as peak:
-                decoupling_check(tables, probs, params, mode="mc", samples=samples, seed=51)
-            peaks.append(peak.bytes)
-        assert peaks[1] < 1.1 * peaks[0], peaks
-        # each chunk gathers its codes' int8 bits from a small table; unpacking
-        # them into (CHUNK, R, 2r) int64 bits took the peak to 17.5 MiB
-        assert peaks[1] < 12 * 2 ** 20, peaks
+        peaks = {}
+        for k in (1, 4):
+            cpus(monkeypatch, k)
+            for samples in (1 << 18, 1 << 20):
+                with traced_peak() as peak:
+                    decoupling_check(tables, probs, params, mode="mc", samples=samples, seed=51)
+                peaks[k, samples] = peak.bytes
+        assert peaks[1, 1 << 20] < 1.1 * peaks[1, 1 << 18], peaks
+        # one thread measured 1.29 MiB; drawing a whole chunk's (CHUNK, R)
+        # codes at once took it to 6.5 MiB, and four threads to 26 MiB
+        assert peaks[1, 1 << 20] < 2 * 2 ** 20, peaks
+        # four threads overlap by chance, so their peak is one to four
+        # threads' worth
+        assert max(peaks[4, 1 << 18], peaks[4, 1 << 20]) < 4 * 2 * 2 ** 20, peaks
+
+    def test_mc_blocks_are_one_draw_of_the_chunk(self):
+        # the blocks read the chunk's generator in row order; 400 rows is two
+        # blocks and a shorter third at R = 100
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        R, m = 100, 400
+        assert analysis._DRAW_ENTRIES // R == 163
+        seen = []
+
+        def product(codes):
+            seen.append(len(codes))
+            return codes.sum(axis=1).astype(float)
+
+        blocked = analysis._drawn_in_blocks(product, probs, R)(rng_for(52, "blocks"), m)
+        whole = rng_for(52, "blocks").choice(probs.size, size=(m, R), p=probs)
+        assert seen == [163, 163, 74]
+        np.testing.assert_array_equal(blocked, whole.sum(axis=1).astype(float))
+
+    def test_mc_equal_on_one_and_on_three_cpus(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        space = self.paired_space(3, 0.4, 0.2)
+        tables = [self.random_low_influence(rng, space) for _ in range(2)]
+        params = ReductionParams.manual(mu=0.4, r=2, beta=0.2, rho_sq=0.25, R=3, eta=0.01)
+        probs = np.array([0.4, 0.2, 0.2, 0.2])
+        checks = []
+        for k in (1, 3):
+            cpus(monkeypatch, k)
+            checks.append(decoupling_check(tables, probs, params, mode="mc", samples=3 * CHUNK, seed=54))
+        one, three = checks
+        assert (one.counters["threads"], three.counters["threads"]) == (1, 3)
+        assert (one.value, one.stderr, one.product_term, one.product_stderr) == (
+            three.value, three.stderr, three.product_term, three.product_stderr
+        )
+        exact = decoupling_check(tables, probs, params, mode="exact")
+        assert "threads" not in exact.counters
 
 
 class TestMixing:

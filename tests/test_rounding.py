@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from biascsp.csp import Assignment, ConstraintHypergraph, Predicate, assignment_value
 from biascsp.harness.rng import rng_for
+from biascsp.polynomial import MultilinearPolynomial
 from biascsp.probspace import (
     BiasedSpace,
     FunctionTable,
@@ -183,9 +184,9 @@ class TestRoundOnce:
         fam = mixture_family(g, np.random.default_rng(13))
         inp = RoundingInput(g, dictator_tables(g, fam, 3), vector_solution(fam), eta=0.2, family=fam)
         corners = dp(3).astype(float)
-        for v in g.vertices:
+        for k, v in enumerate(g.vertices):
             np.testing.assert_allclose(
-                inp.polys[v].evaluate(corners), inp.noised[v].values, atol=1e-9
+                MultilinearPolynomial(inp.stacked.tensor[k]).evaluate(corners), inp.noised[v].values, atol=1e-9
             )
         assert inp.functional_bias() == pytest.approx(inp.mu, abs=1e-12)
 
@@ -313,8 +314,8 @@ class TestStackedTables:
         assert inp.stacked.nvars == inp.r_dim == 3
         most = inp.max_influences()
         for k, v in enumerate(g.vertices):
-            assert np.array_equal(inp.polys[v].tensor, inp.stacked.tensor[k])
             fh = noise_apply(fourier_expand(inp.g_tables[v]), 0.8)
+            np.testing.assert_allclose(inp.stacked.tensor[k], multilinear_extend(fh).tensor, rtol=0, atol=1e-12)
             assert most[v] == pytest.approx(max_influence(fh), abs=1e-12)
 
 
@@ -363,7 +364,7 @@ class TestBatchRounds:
             want = np.empty((rounds, n))
             for k, v in enumerate(inp.host.vertices):
                 q = inp.solution.mu_for(v) + gmats.reshape(-1, d) @ inp.solution.w_for(v)
-                want[:, k] = clip(inp.polys[v].evaluate(q.reshape(rounds, R)))
+                want[:, k] = clip(MultilinearPolynomial(inp.stacked.tensor[k]).evaluate(q.reshape(rounds, R)))
             u = rng_for(51, "round-run", "bernoulli", c).random((rounds, n))
             got = p[start : start + rounds]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -465,8 +466,7 @@ class TestBatchRounds:
             fields = dict(vars(result))
             counters = dict(fields.pop("counters"))
             assert counters.pop("threads") == k
-            for timing in ("trials_per_s", "points_per_s", "exact_elapsed_s"):
-                counters.pop(timing, None)
+            counters.pop("exact_elapsed_s", None)
             runs.append((fields, counters))
         assert runs[0] == runs[1]
 
