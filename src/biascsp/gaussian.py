@@ -12,7 +12,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .harness.mc import McRun, mc_run, scratch
+from .harness.mc import McRun, mc_run, rows_per_chunk, scratch
 from .harness.verdict import Check
 
 
@@ -57,28 +57,38 @@ class CorrelatedSampler:
         Each ``fns[i]`` maps an (m, dimension) array of copies to m values in
         [0, 1] and must be row-wise: a row's value depends on that row alone,
         since a function sees only the rows still alive, compacted.  It must
-        not keep the array, whose buffer is reused.  The working set is two
-        (n, dimension) arrays, the running chunk's scratch
-        (``harness.mc.scratch``): g's rows are gathered out of the first
+        not keep the array, whose buffer is reused.  The working set is the
+        running chunk's scratch (``harness.mc.scratch``): an (n, dimension)
+        array for the first copy, one for g on the rows the first function
+        leaves nonzero, and n floats.  g's rows are gathered out of the first
         copy's buffer, which then takes the later copies, and the two swap
-        whenever g's rows are compacted.
+        whenever g's rows are compacted.  The running product on the live
+        rows is the head of the n floats, which end as the result, so inside
+        a run the result is valid until the thread's next ``product`` call.
         """
         if len(fns) != self.copies:
             raise ValueError(f"need one function per copy: {len(fns)} for {self.copies} copies")
         rho, s = self.rho, math.sqrt(1.0 - self.rho * self.rho)
         h = rng.standard_normal(out=scratch("gaussian.copy", (n, self.dimension)))
-        running = np.array(fns[0](h), dtype=float)  # a copy: fns[0] may return a view of h
-        # running is the product on the live rows (all n while rows is None);
-        # g holds h_1 until rho*g is formed in place, and spare takes each copy
-        rows, g, spare = None, h, scratch("gaussian.shared", h.shape)
+        product = scratch("gaussian.product", n)
+        np.copyto(product, fns[0](h))
+        # running is the product on the live rows (all n while rows is None),
+        # at the head of product; g holds h_1 until rho*g is formed in place,
+        # and spare, sized by the rows still live at xi, takes each copy.  The
+        # indices are in range, so "clip" only spares take the copy it makes
+        # to check them.
+        running, rows, g, spare = product, None, h, None
         for i, f in enumerate(fns[1:]):
-            live = np.flatnonzero(running != 0)
+            # nonzero finds a bool array's nonzeros several times faster than a float's
+            live = np.flatnonzero(np.not_equal(running, 0.0, out=scratch("gaussian.live", running.shape, bool)))
             if not live.size:
                 break
+            if spare is None:
+                spare = scratch("gaussian.shared", (live.size, self.dimension))
             if live.size < running.size:
-                g, spare = np.take(g, live, axis=0, out=spare[: live.size]), g
+                g, spare = np.take(g, live, axis=0, out=spare[: live.size], mode="clip"), g
+                running = np.take(running, live, out=product[: live.size], mode="clip")
                 rows = live if rows is None else rows[live]
-                running = running[live]
             h = spare[: live.size]
             if i == 0:
                 g *= rho * rho
@@ -89,10 +99,10 @@ class CorrelatedSampler:
             h *= s
             h += g
             running *= f(h)
-        if rows is None:
-            return running
-        product = np.zeros(n)
-        product[rows] = running
+        if rows is not None:
+            running = running.copy()  # product's head, which the zeros overwrite
+            product.fill(0.0)
+            product[rows] = running
         return product
 
 
@@ -158,7 +168,8 @@ def halfspace(normal, threshold: float):
     normal = np.asarray(normal, dtype=float)
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return (pts @ normal <= threshold).astype(float)
+        side = pts @ normal
+        return np.less_equal(side, threshold, out=side)  # 1.0 or 0.0 in the projections' floats
 
     return fn
 
@@ -201,16 +212,19 @@ def borell_check(functions, dimension: int, rho: float, samples: int, seed: int)
     the joint takes the functions in ascending order of their estimated
     means (a stable sort): the copies are exchangeable, so the order leaves
     the joint's law as it is, and the least mass first leaves the fewest
-    rows for the later copies.
+    rows for the later copies.  The mean and joint runs go in chunks of
+    ``rows_per_chunk(dimension)`` rows, so a chunk's draws do not grow
+    with the dimension; the stability run is one-dimensional.
     """
     sampler = CorrelatedSampler(dimension, rho, len(functions))
+    chunk = rows_per_chunk(dimension)
     means = [
         mc_run(lambda rng, n, f=f: f(rng.standard_normal(out=scratch("gaussian.mean", (n, dimension)))),
-               samples, seed, tag=f"borell-mean-{i}")
+               samples, seed, tag=f"borell-mean-{i}", chunk=chunk)
         for i, f in enumerate(functions)
     ]
     ordered = [functions[i] for i in sorted(range(len(functions)), key=lambda i: means[i].value)]
-    joint = mc_run(lambda rng, n: sampler.product(rng, n, ordered), samples, seed, tag="borell-joint")
+    joint = mc_run(lambda rng, n: sampler.product(rng, n, ordered), samples, seed, tag="borell-joint", chunk=chunk)
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
     lam = _orthant_run(rho, clipped, samples, seed, "borell-lambda")
     sigma_total = math.sqrt(joint.stderr ** 2 + lam.stderr ** 2 + sum(m.stderr ** 2 for m in means))

@@ -17,6 +17,12 @@ CHUNK = 1 << 16
 BLOCK_ENTRIES = 1 << 18
 
 
+def rows_per_chunk(width: int) -> int:
+    """Rows in a Monte Carlo chunk whose draws are ``width`` entries a row:
+    ``CHUNK`` entries of each (rows, width) array, and one row at least."""
+    return max(1, CHUNK // width)
+
+
 @dataclass
 class McRun:
     value: float

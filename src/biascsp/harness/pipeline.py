@@ -190,18 +190,21 @@ def build_rounding_tables(source, host, family, r_dim: int) -> dict[str, Functio
 def meter():
     """Start measuring a stage; the returned ``stamp(record)`` stamps the
     record's ``extra`` with the wall time since this call (``elapsed_s``),
-    the minor page faults of the process since then (``minor_faults``,
-    the growth of ``ru_minflt``) and, when the record has samples, their
+    the minor page faults and the voluntary context switches of the process
+    since then (``minor_faults`` and ``voluntary_switches``, the growth of
+    ``ru_minflt`` and ``ru_nvcsw``) and, when the record has samples, their
     rate ``samples_per_s = samples / elapsed_s``, and returns the record."""
-    def faults() -> int:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    def usage() -> tuple[int, int]:
+        u = resource.getrusage(resource.RUSAGE_SELF)
+        return u.ru_minflt, u.ru_nvcsw
 
-    t0, faults0 = time.perf_counter(), faults()
+    t0, (faults0, switches0) = time.perf_counter(), usage()
 
     def stamp(record: dict) -> dict:
         elapsed = time.perf_counter() - t0
+        faults, switches = usage()
         extra = record.setdefault("extra", {})
-        extra.update(elapsed_s=elapsed, minor_faults=faults() - faults0)
+        extra.update(elapsed_s=elapsed, minor_faults=faults - faults0, voluntary_switches=switches - switches0)
         if record["samples"] is not None:
             extra["samples_per_s"] = record["samples"] / elapsed
         return record

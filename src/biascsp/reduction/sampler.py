@@ -270,25 +270,28 @@ class BatchTestSampler:
         the predicate's settled table (``Predicate.settled``) at its bits so
         far fixes its value.  That value does not depend on the positions
         the row skips, so the indicator has the law of reading every
-        position."""
+        position.  An edge's rows go in segments of at most
+        ``BLOCK_ENTRIES // R`` rows, one after another from ``rng``, so a
+        segment's (rows, R) arrays do not grow with R."""
         counts = rng.multinomial(m, self.edge_weights)
         out = np.empty(m, dtype=np.int8)
+        step = max(1, BLOCK_ENTRIES // self.params.R)
         offset = 0
         for e_idx, cnt in enumerate(counts):
-            if cnt == 0:
-                continue
-            bits, tables = [], iter(self.settled)
+            for start in range(offset, offset + cnt, step):
+                block = out[start : min(start + step, offset + cnt)]
+                bits, tables = [], iter(self.settled)
 
-            def visit(b, x, z, rows, block=out[offset : offset + cnt]):
-                nonlocal bits
-                bits.append(f.evaluate_batch(b, x, z, rng))
-                value = next(tables)[pack_bits(bits)]
-                live = value < 0
-                done = ~live
-                block[done if rows is None else rows[done]] = value[done]
-                bits = [c[live] for c in bits]
-                return live
+                def visit(b, x, z, rows, block=block):
+                    nonlocal bits
+                    bits.append(f.evaluate_batch(b, x, z, rng))
+                    value = next(tables)[pack_bits(bits)]
+                    live = value < 0
+                    done = ~live
+                    block[done if rows is None else rows[done]] = value[done]
+                    bits = [c[live] for c in bits]
+                    return live
 
-            _walk_positions(self.letters[e_idx], self.graph, self.params, cnt, rng, visit)
+                _walk_positions(self.letters[e_idx], self.graph, self.params, block.size, rng, visit)
             offset += cnt
         return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csp import ConstraintHypergraph
-from .harness.mc import BLOCK_ENTRIES, run_chunks, scratch
+from .harness.mc import BLOCK_ENTRIES, rows_per_chunk, run_chunks, scratch
 from .harness.rng import rng_for
 from .harness.verdict import Check
 from .polynomial import _EVAL_CHUNK, MultilinearPolynomial
@@ -261,21 +261,40 @@ def bias_concentration_check(inp: RoundingInput, trials: int, seed: int) -> Chec
 def covariance_bound_check(f_i, f_j, rho_ij: float, dimension: int, samples: int, seed: int) -> Check:
     """|cov(F_i(z_i), F_j(z_j))| <= |rho| within 3 sigma for [0,1]-valued
     functions of per-coordinate rho-correlated standard Gaussian inputs.
-    Such a covariance lies in [-1/4, 1/4], so |rho| >= 1/4 is vacuous."""
+    Such a covariance lies in [-1/4, 1/4], so |rho| >= 1/4 is vacuous.
+
+    The pairs run in chunks of ``rows_per_chunk(dimension)``
+    (:func:`harness.mc.run_chunks`): chunk c draws z_i and then z_j's own
+    noise from ``rng_for(seed, "cov-bound", c)`` into scratch, and the
+    chunks' sums of a, b, ab, a^2, b^2 and (ab)^2 are added by index.
+    """
     if not -1.0 <= rho_ij <= 1.0:
         raise ValueError("correlation must lie in [-1,1]")
-    rng = rng_for(seed, "cov-bound")
-    zi = rng.standard_normal((samples, dimension))
-    zj = rho_ij * zi + math.sqrt(1.0 - rho_ij ** 2) * rng.standard_normal((samples, dimension))
-    a = np.asarray(f_i(zi), dtype=float)
-    b = np.asarray(f_j(zj), dtype=float)
-    ma, mb = float(a.mean()), float(b.mean())
-    prod = a * b
-    cov = float(prod.mean()) - ma * mb
-    se = math.sqrt(
-        prod.var() / samples + mb ** 2 * a.var() / samples + ma ** 2 * b.var() / samples
-    )
-    return Check(abs(cov), abs(rho_ij), stderr=se, span=(0.0, 0.25), samples=samples, seed=seed)
+    s = math.sqrt(1.0 - rho_ij ** 2)
+
+    def sums(c: int, n: int) -> tuple:
+        rng = rng_for(seed, "cov-bound", c)
+        zi = rng.standard_normal(out=scratch("cov.zi", (n, dimension)))
+        zj = rng.standard_normal(out=scratch("cov.zj", (n, dimension)))
+        a = scratch("cov.a", n)
+        np.copyto(a, f_i(zi))  # a copy: f_i may return a view of zi, which then takes rho*z_i
+        zi *= rho_ij
+        zj *= s
+        zj += zi
+        b = np.asarray(f_j(zj), dtype=float)
+        ab = a * b
+        return tuple(float(v.sum()) for v in (a, b, ab, a * a, b * b, ab * ab))
+
+    parts, threads = run_chunks(sums, samples, rows_per_chunk(dimension))
+    ma, mb, mab, maa, mbb, mabab = (math.fsum(p[k] for p in parts) / samples for k in range(6))
+
+    def var(second: float, mean: float) -> float:
+        return max(second - mean * mean, 0.0)
+
+    cov = mab - ma * mb
+    se = math.sqrt((var(mabab, mab) + mb ** 2 * var(maa, ma) + ma ** 2 * var(mbb, mb)) / samples)
+    return Check(abs(cov), abs(rho_ij), stderr=se, span=(0.0, 0.25), samples=samples, seed=seed,
+                 counters={"threads": threads})
 
 
 # ---- value guarantee ----------------------------------------------------------

@@ -20,7 +20,7 @@ from biascsp.gaussian import (
 )
 from biascsp.harness.mc import CHUNK, mc_run
 from biascsp.harness.rng import rng_for
-from conftest import cpus
+from conftest import cpus, traced_peak
 
 
 class TestCdfQuantile:
@@ -209,14 +209,18 @@ def reference_orthant(rho, deltas, samples, seed, tag):
 
 def reference_borell(functions, dimension, rho, samples, seed):
     """The joint, mean and stability runs of borell_check; the joint takes
-    the functions in ascending order of their estimated means."""
+    the functions in ascending order of their estimated means.  The mean and
+    joint chunks hold CHUNK entries of each (rows, dimension) draw."""
     sampler = CorrelatedSampler(dimension, rho, len(functions))
+    rows = CHUNK // dimension
     means = [
-        mc_run(lambda rng, n, f=f: f(rng.standard_normal((n, dimension))), samples, seed, tag=f"borell-mean-{i}")
+        mc_run(lambda rng, n, f=f: f(rng.standard_normal((n, dimension))), samples, seed, tag=f"borell-mean-{i}",
+               chunk=rows)
         for i, f in enumerate(functions)
     ]
     ordered = [f for _, f in sorted(zip([m.value for m in means], functions), key=lambda t: t[0])]
-    joint = mc_run(lambda rng, n: reference_product(sampler, rng, n, ordered), samples, seed, tag="borell-joint")
+    joint = mc_run(lambda rng, n: reference_product(sampler, rng, n, ordered), samples, seed, tag="borell-joint",
+                   chunk=rows)
     clipped = [min(max(m.value, 1e-9), 1.0 - 1e-9) for m in means]
     return joint, means, reference_orthant(rho, clipped, samples, seed, "borell-lambda")
 
@@ -378,3 +382,27 @@ class TestBorell:
         assert rep.stability_bound.tag == "borell-lambda"
         assert rep.joint.tag == "borell-joint"
 
+
+class TestWorkingSet:
+    """One thread's traced peak: the Borell mean and joint chunks hold CHUNK
+    entries of each draw, so the peak does not grow with the dimension."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        cpus(monkeypatch, 1)
+        lambda_estimate(0.5, (0.3, 0.6), 1000, 0)  # a first run's lazy imports are not its working set
+
+    @pytest.mark.parametrize("dim", [4, 32])
+    def test_borell_peak_is_flat_in_the_dimension(self, dim):
+        fns = [halfspace(np.linspace(1.0, -0.5, dim), 0.2), box([-1.0] * dim, [1.5] * dim)]
+        with traced_peak() as peak:
+            borell_check(fns, dim, 0.5, 300000, 3)
+        assert peak.bytes <= 2.5 * 2 ** 20
+
+    def test_lambda_peak_and_stream(self):
+        with traced_peak() as peak:
+            est = lambda_estimate(0.5, (0.3, 0.55, 0.6), 300000, 18)
+        assert peak.bytes <= 2.40 * 2 ** 20
+        # four whole chunks and a partial one, the draws and sums of the
+        # kernel on fresh arrays, bit for bit
+        assert (est.value, est.stderr) == (0.14955333333333334, 0.0006511198912187684)

@@ -1075,46 +1075,51 @@ RECORD_KEYS = {"stage", "verdict", "status", "value", "bound", "stderr", "seed",
 # The ``extra`` keys of each record, by stage name.  Every record built from
 # a ``Check`` carries its derived ``vacuous`` flag.
 EXTRA_KEYS = {
-    "csp-opt": "assignments elapsed_s in_window minor_faults mu witness",
-    "pd-verify": "bias elapsed_s minor_faults moment_size objective violations",
-    "pd-smooth": "bias elapsed_s eta family minor_faults",
-    "pd-condition": "elapsed_s family minor_faults subset trace vacuous values",
-    "gauss-lambda": "elapsed_s minor_faults samples_per_s threads",
-    "gauss-lambda-bound": "applicable elapsed_s minor_faults preconditions samples_per_s threads vacuous",
-    "gauss-borell": "elapsed_s means minor_faults samples_per_s threads vacuous",
-    "round-run": "elapsed_s minor_faults outcomes samples_per_s",
-    "reduce-gen": "elapsed_s graph minor_faults",
-    "reduce-params": "elapsed_s minor_faults params",
-    "reduce-sample": "edge elapsed_s minor_faults parts perms",
-    "reduce-dictator": "analytic_bias elapsed_s minor_faults sample_values",
+    "csp-opt": "assignments elapsed_s in_window minor_faults mu voluntary_switches witness",
+    "pd-verify": "bias elapsed_s minor_faults moment_size objective violations voluntary_switches",
+    "pd-smooth": "bias elapsed_s eta family minor_faults voluntary_switches",
+    "pd-condition": "elapsed_s family minor_faults subset trace vacuous values voluntary_switches",
+    "gauss-lambda": "elapsed_s minor_faults samples_per_s threads voluntary_switches",
+    "gauss-lambda-bound": (
+        "applicable elapsed_s minor_faults preconditions samples_per_s threads vacuous voluntary_switches"
+    ),
+    "gauss-borell": "elapsed_s means minor_faults samples_per_s threads vacuous voluntary_switches",
+    "round-run": "elapsed_s minor_faults outcomes samples_per_s voluntary_switches",
+    "reduce-gen": "elapsed_s graph minor_faults voluntary_switches",
+    "reduce-params": "elapsed_s minor_faults params voluntary_switches",
+    "reduce-sample": "edge elapsed_s minor_faults parts perms voluntary_switches",
+    "reduce-dictator": "analytic_bias elapsed_s minor_faults sample_values voluntary_switches",
     "reduce-accept": (
         "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows"
-        " positions_per_trial samples_per_s threads vacuous"
+        " positions_per_trial samples_per_s threads vacuous voluntary_switches"
     ),
-    "reduce-decouple": "elapsed_s max_influence minor_faults mode product_stderr vacuous",
+    "reduce-decouple": "elapsed_s max_influence minor_faults mode product_stderr vacuous voluntary_switches",
     "reduce-mix": (
         "dictator_fallbacks dictator_queries elapsed_s inner_samples minor_faults permuted_rows samples_per_s"
-        " threads threshold vacuous"
+        " threads threshold vacuous voluntary_switches"
     ),
-    "reduce-decode-stat": "baseline elapsed_s match_prob minor_faults respect_violations samples_per_s vacuous",
-    "verify-input": "bias elapsed_s minor_faults moment_size objective violations",
-    "smooth": "bias elapsed_s eta minor_faults",
-    "condition": "elapsed_s minor_faults subset trace vacuous values",
-    "vector-solution": "elapsed_s minor_faults vacuous",
+    "reduce-decode-stat": (
+        "baseline elapsed_s match_prob minor_faults respect_violations samples_per_s vacuous voluntary_switches"
+    ),
+    "verify-input": "bias elapsed_s minor_faults moment_size objective violations voluntary_switches",
+    "smooth": "bias elapsed_s eta minor_faults voluntary_switches",
+    "condition": "elapsed_s minor_faults subset trace vacuous values voluntary_switches",
+    "vector-solution": "elapsed_s minor_faults vacuous voluntary_switches",
     "rounding-variance": (
         "deviation_bound deviation_fraction elapsed_s eval_block minor_faults samples_per_s threads vacuous"
+        " voluntary_switches"
     ),
     "rounding-value": (
         "applicable elapsed_s eval_block exact_elapsed_s max_influence minor_faults samples_per_s sigma_value"
-        " threads vacuous"
+        " threads vacuous voluntary_switches"
     ),
     "reduction-acceptance": (
         "dictator_fallbacks dictator_queries elapsed_s minor_faults objective permuted_rows"
-        " positions_per_trial samples_per_s threads vacuous"
+        " positions_per_trial samples_per_s threads vacuous voluntary_switches"
     ),
     "mixing": (
         "dictator_fallbacks dictator_queries elapsed_s inner_samples minor_faults permuted_rows samples_per_s"
-        " threads threshold vacuous"
+        " threads threshold vacuous voluntary_switches"
     ),
 }
 
@@ -1192,11 +1197,12 @@ class TestRecordKeys:
         assert record["extra"]["mode"] == "mc" and record["extra"]["threads"] >= 1
 
     def test_every_record_is_metered(self, every_record):
-        # one meter stamps every record: its wall time, its minor faults and,
-        # exactly when it has samples, their rate
+        # one meter stamps every record: its wall time, its minor faults, its
+        # voluntary context switches and, exactly when it has samples, their rate
         for record in every_record:
             extra, name = record["extra"], record["stage"]
             assert extra["elapsed_s"] >= 0.0 and extra["minor_faults"] >= 0, name
+            assert isinstance(extra["voluntary_switches"], int) and extra["voluntary_switches"] >= 0, name
             if record["samples"] is None:
                 assert "samples_per_s" not in extra, name
             else:

@@ -46,6 +46,7 @@ from biascsp.reduction import (
     walk_matrix,
 )
 from biascsp.reduction import analysis
+from biascsp.reduction import sampler as sampler_module
 from biascsp.reduction.analysis import _leak_block, _pair_indices, coupled_product_expectation
 from biascsp.reduction.dictator import PlantedDictator
 from biascsp.reduction.sampler import LOOKUP, BatchTestSampler, LetterLookup, edge_block_probs, letter_block
@@ -742,6 +743,11 @@ class TestAcceptance:
         mc = acceptance_estimate(gap, theta, graph, params, f, 200000, 14)
         assert mc.value == pytest.approx(exact, abs=4 * mc.stderr)
 
+    def test_estimate_in_short_segments_matches_exact_enumeration(self, monkeypatch):
+        # at a 64-entry block an edge's rows go in segments of 32 rows at R = 2
+        monkeypatch.setattr(sampler_module, "BLOCK_ENTRIES", 64)
+        self.test_estimate_matches_exact_enumeration()
+
     def test_dictator_estimate_matches_exact_with_fallbacks(self):
         # n = 4, R = 2: equal codes are common, so the fallback rows, the only
         # ones the dictator permutes, carry a visible share of the estimate.
@@ -1381,6 +1387,15 @@ def reduce_mc_setup(R=40):
     return gap, theta, graph, params, dictator_assignment(graph.planted, graph)
 
 
+def acceptance_chunk_peak(R: int) -> int:
+    """Traced peak of one acceptance chunk of the reduce-mc lifted test at R."""
+    gap, theta, graph, params, f = reduce_mc_setup(R)
+    sampler = BatchTestSampler(gap, theta, graph, params)
+    with traced_peak() as peak:
+        sampler.accept_indicators(f, analysis._LIFTED_ROWS, rng_for(45, "accept-memory"))
+    return peak.bytes
+
+
 class TestWorkingMemory:
     """Traced peaks of the Monte Carlo kernels at the reduce-mc sizes, in
     units of one (rows, R) array of 8-byte entries."""
@@ -1448,12 +1463,16 @@ class TestWorkingMemory:
         # positions' letters and walking both before reading either peaked
         # at 3.33; with a fresh-bit block in the fold the peak was 4.0 units.
         assert analysis._LIFTED_ROWS == CHUNK // 4
-        gap, theta, graph, params, f = reduce_mc_setup()
-        sampler = BatchTestSampler(gap, theta, graph, params)
-        with traced_peak() as peak:
-            sampler.accept_indicators(f, analysis._LIFTED_ROWS, rng_for(45, "accept-memory"))
-        unit = analysis._LIFTED_ROWS // 4 * params.R * 8
-        assert peak.bytes < 2.9 * unit, peak.bytes / unit
+        unit = analysis._LIFTED_ROWS // 4 * 40 * 8
+        assert acceptance_chunk_peak(40) < 2.9 * unit
+
+    def test_acceptance_segments_do_not_grow_with_R(self):
+        # past R = 64 an edge's rows go in segments of BLOCK_ENTRIES // R
+        # rows, so a chunk peaks in units of one block of 8-byte entries:
+        # 2.8 of them at R = 160 and at R = 320, against 5.1 and 10.1 when
+        # each edge's rows went as one segment
+        unit = BLOCK_ENTRIES * 8
+        assert acceptance_chunk_peak(160) < 3.2 * unit
 
     def test_acceptance_threads_hold_one_chunk_each(self, monkeypatch):
         # each thread beyond the first adds at most one chunk's working set

@@ -225,6 +225,16 @@ class TestCovarianceBound:
             rep = covariance_bound_check(f, gfun, 0.3, 2, 200000, 100 + trial)
             assert rep.holds
 
+    def test_working_set_is_one_chunk(self, monkeypatch):
+        # a chunk holds CHUNK entries of each input, not the run's (samples, d)
+        cpus(monkeypatch, 1)
+        f = random_clipped_poly(np.random.default_rng(7), 3)
+        covariance_bound_check(f, f, 0.3, 3, 1000, 0)  # a first run's lazy imports are not its working set
+        with traced_peak() as peak:
+            rep = covariance_bound_check(f, f, 0.3, 3, 10 ** 6, 23)
+        assert rep.holds and rep.threads == 1
+        assert peak.bytes <= 4 * 2 ** 20
+
 
 class TestBiasConcentration:
     def test_constant_tables_zero_variance(self):
